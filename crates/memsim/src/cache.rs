@@ -1,15 +1,34 @@
 //! The simulated data-memory hierarchy: L1D/L2/L3, TLB, in-flight fills.
 
-use std::collections::HashMap;
-
 use ltsp_ir::{CacheLevel, DataClass};
 use ltsp_machine::CacheGeometry;
 
-/// One set-associative, LRU cache level. Tags are stored per set in MRU
-/// order (front = most recent).
+use crate::ozq::retire;
+
+/// Moves `tag` to the front of an MRU-ordered slice (front = most recent)
+/// and reports whether it was already there. On a miss with `install`, the
+/// last (least recent, or still invalid) slot is overwritten instead.
+/// Tags are stored plus one so that zeroed storage reads as "invalid".
+fn touch_mru(ways: &mut [u64], tag: u64, install: bool) -> bool {
+    let tag = tag + 1;
+    if ways[0] == tag {
+        return true;
+    }
+    let pos = ways.iter().position(|&t| t == tag);
+    if pos.is_none() && !install {
+        return false;
+    }
+    let last = pos.unwrap_or(ways.len() - 1);
+    ways[..=last].rotate_right(1);
+    ways[0] = tag;
+    pos.is_some()
+}
+
+/// One set-associative, LRU cache level: a single flat tag array, each
+/// set's ways contiguous and in MRU order.
 #[derive(Debug, Clone)]
 struct SetAssocCache {
-    sets: Vec<Vec<u64>>,
+    tags: Vec<u64>,
     ways: usize,
     line_shift: u32,
     set_mask: u64,
@@ -26,58 +45,35 @@ impl SetAssocCache {
         let sets = capacity_bytes / (u64::from(ways) * u64::from(line_bytes));
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         SetAssocCache {
-            sets: vec![Vec::new(); sets as usize],
+            // Zeroed, so sets a run never touches cost no resident memory.
+            tags: vec![0; (sets * u64::from(ways)) as usize],
             ways: ways as usize,
             line_shift,
             set_mask: sets - 1,
         }
     }
 
-    fn locate(&self, addr: u64) -> (usize, u64) {
+    fn touch(&mut self, addr: u64, install: bool) -> bool {
         let line = addr >> self.line_shift;
-        ((line & self.set_mask) as usize, line)
+        let first = (line & self.set_mask) as usize * self.ways;
+        touch_mru(&mut self.tags[first..first + self.ways], line, install)
     }
 
     /// Probes for the line; on hit, refreshes LRU position.
     fn probe(&mut self, addr: u64) -> bool {
-        let (set, line) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            let tag = ways.remove(pos);
-            ways.insert(0, tag);
-            true
-        } else {
-            false
-        }
+        self.touch(addr, false)
     }
 
     /// Inserts the line as MRU, evicting the LRU way if needed.
     fn insert(&mut self, addr: u64) {
-        let (set, line) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            let tag = ways.remove(pos);
-            ways.insert(0, tag);
-            return;
-        }
-        if ways.len() == self.ways {
-            ways.pop();
-        }
-        ways.insert(0, line);
-    }
-
-    fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.touch(addr, true);
     }
 }
 
-/// Fully-associative-by-sets LRU TLB over pages.
+/// Fully-associative LRU TLB over pages (one MRU-ordered set).
 #[derive(Debug, Clone)]
 struct Tlb {
     entries: Vec<u64>,
-    capacity: usize,
     page_shift: u32,
 }
 
@@ -90,30 +86,14 @@ impl Tlb {
             "page size must be a power of two"
         );
         Tlb {
-            entries: Vec::new(),
-            capacity: entries as usize,
+            entries: vec![0; entries as usize],
             page_shift,
         }
     }
 
     /// Returns `true` on a TLB *miss* (and installs the page).
     fn access_misses(&mut self, addr: u64) -> bool {
-        let page = addr >> self.page_shift;
-        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            let p = self.entries.remove(pos);
-            self.entries.insert(0, p);
-            false
-        } else {
-            if self.entries.len() == self.capacity {
-                self.entries.pop();
-            }
-            self.entries.insert(0, page);
-            true
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
+        !touch_mru(&mut self.entries, addr >> self.page_shift, true)
     }
 }
 
@@ -155,8 +135,13 @@ pub struct MemorySystem {
     l2: SetAssocCache,
     l3: SetAssocCache,
     tlb: Tlb,
-    /// In-flight line fills: 128-byte-line address → completion time.
-    inflight: HashMap<u64, u64>,
+    /// In-flight line fills, `(128-byte-line address, completion time)`;
+    /// a line appears at most once. Unsorted and small: every fill the
+    /// executor starts also holds an OzQ entry.
+    inflight: Vec<(u64, u64)>,
+    /// Earliest completion time in `inflight` (`u64::MAX` when empty);
+    /// no fill lands before it, so draining is O(1) until then.
+    inflight_earliest: u64,
     /// Earliest cycle at which main memory can start the next line fill
     /// (bandwidth serialization).
     next_memory_fill: u64,
@@ -170,7 +155,8 @@ impl MemorySystem {
             l2: SetAssocCache::new(geo.l2.capacity_bytes, geo.l2.ways, geo.l2.line_bytes),
             l3: SetAssocCache::new(geo.l3.capacity_bytes, geo.l3.ways, geo.l3.line_bytes),
             tlb: Tlb::new(geo.tlb.entries, geo.tlb.page_bytes),
-            inflight: HashMap::new(),
+            inflight: Vec::new(),
+            inflight_earliest: u64::MAX,
             next_memory_fill: 0,
             geo,
         }
@@ -190,7 +176,19 @@ impl MemorySystem {
     }
 
     fn drain_inflight(&mut self, now: u64) {
-        self.inflight.retain(|_, &mut done| done > now);
+        if now >= self.inflight_earliest {
+            self.inflight_earliest = retire(&mut self.inflight, now, |&(_, done)| done);
+        }
+    }
+
+    fn inflight_done(&self, key: u64) -> Option<u64> {
+        let fill = self.inflight.iter().find(|&&(line, _)| line == key);
+        fill.map(|&(_, done)| done)
+    }
+
+    fn start_fill(&mut self, key: u64, done: u64) {
+        self.inflight.push((key, done));
+        self.inflight_earliest = self.inflight_earliest.min(done);
     }
 
     /// A demand load or store at absolute cycle `now`.
@@ -217,7 +215,7 @@ impl MemorySystem {
 
         // Merge with an in-flight fill: pay only the remaining cycles.
         let key = self.inflight_key(addr);
-        if let Some(&done) = self.inflight.get(&key) {
+        if let Some(done) = self.inflight_done(key) {
             // The line is already on its way; promote into the caches (it
             // was inserted at fill start) and report the remainder.
             let remaining = (done - now) as u32;
@@ -269,7 +267,7 @@ impl MemorySystem {
             self.l1.insert(addr);
         }
         if !is_store {
-            self.inflight.insert(key, now + u64::from(latency));
+            self.start_fill(key, now + u64::from(latency));
         }
         AccessOutcome {
             latency,
@@ -292,7 +290,7 @@ impl MemorySystem {
             0
         };
         let key = self.inflight_key(addr);
-        if let Some(&done) = self.inflight.get(&key) {
+        if let Some(done) = self.inflight_done(key) {
             // Riding a fill already on the way — the normal mode of a
             // streaming prefetch whose earlier issue started the miss,
             // so not counted redundant.
@@ -313,7 +311,7 @@ impl MemorySystem {
             let lat = self.memory_fill_latency(now);
             self.l3.insert(addr);
             self.l2.insert(addr);
-            self.inflight.insert(key, now + u64::from(lat + extra));
+            self.start_fill(key, now + u64::from(lat + extra));
             lat
         };
         if target == CacheLevel::L1 {
@@ -336,12 +334,7 @@ impl MemorySystem {
 
     /// Empties all caches, the TLB and in-flight state.
     pub fn clear(&mut self) {
-        self.l1.clear();
-        self.l2.clear();
-        self.l3.clear();
-        self.tlb.clear();
-        self.inflight.clear();
-        self.next_memory_fill = 0;
+        *self = MemorySystem::new(self.geo);
     }
 }
 

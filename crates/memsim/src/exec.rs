@@ -1,6 +1,6 @@
 //! The in-order, stall-on-use executor for kernel schedules.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use ltsp_ir::{DataClass, LoopIr, MemRefId, Opcode, VReg};
 use ltsp_machine::MachineModel;
@@ -44,49 +44,52 @@ impl Default for ExecutorConfig {
     }
 }
 
+/// Where one loop-defined register's scoreboard ring lives: slot
+/// `first + (source_iteration & mask)` of [`Executor::slots`].
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    first: u32,
+    mask: u32,
+}
+
+/// One scoreboard slot: what a register holds for one source iteration.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// `(global source iteration + 1) << 1 | predicate value`; iterations
+    /// are numbered across entries, so a slot last written for another
+    /// iteration or entry never matches (and zeroed slots match nothing).
+    stamp: u64,
+    /// Cycle at which the value is available.
+    ready: u64,
+}
+
 /// Precomputed per-instruction execution recipe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ExecInst {
     id: u32,
     stage: u32,
     op: Opcode,
-    dst: Option<VReg>,
-    srcs: Vec<(VReg, u32, bool)>, // (reg, omega, has_def_in_loop)
+    dst: Option<Ring>,
+    /// Range of [`Executor::srcs`]: the loop-defined registers read.
+    srcs: (u32, u32),
     mem: Option<MemRefId>,
-    latency: u32, // non-load result latency
+    /// Non-load result latency.
+    latency: u32,
+    /// Prefetch distance in source iterations.
+    distance: u32,
     /// Qualifying predicate: (register, omega, negated).
-    qp: Option<(VReg, u32, bool)>,
+    qp: Option<(Ring, u32, bool)>,
 }
 
-/// Executes a pipelined (or acyclic-fallback) loop schedule against the
-/// simulated memory system, accumulating [`CycleCounters`].
-///
-/// Cache, TLB and OzQ state persist across [`Executor::run_entry`] calls,
-/// modelling repeated executions of the same loop within a benchmark.
-///
-/// # Example
-///
-/// ```
-/// use ltsp_ir::{DataClass, LoopBuilder};
-/// use ltsp_machine::MachineModel;
-/// use ltsp_memsim::{Executor, ExecutorConfig};
-/// use ltsp_pipeliner::{pipeline_loop, PipelineOptions};
-///
-/// let mut b = LoopBuilder::new("ex");
-/// let a = b.affine_ref("a[i]", DataClass::Int, 0x1000, 4, 4);
-/// let v = b.load(a);
-/// let _ = b.add_reduce(v);
-/// let lp = b.build()?;
-/// let m = MachineModel::itanium2();
-/// let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
-///
-/// let mut ex = Executor::new(&lp, &p.schedule, &m, 8, ExecutorConfig::default());
-/// ex.run_entry(100);
-/// let c = ex.counters();
-/// assert_eq!(c.source_iters, 100);
-/// assert!(c.is_consistent());
-/// # Ok::<(), ltsp_ir::IrError>(())
-/// ```
+/// One kernel version: its rows in [`Executor::rows`], stage count and
+/// allocated register count.
+#[derive(Debug, Clone, Copy)]
+struct Kernel {
+    rows: (u32, u32),
+    stages: u32,
+    regs: u32,
+}
+
 /// Where one memory reference's demand loads were actually served from —
 /// the per-load observation record the adaptive-hint loop feeds back into
 /// the compiler. The access/latency/level counts are demand accesses;
@@ -125,23 +128,60 @@ impl RefObservation {
     }
 }
 
+/// Executes a pipelined (or acyclic-fallback) loop schedule against the
+/// simulated memory system, accumulating [`CycleCounters`].
+///
+/// Cache, TLB and OzQ state persist across [`Executor::run_entry`] calls,
+/// modelling repeated executions of the same loop within a benchmark.
+///
+/// # Example
+///
+/// ```
+/// use ltsp_ir::{DataClass, LoopBuilder};
+/// use ltsp_machine::MachineModel;
+/// use ltsp_memsim::{Executor, ExecutorConfig};
+/// use ltsp_pipeliner::{pipeline_loop, PipelineOptions};
+///
+/// let mut b = LoopBuilder::new("ex");
+/// let a = b.affine_ref("a[i]", DataClass::Int, 0x1000, 4, 4);
+/// let v = b.load(a);
+/// let _ = b.add_reduce(v);
+/// let lp = b.build()?;
+/// let m = MachineModel::itanium2();
+/// let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
+///
+/// let mut ex = Executor::new(&lp, &p.schedule, &m, 8, ExecutorConfig::default());
+/// ex.run_entry(100);
+/// let c = ex.counters();
+/// assert_eq!(c.source_iters, 100);
+/// assert!(c.is_consistent());
+/// # Ok::<(), ltsp_ir::IrError>(())
+/// ```
 #[derive(Debug)]
 pub struct Executor<'a> {
-    lp: &'a LoopIr,
     machine: &'a MachineModel,
-    /// One `(rows, stage_count, regs_allocated)` per kernel version
-    /// (trip-count versioning keeps a base and a boosted kernel for the
-    /// same loop body, each with its own register frame).
-    versions: Vec<(Vec<Vec<ExecInst>>, u32, u32)>,
+    /// One per kernel version (trip-count versioning keeps a base and a
+    /// boosted kernel for the same loop body, each with its own register
+    /// frame).
+    versions: Vec<Kernel>,
+    /// Issue groups of all versions: ranges of `insts`.
+    rows: Vec<(u32, u32)>,
+    insts: Vec<ExecInst>,
+    /// `(register, omega)` reads of all instructions, loop-invariant
+    /// live-ins left out.
+    srcs: Vec<(Ring, u32)>,
+    /// The scoreboard: one ring of slots per loop-defined register, as
+    /// deep as the farthest a reader trails the writer (stage distance
+    /// plus omega) in any version.
+    slots: Vec<Slot>,
+    /// Source iterations completed before the current entry (the base of
+    /// this entry's slot stamps).
+    entry_base: u64,
     mem: MemorySystem,
     ozq: Ozq,
     streams: AddressStreams,
     counters: CycleCounters,
     now: u64,
-    /// Per-register ready times for recent source iterations.
-    ready: HashMap<VReg, VecDeque<(i64, u64)>>,
-    /// Predicate values for recent source iterations.
-    pred_vals: HashMap<VReg, VecDeque<(i64, bool)>>,
     cfg: ExecutorConfig,
     /// Per-memref demand-load statistics: (accesses, total latency).
     ref_stats: Vec<(u64, u64)>,
@@ -200,54 +240,108 @@ impl<'a> Executor<'a> {
             regs_per_version.len(),
             "one register count per kernel version"
         );
-        let defined: std::collections::HashSet<VReg> =
-            lp.insts().iter().filter_map(|i| i.dst()).collect();
-        let build_rows = |sched: &ModuloSchedule| -> Vec<Vec<ExecInst>> {
-            sched
-                .rows()
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|slot| {
-                            let inst = lp.inst(slot.inst);
-                            ExecInst {
-                                id: slot.inst.0,
-                                stage: slot.stage,
-                                op: inst.op(),
-                                dst: inst.dst(),
-                                srcs: inst
-                                    .reads()
-                                    .map(|s| (s.reg, s.omega, defined.contains(&s.reg)))
-                                    .collect(),
-                                mem: inst.mem(),
-                                latency: match inst.op() {
-                                    Opcode::Load(_) => 0,
-                                    op => machine.latencies().op_latency(op),
-                                },
-                                qp: inst.qp().map(|(q, neg)| (q.reg, q.omega, neg)),
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let versions = scheds
+        // Scoreboard registers, numbered densely: everything the loop
+        // defines, plus live-in qualifying predicates (never written, so
+        // they read as the pre-loop `true`).
+        let mut reg_idx: HashMap<VReg, usize> = HashMap::new();
+        let mut def_of = Vec::new();
+        for inst in lp.insts() {
+            if let Some(d) = inst.dst() {
+                reg_idx.insert(d, def_of.len());
+                def_of.push(Some(inst.id()));
+            }
+        }
+        for (q, _) in lp.insts().iter().filter_map(|i| i.qp()) {
+            reg_idx.entry(q.reg).or_insert_with(|| {
+                def_of.push(None);
+                def_of.len() - 1
+            });
+        }
+        // Ring depth: a value written at stage `d` for iteration `j` is
+        // read until kernel iteration `j + omega + s` by a stage-`s`
+        // reader, by which time iterations up to `j + omega + s - d` have
+        // been written.
+        let mut depth = vec![1u32; def_of.len()];
+        for sched in scheds {
+            for inst in lp.insts() {
+                for s in inst.reads() {
+                    let Some(&r) = reg_idx.get(&s.reg) else {
+                        continue;
+                    };
+                    let Some(def) = def_of[r] else { continue };
+                    let trail = s.omega + sched.stage(inst.id());
+                    depth[r] = depth[r].max(trail.saturating_sub(sched.stage(def)) + 1);
+                }
+            }
+        }
+        let mut n_slots = 0u32;
+        let rings: Vec<Ring> = depth
             .iter()
-            .zip(regs_per_version)
-            .map(|(s, &regs)| (build_rows(s), s.stage_count(), regs))
+            .map(|d| {
+                let ring = Ring {
+                    first: n_slots,
+                    mask: d.next_power_of_two() - 1,
+                };
+                n_slots += ring.mask + 1;
+                ring
+            })
             .collect();
+
+        let (mut versions, mut rows) = (Vec::new(), Vec::new());
+        let (mut insts, mut srcs) = (Vec::new(), Vec::new());
+        for (sched, &regs) in scheds.iter().zip(regs_per_version) {
+            let first_row = rows.len() as u32;
+            for row in sched.rows() {
+                let first_inst = insts.len() as u32;
+                for slot in row {
+                    let inst = lp.inst(slot.inst);
+                    let first_src = srcs.len() as u32;
+                    srcs.extend(
+                        inst.reads()
+                            .filter_map(|s| Some((rings[*reg_idx.get(&s.reg)?], s.omega))),
+                    );
+                    insts.push(ExecInst {
+                        id: slot.inst.0,
+                        stage: slot.stage,
+                        op: inst.op(),
+                        dst: inst.dst().map(|d| rings[reg_idx[&d]]),
+                        srcs: (first_src, srcs.len() as u32),
+                        mem: inst.mem(),
+                        latency: match inst.op() {
+                            Opcode::Load(_) => 0,
+                            op => machine.latencies().op_latency(op),
+                        },
+                        distance: inst
+                            .mem()
+                            .and_then(|m| lp.memref(m).prefetch())
+                            .map_or(0, |p| p.distance),
+                        qp: inst
+                            .qp()
+                            .map(|(q, neg)| (rings[reg_idx[&q.reg]], q.omega, neg)),
+                    });
+                }
+                rows.push((first_inst, insts.len() as u32));
+            }
+            versions.push(Kernel {
+                rows: (first_row, rows.len() as u32),
+                stages: sched.stage_count(),
+                regs,
+            });
+        }
         let n_refs = lp.memrefs().len();
         Executor {
-            lp,
             machine,
             versions,
+            rows,
+            insts,
+            srcs,
+            slots: vec![Slot::default(); n_slots as usize],
+            entry_base: 0,
             mem: MemorySystem::new(*machine.caches()),
             ozq: Ozq::new(machine.caches().ozq_capacity),
             streams: AddressStreams::new(lp, cfg.stream_mode, cfg.seed),
             counters: CycleCounters::default(),
             now: 0,
-            ready: HashMap::new(),
-            pred_vals: HashMap::new(),
             cfg,
             ref_stats: vec![(0, 0); n_refs],
             ref_obs: vec![RefObservation::default(); n_refs],
@@ -302,55 +396,33 @@ impl<'a> Executor<'a> {
         &self.counters
     }
 
-    /// Resets memory-system state (not the counters); used between
-    /// independent experiment arms.
-    pub fn reset_memory(&mut self) {
-        self.mem.clear();
-        self.ozq.clear();
-        self.ready.clear();
-        self.pred_vals.clear();
+    /// What `reg` holds for iteration `i - omega` of the current entry;
+    /// `None` before the first iteration (pre-loop state) or when nothing
+    /// has written it.
+    fn written(&self, reg: Ring, i: u64, omega: u32) -> Option<Slot> {
+        let j = i.checked_sub(u64::from(omega))?;
+        let slot = self.slots[(reg.first + (j as u32 & reg.mask)) as usize];
+        (slot.stamp >> 1 == self.entry_base + j + 1).then_some(slot)
     }
 
-    fn record_ready(&mut self, reg: VReg, src_iter: i64, time: u64) {
-        let q = self.ready.entry(reg).or_default();
-        q.push_back((src_iter, time));
-        if q.len() > 300 {
-            q.pop_front();
-        }
-    }
-
-    fn record_pred(&mut self, reg: VReg, src_iter: i64, value: bool) {
-        let q = self.pred_vals.entry(reg).or_default();
-        q.push_back((src_iter, value));
-        if q.len() > 300 {
-            q.pop_front();
-        }
+    /// Records `reg`'s value for source iteration `i` of this entry.
+    fn record(&mut self, reg: Ring, i: u64, ready: u64, pred: bool) {
+        self.slots[(reg.first + (i as u32 & reg.mask)) as usize] = Slot {
+            stamp: (self.entry_base + i + 1) << 1 | u64::from(pred),
+            ready,
+        };
     }
 
     /// The predicate value for a source iteration; defaults to `true`
-    /// (pre-loop state, or aged out of the window).
-    fn pred_value(&self, reg: VReg, src_iter: i64) -> bool {
-        if src_iter < 0 {
-            return true;
-        }
-        self.pred_vals
-            .get(&reg)
-            .and_then(|q| q.iter().rev().find(|&&(i, _)| i == src_iter))
-            .is_none_or(|&(_, v)| v)
+    /// (pre-loop state, or not produced by a compare this iteration).
+    fn pred_value(&self, reg: Ring, i: u64, omega: u32) -> bool {
+        self.written(reg, i, omega)
+            .is_none_or(|slot| slot.stamp & 1 == 1)
     }
 
-    fn ready_time(&self, reg: VReg, src_iter: i64) -> u64 {
-        if src_iter < 0 {
-            return 0; // initialized before the loop
-        }
-        match self.ready.get(&reg) {
-            Some(q) => q
-                .iter()
-                .rev()
-                .find(|&&(i, _)| i == src_iter)
-                .map_or(0, |&(_, t)| t),
-            None => 0,
-        }
+    /// When a source is available; 0 if initialized before the loop.
+    fn ready_time(&self, reg: Ring, i: u64, omega: u32) -> u64 {
+        self.written(reg, i, omega).map_or(0, |slot| slot.ready)
     }
 
     /// Runs one execution (entry) of the loop with the given trip count.
@@ -370,6 +442,7 @@ impl<'a> Executor<'a> {
     /// Panics if `trip == 0` or `version` is out of range.
     pub fn run_entry_version(&mut self, version: usize, trip: u64) {
         assert!(trip > 0, "trip count must be positive");
+        let kernel = self.versions[version];
         let start = self.now;
         self.counters.entries += 1;
         self.streams.begin_entry();
@@ -379,20 +452,19 @@ impl<'a> Executor<'a> {
         let fe = u64::from(self.cfg.fe_entry_bubble);
         self.counters.fe_bubble += fe;
         self.now += fe;
-        let rse = u64::from(self.versions[version].2 / self.cfg.rse_regs_per_cycle.max(1));
+        let rse = u64::from(kernel.regs / self.cfg.rse_regs_per_cycle.max(1));
         self.counters.be_rse_bubble += rse;
         self.now += rse;
 
-        let stages = self.versions[version].1;
-        let kernel_iters = trip + u64::from(stages) - 1;
+        let kernel_iters = trip + u64::from(kernel.stages) - 1;
         self.counters.kernel_iters += kernel_iters;
+        self.entry_base = self.counters.source_iters;
         self.counters.source_iters += trip;
 
         let mut last_sample = self.now;
-        let n_rows = self.versions[version].0.len();
         for k in 0..kernel_iters {
-            for row_idx in 0..n_rows {
-                self.run_cycle(version, k, row_idx, trip);
+            for row in kernel.rows.0..kernel.rows.1 {
+                self.run_cycle(self.rows[row as usize], k, trip);
                 // The kernel cycle itself.
                 self.now += 1;
                 self.counters.unstalled += 1;
@@ -419,31 +491,18 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn run_cycle(&mut self, version: usize, k: u64, row_idx: usize, trip: u64) {
-        // Which slots are active this kernel iteration (stage predicates)?
-        let row = &self.versions[version].0[row_idx];
-        let mut active: Vec<usize> = Vec::with_capacity(row.len());
-        for (idx, ei) in row.iter().enumerate() {
-            let src_iter = k as i64 - i64::from(ei.stage);
-            if src_iter >= 0 && (src_iter as u64) < trip {
-                active.push(idx);
-            }
-        }
-        if active.is_empty() {
-            return;
-        }
-
+    /// Issues one row at kernel iteration `k`. A slot at stage `s` works
+    /// on source iteration `k - s`; its stage predicate is on while that
+    /// lies in `0..trip` (one unsigned compare, `k < s` wraps past `trip`).
+    fn run_cycle(&mut self, row: (u32, u32), k: u64, trip: u64) {
         // Stall-on-use: the issue group waits for every active source.
         let mut ready_max = self.now;
-        for &idx in &active {
-            let ei = &self.versions[version].0[row_idx][idx];
-            let i = k as i64 - i64::from(ei.stage);
-            for &(reg, omega, has_def) in &ei.srcs {
-                if !has_def {
-                    continue; // loop-invariant live-in
+        for ei in &self.insts[row.0 as usize..row.1 as usize] {
+            let i = k.wrapping_sub(u64::from(ei.stage));
+            if i < trip {
+                for &(reg, omega) in &self.srcs[ei.srcs.0 as usize..ei.srcs.1 as usize] {
+                    ready_max = ready_max.max(self.ready_time(reg, i, omega));
                 }
-                let t = self.ready_time(reg, i - i64::from(omega));
-                ready_max = ready_max.max(t);
             }
         }
         if ready_max > self.now {
@@ -452,45 +511,30 @@ impl<'a> Executor<'a> {
         }
 
         // Execute the group's effects.
-        for &idx in &active {
-            let ei = self.versions[version].0[row_idx][idx].clone();
-            let i = (k as i64 - i64::from(ei.stage)) as u64;
+        for idx in row.0..row.1 {
+            let ei = self.insts[idx as usize];
+            let i = k.wrapping_sub(u64::from(ei.stage));
+            if i >= trip {
+                continue;
+            }
             // Qualifying predicate: a false predicate squashes the
             // instruction (no memory access, no new value) — the
             // if-converted "other path" executes instead.
             if let Some((qreg, omega, neg)) = ei.qp {
-                let v = self.pred_value(qreg, i as i64 - i64::from(omega));
-                if v == neg {
+                if self.pred_value(qreg, i, omega) == neg {
                     if let Some(dst) = ei.dst {
                         // The architectural register keeps a value the
                         // complementary path produced; it is ready now.
-                        self.record_ready(dst, i as i64, self.now);
+                        self.record(dst, i, self.now, true);
                     }
                     continue;
-                }
-            }
-            // Compares produce predicate values (deterministic Bernoulli
-            // per instruction and iteration).
-            if matches!(ei.op, Opcode::Cmp | Opcode::Fcmp | Opcode::Tbit) {
-                if let Some(dst) = ei.dst {
-                    // Distinct draw per (instruction, entry, iteration):
-                    // low-trip loops re-enter many times, and each entry's
-                    // nodes must flip independently.
-                    let mut h = ltsp_ir::SplitMix64::new(
-                        self.cfg.seed
-                            ^ (u64::from(ei.id) << 48)
-                            ^ (self.counters.entries << 16)
-                            ^ i,
-                    );
-                    let taken = h.next_f64() < self.cfg.cmp_taken_prob;
-                    self.record_pred(dst, i as i64, taken);
                 }
             }
             match ei.op {
                 Opcode::Load(dc) => {
                     let m = ei.mem.expect("loads carry a memref");
                     let addr = self.streams.address(m, i);
-                    self.issue_memory(ei.dst, dc, addr, false, i as i64, m);
+                    self.issue_load(ei.dst, dc, addr, i, m);
                 }
                 Opcode::Store(dc) => {
                     let m = ei.mem.expect("stores carry a memref");
@@ -500,15 +544,30 @@ impl<'a> Executor<'a> {
                 }
                 Opcode::Prefetch(target) => {
                     let m = ei.mem.expect("prefetches carry a memref");
-                    let distance = self.lp.memref(m).prefetch().map_or(0, |p| p.distance);
-                    let addr = self.streams.address_ahead(m, i, distance);
+                    let addr = self.streams.address_ahead(m, i, ei.distance);
                     self.counters.prefetches += 1;
                     self.issue_prefetch(addr, target, m);
                 }
-                _ => {
-                    if let Some(dst) = ei.dst {
-                        self.record_ready(dst, i as i64, self.now + u64::from(ei.latency));
-                    }
+                op => {
+                    let Some(dst) = ei.dst else { continue };
+                    // Compares produce predicate values (deterministic
+                    // Bernoulli per instruction and iteration). Distinct
+                    // draw per (instruction, entry, iteration): low-trip
+                    // loops re-enter many times, and each entry's nodes
+                    // must flip independently.
+                    let taken = match op {
+                        Opcode::Cmp | Opcode::Fcmp | Opcode::Tbit => {
+                            let mut h = ltsp_ir::SplitMix64::new(
+                                self.cfg.seed
+                                    ^ (u64::from(ei.id) << 48)
+                                    ^ (self.counters.entries << 16)
+                                    ^ i,
+                            );
+                            h.next_f64() < self.cfg.cmp_taken_prob
+                        }
+                        _ => true,
+                    };
+                    self.record(dst, i, self.now + u64::from(ei.latency), taken);
                 }
             }
         }
@@ -524,17 +583,16 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn issue_memory(
+    fn issue_load(
         &mut self,
-        dst: Option<VReg>,
+        dst: Option<Ring>,
         dc: DataClass,
         addr: u64,
-        is_store: bool,
-        src_iter: i64,
+        src_iter: u64,
         memref: MemRefId,
     ) {
         self.ozq_admit();
-        let outcome = self.mem.demand_access(addr, dc, self.now, is_store);
+        let outcome = self.mem.demand_access(addr, dc, self.now, false);
         self.counters.loads += 1;
         let stat = &mut self.ref_stats[memref.index()];
         stat.0 += 1;
@@ -575,7 +633,7 @@ impl<'a> Executor<'a> {
         let done = self.now + u64::from(outcome.latency + extra);
         self.ozq.push_completion(done);
         if let Some(d) = dst {
-            self.record_ready(d, src_iter, done);
+            self.record(d, src_iter, done, true);
         }
     }
 

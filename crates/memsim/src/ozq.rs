@@ -12,6 +12,23 @@ pub struct Ozq {
     capacity: usize,
     /// Completion times of outstanding requests (unsorted; small).
     outstanding: Vec<u64>,
+    /// Minimum of `outstanding` (`u64::MAX` when empty). Nothing retires
+    /// before this time, so [`Ozq::drain`] is O(1) until then.
+    earliest: u64,
+}
+
+/// Drops the entries of `pending` that complete at or before `now` and
+/// returns the earliest completion time left (`u64::MAX` when none is).
+pub(crate) fn retire<T>(pending: &mut Vec<T>, now: u64, done: impl Fn(&T) -> u64) -> u64 {
+    let mut earliest = u64::MAX;
+    pending.retain(|entry| {
+        let t = done(entry);
+        if t > now {
+            earliest = earliest.min(t);
+        }
+        t > now
+    });
+    earliest
 }
 
 impl Ozq {
@@ -24,13 +41,16 @@ impl Ozq {
         assert!(capacity > 0, "OzQ capacity must be positive");
         Ozq {
             capacity: capacity as usize,
-            outstanding: Vec::new(),
+            outstanding: Vec::with_capacity(capacity as usize),
+            earliest: u64::MAX,
         }
     }
 
     /// Retires entries that complete at or before `now`.
     pub fn drain(&mut self, now: u64) {
-        self.outstanding.retain(|&t| t > now);
+        if now >= self.earliest {
+            self.earliest = retire(&mut self.outstanding, now, |&t| t);
+        }
     }
 
     /// Current occupancy after draining.
@@ -51,16 +71,10 @@ impl Ozq {
         self.drain(now);
         let mut issue = now;
         if self.outstanding.len() >= self.capacity {
-            let earliest = self
-                .outstanding
-                .iter()
-                .copied()
-                .min()
-                .expect("full queue is non-empty");
-            issue = issue.max(earliest);
+            issue = issue.max(self.earliest);
             self.drain(issue);
         }
-        self.outstanding.push(issue + u64::from(completion_latency));
+        self.push_completion(issue + u64::from(completion_latency));
         issue
     }
 
@@ -71,12 +85,7 @@ impl Ozq {
         if self.outstanding.len() < self.capacity {
             return now;
         }
-        let earliest = self
-            .outstanding
-            .iter()
-            .copied()
-            .min()
-            .expect("full queue is non-empty");
+        let earliest = self.earliest;
         self.drain(earliest);
         earliest
     }
@@ -93,11 +102,7 @@ impl Ozq {
             "OzQ overflow: wait_for_slot before pushing"
         );
         self.outstanding.push(completion);
-    }
-
-    /// Empties the queue.
-    pub fn clear(&mut self) {
-        self.outstanding.clear();
+        self.earliest = self.earliest.min(completion);
     }
 }
 

@@ -17,9 +17,10 @@ pub enum StreamMode {
 
 #[derive(Debug, Clone)]
 struct ChaseState {
-    /// Recently produced `(iteration, node address)` pairs; pipeline stages
-    /// read a bounded distance into the past.
-    recent: VecDeque<(u64, u64)>,
+    /// Node addresses of the last (at most 256) iterations before
+    /// `next_iter`, oldest first; pipeline stages read a bounded distance
+    /// into the past.
+    recent: VecDeque<u64>,
     next_iter: u64,
     addr: u64,
     rng: SplitMix64,
@@ -112,34 +113,31 @@ impl AddressStreams {
         }
     }
 
+    /// The iteration the streams are indexed by: in progressive mode
+    /// entries continue where the last one stopped (`cumulative` stays 0
+    /// in restart mode).
     fn global_iter(&self, iter: u64) -> u64 {
         self.cumulative + iter
     }
 
     fn chase_node_addr(&mut self, refidx: usize, iter: u64) -> u64 {
-        let (node_bytes, region_bytes, locality, base) = match &self.patterns[refidx] {
-            AccessPattern::PointerChase {
-                base,
-                node_bytes,
-                region_bytes,
-                locality,
-            } => (*node_bytes, *region_bytes, *locality, *base),
-            _ => unreachable!("chase_node_addr on non-chase"),
+        let AccessPattern::PointerChase {
+            base,
+            node_bytes,
+            region_bytes,
+            locality,
+        } = self.patterns[refidx]
+        else {
+            unreachable!("chase_node_addr on non-chase")
         };
         // In progressive mode the walk continues across entries, so the
         // logical iteration is the global one.
-        let iter = match self.mode {
-            StreamMode::Progressive => self.global_iter(iter),
-            StreamMode::Restart => iter,
-        };
+        let iter = self.global_iter(iter);
         let st = self.chases[refidx].as_mut().expect("chase state exists");
-        if let Some(&(_, addr)) = st.recent.iter().find(|&&(i, _)| i == iter) {
-            return addr;
-        }
         // Advance the walk up to the requested iteration.
         while st.next_iter <= iter {
             let cur = st.addr;
-            st.recent.push_back((st.next_iter, cur));
+            st.recent.push_back(cur);
             if st.recent.len() > 256 {
                 st.recent.pop_front();
             }
@@ -152,11 +150,12 @@ impl AddressStreams {
             st.addr = next;
             st.next_iter += 1;
         }
-        st.recent
-            .iter()
-            .find(|&&(i, _)| i == iter)
-            .map(|&(_, a)| a)
-            .expect("just produced the requested iteration")
+        // `recent` holds the iterations up to `next_iter - 1`, contiguously.
+        let oldest = st.next_iter - st.recent.len() as u64;
+        let idx = iter
+            .checked_sub(oldest)
+            .expect("iteration is within the 256 most recent");
+        st.recent[idx as usize]
     }
 
     /// The address reference `memref` touches at source iteration `iter`
@@ -177,24 +176,13 @@ impl AddressStreams {
     }
 
     fn address_inner(&mut self, refidx: usize, iter: u64) -> u64 {
-        match self.patterns[refidx].clone() {
-            AccessPattern::Affine { base, stride } => {
-                let g = match self.mode {
-                    StreamMode::Progressive => self.global_iter(iter),
-                    StreamMode::Restart => iter,
-                };
-                (base as i64 + stride * g as i64) as u64
-            }
-            AccessPattern::SymbolicStride {
+        let g = self.global_iter(iter);
+        match self.patterns[refidx] {
+            AccessPattern::Affine { base, stride }
+            | AccessPattern::SymbolicStride {
                 base,
-                typical_stride,
-            } => {
-                let g = match self.mode {
-                    StreamMode::Progressive => self.global_iter(iter),
-                    StreamMode::Restart => iter,
-                };
-                (base as i64 + typical_stride * g as i64) as u64
-            }
+                typical_stride: stride,
+            } => (base as i64 + stride * g as i64) as u64,
             AccessPattern::Invariant { addr } => addr,
             AccessPattern::Gather {
                 base,
@@ -202,10 +190,6 @@ impl AddressStreams {
                 region_bytes,
                 ..
             } => {
-                let g = match self.mode {
-                    StreamMode::Progressive => self.global_iter(iter),
-                    StreamMode::Restart => iter,
-                };
                 let elems = (region_bytes / u64::from(elem_bytes)).max(1);
                 let idx = mix(self.seed, refidx as u64, g) % elems;
                 base + idx * u64::from(elem_bytes)
@@ -214,30 +198,21 @@ impl AddressStreams {
                 pointer,
                 offset,
                 region_bytes,
-            } => {
-                let chase_field = match &self.patterns[pointer.index()] {
-                    AccessPattern::PointerChase { node_bytes, .. } if offset < *node_bytes => {
-                        Some(pointer.index())
-                    }
-                    _ => None,
-                };
-                if let Some(cidx) = chase_field {
-                    // A field on the chased node itself: same line
-                    // neighbourhood as the node address.
-                    self.chase_node_addr(cidx, iter) + offset
-                } else {
-                    // A pointer loaded from elsewhere: effectively a random
-                    // location in the target region.
-                    let g = match self.mode {
-                        StreamMode::Progressive => self.global_iter(iter),
-                        StreamMode::Restart => iter,
-                    };
+            } => match self.patterns[pointer.index()] {
+                // A field on the chased node itself: same line
+                // neighbourhood as the node address.
+                AccessPattern::PointerChase { node_bytes, .. } if offset < node_bytes => {
+                    self.chase_node_addr(pointer.index(), iter) + offset
+                }
+                // A pointer loaded from elsewhere: effectively a random
+                // location in the target region.
+                _ => {
                     let slots = (region_bytes / 64).max(1);
                     region_base(refidx)
                         + (mix(self.seed, refidx as u64 ^ 0xDEAD, g) % slots) * 64
                         + offset % 64
                 }
-            }
+            },
             AccessPattern::PointerChase { node_bytes, .. } => {
                 // The chase load reads the `next` field of the current node.
                 self.chase_node_addr(refidx, iter) + node_bytes / 2
