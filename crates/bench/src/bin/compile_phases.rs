@@ -3,7 +3,8 @@
 //! Buckets per-phase compile latency (parse/hlo/ddg/mrt/sched/regalloc/
 //! render) over the library and scale kernel groups, writes the
 //! machine-readable record, and — given `--baseline` — fails loudly on
-//! gross per-phase regressions against the locked record in `results/`.
+//! gross per-phase regressions against the locked record in `results/`,
+//! and on any difference in the exact pipeliner decision counts.
 //!
 //! ```text
 //! compile_phases [--out BENCH_compile_phases.json] [--repeat N]
@@ -13,7 +14,7 @@
 
 use std::process::ExitCode;
 
-use ltsp_bench::compile_phases::{compare_to_baseline, compile_phases};
+use ltsp_bench::compile_phases::{compare_counts, compare_to_baseline, compile_phases};
 use ltsp_machine::MachineModel;
 
 fn main() -> ExitCode {
@@ -74,9 +75,25 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        match compare_counts(&record, &base) {
+            Ok(moved) if moved.is_empty() => {}
+            Ok(moved) => {
+                eprintln!("baseline check vs {base_path}: FAIL (exact counts moved)");
+                for m in &moved {
+                    eprintln!("  count: {m}");
+                }
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("baseline check vs {base_path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
         match compare_to_baseline(&record, &base, max_regression, floor_us) {
             Ok(regressions) if regressions.is_empty() => {
-                println!("baseline check vs {base_path}: OK (no phase mean >{max_regression}x)");
+                println!(
+                    "baseline check vs {base_path}: OK (counts equal, no phase mean >{max_regression}x)"
+                );
             }
             Ok(regressions) => {
                 eprintln!("baseline check vs {base_path}: FAIL");

@@ -7,14 +7,19 @@
 //! repetition, with a [`PhaseTimer`] attached to every compile. Each
 //! compiler phase (`parse`, `hlo`, `ddg`, `mrt`, `sched`, `regalloc`,
 //! `render`) gets one sample per compile, folded into a per-group
-//! histogram.
+//! histogram. One untimed pass per group with telemetry on counts what
+//! the pipeliner decided — loops pipelined and rejected, `schedule_at`
+//! calls made, loops the register floor rejected before the ladder — so
+//! the record says what work the buckets timed.
 //!
 //! The output is a machine-readable record
 //! (`ltsp.bench.compile_phases.v1`). A committed run of it in `results/`
 //! is the **locked baseline**: the `compile_phases` binary re-runs the
 //! harness in CI and [`compare_to_baseline`] fails loudly when any phase
 //! bucket grossly regresses (mean above `factor ×` baseline and past an
-//! absolute floor that keeps microsecond-scale noise out of the gate).
+//! absolute floor that keeps microsecond-scale noise out of the gate), and
+//! [`compare_counts`] when a decision count differs at all — counts do not
+//! depend on host speed.
 //!
 //! Invariants (see DESIGN.md §18): timing is observational — the harness
 //! compiles through the exact production entry points
@@ -42,6 +47,16 @@ pub const COMPILE_PHASES: [Phase; 7] = [
     Phase::Render,
 ];
 
+/// The per-group exact counts and the pipeliner counters they read:
+/// loops pipelined, loops rejected, `schedule_at` calls made (rejected
+/// loops included), and loops rejected by the register floor alone.
+pub const DECISION_COUNTS: [(&str, &str); 4] = [
+    ("pipelined", "pipeliner.loops_pipelined"),
+    ("rejected", "pipeliner.loops_rejected"),
+    ("schedule_attempts", "pipeliner.schedule_attempts"),
+    ("floor_rejections", "pipeliner.floor_rejections"),
+];
+
 /// One phase's KPI bucket: a latency histogram over per-compile samples
 /// plus the exact accumulated wall time.
 #[derive(Debug, Clone, Default)]
@@ -61,6 +76,9 @@ pub struct GroupKpis {
     pub kernels: usize,
     /// Compiles performed (kernels × policies × repeat).
     pub compiles: u64,
+    /// Exact pipeliner decisions over one kernels × policies sweep, in
+    /// [`DECISION_COUNTS`] order.
+    pub decisions: [u64; 4],
     /// One bucket per entry of [`COMPILE_PHASES`], in that order.
     pub phases: Vec<(Phase, PhaseBucket)>,
 }
@@ -77,9 +95,13 @@ pub struct CompilePhasesResult {
 }
 
 /// The scale group: scheduling-heavy loops in the size class the serving
-/// path compiles cold (~100–300 instructions). Wider and deeper than the
-/// `loadgen --synthetic` kernels so the II-escalation and MRT-probing hot
-/// paths dominate the measurement.
+/// path compiles cold (~100–300 instructions), wider and deeper than the
+/// `loadgen --synthetic` kernels. `scheduling_heavy(s, d)` defines
+/// `s·(2d+2)` values per class against 96 rotating registers, so most of
+/// the group cannot pipeline at any II: the register floor rejects those
+/// and their time is parse, graph construction and the acyclic schedule,
+/// while the rest schedule once. The group's `rejected` and
+/// `schedule_attempts` counts say which is which.
 fn scale_kernels(scale: usize) -> Vec<LoopIr> {
     let n = 4 * scale.max(1);
     (0..n)
@@ -111,6 +133,17 @@ fn measure_group(
     // Render each kernel to its wire text once, outside any timer: the
     // parse bucket measures `parse_loop`, not the printer.
     let texts: Vec<String> = kernels.iter().map(|(_, lp)| lp.to_string()).collect();
+    // The counting sweep (also the warm-up): same compiles, telemetry on.
+    let counting = Telemetry::enabled();
+    for policy in POLICIES {
+        let cfg = CompileConfig::new(policy);
+        for text in &texts {
+            let lp = parse_loop(text).expect("printed loop");
+            compile_loop_with_profile_phased(&lp, machine, &cfg, 100.0, &counting, None);
+        }
+    }
+    let counters = counting.metrics();
+    let decisions = DECISION_COUNTS.map(|(_, counter)| counters.counter(counter));
     for policy in POLICIES {
         let cfg = CompileConfig::new(policy);
         for (text, _) in texts.iter().zip(kernels.iter()) {
@@ -136,6 +169,7 @@ fn measure_group(
         group,
         kernels: kernels.len(),
         compiles,
+        decisions,
         phases,
     }
 }
@@ -175,9 +209,13 @@ impl CompilePhasesResult {
         s.push_str("  \"groups\": {\n");
         for (gi, g) in self.groups.iter().enumerate() {
             s.push_str(&format!(
-                "    \"{}\": {{\"kernels\": {}, \"compiles\": {}, \"phases\": {{\n",
+                "    \"{}\": {{\"kernels\": {}, \"compiles\": {}, ",
                 g.group, g.kernels, g.compiles
             ));
+            for ((name, _), count) in DECISION_COUNTS.iter().zip(g.decisions) {
+                s.push_str(&format!("\"{name}\": {count}, "));
+            }
+            s.push_str("\"phases\": {\n");
             for (pi, (phase, b)) in g.phases.iter().enumerate() {
                 let sep = if pi + 1 < g.phases.len() { "," } else { "" };
                 s.push_str(&format!(
@@ -207,6 +245,15 @@ impl CompilePhasesResult {
             s.push_str(&format!(
                 "compile phases [{}]: {} kernels, {} compiles\n",
                 g.group, g.kernels, g.compiles
+            ));
+            let counts: Vec<String> = DECISION_COUNTS
+                .iter()
+                .zip(g.decisions)
+                .map(|((name, _), count)| format!("{name}={count}"))
+                .collect();
+            s.push_str(&format!(
+                "  {} (per kernels × policies sweep)\n",
+                counts.join(" ")
             ));
             s.push_str("  phase      p50_us    p99_us   mean_us    total_ms\n");
             for (phase, b) in &g.phases {
@@ -337,6 +384,40 @@ pub fn compare_to_baseline(
     Ok(regressions)
 }
 
+/// Compares the exact per-group decision counts of two records made at
+/// the same `scale`: each mismatch as `group/name: current vs baseline`.
+/// Counts a side does not carry (a record from before they existed) are
+/// skipped, as is everything when the two `scale`s differ.
+///
+/// # Errors
+///
+/// When either document does not parse as JSON.
+pub fn compare_counts(current: &str, baseline: &str) -> Result<Vec<String>, String> {
+    let cur = json::parse(current).map_err(|e| format!("current record: {e}"))?;
+    let base = json::parse(baseline).map_err(|e| format!("baseline record: {e}"))?;
+    let scale = |doc: &JsonValue| doc.get("scale").and_then(JsonValue::as_u64);
+    let mut out = Vec::new();
+    if scale(&cur) != scale(&base) {
+        return Ok(out);
+    }
+    let groups = cur.get("groups").and_then(JsonValue::as_object);
+    for (gname, g) in groups.unwrap_or_default() {
+        for (name, _) in DECISION_COUNTS {
+            let count = |g: &JsonValue| g.get(name).and_then(JsonValue::as_u64);
+            let theirs = base
+                .get("groups")
+                .and_then(|b| b.get(gname))
+                .and_then(count);
+            if let (Some(ours), Some(theirs)) = (count(g), theirs) {
+                if ours != theirs {
+                    out.push(format!("{gname}/{name}: {ours} vs baseline {theirs}"));
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,8 +492,41 @@ mod tests {
             let sched = &g.phases[4].1;
             assert!(sched.total_us > 0, "sched bucket must not be empty");
         }
-        // The record round-trips through the baseline comparator.
+        // Every compile is counted as pipelined or rejected; the library
+        // always pipelines, most of the scale group cannot.
+        let [library, scale] = [&r.groups[0], &r.groups[1]];
+        for g in [library, scale] {
+            let [pipelined, rejected, attempts, floor] = g.decisions;
+            assert_eq!(pipelined + rejected, g.compiles, "{}", g.group);
+            assert!(attempts >= pipelined && floor <= rejected, "{}", g.group);
+        }
+        assert_eq!(library.decisions[1], 0);
+        assert_eq!(
+            scale.decisions[1], scale.decisions[3],
+            "only the floor rejects"
+        );
+        assert!(scale.decisions[3] > 0);
+        // The record round-trips through the baseline comparators.
         let j = r.to_json();
         assert_eq!(compare_to_baseline(&j, &j, 2.0, 25.0).unwrap(), vec![]);
+        assert_eq!(compare_counts(&j, &j).unwrap(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_count_that_moved_is_reported_exactly() {
+        let base = record(1.0, 1.0).replace(
+            "\"kernels\": 4,",
+            "\"kernels\": 4, \"rejected\": 8, \"schedule_attempts\": 8,",
+        );
+        let doomed_ladders = base.replace("\"schedule_attempts\": 8", "\"schedule_attempts\": 144");
+        assert_eq!(
+            compare_counts(&doomed_ladders, &base).unwrap(),
+            vec!["scale/schedule_attempts: 144 vs baseline 8"]
+        );
+        // A baseline from before the counts existed, or at another scale,
+        // has nothing to compare.
+        assert!(compare_counts(&base, &record(1.0, 1.0)).unwrap().is_empty());
+        let other_scale = doomed_ladders.replace("\"scale\": 1,", "\"scale\": 3,");
+        assert!(compare_counts(&other_scale, &base).unwrap().is_empty());
     }
 }

@@ -5,8 +5,7 @@ use ltsp_ir::{DataClass, InstId, LatencyHint, LoopIr, Opcode, RegClass};
 use ltsp_machine::LatencyQuery;
 use ltsp_machine::MachineModel;
 use ltsp_pipeliner::{
-    acyclic_schedule, pipeline_loop_phased, LoadClassification, ModuloSchedule, PipelineStats,
-    RegAllocation,
+    pipeline_loop_phased, LoadClassification, ModuloSchedule, PipelineStats, RegAllocation,
 };
 use ltsp_telemetry::phase::{time_opt, Phase, PhaseTimer};
 use ltsp_telemetry::{Event, Telemetry};
@@ -280,8 +279,7 @@ pub fn compile_loop_with_profile_traced(
 /// [`compile_loop_with_profile_traced`] with optional per-phase
 /// wall-clock attribution on a [`PhaseTimer`]: `hlo` for high-level
 /// optimization, and the pipeliner's `ddg`/`mrt`/`sched`/`regalloc`
-/// split (the acyclic fallback books its DDG rebuild and list schedule
-/// under `ddg`/`sched`). Timing is observational only.
+/// split. Timing is observational only.
 pub fn compile_loop_with_profile_phased(
     lp: &LoopIr,
     machine: &MachineModel,
@@ -355,18 +353,11 @@ pub fn compile_loop_with_profile_phased(
                 });
                 tel.counter_add("compile.acyclic_fallbacks", 1);
             }
-            // Rebuild the base-latency DDG for the fallback.
-            let ddg = time_opt(phases, Phase::Ddg, || {
-                ltsp_ddg::Ddg::build_with_load_floor(&lp, machine, 0)
-            });
-            let kernel = time_opt(phases, Phase::Sched, || {
-                acyclic_schedule(&lp, machine, &ddg)
-            });
             let regs_total = (lp.vreg_count(RegClass::Gr)
                 + lp.vreg_count(RegClass::Fr)
                 + lp.vreg_count(RegClass::Pr)) as u32;
             CompiledLoop {
-                kernel,
+                kernel: e.fallback,
                 pipelined: false,
                 stats: None,
                 regs: None,

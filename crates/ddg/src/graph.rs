@@ -41,13 +41,46 @@ pub struct DepEdge {
 /// boosted hint-derived value for non-critical loads).
 pub type LoadLatencyFn<'a> = dyn Fn(InstId) -> u32 + 'a;
 
+/// Edge indices grouped by one endpoint: node `v`'s edges are
+/// `idx[start[v]..start[v + 1]]`, in edge order.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    start: Vec<usize>,
+    idx: Vec<usize>,
+}
+
+impl Adjacency {
+    fn new(n: usize, edges: &[DepEdge], endpoint: impl Fn(&DepEdge) -> InstId) -> Self {
+        // Counting sort: group sizes, then inclusive prefix sums, then a
+        // reverse fill that walks each group's cursor down to its start.
+        let mut start = vec![0; n + 1];
+        for e in edges {
+            start[endpoint(e).index()] += 1;
+        }
+        for v in 1..=n {
+            start[v] += start[v - 1];
+        }
+        let mut idx = vec![0; edges.len()];
+        for (i, e) in edges.iter().enumerate().rev() {
+            let cursor = &mut start[endpoint(e).index()];
+            *cursor -= 1;
+            idx[*cursor] = i;
+        }
+        Adjacency { start, idx }
+    }
+
+    fn of(&self, node: usize) -> &[usize] {
+        &self.idx[self.start[node]..self.start[node + 1]]
+    }
+}
+
 /// The cyclic data-dependence graph of one loop.
 #[derive(Debug, Clone)]
 pub struct Ddg {
     n: usize,
     edges: Vec<DepEdge>,
-    succ: Vec<Vec<usize>>,
-    pred: Vec<Vec<usize>>,
+    succ: Adjacency,
+    pred: Adjacency,
     is_load: Vec<bool>,
 }
 
@@ -148,17 +181,15 @@ impl Ddg {
             }
         }
 
-        let mut succ = vec![Vec::new(); n];
-        let mut pred = vec![Vec::new(); n];
-        for (idx, e) in edges.iter().enumerate() {
-            succ[e.from.index()].push(idx);
-            pred[e.to.index()].push(idx);
-        }
+        Ddg::from_parts(n, edges, is_load)
+    }
+
+    fn from_parts(n: usize, edges: Vec<DepEdge>, is_load: Vec<bool>) -> Ddg {
         Ddg {
             n,
+            succ: Adjacency::new(n, &edges, |e| e.from),
+            pred: Adjacency::new(n, &edges, |e| e.to),
             edges,
-            succ,
-            pred,
             is_load,
         }
     }
@@ -195,19 +226,7 @@ impl Ddg {
             edges.iter().all(|e| e.from.index() < n && e.to.index() < n),
             "edge endpoints must be < n"
         );
-        let mut succ = vec![Vec::new(); n];
-        let mut pred = vec![Vec::new(); n];
-        for (idx, e) in edges.iter().enumerate() {
-            succ[e.from.index()].push(idx);
-            pred[e.to.index()].push(idx);
-        }
-        Ddg {
-            n,
-            edges,
-            succ,
-            pred,
-            is_load: vec![false; n],
-        }
+        Ddg::from_parts(n, edges, vec![false; n])
     }
 
     /// Number of instructions (nodes).
@@ -227,12 +246,18 @@ impl Ddg {
 
     /// Outgoing edges of a node.
     pub fn succs(&self, id: InstId) -> impl Iterator<Item = &DepEdge> + '_ {
-        self.succ[id.index()].iter().map(move |&i| &self.edges[i])
+        self.succ
+            .of(id.index())
+            .iter()
+            .map(move |&i| &self.edges[i])
     }
 
     /// Incoming edges of a node.
     pub fn preds(&self, id: InstId) -> impl Iterator<Item = &DepEdge> + '_ {
-        self.pred[id.index()].iter().map(move |&i| &self.edges[i])
+        self.pred
+            .of(id.index())
+            .iter()
+            .map(move |&i| &self.edges[i])
     }
 
     /// True if the node is a load.
@@ -242,7 +267,7 @@ impl Ddg {
 
     /// Raw outgoing edge indices (internal; used by cycle enumeration).
     pub(crate) fn succ_raw(&self, node: usize) -> &[usize] {
-        &self.succ[node]
+        self.succ.of(node)
     }
 
     /// Drops every edge for which `keep` returns `false` and rebuilds the
@@ -251,16 +276,8 @@ impl Ddg {
     /// issued as an advanced load with a check).
     pub fn retain_edges(&mut self, keep: impl Fn(&DepEdge) -> bool) {
         self.edges.retain(|e| keep(e));
-        for v in &mut self.succ {
-            v.clear();
-        }
-        for v in &mut self.pred {
-            v.clear();
-        }
-        for (idx, e) in self.edges.iter().enumerate() {
-            self.succ[e.from.index()].push(idx);
-            self.pred[e.to.index()].push(idx);
-        }
+        self.succ = Adjacency::new(self.n, &self.edges, |e| e.from);
+        self.pred = Adjacency::new(self.n, &self.edges, |e| e.to);
     }
 
     /// Is there a schedule with initiation interval `ii`? Holds iff the
@@ -347,8 +364,8 @@ impl Ddg {
             on_stack[start] = true;
 
             while let Some(&mut (v, ref mut ei)) = call.last_mut() {
-                if *ei < self.succ[v].len() {
-                    let edge = &self.edges[self.succ[v][*ei]];
+                if let Some(&edge) = self.succ.of(v).get(*ei) {
+                    let edge = &self.edges[edge];
                     *ei += 1;
                     let w = edge.to.index();
                     if index[w] == usize::MAX {
@@ -490,6 +507,36 @@ mod tests {
         let ddg = Ddg::build(&lp, &m, &f);
         let sccs = ddg.recurrence_sccs();
         assert_eq!(sccs.len(), 2);
+    }
+
+    #[test]
+    fn adjacency_lists_edges_in_edge_order_and_follows_pruning() {
+        let edge = |from, to, latency| DepEdge {
+            from: InstId(from),
+            to: InstId(to),
+            kind: DepKind::Flow,
+            latency,
+            omega: 0,
+        };
+        let edges = vec![
+            edge(2, 0, 10),
+            edge(0, 1, 11),
+            edge(2, 1, 12),
+            edge(0, 2, 13),
+        ];
+        let mut ddg = Ddg::synthetic(4, edges);
+        let lat = |es: Vec<&DepEdge>| es.iter().map(|e| e.latency).collect::<Vec<_>>();
+        assert_eq!(lat(ddg.succs(InstId(0)).collect()), [11, 13]);
+        assert_eq!(lat(ddg.succs(InstId(2)).collect()), [10, 12]);
+        assert_eq!(lat(ddg.preds(InstId(1)).collect()), [11, 12]);
+        assert_eq!(
+            ddg.succs(InstId(3)).count() + ddg.preds(InstId(3)).count(),
+            0
+        );
+        ddg.retain_edges(|e| e.latency != 11);
+        assert_eq!(lat(ddg.succs(InstId(0)).collect()), [13]);
+        assert_eq!(lat(ddg.preds(InstId(1)).collect()), [12]);
+        assert_eq!(ddg.recurrence_sccs(), vec![vec![InstId(0), InstId(2)]]);
     }
 
     #[test]

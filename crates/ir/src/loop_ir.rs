@@ -56,6 +56,10 @@ pub struct LoopIr {
     memrefs: Vec<MemoryRef>,
     mem_deps: Vec<MemDep>,
     live_in: Vec<VReg>,
+    /// The defining instruction of every register the body defines. One
+    /// entry per defining instruction: register numbers come from outside
+    /// text and must never size a table.
+    defs: HashMap<VReg, InstId>,
 }
 
 impl LoopIr {
@@ -73,12 +77,14 @@ impl LoopIr {
         mem_deps: Vec<MemDep>,
         live_in: Vec<VReg>,
     ) -> Result<Self, IrError> {
+        let defs = unique_defs(&insts)?;
         let lp = LoopIr {
             name: name.into(),
             insts,
             memrefs,
             mem_deps,
             live_in,
+            defs,
         };
         lp.validate()?;
         Ok(lp)
@@ -143,6 +149,9 @@ impl LoopIr {
     pub fn push_inst(&mut self, inst: Inst) -> InstId {
         debug_assert_eq!(inst.id().index(), self.insts.len());
         let id = inst.id();
+        if let Some(d) = inst.dst() {
+            self.defs.insert(d, id);
+        }
         self.insts.push(inst);
         id
     }
@@ -155,12 +164,9 @@ impl LoopIr {
         id
     }
 
-    /// The instruction defining `reg`, if any.
+    /// The instruction defining `reg`, if any (a constant-time lookup).
     pub fn def_of(&self, reg: VReg) -> Option<InstId> {
-        self.insts
-            .iter()
-            .find(|i| i.dst() == Some(reg))
-            .map(|i| i.id())
+        self.defs.get(&reg).copied()
     }
 
     /// Iterates over loads together with their memory references.
@@ -190,52 +196,34 @@ impl LoopIr {
     }
 
     /// Number of virtual registers used (defined or live-in) per class.
+    /// Validation guarantees every register read is one of the two.
     pub fn vreg_count(&self, class: RegClass) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        for inst in &self.insts {
-            if let Some(d) = inst.dst() {
-                if d.class() == class {
-                    seen.insert(d);
-                }
-            }
-            for s in inst.reads() {
-                if s.reg.class() == class {
-                    seen.insert(s.reg);
-                }
-            }
-        }
-        for &r in &self.live_in {
-            if r.class() == class {
-                seen.insert(r);
-            }
-        }
-        seen.len()
+        let defined = self
+            .insts
+            .iter()
+            .filter(|i| i.dst().is_some_and(|d| d.class() == class))
+            .count();
+        let mut live: Vec<VReg> = self
+            .live_in
+            .iter()
+            .copied()
+            .filter(|&r| r.class() == class && self.def_of(r).is_none())
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        defined + live.len()
     }
 
     fn validate(&self) -> Result<(), IrError> {
         if self.insts.is_empty() {
             return Err(IrError::EmptyLoop);
         }
-        // Unique definitions.
-        let mut defs: HashMap<VReg, InstId> = HashMap::new();
-        for inst in &self.insts {
-            if let Some(d) = inst.dst() {
-                if let Some(&first) = defs.get(&d) {
-                    return Err(IrError::MultipleDefs {
-                        reg: d,
-                        first,
-                        second: inst.id(),
-                    });
-                }
-                defs.insert(d, inst.id());
-            }
-        }
         // Uses resolve: every omega-0 read needs a def or live-in; carried
         // reads need a def (a live-in cannot be produced "last iteration").
         let live_in: std::collections::HashSet<VReg> = self.live_in.iter().copied().collect();
         for inst in &self.insts {
             for s in inst.reads() {
-                let has_def = defs.contains_key(&s.reg);
+                let has_def = self.defs.contains_key(&s.reg);
                 let ok = if s.omega == 0 {
                     has_def || live_in.contains(&s.reg)
                 } else {
@@ -291,17 +279,16 @@ impl LoopIr {
         }
         // No zero-omega cycles (register flow only; explicit mem deps with
         // omega 0 participate too).
-        self.check_zero_omega_acyclic(&defs)?;
-        Ok(())
+        self.check_zero_omega_acyclic()
     }
 
-    fn check_zero_omega_acyclic(&self, defs: &HashMap<VReg, InstId>) -> Result<(), IrError> {
+    fn check_zero_omega_acyclic(&self) -> Result<(), IrError> {
         let n = self.insts.len();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for inst in &self.insts {
             for s in inst.reads() {
                 if s.omega == 0 {
-                    if let Some(&def) = defs.get(&s.reg) {
+                    if let Some(def) = self.def_of(s.reg) {
                         adj[def.index()].push(inst.id().index());
                     }
                 }
@@ -350,6 +337,23 @@ impl LoopIr {
         }
         Ok(())
     }
+}
+
+/// Indexes the body's definitions, rejecting a register defined twice.
+fn unique_defs(insts: &[Inst]) -> Result<HashMap<VReg, InstId>, IrError> {
+    let mut defs = HashMap::with_capacity(insts.len());
+    for inst in insts {
+        if let Some(d) = inst.dst() {
+            if let Some(first) = defs.insert(d, inst.id()) {
+                return Err(IrError::MultipleDefs {
+                    reg: d,
+                    first,
+                    second: inst.id(),
+                });
+            }
+        }
+    }
+    Ok(defs)
 }
 
 /// Per-unit-class instruction counts for a loop body.
@@ -526,6 +530,29 @@ mod tests {
         assert!(text.contains("ld"));
         let first_dst = lp.insts()[0].dst().unwrap();
         assert_eq!(lp.def_of(first_dst), Some(InstId(0)));
+    }
+
+    #[test]
+    fn def_index_is_keyed_by_register_not_sized_by_it() {
+        let far = VReg::new(RegClass::Gr, u32::MAX);
+        let c = VReg::new(RegClass::Gr, 7);
+        let i0 = Inst::new(InstId(0), Opcode::Mov, Some(far), vec![c.into()], None);
+        let mut lp = LoopIr::new("far", vec![i0], vec![], vec![], vec![c, c]).unwrap();
+        assert_eq!(lp.def_of(far), Some(InstId(0)));
+        assert_eq!(lp.def_of(c), None);
+        // The live-in is listed twice and counted once.
+        assert_eq!(lp.vreg_count(RegClass::Gr), 2);
+        // Appended instructions are indexed too.
+        let late = VReg::new(RegClass::Gr, 1 << 31);
+        lp.push_inst(Inst::new(
+            InstId(1),
+            Opcode::MovImm,
+            Some(late),
+            vec![],
+            None,
+        ));
+        assert_eq!(lp.def_of(late), Some(InstId(1)));
+        assert_eq!(lp.vreg_count(RegClass::Gr), 3);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! 5. the **fallback ladder**: if register allocation fails, first drop the
 //!    non-critical latency boosts at the same II, then escalate the II,
 //!    until the loop either fits or pipelining is judged unprofitable
-//!    ([`pipeline_loop`]).
+//!    ([`pipeline_loop`]); a loop whose dependence graph alone demands
+//!    more rotating registers than exist ([`register_floor`]) is rejected
+//!    before the ladder is walked.
 
 mod bundle;
 mod criticality;
@@ -42,6 +44,6 @@ pub use pipeline::{
     pipeline_loop, pipeline_loop_phased, pipeline_loop_traced, PipelineError, PipelineOptions,
     PipelineStats, PipelinedLoop,
 };
-pub use regalloc::{allocate_rotating, RegAllocError, RegAllocation};
+pub use regalloc::{allocate_rotating, register_floor, RegAllocError, RegAllocation};
 pub use schedule::{KernelSlot, ModuloSchedule};
 pub use scheduler::{acyclic_schedule, ModuloScheduler, ScheduleFailure};

@@ -4,14 +4,14 @@ use std::error::Error;
 use std::fmt;
 
 use ltsp_ddg::Ddg;
-use ltsp_ir::{InstId, LatencyHint, LoopIr, Opcode};
+use ltsp_ir::{InstId, LatencyHint, LoopIr, Opcode, RegClass};
 use ltsp_machine::{LatencyQuery, MachineModel};
 
 use ltsp_telemetry::phase::{time_opt, Phase, PhaseTimer};
 use ltsp_telemetry::{Event, Telemetry};
 
 use crate::criticality::{classify_loads_traced, LoadClass, LoadClassification};
-use crate::regalloc::{allocate_rotating, RegAllocation};
+use crate::regalloc::{allocate_rotating, register_floor, RegAllocError, RegAllocation};
 use crate::schedule::ModuloSchedule;
 use crate::scheduler::{acyclic_schedule, ModuloScheduler};
 
@@ -61,7 +61,9 @@ pub struct PipelineStats {
     pub rec_mii: u32,
     /// `max(res_mii, rec_mii)`.
     pub min_ii: u32,
-    /// Modulo-scheduling attempts performed (each II × latency setting).
+    /// Modulo-scheduling attempts performed: `schedule_at` calls actually
+    /// made (each II × latency setting). Rungs the register floor ruled
+    /// out without scheduling are not counted.
     pub schedule_attempts: u32,
     /// True when register allocation forced the driver to drop the
     /// latency boosts (first rung of the fallback ladder).
@@ -104,13 +106,17 @@ impl PipelinedLoop {
 }
 
 /// Pipelining was rejected; the caller should fall back to the acyclic
-/// schedule (see [`acyclic_schedule`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// schedule, which the driver already built for its profitability ceiling
+/// and hands over here.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineError {
-    /// Scheduling attempts consumed before giving up.
+    /// `schedule_at` calls actually made before giving up: 0 when the
+    /// register floor rejected the loop before the ladder.
     pub attempts: u32,
     /// The Min II that could not be realized within the II budget.
     pub min_ii: u32,
+    /// The [`acyclic_schedule`] of the loop on its base-latency graph.
+    pub fallback: ModuloSchedule,
 }
 
 impl fmt::Display for PipelineError {
@@ -153,6 +159,12 @@ fn build_ddg<'a>(
 ///    also fails the II is escalated with boosts kept off, matching the
 ///    paper's ladder ("first reduce the non-critical load latencies …,
 ///    then continue to iterate at successively higher IIs").
+///
+/// The ladder is only walked where some rung can allocate: the
+/// [`register_floor`] of the base graph rejects the loop outright when it
+/// exceeds the rotating supply even at the largest II in the budget, and
+/// the base-latency phase starts at the first II whose floor fits. Both
+/// give the result the full ladder would have reached.
 ///
 /// # Errors
 ///
@@ -201,12 +213,34 @@ fn failure_outcome(f: &crate::scheduler::ScheduleFailure) -> &'static str {
     }
 }
 
-fn class_name(c: ltsp_ir::RegClass) -> &'static str {
+fn class_name(c: RegClass) -> &'static str {
     match c {
-        ltsp_ir::RegClass::Gr => "GR",
-        ltsp_ir::RegClass::Fr => "FR",
-        ltsp_ir::RegClass::Pr => "PR",
+        RegClass::Gr => "GR",
+        RegClass::Fr => "FR",
+        RegClass::Pr => "PR",
     }
+}
+
+/// The first class whose [`register_floor`] at `ii` exceeds the rotating
+/// supply: no schedule at `ii`, boosted or not, can allocate.
+fn floor_overflow(
+    lp: &LoopIr,
+    machine: &MachineModel,
+    ddg_base: &Ddg,
+    ii: u32,
+) -> Option<RegAllocError> {
+    let floor = register_floor(lp, ddg_base, ii);
+    RegClass::ALL
+        .into_iter()
+        .zip(floor)
+        .find_map(|(class, needed)| {
+            let available = machine.registers().rotating(class);
+            (needed > available).then_some(RegAllocError {
+                class,
+                needed,
+                available,
+            })
+        })
 }
 
 /// [`pipeline_loop`] with the driver's decision trail recorded on a
@@ -293,10 +327,51 @@ pub fn pipeline_loop_phased(
 
     // Profitability ceiling: beyond the acyclic schedule length, the global
     // code scheduler does at least as well without pipelining overhead.
-    let acyclic_len = time_opt(phases, Phase::Mrt, || {
-        acyclic_schedule(lp, machine, &ddg_base).ii()
+    let acyclic = time_opt(phases, Phase::Mrt, || {
+        acyclic_schedule(lp, machine, &ddg_base)
     });
-    let max_ii = (min_ii + opts.max_ii_slack).min(acyclic_len.max(min_ii));
+    let max_ii = (min_ii + opts.max_ii_slack).min(acyclic.ii().max(min_ii));
+    // On rejection the caller runs that acyclic schedule. Data speculation
+    // is a pipelining transformation, so when it pruned edges the fallback
+    // is rebuilt on the whole graph.
+    let reject = |attempts: u32| {
+        if tel.is_enabled() {
+            tel.counter_add("pipeliner.schedule_attempts", u64::from(attempts));
+            tel.counter_add("pipeliner.loops_rejected", 1);
+        }
+        let fallback = if speculated.is_empty() {
+            acyclic
+        } else {
+            let ddg = time_opt(phases, Phase::Ddg, || {
+                Ddg::build_with_load_floor(lp, machine, 0)
+            });
+            time_opt(phases, Phase::Sched, || acyclic_schedule(lp, machine, &ddg))
+        };
+        PipelineError {
+            attempts,
+            min_ii,
+            fallback,
+        }
+    };
+
+    // Register floor: the floor never rises with the II, so a loop over
+    // the supply at `max_ii` fails allocation on every rung of both phases.
+    if let Some(e) = time_opt(phases, Phase::Regalloc, || {
+        floor_overflow(lp, machine, &ddg_base, max_ii)
+    }) {
+        if tel.is_enabled() {
+            tel.emit(Event::RegallocFallback {
+                loop_name: lp.name().to_string(),
+                ii: max_ii,
+                class: class_name(e.class),
+                needed: e.needed,
+                available: e.available,
+                action: "reject-floor",
+            });
+            tel.counter_add("pipeliner.floor_rejections", 1);
+        }
+        return Err(reject(0));
+    }
 
     let mut attempts = 0u32;
     let mut stats = PipelineStats {
@@ -431,10 +506,36 @@ pub fn pipeline_loop_phased(
     }
 
     // Base-latency phase (also the whole procedure when nothing is
-    // boosted).
+    // boosted). Rungs whose floor exceeds the supply end in escalation
+    // whether they schedule or not, so the phase starts past them. (The
+    // boosted phase keeps every rung: whether one schedules decides where
+    // the boosts are dropped.)
+    let last_over = time_opt(phases, Phase::Regalloc, || {
+        (base_phase_start..max_ii)
+            .map_while(|ii| floor_overflow(lp, machine, &ddg_base, ii))
+            .enumerate()
+            .last()
+    });
+    let first_ii = base_phase_start + last_over.map_or(0, |(k, _)| k as u32 + 1);
+    if let (Some((_, e)), true) = (last_over, tel.is_enabled()) {
+        tel.emit(Event::RegallocFallback {
+            loop_name: lp.name().to_string(),
+            ii: first_ii - 1,
+            class: class_name(e.class),
+            needed: e.needed,
+            available: e.available,
+            action: "skip-floor",
+        });
+        tel.emit(Event::IiEscalation {
+            loop_name: lp.name().to_string(),
+            from_ii: base_phase_start,
+            to_ii: first_ii,
+            phase: "base",
+        });
+    }
     let scheduler = ModuloScheduler::new(lp, machine, &ddg_base);
     let mut failed_ii: Option<u32> = None;
-    for ii in base_phase_start..=max_ii {
+    for ii in first_ii..=max_ii {
         if let Some(from_ii) = failed_ii {
             if tel.is_enabled() {
                 tel.emit(Event::IiEscalation {
@@ -510,11 +611,7 @@ pub fn pipeline_loop_phased(
         }
     }
 
-    if tel.is_enabled() {
-        tel.counter_add("pipeliner.schedule_attempts", u64::from(attempts));
-        tel.counter_add("pipeliner.loops_rejected", 1);
-    }
-    Err(PipelineError { attempts, min_ii })
+    Err(reject(attempts))
 }
 
 #[cfg(test)]
@@ -588,82 +685,61 @@ mod tests {
         assert_eq!(p.schedule.ii(), 1, "II survives the boost");
     }
 
-    #[test]
-    fn register_overflow_drops_boosts() {
-        // A wide FP loop where blanket L3 boosting at II=1 would need
-        // ~22 regs per load value across many loads: force the ladder.
-        let m = MachineModel::itanium2();
+    /// Four FP loads summed into a store: five memory ops give ResMII 3,
+    /// where the loop's seven FP values need at least 18 registers (four
+    /// 6-cycle loads at 3 each, three 4-cycle adds at 2 each).
+    fn wide_fp_loop() -> LoopIr {
         let mut b = LoopBuilder::new("wide");
         let mut vals = Vec::new();
         for k in 0..4u64 {
             let x = b.affine_ref(&format!("x{k}"), DataClass::Fp, k << 24, 8, 8);
             vals.push(b.load(x));
         }
-        // Consume all values so they stay live.
         let mut acc = b.fadd(vals[0], vals[1]);
         acc = b.fadd(acc, vals[2]);
         acc = b.fadd(acc, vals[3]);
         let y = b.affine_ref("y", DataClass::Fp, 9 << 24, 8, 8);
         b.store(y, acc);
-        let lp = b.build().unwrap();
-        // II floor: 5 mem ops -> ResMII 3. Boosted lifetimes ~22+ cycles:
-        // 4 loads * ceil(22/3 + 1) ≈ 32 FP regs — fits. Tighten by using a
-        // tiny FP file to force the drop.
-        use ltsp_machine::{IssueResources, RegisterFiles};
-        let tight = MachineModel::new(
+        b.build().unwrap()
+    }
+
+    fn machine_with_fr(rotating_fr: u32) -> MachineModel {
+        let m = MachineModel::itanium2();
+        MachineModel::new(
             *m.issue(),
             *m.latencies(),
             *m.caches(),
-            RegisterFiles {
-                rotating_fr: 16,
+            ltsp_machine::RegisterFiles {
+                rotating_fr,
                 ..*m.registers()
             },
-        );
-        let _ = IssueResources {
-            m: 2,
-            i: 2,
-            f: 2,
-            b: 1,
-        };
+        )
+    }
+
+    #[test]
+    fn register_overflow_drops_boosts() {
+        // Blanket L3 boosting makes each load value live ~22 cycles: at
+        // II 3 that is 4 * (22/3 + 1) = 32 FP registers, which fits the
+        // real file; a 16-register one forces the ladder.
         let p = pipeline_loop(
-            &lp,
-            &tight,
+            &wide_fp_loop(),
+            &machine_with_fr(16),
             &|_| Some(LatencyHint::L3),
             &PipelineOptions::default(),
         )
         .unwrap();
         assert!(p.stats.dropped_boosts, "ladder must drop the boosts");
         assert_eq!(p.stats.boosted_loads, 0);
-        assert!(p.stats.schedule_attempts >= 2);
+        // Boosted at II 3, then base at II 4 and 5: the floor of 18 rules
+        // the base rung at II 3 out without scheduling it.
+        assert_eq!(p.stats.schedule_attempts, 3);
+        assert_eq!(p.schedule.ii(), 5);
     }
 
     #[test]
     fn telemetry_records_fallback_ladder() {
-        use ltsp_machine::RegisterFiles;
-        // Same setup as `register_overflow_drops_boosts`: blanket L3
-        // boosting against a tiny FP file forces the drop-boosts rung.
-        let m = MachineModel::itanium2();
-        let mut b = LoopBuilder::new("wide");
-        let mut vals = Vec::new();
-        for k in 0..4u64 {
-            let x = b.affine_ref(&format!("x{k}"), DataClass::Fp, k << 24, 8, 8);
-            vals.push(b.load(x));
-        }
-        let mut acc = b.fadd(vals[0], vals[1]);
-        acc = b.fadd(acc, vals[2]);
-        acc = b.fadd(acc, vals[3]);
-        let y = b.affine_ref("y", DataClass::Fp, 9 << 24, 8, 8);
-        b.store(y, acc);
-        let lp = b.build().unwrap();
-        let tight = MachineModel::new(
-            *m.issue(),
-            *m.latencies(),
-            *m.caches(),
-            RegisterFiles {
-                rotating_fr: 16,
-                ..*m.registers()
-            },
-        );
+        // Same setup as `register_overflow_drops_boosts`.
+        let (lp, tight) = (wide_fp_loop(), machine_with_fr(16));
         let tel = Telemetry::enabled();
         let p = pipeline_loop_traced(
             &lp,
@@ -677,11 +753,6 @@ mod tests {
 
         let events = tel.events();
         let kinds: Vec<&str> = events.iter().map(|e| e.event.kind()).collect();
-        assert!(
-            kinds.contains(&"regalloc_fallback"),
-            "must record the drop-boosts rung: {kinds:?}"
-        );
-        assert!(kinds.contains(&"schedule_attempt"));
         assert!(kinds.contains(&"cycle_enumeration"));
         // One criticality verdict per load.
         assert_eq!(
@@ -691,22 +762,34 @@ mod tests {
                 .count(),
             4
         );
-        let fallback = events
+        // The ladder, rung by rung with its reasons: the boosted schedule
+        // at II 3 does not allocate, no schedule at II 3 can, the base one
+        // at II 4 does not, the one at II 5 does.
+        let ladder: Vec<String> = events
             .iter()
-            .find_map(|e| match &e.event {
-                Event::RegallocFallback {
-                    class,
-                    action,
-                    needed,
-                    available,
-                    ..
-                } => Some((*class, *action, *needed, *available)),
-                _ => None,
+            .filter(|e| {
+                matches!(
+                    e.event.kind(),
+                    "schedule_attempt" | "regalloc_fallback" | "ii_escalation"
+                )
             })
-            .unwrap();
-        assert_eq!(fallback.0, "FR");
-        assert_eq!(fallback.1, "drop-boosts");
-        assert!(fallback.2 > fallback.3, "needed must exceed available");
+            .map(|e| e.event.render_human())
+            .collect();
+        assert_eq!(
+            ladder,
+            [
+                "schedule wide: II=3 (boosted latencies) -> scheduled",
+                "regalloc wide: II=3 needs 41 FR regs (have 16) -> drop-boosts",
+                "regalloc wide: II=3 needs at least 18 FR regs (have 16) -> skip-floor",
+                "escalate wide: II 3 -> 4 (base phase)",
+                "schedule wide: II=4 (base latencies) -> scheduled",
+                "regalloc wide: II=4 needs 17 FR regs (have 16) -> escalate-ii",
+                "escalate wide: II 4 -> 5 (base phase)",
+                "schedule wide: II=5 (base latencies) -> scheduled",
+            ]
+        );
+        assert_eq!(tel.metrics().counter("pipeliner.schedule_attempts"), 3);
+        assert_eq!(tel.metrics().counter("pipeliner.floor_rejections"), 0);
         // The trace is observational: the same compilation with telemetry
         // disabled produces an identical schedule.
         let silent = pipeline_loop(
@@ -716,8 +799,53 @@ mod tests {
             &PipelineOptions::default(),
         )
         .unwrap();
-        assert_eq!(silent.schedule.ii(), p.schedule.ii());
+        assert_eq!(silent.schedule, p.schedule);
         assert_eq!(silent.stats, p.stats);
+    }
+
+    #[test]
+    fn floor_rejection_walks_no_ladder() {
+        // Seven FP values can never share six registers, at any II.
+        let (lp, starved) = (wide_fp_loop(), machine_with_fr(6));
+        let tel = Telemetry::enabled();
+        let e = pipeline_loop_traced(
+            &lp,
+            &starved,
+            &|_| Some(LatencyHint::L3),
+            &PipelineOptions::default(),
+            &tel,
+        )
+        .unwrap_err();
+        assert_eq!((e.attempts, e.min_ii), (0, 3));
+        let ddg = Ddg::build_with_load_floor(&lp, &starved, 0);
+        assert_eq!(e.fallback, acyclic_schedule(&lp, &starved, &ddg));
+        assert!(!tel
+            .events()
+            .iter()
+            .any(|e| e.event.kind() == "schedule_attempt"));
+        let reason = tel
+            .events()
+            .iter()
+            .find(|e| e.event.kind() == "regalloc_fallback")
+            .map(|e| e.event.render_human())
+            .unwrap();
+        assert!(
+            reason.contains("needs at least 7 FR regs (have 6) -> reject-floor"),
+            "{reason}"
+        );
+        let m = tel.metrics();
+        assert_eq!(m.counter("pipeliner.floor_rejections"), 1);
+        assert_eq!(m.counter("pipeliner.loops_rejected"), 1);
+        assert_eq!(m.counter("pipeliner.schedule_attempts"), 0);
+        // With one register more the floor fits at the top of the budget
+        // and the ladder is walked again.
+        let p = pipeline_loop(
+            &lp,
+            &machine_with_fr(7),
+            &|_| None,
+            &PipelineOptions::default(),
+        );
+        assert!(p.is_ok_and(|p| p.regs.rotating_fr == 7));
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! and all still-live instances need distinct registers. Stage predicates
 //! claim one rotating predicate register per pipeline stage.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use ltsp_ir::{LoopIr, RegClass, VReg};
+use ltsp_ddg::{Ddg, DepKind};
+use ltsp_ir::{LoopIr, RegClass};
 use ltsp_machine::MachineModel;
 
 use crate::schedule::ModuloSchedule;
@@ -75,6 +75,37 @@ impl fmt::Display for RegAllocError {
 
 impl Error for RegAllocError {}
 
+/// A lower bound on the rotating registers any schedule of `lp` at `ii`
+/// needs, per class in [`RegClass::ALL`] order, from the dependence graph
+/// alone: `Σ_v (⌊L_v / ii⌋ + 1)` over the values the loop defines, where
+/// `L_v` is the largest flow-edge latency out of `v`'s definition, plus
+/// the one stage predicate every pipeline has.
+///
+/// Sound because a legal schedule places every use at
+/// `t_use + ii·ω ≥ t_def + latency`, and that difference is exactly the
+/// lifetime [`allocate_rotating`] charges; raising a load's latency only
+/// lengthens it, so the bound computed on the base-latency graph holds for
+/// boosted schedules too. It is non-increasing in `ii`.
+///
+/// # Panics
+///
+/// Panics if `ii == 0`.
+pub fn register_floor(lp: &LoopIr, ddg: &Ddg, ii: u32) -> [u32; 3] {
+    let mut floor = [0, 0, 1];
+    for inst in lp.insts() {
+        if let Some(d) = inst.dst() {
+            let longest = ddg
+                .succs(inst.id())
+                .filter(|e| e.kind == DepKind::Flow)
+                .map(|e| e.latency)
+                .max()
+                .unwrap_or(0);
+            floor[d.class() as usize] += longest / ii + 1;
+        }
+    }
+    floor
+}
+
 /// Allocates rotating registers for a scheduled loop.
 ///
 /// For every value defined in the loop, the lifetime runs from its
@@ -96,39 +127,28 @@ pub fn allocate_rotating(
     machine: &MachineModel,
 ) -> Result<RegAllocation, RegAllocError> {
     let ii = i64::from(sched.ii());
-    // Last absolute read time per defined register.
-    let mut last_read: HashMap<VReg, i64> = HashMap::new();
-    let mut def_time: HashMap<VReg, i64> = HashMap::new();
-    for inst in lp.insts() {
-        if let Some(d) = inst.dst() {
-            def_time.insert(d, sched.time(inst.id()));
-        }
-    }
+    // Last absolute read time of the value each instruction defines,
+    // indexed by the defining instruction; an unread value dies at its
+    // definition.
+    let mut last_read: Vec<i64> = lp.insts().iter().map(|i| sched.time(i.id())).collect();
     for inst in lp.insts() {
         let t_use = sched.time(inst.id());
         for s in inst.reads() {
-            if !def_time.contains_key(&s.reg) {
-                continue; // live-in: static register
-            }
-            let abs = t_use + ii * i64::from(s.omega);
-            let e = last_read.entry(s.reg).or_insert(abs);
-            if abs > *e {
-                *e = abs;
+            // No definition in the loop: a live-in, in a static register.
+            if let Some(def) = lp.def_of(s.reg) {
+                let abs = t_use + ii * i64::from(s.omega);
+                let last = &mut last_read[def.index()];
+                *last = (*last).max(abs);
             }
         }
     }
 
-    let mut used = [0u32; 3];
-    for (&reg, &t_def) in &def_time {
-        let t_last = last_read.get(&reg).copied().unwrap_or(t_def);
-        let span = (t_last - t_def).max(0);
-        let regs = (span / ii) as u32 + 1;
-        let slot = match reg.class() {
-            RegClass::Gr => 0,
-            RegClass::Fr => 1,
-            RegClass::Pr => 2,
-        };
-        used[slot] += regs;
+    let mut used = [0u32; 3]; // in `RegClass::ALL` order
+    for inst in lp.insts() {
+        if let Some(d) = inst.dst() {
+            let span = last_read[inst.id().index()] - sched.time(inst.id());
+            used[d.class() as usize] += (span / ii) as u32 + 1;
+        }
     }
     let stages = sched.stage_count();
     used[2] += stages; // stage predicates
@@ -245,6 +265,24 @@ mod tests {
         assert!(err.needed > err.available);
         let msg = err.to_string();
         assert!(msg.contains("FR"), "{msg}");
+    }
+
+    #[test]
+    fn floor_is_what_the_tightest_schedule_charges() {
+        // ld (1 cycle) -> add (1 cycle) -> st: at II 1 each value lives one
+        // cycle and takes two registers, which the schedule achieves; from
+        // II 2 on one register each. One stage predicate always.
+        let m = MachineModel::itanium2();
+        let lp = running_example();
+        let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
+        assert_eq!(register_floor(&lp, &ddg, 1), [4, 0, 1]);
+        assert_eq!(register_floor(&lp, &ddg, 2), [2, 0, 1]);
+        let a = allocate_rotating(&lp, &schedule(&lp, &m, 0, 1), &m).unwrap();
+        assert_eq!(a.rotating_gr, 4);
+        // On a boosted graph the load's value lives 21 cycles: 21/4 + 1
+        // registers at II 4, plus one for the sum.
+        let boosted = Ddg::build_with_load_floor(&lp, &m, 21);
+        assert_eq!(register_floor(&lp, &boosted, 4), [7, 0, 1]);
     }
 
     #[test]

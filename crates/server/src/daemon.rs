@@ -330,15 +330,43 @@ impl ServerHandle {
     pub fn shutdown(self) {
         let tel = self.state.cfg.telemetry.clone();
         self.state.start_drain("handle shutdown", &tel);
-        let _ = self.join.join();
+        self.wait();
     }
 
     /// Waits for the daemon to exit on its own (client `shutdown`
-    /// request or a signal).
+    /// request or a signal), then frees its caches and hands the freed
+    /// pages back to the operating system.
     pub fn wait(self) {
         let _ = self.join.join();
+        drop(self.state);
+        release_freed_memory();
     }
 }
+
+/// Returns the allocator's free pages to the operating system.
+///
+/// A server's caches are filled by its dispatcher thread, so they live in
+/// that thread's glibc arena, and freeing them from another thread leaves
+/// the arena's pages resident: it is only trimmed from the top, and a few
+/// small chunks parked in the freeing thread's cache pin that. Whether the
+/// next server in the process reuses the arena or dirties a fresh one
+/// depends on the order its threads exited, so without this a process
+/// that runs several servers in turn keeps up to one cache-sized arena
+/// per server resident.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointers, is thread-safe, and only
+    // releases memory the allocator already holds free.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_memory() {}
 
 /// Binds and serves in a background thread; returns once the listener
 /// is accepting. Used by in-process tests and `ltspc serve`/`ltspd`.

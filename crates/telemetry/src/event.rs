@@ -105,19 +105,27 @@ pub enum Event {
     },
     /// Rotating register allocation failed; the fallback ladder reacts
     /// (paper Sec. 3.3: "first reduce the non-critical load latencies …,
-    /// then continue to iterate at successively higher IIs").
+    /// then continue to iterate at successively higher IIs"). The two
+    /// floor actions report a failure that was certain before scheduling:
+    /// the dependence graph alone demands more registers than exist.
     RegallocFallback {
         /// Enclosing loop.
         loop_name: String,
-        /// The II whose schedule failed to allocate.
+        /// The II whose schedule failed to allocate. For `"reject-floor"`
+        /// the largest II in the budget; for `"skip-floor"` the last II
+        /// skipped.
         ii: u32,
         /// Register class that overflowed (`"GR"`, `"FR"`, `"PR"`).
         class: &'static str,
-        /// Registers the schedule needed.
+        /// Registers the schedule needed; for the floor actions, the
+        /// least any schedule at `ii` needs.
         needed: u32,
         /// Registers the machine has.
         available: u32,
-        /// `"drop-boosts"` or `"escalate-ii"`.
+        /// `"drop-boosts"` or `"escalate-ii"` after a failed allocation;
+        /// `"reject-floor"` when no II in the budget can allocate and the
+        /// ladder is not walked; `"skip-floor"` when the base-latency
+        /// phase starts past IIs that cannot.
         action: &'static str,
     },
     /// Pipelining was rejected; the loop fell back to the acyclic
@@ -125,7 +133,8 @@ pub enum Event {
     AcyclicFallback {
         /// Enclosing loop.
         loop_name: String,
-        /// Scheduling attempts consumed before giving up.
+        /// `schedule_at` calls actually made before giving up (0 after a
+        /// `"reject-floor"`).
         attempts: u32,
         /// The Min II that could not be realized.
         min_ii: u32,
@@ -575,8 +584,13 @@ impl Event {
                 available,
                 action,
             } => format!(
-                "regalloc {loop_name}: II={ii} needs {needed} {class} regs \
-                 (have {available}) -> {action}"
+                "regalloc {loop_name}: II={ii} needs {}{needed} {class} regs \
+                 (have {available}) -> {action}",
+                if action.ends_with("-floor") {
+                    "at least "
+                } else {
+                    ""
+                }
             ),
             Event::AcyclicFallback {
                 loop_name,
