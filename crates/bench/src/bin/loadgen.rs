@@ -561,6 +561,45 @@ fn cluster_block(snap: &PromSnapshot, ids: &[String]) -> String {
     out
 }
 
+/// The report's `"host"` block: what a reader needs to compare two
+/// records (`unknown` where the host does not say).
+fn host_block() -> String {
+    let run = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+    };
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{{\"nproc\": {}, \"cpu_model\": \"{}\", \"rustc\": \"{}\", \"git_rev\": \"{}\", \
+         \"profile\": \"{}\"}}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        json::escape(&cpu_model),
+        json::escape(&run("rustc", &["--version"])),
+        json::escape(&run(
+            "git",
+            &["describe", "--always", "--dirty", "--abbrev=40"]
+        )),
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+    )
+}
+
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -702,13 +741,23 @@ fn main() {
     // Scrape once before rendering the report: against `ltspr` the
     // snapshot carries `ltsp_shard_up` samples, which switches the
     // report into cluster mode and feeds the `"cluster"` block below.
-    let cluster_snap: Option<PromSnapshot> = scrape_metrics(&o.addr)
+    let run_snap: Option<PromSnapshot> = scrape_metrics(&o.addr)
         .ok()
-        .and_then(|t| PromSnapshot::parse(&t).ok())
-        .filter(|s| !shard_ids(s).is_empty());
+        .and_then(|t| PromSnapshot::parse(&t).ok());
+    let cluster_snap = run_snap.as_ref().filter(|s| !shard_ids(s).is_empty());
+    // Requests the server answered on their connection's reader thread
+    // (over all shards, behind a router; since the server started).
+    let served_inline: f64 = run_snap.as_ref().map_or(0.0, |snap| {
+        snap.samples
+            .iter()
+            .filter(|s| s.name == "ltsp_served_inline_total")
+            .map(|s| s.value)
+            .sum()
+    });
 
     let mut out = String::new();
     out.push_str("{\n");
+    out.push_str(&format!("  \"host\": {},\n", host_block()));
     out.push_str(&format!("  \"addr\": \"{}\",\n", json::escape(&o.addr)));
     out.push_str(&format!("  \"conns\": {},\n", o.conns));
     out.push_str(&format!("  \"requests_per_conn\": {},\n", o.requests));
@@ -739,6 +788,7 @@ fn main() {
     out.push_str(&format!("  \"cache_misses\": {misses},\n"));
     out.push_str(&format!("  \"cache_upgraded\": {upgraded},\n"));
     out.push_str(&format!("  \"cache_hit_rate\": {hit_rate:.4},\n"));
+    out.push_str(&format!("  \"served_inline\": {served_inline:.0},\n"));
     if let Some(b) = &o.backend {
         out.push_str(&format!("  \"backend\": \"{b}\",\n"));
     }
@@ -781,7 +831,7 @@ fn main() {
         }
         out.push_str("},\n");
     }
-    if let Some(snap) = &cluster_snap {
+    if let Some(snap) = cluster_snap {
         let ids = shard_ids(snap);
         out.push_str(&format!("  \"cluster\": {},\n", cluster_block(snap, &ids)));
     }
@@ -821,29 +871,33 @@ fn main() {
             }
         };
         let mut bad = false;
-        // Every served request crosses these lifecycle phases; compile
-        // phases additionally require at least one result-cache miss.
-        let mut expected = vec!["queue_wait", "dispatch", "handler", "write"];
-        if misses > 0 {
-            expected.push("parse");
-        }
         // Router snapshots re-emit every shard sample with a `shard`
         // label; sum across shards so the same invariants hold whether
         // loadgen pointed at a daemon or at `ltspr`.
         let ids = shard_ids(&snap);
-        for phase in expected {
-            let n: f64 = if ids.is_empty() {
-                snap.histogram_count("ltsp_phase_us", &[("phase", phase)])
-                    .unwrap_or(0.0)
+        let phase_count = |phase: &str| -> u64 {
+            let count = |labels: &[(&str, &str)]| {
+                snap.histogram_count("ltsp_phase_us", labels).unwrap_or(0.0)
+            };
+            if ids.is_empty() {
+                count(&[("phase", phase)]) as u64
             } else {
                 ids.iter()
-                    .map(|s| {
-                        snap.histogram_count("ltsp_phase_us", &[("phase", phase), ("shard", s)])
-                            .unwrap_or(0.0)
-                    })
-                    .sum()
-            };
-            if n <= 0.0 {
+                    .map(|s| count(&[("phase", phase), ("shard", s)]))
+                    .sum::<f64>() as u64
+            }
+        };
+        // Every handled request has a `handler` span and a `write`;
+        // only the ones that crossed the queue have `queue_wait` and
+        // `dispatch` (a result-cache hit on an idle connection is
+        // answered where it was read); compile phases additionally
+        // require at least one result-cache miss.
+        let mut expected = vec!["handler", "write"];
+        if misses > 0 {
+            expected.extend(["queue_wait", "dispatch", "parse"]);
+        }
+        for phase in expected {
+            if phase_count(phase) == 0 {
                 eprintln!("loadgen: phase histogram '{phase}' has no samples");
                 bad = true;
             }
@@ -857,6 +911,19 @@ fn main() {
                     .sum::<f64>() as u64
             }
         };
+        // Where the hits went: the requests that did not wait in the
+        // queue are exactly the ones the readers served inline. (A
+        // contained panic has neither span, so the identity is a
+        // fault-free one.)
+        let served_inline = counter("ltsp_served_inline_total");
+        let (handled, queued) = (phase_count("handler"), phase_count("queue_wait"));
+        if !o.fault_mode && queued + served_inline != handled {
+            eprintln!(
+                "loadgen: {handled} requests handled, but {queued} queue_wait samples + \
+                 {served_inline} served inline"
+            );
+            bad = true;
+        }
         let panics = counter("ltsp_request_panics_total");
         let conn_shed = counter("ltsp_connections_shed_total");
         if o.fault_mode {

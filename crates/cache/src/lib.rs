@@ -268,22 +268,26 @@ impl<V> ShardedLru<V> {
 
     /// Looks up a key, bumping its recency on a hit.
     pub fn get(&self, key: Fingerprint) -> Option<Arc<V>> {
+        let found = self.probe(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// [`ShardedLru::get`] for a caller that, on absence, hands the key
+    /// to a path that looks it up again: a hit counts (and bumps
+    /// recency) exactly as in `get`, absence counts nothing, so the
+    /// request is still one miss once the second lookup has run.
+    pub fn probe(&self, key: Fingerprint) -> Option<Arc<V>> {
         let mut shard = lock_unpoisoned(self.shard(key));
         let tick = shard.tick();
-        match shard.map.get_mut(&key.0) {
-            Some(e) => {
-                e.last_used = tick;
-                let v = Arc::clone(&e.value);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let e = shard.map.get_mut(&key.0)?;
+        e.last_used = tick;
+        let v = Arc::clone(&e.value);
+        drop(shard);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(v)
     }
 
     /// Inserts a value accounted at `bytes`, evicting LRU entries while
@@ -449,6 +453,11 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
         assert_eq!(s.entries, 1);
+        // A probe counts what it finds and nothing when it finds nothing.
+        assert!(cache.probe(Fingerprint::of_str("absent")).is_none());
+        assert_eq!(cache.probe(k).as_deref(), Some(&"v".to_string()));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (2, 1));
     }
 
     #[test]

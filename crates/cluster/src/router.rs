@@ -502,7 +502,7 @@ fn handle_line(
                     id: req.id.clone(),
                     status: "draining",
                     cache: "-",
-                    body: ",\"op\":\"shutdown\"".to_string(),
+                    body: ",\"op\":\"shutdown\"".into(),
                     timings: None,
                 };
                 (render_line(&ack), true)
@@ -660,7 +660,7 @@ fn stats_response(state: &RouterState, id: &str) -> Response {
         id: id.to_string(),
         status: "ok",
         cache: "-",
-        body,
+        body: body.into(),
         timings: None,
     }
 }
@@ -759,7 +759,7 @@ fn metrics_response(state: &RouterState, id: &str) -> Response {
         id: id.to_string(),
         status: "ok",
         cache: "-",
-        body,
+        body: body.into(),
         timings: None,
     }
 }

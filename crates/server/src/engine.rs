@@ -47,8 +47,45 @@ use crate::report::{render_adaptive_report, render_compile_report, render_exact_
 #[derive(Debug, Clone)]
 struct CachedResult {
     status: &'static str,
-    body: String,
+    body: Arc<str>,
     upgraded: bool,
+}
+
+/// A first-level cache entry found by [`Engine::probe`]: enough to
+/// answer the request it was probed for, nothing that could start a
+/// compile.
+#[derive(Debug)]
+pub struct CacheHit {
+    key: Fingerprint,
+    entry: Arc<CachedResult>,
+    /// What the probe cost, booked as the request's `cache_lookup`.
+    lookup_us: u64,
+}
+
+/// How a request reached [`Engine::handle_phased`], which decides where
+/// its first-level key comes from and which lifecycle phases it has.
+#[derive(Debug)]
+pub enum Route {
+    /// An in-process call: no queue, and the key is computed here.
+    Direct,
+    /// Through the daemon's admission queue and dispatcher, with the
+    /// key computed at admission (`None` for ops that never cache). Its
+    /// `queue_wait` and `dispatch` spans are samples even at 0 µs.
+    Queued(Option<Fingerprint>),
+    /// Answered on the connection's own thread from a probed entry: no
+    /// queue, no dispatcher, no compile.
+    Inline(CacheHit),
+}
+
+impl Route {
+    /// The request's first-level cache key, where the route carries it.
+    pub fn key(&self) -> Option<Fingerprint> {
+        match self {
+            Route::Direct => None,
+            Route::Queued(key) => *key,
+            Route::Inline(hit) => Some(hit.key),
+        }
+    }
 }
 
 /// Engine tuning knobs (the daemon forwards these from its CLI).
@@ -106,6 +143,10 @@ pub struct ServeCounters {
     pub overloaded: AtomicU64,
     /// `status:"draining"` responses (bumped by the daemon).
     pub draining: AtomicU64,
+    /// Requests answered on their connection's own thread from a
+    /// result-cache hit ([`Route::Inline`]); the rest of the handled
+    /// requests crossed the queue and the dispatcher.
+    pub served_inline: AtomicU64,
 }
 
 impl ServeCounters {
@@ -338,7 +379,7 @@ impl Engine {
                             rec.key,
                             CachedResult {
                                 status: intern_status(&rec.status),
-                                body: rec.body.clone(),
+                                body: rec.body.as_str().into(),
                                 upgraded: false,
                             },
                             bytes,
@@ -482,65 +523,98 @@ impl Engine {
         }
     }
 
-    /// Handles one admitted request. Emits an [`Event::ServerRequest`]
+    /// Handles one request in process. Emits an [`Event::ServerRequest`]
     /// on `tel` and tallies the status. `shutdown` is the daemon's
     /// business and answers `error` here.
     pub fn handle(&self, req: &Request, tel: &Telemetry) -> Response {
-        let phases = PhaseTimer::new();
-        self.handle_phased(req, tel, &phases)
+        self.handle_phased(req, Route::Direct, tel, &PhaseTimer::new())
     }
 
-    /// [`Engine::handle`] against a caller-owned [`PhaseTimer`] (the
-    /// daemon pre-loads `queue_wait`/`dispatch` before calling). Records
-    /// total handler time, feeds the per-phase histograms and the flight
-    /// recorder, and — when the request opted in with `"timings":true` —
-    /// attaches the breakdown to the response envelope.
-    pub fn handle_phased(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
+    /// [`Engine::handle`] for a request that arrived by `route`,
+    /// against a caller-owned [`PhaseTimer`] (the daemon pre-loads
+    /// `queue_wait`/`dispatch` before calling). Records total handler
+    /// time, feeds the per-phase histograms and the flight recorder,
+    /// and — when the request opted in with `"timings":true` — attaches
+    /// the breakdown to the response envelope.
+    pub fn handle_phased(
+        &self,
+        req: &Request,
+        route: Route,
+        tel: &Telemetry,
+        phases: &PhaseTimer,
+    ) -> Response {
         let t0 = Instant::now();
-        let resp = match req.op {
-            ReqOp::Ping => Response {
+        let queued = matches!(route, Route::Queued(_));
+        let key = route.key().or_else(|| self.request_key(req));
+        let resp = match (route, req.op) {
+            (Route::Inline(hit), _) => {
+                self.counters.served_inline.fetch_add(1, Ordering::Relaxed);
+                phases.add_us(Phase::CacheLookup, hit.lookup_us);
+                hit_response(req, &hit.entry)
+            }
+            (_, ReqOp::Compile | ReqOp::Verify | ReqOp::Oracle) => {
+                let key = key.expect("cacheable ops have a request key");
+                self.cached_response(req, key, tel, phases)
+            }
+            (_, ReqOp::Ping) => Response {
                 id: req.id.clone(),
                 status: "ok",
                 cache: "-",
-                body: ",\"op\":\"ping\"".to_string(),
+                body: ",\"op\":\"ping\"".into(),
                 timings: None,
             },
-            ReqOp::Stats => self.stats_response(req),
-            ReqOp::Metrics => self.metrics_response(req),
-            ReqOp::Shutdown => Response::error(&req.id, "error", "shutdown not admitted here"),
-            ReqOp::Compile | ReqOp::Verify | ReqOp::Oracle => {
-                self.cached_response(req, tel, phases)
-            }
+            (_, ReqOp::Stats) => self.stats_response(req),
+            (_, ReqOp::Metrics) => self.metrics_response(req),
+            (_, ReqOp::Shutdown) => Response::error(&req.id, "error", "shutdown not admitted here"),
         };
         phases.add_us(Phase::Handler, t0.elapsed().as_micros() as u64);
         let mut resp = self.finish(req, resp, tel);
         if req.timings {
             resp.timings = Some(phases.to_json_object());
         }
-        self.observe(req, &resp, phases);
+        self.observe(req, key, &resp, phases, queued);
         resp
     }
 
     /// Feeds a finished request into the phase histograms and the flight
     /// recorder.
-    fn observe(&self, req: &Request, resp: &Response, phases: &PhaseTimer) {
+    fn observe(
+        &self,
+        req: &Request,
+        key: Option<Fingerprint>,
+        resp: &Response,
+        phases: &PhaseTimer,
+        queued: bool,
+    ) {
         {
             let mut hists = lock_unpoisoned(&self.phase_hists);
             for (p, us) in phases.snapshot() {
-                // Handler always records (it is the request-total KPI);
-                // other phases record only when they actually ran, so a
-                // phase histogram's count is "times this phase ran".
-                if us > 0 || p == Phase::Handler {
+                // A phase histogram's count is "times this phase ran":
+                // `handler` for every request, `queue_wait`/`dispatch`
+                // for every request that was queued, the rest whenever
+                // they took measurable time.
+                let ran = match p {
+                    Phase::Handler => true,
+                    Phase::QueueWait | Phase::Dispatch => queued || us > 0,
+                    _ => us > 0,
+                };
+                if ran {
                     hists.entry(p.name()).or_default().record(us);
                 }
             }
         }
-        self.flight
-            .record(FlightRecord::capture(req, resp.status, resp.cache, phases));
+        self.flight.record(FlightRecord::capture(
+            req,
+            key,
+            resp.status,
+            resp.cache,
+            phases,
+        ));
     }
 
-    /// Records a single out-of-band phase sample (the outbound writer
-    /// books `write` time here after the response envelope is sealed).
+    /// Records a single out-of-band phase sample (whoever writes a
+    /// response to its socket books `write` time here, after the
+    /// response envelope is sealed).
     pub fn record_phase_sample(&self, phase: Phase, us: u64) {
         lock_unpoisoned(&self.phase_hists)
             .entry(phase.name())
@@ -548,19 +622,17 @@ impl Engine {
             .record(us);
     }
 
-    /// First-level cache in front of the pipeline, keyed on the *raw*
-    /// request content (loop text byte-for-byte plus every knob). A hit
-    /// skips even the loop parse; a miss falls through to the canonical
-    /// per-op path, whose artifact/body caches still deduplicate requests
-    /// that differ only in formatting. Responses are pure functions of
-    /// their requests, so caching the whole outcome (including error
-    /// outcomes) is sound.
     /// The first-level cache key of a request, or `None` for ops that
-    /// bypass the result cache. The daemon uses this to dedupe identical
-    /// requests *within* a parallel batch: without that, two same-key
-    /// requests race on who populates the cache and the loser's
-    /// `"cache"` tag depends on worker timing — a `--jobs`-dependent
-    /// byte in an otherwise deterministic response stream.
+    /// bypass the result cache: the *raw* request content (loop text
+    /// byte-for-byte plus every knob), so a hit skips even the loop
+    /// parse. The daemon computes it once, where the request is read,
+    /// and uses it to probe for a hit on the spot ([`Engine::probe`]),
+    /// to hand the request on ([`Route::Queued`]), and to dedupe
+    /// identical requests *within* a parallel batch: without that, two
+    /// same-key requests race on who populates the cache and the
+    /// loser's `"cache"` tag depends on worker timing — a
+    /// `--jobs`-dependent byte in an otherwise deterministic response
+    /// stream.
     pub fn request_key(&self, req: &Request) -> Option<Fingerprint> {
         match req.op {
             ReqOp::Compile | ReqOp::Verify | ReqOp::Oracle => {}
@@ -583,10 +655,33 @@ impl Engine {
         Some(h.finish())
     }
 
-    fn cached_response(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
-        let key = self
-            .request_key(req)
-            .expect("cached_response only serves cacheable ops");
+    /// Looks a first-level key up without being able to start a
+    /// compile: a present entry is a counted hit the caller answers
+    /// through [`Route::Inline`]; absence counts nothing, because the
+    /// caller then queues the request and the handler's own lookup is
+    /// the one miss it is.
+    pub fn probe(&self, key: Fingerprint) -> Option<CacheHit> {
+        let t0 = Instant::now();
+        let entry = self.result_cache.probe(key)?;
+        Some(CacheHit {
+            key,
+            entry,
+            lookup_us: t0.elapsed().as_micros() as u64,
+        })
+    }
+
+    /// First-level cache in front of the pipeline. A miss falls through
+    /// to the canonical per-op path, whose artifact/body caches still
+    /// deduplicate requests that differ only in formatting. Responses
+    /// are pure functions of their requests, so caching the whole
+    /// outcome (including error outcomes) is sound.
+    fn cached_response(
+        &self,
+        req: &Request,
+        key: Fingerprint,
+        tel: &Telemetry,
+        phases: &PhaseTimer,
+    ) -> Response {
         let inner_tag = std::cell::Cell::new("miss");
         let t0 = Instant::now();
         let (cached, hit) = self.result_cache.get_or_insert_with(
@@ -609,34 +704,26 @@ impl Engine {
             // On a miss the probe time is dwarfed by (and attributed to)
             // the compile phases the closure just ran.
             phases.add_us(Phase::CacheLookup, t0.elapsed().as_micros() as u64);
-        } else {
-            self.persist_append(key, cached.status, &cached.body);
-            // A cold refining compile answered with the heuristic
-            // schedule: queue the async refinement — exact emission for
-            // the tiered backend, the adaptive feedback loop for
-            // `mode:"adaptive"` — which upgrades this entry (and the
-            // tier body entry) in place when it lands.
-            if req.op == ReqOp::Compile && cached.status == "ok" {
-                if req.backend == Backend::Tiered {
-                    self.schedule_refine(req, key, RefineKind::Exact);
-                } else if req.mode == Mode::Adaptive {
-                    self.schedule_refine(req, key, RefineKind::Adaptive);
-                }
+            return hit_response(req, &cached);
+        }
+        self.persist_append(key, cached.status, &cached.body);
+        // A cold refining compile answered with the heuristic
+        // schedule: queue the async refinement — exact emission for
+        // the tiered backend, the adaptive feedback loop for
+        // `mode:"adaptive"` — which upgrades this entry (and the
+        // tier body entry) in place when it lands.
+        if req.op == ReqOp::Compile && cached.status == "ok" {
+            if req.backend == Backend::Tiered {
+                self.schedule_refine(req, key, RefineKind::Exact);
+            } else if req.mode == Mode::Adaptive {
+                self.schedule_refine(req, key, RefineKind::Adaptive);
             }
         }
         Response {
             id: req.id.clone(),
             status: cached.status,
-            cache: if hit {
-                if cached.upgraded {
-                    "upgraded"
-                } else {
-                    "hit"
-                }
-            } else {
-                inner_tag.get()
-            },
-            body: cached.body.clone(),
+            cache: inner_tag.get(),
+            body: Arc::clone(&cached.body),
             timings: None,
         }
     }
@@ -762,7 +849,7 @@ impl Engine {
                     id: req.id.clone(),
                     status: "error",
                     cache: "-",
-                    body,
+                    body: body.into(),
                     timings: None,
                 })
             }
@@ -775,7 +862,7 @@ impl Engine {
                     id: req.id.clone(),
                     status: "error",
                     cache: "-",
-                    body,
+                    body: body.into(),
                     timings: None,
                 })
             }
@@ -877,7 +964,7 @@ impl Engine {
                 artifact_hit.set(hit);
                 phases.time(Phase::Render, || CachedResult {
                     status: "ok",
-                    body: self.render_heuristic_body(req, &compiled),
+                    body: self.render_heuristic_body(req, &compiled).into(),
                     upgraded: false,
                 })
             },
@@ -964,7 +1051,7 @@ impl Engine {
                     push_bool_field(&mut body, "refined", false);
                     CachedResult {
                         status: "ok",
-                        body,
+                        body: body.into(),
                         upgraded: false,
                     }
                 })
@@ -1034,7 +1121,7 @@ impl Engine {
                     push_bool_field(&mut body, "refined", false);
                     CachedResult {
                         status: "ok",
-                        body,
+                        body: body.into(),
                         upgraded: false,
                     }
                 })
@@ -1199,7 +1286,7 @@ impl Engine {
         push_str_field(&mut body, "report", &report);
         CachedResult {
             status,
-            body,
+            body: body.into(),
             upgraded: false,
         }
     }
@@ -1220,6 +1307,10 @@ impl Engine {
             (
                 "requests_overloaded",
                 self.counters.overloaded.load(Ordering::Relaxed),
+            ),
+            (
+                "served_inline",
+                self.counters.served_inline.load(Ordering::Relaxed),
             ),
         ] {
             push_u64_field(&mut body, key, v);
@@ -1264,7 +1355,7 @@ impl Engine {
             id: req.id.clone(),
             status: "ok",
             cache: "-",
-            body,
+            body: body.into(),
             timings: None,
         }
     }
@@ -1280,7 +1371,7 @@ impl Engine {
             id: req.id.clone(),
             status: "ok",
             cache: "-",
-            body,
+            body: body.into(),
             timings: None,
         }
     }
@@ -1338,6 +1429,7 @@ impl Engine {
             prom::push_sample(&mut out, name, &[], v.load(Ordering::Relaxed) as f64);
         }
         for (name, v) in [
+            ("ltsp_served_inline_total", &self.counters.served_inline),
             ("ltsp_connections_shed_total", &self.gauges.conn_shed),
             ("ltsp_responses_shed_total", &self.gauges.responses_shed),
             ("ltsp_request_panics_total", &self.gauges.request_panics),
@@ -1428,6 +1520,18 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         self.refine_shutdown();
+    }
+}
+
+/// The answer to `req` from its first-level cache entry — the one
+/// place a hit's envelope is put together, whichever thread found it.
+fn hit_response(req: &Request, entry: &CachedResult) -> Response {
+    Response {
+        id: req.id.clone(),
+        status: entry.status,
+        cache: if entry.upgraded { "upgraded" } else { "hit" },
+        body: Arc::clone(&entry.body),
+        timings: None,
     }
 }
 
@@ -1595,7 +1699,7 @@ fn compute_adaptive_body(
     );
     CachedResult {
         status: if certified { "ok" } else { "rejected" },
-        body,
+        body: body.into(),
         upgraded: false,
     }
 }
@@ -1649,7 +1753,7 @@ fn compute_exact_body(
             push_str_field(&mut body, "report", &render_exact_report(lp, &case));
             CachedResult {
                 status: "ok",
-                body,
+                body: body.into(),
                 upgraded: false,
             }
         }
@@ -1669,7 +1773,7 @@ fn compute_exact_body(
             body.push(']');
             CachedResult {
                 status: "rejected",
-                body,
+                body: body.into(),
                 upgraded: false,
             }
         }
@@ -1849,6 +1953,51 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("pipelined: II="));
+    }
+
+    /// The daemon's two-step for a request read on an idle connection:
+    /// probe, then either answer from what the probe found or queue.
+    /// The probe cannot compile, and a probe that finds nothing leaves
+    /// the miss to be counted by the handler that does the work.
+    #[test]
+    fn a_probe_answers_hits_and_leaves_misses_to_the_handler() {
+        let e = engine();
+        let tel = Telemetry::disabled();
+        let r = req(&format!(
+            r#"{{"op":"compile","id":"p1","loop":"{}"}}"#,
+            loop_json("s")
+        ));
+        let key = e.request_key(&r).expect("compile requests are keyed");
+        assert!(e.probe(key).is_none(), "nothing cached yet");
+        assert_eq!(e.result_cache.stats().misses, 0, "absence is not a miss");
+
+        let cold = e.handle_phased(&r, Route::Queued(Some(key)), &tel, &PhaseTimer::new());
+        assert_eq!(cold.cache, "miss");
+        let after_cold = e.result_cache.stats();
+        assert_eq!(
+            after_cold.misses, 2,
+            "raw-request key + body key, once each"
+        );
+
+        let hit = e.probe(key).expect("cached now");
+        let phases = PhaseTimer::new();
+        let warm = e.handle_phased(&r, Route::Inline(hit), &tel, &phases);
+        assert_eq!((warm.status, warm.cache), ("ok", "hit"));
+        assert_eq!(warm.body, cold.body, "the probed entry is the cold bytes");
+        assert_eq!(warm.render(), e.handle(&r, &tel).render());
+        let after_warm = e.result_cache.stats();
+        assert_eq!(after_warm.misses, after_cold.misses);
+        assert_eq!(
+            after_warm.hits,
+            after_cold.hits + 2,
+            "the probe, then handle"
+        );
+        assert_eq!(e.counters.served_inline.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            phases.get_us(Phase::QueueWait),
+            0,
+            "an inline hit never queued"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! dumped to disk when something goes wrong.
 //!
 //! Every handled request appends one [`FlightRecord`] — id, op, request
-//! fingerprint, status, cache disposition, and the full per-phase timing
+//! key, status, cache disposition, and the full per-phase timing
 //! breakdown — to a fixed-capacity ring (`Mutex` + [`lock_unpoisoned`];
 //! the recorder must keep working after a contained handler panic, which
 //! is exactly when it is needed). When a `request_panic`, an injected
@@ -38,8 +38,11 @@ pub struct FlightRecord {
     pub id: String,
     /// Request op tag.
     pub op: &'static str,
-    /// Content fingerprint of the request (op + loop text), hex.
-    pub fingerprint: String,
+    /// The request's first-level cache key — op, loop text and every
+    /// knob, the key its answer is cached and persisted under — carried
+    /// over from where the request was read, not hashed again. `None`
+    /// (rendered `-`) for ops that never cache.
+    pub fingerprint: Option<Fingerprint>,
     /// Response status (`ok` | `rejected` | `error` | ...).
     pub status: &'static str,
     /// Cache disposition (`hit` | `miss` | `-`).
@@ -53,6 +56,7 @@ impl FlightRecord {
     /// Builds a record from a request's outcome and its phase timer.
     pub fn capture(
         req: &Request,
+        key: Option<Fingerprint>,
         status: &'static str,
         cache: &'static str,
         phases: &PhaseTimer,
@@ -60,7 +64,7 @@ impl FlightRecord {
         FlightRecord {
             id: req.id.clone(),
             op: req.op.tag(),
-            fingerprint: request_fingerprint(req.op.tag(), &req.loop_text).short_hex(),
+            fingerprint: key,
             status,
             cache,
             phases: phases
@@ -77,7 +81,8 @@ impl FlightRecord {
             "{{\"id\":\"{}\",\"op\":\"{}\",\"fingerprint\":\"{}\",\"status\":\"{}\",\"cache\":\"{}\",\"phases\":{{",
             json::escape(&self.id),
             self.op,
-            self.fingerprint,
+            self.fingerprint
+                .map_or_else(|| "-".to_string(), |key| key.short_hex()),
             self.status,
             self.cache,
         );
@@ -220,15 +225,6 @@ pub fn read_dumps(dir: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// The fingerprint helper used for records (exposed for tests).
-pub fn request_fingerprint(op_tag: &str, loop_text: &str) -> Fingerprint {
-    let mut h = ltsp_cache::FingerprintHasher::new();
-    h.write_str("flight-v1");
-    h.write_str(op_tag);
-    h.write_str(loop_text);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +240,8 @@ mod tests {
         let t = PhaseTimer::new();
         t.add_us(Phase::Sched, 40 + i as u64);
         t.add_us(Phase::Handler, 100 + i as u64);
-        FlightRecord::capture(&req, "ok", "miss", &t)
+        let key = Fingerprint::of_str(&req.loop_text);
+        FlightRecord::capture(&req, Some(key), "ok", "miss", &t)
     }
 
     #[test]

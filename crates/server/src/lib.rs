@@ -25,7 +25,9 @@ pub mod proto;
 mod report;
 
 pub use daemon::{serve, spawn, ServerConfig, ServerHandle, SHARD_KILL_EXIT_CODE};
-pub use engine::{Engine, EngineConfig, PersistCounters, ServerGauges, UpgradeCounters};
+pub use engine::{
+    CacheHit, Engine, EngineConfig, PersistCounters, Route, ServerGauges, UpgradeCounters,
+};
 pub use fault::{FaultPlan, FaultSite};
 pub use flight::{normalize_flight_dump, read_dumps, FlightRecord, FlightRecorder};
 pub use proto::{parse_request, Backend, Mode, ProtoError, ReqOp, Request, Response};

@@ -62,6 +62,8 @@
 //! attribution knowingly leave the byte-identity contract for that
 //! response.
 
+use std::sync::Arc;
+
 use ltsp_cache::Fingerprint;
 use ltsp_core::LatencyPolicy;
 use ltsp_telemetry::json::{self, escape, JsonValue};
@@ -347,8 +349,10 @@ pub struct Response {
     /// `hit` | `miss` | `upgraded` | `-`.
     pub cache: &'static str,
     /// JSON fragment appended after the envelope fields; either empty or
-    /// starting with `,` (e.g. `,"op":"ping"`).
-    pub body: String,
+    /// starting with `,` (e.g. `,"op":"ping"`). Shared with the cache
+    /// entry it came from, so a hit copies the bytes once — into the
+    /// line that goes to the socket.
+    pub body: Arc<str>,
     /// Per-phase wall-clock breakdown as a rendered JSON object, present
     /// only when the request opted in with `"timings":true`. Lives on
     /// the envelope, after the body, and is never cached: the same
@@ -364,25 +368,35 @@ impl Response {
             id: id.to_string(),
             status,
             cache: "-",
-            body: format!(",\"error\":\"{}\"", escape(message)),
+            body: format!(",\"error\":\"{}\"", escape(message)).into(),
             timings: None,
         }
     }
 
     /// Renders the single response line (no trailing newline).
     pub fn render(&self) -> String {
-        let timings = match &self.timings {
-            Some(obj) => format!(",\"timings\":{obj}"),
-            None => String::new(),
-        };
-        format!(
-            "{{\"id\":\"{}\",\"status\":\"{}\",\"cache\":\"{}\"{}{}}}",
-            escape(&self.id),
-            self.status,
-            self.cache,
-            self.body,
-            timings
-        )
+        let mut line = String::new();
+        self.render_into(&mut line);
+        line
+    }
+
+    /// Appends the response line (no trailing newline) to `out`, which
+    /// a connection reuses from one response to the next.
+    pub fn render_into(&self, out: &mut String) {
+        out.reserve(self.id.len() + self.body.len() + 64);
+        out.push_str("{\"id\":\"");
+        out.push_str(&escape(&self.id));
+        out.push_str("\",\"status\":\"");
+        out.push_str(self.status);
+        out.push_str("\",\"cache\":\"");
+        out.push_str(self.cache);
+        out.push('"');
+        out.push_str(&self.body);
+        if let Some(obj) = &self.timings {
+            out.push_str(",\"timings\":");
+            out.push_str(obj);
+        }
+        out.push('}');
     }
 }
 
@@ -460,7 +474,7 @@ mod tests {
             id: "r1".to_string(),
             status: "ok",
             cache: "miss",
-            body,
+            body: body.into(),
             timings: None,
         };
         let line = r.render();
@@ -485,7 +499,7 @@ mod tests {
             id: "t".to_string(),
             status: "ok",
             cache: "hit",
-            body: ",\"op\":\"compile\"".to_string(),
+            body: ",\"op\":\"compile\"".into(),
             timings: None,
         };
         let plain = resp.render();

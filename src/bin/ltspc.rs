@@ -1265,6 +1265,8 @@ fn run_top(argv: &[String]) -> ExitCode {
             };
             println!("  {cache:<7} cache {hits:8.0} hits {misses:8.0} misses ({ratio:5.1}% hit)");
         }
+        let inline = snap.value("ltsp_served_inline_total", &[]).unwrap_or(0.0);
+        println!("  {:<11} {inline:8.0}", "inline");
         for g in ["ltsp_queue_depth", "ltsp_inflight", "ltsp_connections"] {
             let v = snap.value(g, &[]).unwrap_or(0.0);
             println!("  {:<11} {v:8.0}", g.trim_start_matches("ltsp_"));

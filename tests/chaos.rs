@@ -36,14 +36,36 @@ fn corpus(n: usize) -> Vec<(String, String)> {
     (0..n)
         .map(|i| {
             let id = format!("chaos-{i}");
-            let op = if i % 3 == 2 { "verify" } else { "compile" };
-            let line = format!(
-                "{{\"op\":\"{op}\",\"id\":\"{id}\",\"loop\":\"{}\",\"deadline_ms\":0}}",
-                json::escape(&random_loop(i as u64).to_string())
-            );
+            let line = request_line(&id, i);
             (id, line)
         })
         .collect()
+}
+
+/// The corpus's `i`-th request (its op and its loop) under any id: the
+/// id decides which faults fire, the rest decides the cache key.
+fn request_line(id: &str, i: usize) -> String {
+    let op = if i % 3 == 2 { "verify" } else { "compile" };
+    format!(
+        "{{\"op\":\"{op}\",\"id\":\"{id}\",\"loop\":\"{}\",\"deadline_ms\":0}}",
+        json::escape(&random_loop(i as u64).to_string())
+    )
+}
+
+/// The `served_inline` counter, asked for under an id no fault of
+/// `plan` fires on.
+fn served_inline(handle: &ServerHandle, plan: &FaultPlan) -> u64 {
+    let id = (0..)
+        .map(|k| format!("stats-{k}"))
+        .find(|id| !plan.fires(FaultSite::Panic, id) && !plan.fires(FaultSite::Drop, id))
+        .expect("some id is not faulted");
+    let stats = lone_round_trip(handle, &format!("{{\"op\":\"stats\",\"id\":\"{id}\"}}"))
+        .expect("stats answered");
+    json::parse(&stats)
+        .expect("stats parse")
+        .get("served_inline")
+        .and_then(|n| n.as_u64())
+        .expect("served_inline in stats")
 }
 
 /// Round-trips one request on its own connection; `None` means the
@@ -117,6 +139,51 @@ fn non_faulted_responses_match_the_fault_free_golden() {
                     );
                 }
             }
+            // The warm pass: every id again, each asking for a key the
+            // cold pass left cached (a panicked request cached nothing,
+            // so it borrows the next warm entry's loop). A lone request
+            // on an idle connection is answered by the reader thread,
+            // and the same faults must fire there: same drops, same
+            // contained panics, same bytes otherwise.
+            let warm_key = |i: usize| {
+                (i..i + corpus.len())
+                    .map(|j| j % corpus.len())
+                    .find(|&j| !plan.fires(FaultSite::Panic, &corpus[j].0))
+                    .expect("some request did not panic")
+            };
+            let mut inline = 0;
+            for (i, (id, _)) in corpus.iter().enumerate() {
+                let j = warm_key(i);
+                let got = lone_round_trip(&handle, &request_line(id, j));
+                let panics = plan.fires(FaultSite::Panic, id);
+                inline += u64::from(!panics);
+                if plan.fires(FaultSite::Drop, id) {
+                    assert_eq!(got, None, "{spec}/jobs={jobs}: warm {id} should be dropped");
+                    continue;
+                }
+                let got = got.unwrap_or_else(|| panic!("{spec}: warm {id}: unexpected EOF"));
+                if panics {
+                    assert!(
+                        got.contains("\"status\":\"error\"") && got.contains("panicked"),
+                        "{spec}/jobs={jobs}: warm {id}: contained panic expected, got {got}"
+                    );
+                    assert!(got.contains(&format!("\"id\":\"{id}\"")), "{got}");
+                } else {
+                    let want = golden[j]
+                        .replacen(
+                            &format!("\"id\":\"{}\"", corpus[j].0),
+                            &format!("\"id\":\"{id}\""),
+                            1,
+                        )
+                        .replacen("\"cache\":\"miss\"", "\"cache\":\"hit\"", 1);
+                    assert_eq!(got, want, "{spec}/jobs={jobs}: warm {id} (key of {j})");
+                }
+            }
+            assert_eq!(
+                served_inline(&handle, &plan),
+                inline,
+                "{spec}/jobs={jobs}: every warm request that did not panic was served inline"
+            );
             handle.shutdown();
         }
     }
@@ -142,18 +209,22 @@ fn chaos_response_stream_is_byte_identical_across_jobs() {
         let mut reader = BufReader::new(writer.try_clone().expect("clone"));
         let mut writer = writer;
         // Pipeline everything so multi-request batches actually form.
-        for (_, line) in &corpus {
-            writer.write_all(line.as_bytes()).expect("send");
-            writer.write_all(b"\n").expect("send newline");
+        // Twice: the second pass asks for what the first left cached,
+        // so its hits are answered by the reader thread whenever the
+        // connection has nothing owed, and queued behind the (panicked,
+        // hence still cold) rest otherwise — same bytes either way.
+        let mut out = String::new();
+        for _pass in 0..2 {
+            for (_, line) in &corpus {
+                writer.write_all(line.as_bytes()).expect("send");
+                writer.write_all(b"\n").expect("send newline");
+            }
+            for _ in 0..corpus.len() {
+                let before = out.len();
+                reader.read_line(&mut out).expect("read");
+                assert!(out.len() > before, "EOF mid-stream without drop faults");
+            }
         }
-        let out: String = (0..corpus.len())
-            .map(|_| {
-                let mut l = String::new();
-                reader.read_line(&mut l).expect("read");
-                assert!(!l.is_empty(), "EOF mid-stream without drop faults");
-                l
-            })
-            .collect();
         handle.shutdown();
         out
     };
@@ -383,5 +454,84 @@ fn write_deadline_sheds_only_the_stalled_connection() {
     drop(stalled.shutdown(std::net::Shutdown::Write));
     let mut sink = Vec::new();
     let _ = stalled.read_to_end(&mut sink); // bounded by the read timeout
+    handle.shutdown();
+}
+
+/// The warm-key variant: a client that asks only for cached answers and
+/// never reads them is served by its connection's *reader* thread, whose
+/// write runs under the same deadline and ends in the same shed. The
+/// stalled connection is closed once its socket has been full for the
+/// deadline; a well-behaved connection is answered without delay
+/// meanwhile.
+#[test]
+fn write_deadline_sheds_a_stalled_connection_that_only_asks_for_hits() {
+    let handle = spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: 1,
+        outbound_max: 2,
+        write_deadline: Duration::from_millis(100),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let hit = format!(
+        "{{\"op\":\"compile\",\"id\":\"h\",\"loop\":\"{}\"}}\n",
+        json::escape(&ltsp::workloads::scheduling_heavy("big", 3, 13).to_string())
+    );
+    let warm = lone_round_trip(&handle, hit.trim_end()).expect("warm-up answered");
+    assert!(warm.contains("\"cache\":\"miss\""), "{warm}");
+
+    // The stalled client floods hits and never reads a byte. Its writes
+    // start failing once the server has shed it; a write that instead
+    // *times out* means the server stopped reading without closing.
+    let mut stalled = TcpStream::connect(handle.addr()).expect("connect stalled");
+    stalled
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .expect("write timeout");
+    let t0 = Instant::now();
+    let flood = std::thread::spawn(move || loop {
+        if let Err(e) = stalled.write_all(hit.as_bytes()) {
+            return e.kind();
+        }
+    });
+
+    // Meanwhile a live connection's round trips — a hit the reader
+    // answers, a miss the dispatcher answers — complete promptly.
+    let mut live = TcpStream::connect(handle.addr()).expect("connect live");
+    live.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(live.try_clone().expect("clone"));
+    for i in 0..8 {
+        let line = request_line(&format!("live-{i}"), i / 2);
+        let sent = Instant::now();
+        live.write_all(line.as_bytes()).expect("send live");
+        live.write_all(b"\n").expect("send newline");
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("live response");
+        assert!(resp.contains("\"status\":\"ok\""), "live starved: {resp}");
+        assert!(
+            sent.elapsed() < Duration::from_secs(10),
+            "live round trip took {:?} beside a stalled hit-only client",
+            sent.elapsed()
+        );
+    }
+
+    let ended = flood.join().expect("flood thread");
+    assert!(
+        !matches!(
+            ended,
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "the stalled client was left hanging, not shed ({ended:?})"
+    );
+    assert!(
+        t0.elapsed() < Duration::from_secs(25),
+        "shedding a hit-only stalled client took {:?} under a 100 ms deadline",
+        t0.elapsed()
+    );
+    let metrics = lone_round_trip(&handle, "{\"op\":\"metrics\",\"id\":\"m\"}").expect("metrics");
+    assert!(
+        !metrics.contains("ltsp_connections_shed_total 0"),
+        "the shed was not accounted: {metrics}"
+    );
     handle.shutdown();
 }

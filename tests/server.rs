@@ -1,10 +1,12 @@
 //! End-to-end tests of the `ltspd` serving stack over real TCP: cache
-//! warm/cold byte-identity, `--jobs` determinism, backpressure, protocol
-//! errors, and drain semantics.
+//! warm/cold byte-identity, `--jobs` determinism, per-connection
+//! ordering and line integrity with hits answered on the reader thread,
+//! request framing, backpressure, protocol errors, and drain semantics.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
+use ltsp::cache::Fingerprint;
 use ltsp::server::{spawn, ServerConfig, ServerHandle};
 use ltsp::telemetry::json;
 use ltsp::workloads::{random_loop, saxpy};
@@ -101,6 +103,215 @@ fn responses_are_byte_identical_across_jobs() {
         out
     };
     assert_eq!(run(1), run(4), "response bytes depend on --jobs");
+}
+
+/// One connection pipelines `[miss A, hit B, hit B, miss C, hit A,
+/// hit B]` without reading. Whether a given hit is answered by the
+/// reader thread (nothing owed at that moment) or queued behind the
+/// misses depends on timing; the bytes must not: responses come back in
+/// request order with the tags of a serial run, identical at any
+/// `--jobs`.
+#[test]
+fn pipelined_hits_keep_request_order_and_serial_tags() {
+    let run = |jobs: usize| {
+        let handle = start(jobs, 1024);
+        let mut c = Client::connect(&handle);
+        let [a, b, other] = [1, 2, 3].map(|seed| random_loop(seed).to_string());
+        let warm = c.round_trip(&compile_request("0-warm-b", &b));
+        assert!(warm.contains("\"cache\":\"miss\""), "{warm}");
+        let plan = [
+            ("1-a", &a, "miss"),
+            ("2-b", &b, "hit"),
+            ("3-b", &b, "hit"),
+            ("4-c", &other, "miss"),
+            ("5-a", &a, "hit"),
+            ("6-b", &b, "hit"),
+        ];
+        for (id, text, _) in plan {
+            c.send(&compile_request(id, text));
+        }
+        let mut out = String::new();
+        for (id, _, tag) in plan {
+            let line = c.recv();
+            let head = format!("{{\"id\":\"{id}\",\"status\":\"ok\",\"cache\":\"{tag}\",");
+            assert!(
+                line.starts_with(&head),
+                "jobs={jobs}: wanted {head} got {line}"
+            );
+            out.push_str(&line);
+        }
+        handle.shutdown();
+        out
+    };
+    assert_eq!(run(1), run(4), "response bytes depend on --jobs");
+}
+
+/// Four connections each pipeline 2 000 mixed requests (hits, misses,
+/// uncacheable ops, malformed lines) while reading concurrently. Two
+/// threads of a connection may both write to its socket over its life,
+/// never at once: every line must be exactly one JSON object, every id
+/// answered exactly once, and ids other than reader-side immediate
+/// answers (which may overtake queued work, as they always could) in
+/// request order.
+#[test]
+fn pipelined_mixed_traffic_never_interleaves_or_reorders() {
+    const CONNS: usize = 4;
+    const REQUESTS: usize = 2_000;
+    let handle = spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: 2,
+        queue_high_water: 4 * REQUESTS,
+        outbound_max: 4 * REQUESTS,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let hot: Vec<String> = (0..4).map(|s| random_loop(100 + s).to_string()).collect();
+    {
+        let mut c = Client::connect(&handle);
+        for (i, text) in hot.iter().enumerate() {
+            let warm = c.round_trip(&compile_request(&format!("warm-{i}"), text));
+            assert!(warm.contains("\"status\":\"ok\""), "{warm}");
+        }
+    }
+    std::thread::scope(|scope| {
+        for conn in 0..CONNS {
+            let (handle, hot) = (&handle, &hot);
+            scope.spawn(move || {
+                let mut c = Client::connect(handle);
+                let mut writer = c.writer.try_clone().expect("clone");
+                let sender = scope.spawn(move || {
+                    for k in 0..REQUESTS {
+                        let id = format!("c{conn}-{k}");
+                        let line = match k % 20 {
+                            7 => format!("{{\"op\":\"warp\",\"id\":\"{id}\"}}"),
+                            11 => format!("{{\"op\":\"ping\",\"id\":\"{id}\"}}"),
+                            13 => compile_request(
+                                &id,
+                                &random_loop((1000 + conn * REQUESTS + k) as u64).to_string(),
+                            ),
+                            _ => compile_request(&id, &hot[k % hot.len()]),
+                        };
+                        writer.write_all(line.as_bytes()).expect("write");
+                        writer.write_all(b"\n").expect("write newline");
+                    }
+                });
+                let mut seen = vec![false; REQUESTS];
+                let mut last_in_order = None;
+                for _ in 0..REQUESTS {
+                    let line = c.recv();
+                    let v = json::parse(&line).unwrap_or_else(|e| {
+                        panic!("conn {conn}: not one JSON object ({e}): {line}")
+                    });
+                    let id = v.get("id").and_then(|i| i.as_str()).expect("id");
+                    let k: usize = id
+                        .strip_prefix(&format!("c{conn}-"))
+                        .and_then(|k| k.parse().ok())
+                        .unwrap_or_else(|| panic!("conn {conn}: foreign id {id}"));
+                    assert!(
+                        !std::mem::replace(&mut seen[k], true),
+                        "{id} answered twice"
+                    );
+                    let status = v.get("status").and_then(|s| s.as_str()).expect("status");
+                    if k % 20 == 7 {
+                        assert_eq!(status, "error", "{line}");
+                    } else {
+                        assert_eq!(status, "ok", "{line}");
+                        assert!(last_in_order < Some(k), "{id} overtook {last_in_order:?}");
+                        last_in_order = Some(k);
+                    }
+                }
+                sender.join().expect("sender");
+            });
+        }
+    });
+    // The reader-thread path was part of what just ran.
+    let mut c = Client::connect(&handle);
+    c.round_trip(&compile_request("closed-loop-hit", &hot[0]));
+    let stats = json::parse(&c.round_trip("{\"op\":\"stats\"}")).expect("stats");
+    assert!(stats.get("served_inline").and_then(|n| n.as_u64()) > Some(0));
+    handle.shutdown();
+}
+
+/// A 1 MiB request that arrives in 1 KiB segments is reassembled byte
+/// for byte: its content-derived id (a fingerprint of the whole line)
+/// is the one computed locally, and the answer is the one the same
+/// line gets in a single write.
+#[test]
+fn a_large_request_survives_segmentation() {
+    let handle = start(1, 256);
+    let mut c = Client::connect(&handle);
+    let line = format!(
+        "{{\"op\":\"compile\",\"pad\":\"{}\",\"loop\":\"{}\"}}",
+        "x".repeat(1 << 20),
+        json::escape(&saxpy("s").to_string())
+    );
+    for segment in line.as_bytes().chunks(1024) {
+        c.writer.write_all(segment).expect("write segment");
+    }
+    c.writer.write_all(b"\n").expect("write newline");
+    let cold = c.recv();
+    let id = format!("q{}", Fingerprint::of_str(&line).short_hex());
+    assert!(
+        cold.starts_with(&format!(
+            "{{\"id\":\"{id}\",\"status\":\"ok\",\"cache\":\"miss\""
+        )),
+        "{cold}"
+    );
+    let warm = c.round_trip(&line);
+    assert_eq!(
+        cold.replacen("\"cache\":\"miss\"", "\"cache\":\"hit\"", 1),
+        warm
+    );
+    handle.shutdown();
+}
+
+/// A client that never sends a newline is answered with a typed error
+/// once its line passes the cap, and disconnected — the daemon neither
+/// buffers the stream (peak memory stays far below what was sent) nor
+/// rescans it.
+#[test]
+fn an_endless_request_line_is_refused_with_flat_memory() {
+    const SENT: usize = 64 << 20;
+    let handle = start(1, 256);
+    let mut c = Client::connect(&handle);
+    let before = peak_rss_bytes();
+    let mut writer = c.writer.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        let block = vec![b'x'; 64 << 10];
+        for _ in 0..SENT / block.len() {
+            if writer.write_all(&block).is_err() {
+                break; // disconnected, as promised
+            }
+        }
+    });
+    let answer = c.recv();
+    assert!(answer.contains("\"status\":\"error\""), "{answer}");
+    assert!(answer.contains("exceeds"), "{answer}");
+    flood.join().expect("flood thread");
+    assert_eq!(c.recv(), "", "the connection is closed after the error");
+    if let (Some(before), Some(after)) = (before, peak_rss_bytes()) {
+        assert!(
+            after - before < SENT / 2,
+            "peak RSS grew {} MiB under a {} MiB line",
+            (after - before) >> 20,
+            SENT >> 20
+        );
+    }
+    handle.shutdown();
+}
+
+/// This process's peak resident set, where the platform reports one.
+fn peak_rss_bytes() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(
+        kb.trim()
+            .trim_end_matches("kB")
+            .trim()
+            .parse::<usize>()
+            .ok()?
+            << 10,
+    )
 }
 
 #[test]
