@@ -28,7 +28,8 @@
 //! result is logged, and a restarted daemon replays the log before
 //! accepting connections, serving warm from the first request.
 //! `--persist-warn-mb N` logs one loud warning when the log grows past
-//! N MiB (the size is always exported as `ltsp_persist_log_bytes`).
+//! N MiB (the size is always exported: the persist-log gauge of the
+//! `stats` and `metrics` ops).
 //!
 //! `--flight-dir` enables the flight recorder's dump-to-disk path: the
 //! last `--flight-len` request lifecycles (default 256) are written as

@@ -131,6 +131,7 @@ use ltsp_cache::Fingerprint;
 use ltsp_telemetry::phase::{Phase, PhaseTimer};
 use ltsp_telemetry::{lock_unpoisoned, Event, Telemetry};
 
+use crate::counters::Counter;
 use crate::engine::{CacheHit, Engine, EngineConfig, Route};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::flight::FlightRecord;
@@ -400,10 +401,8 @@ impl State {
                     conn: Arc::clone(conn),
                     enqueued_at: Instant::now(),
                 });
-                self.engine
-                    .gauges
-                    .queue_depth
-                    .store(q.len() as u64, Ordering::Relaxed);
+                let depth = q.len() as u64;
+                self.engine.counters().set(Counter::QueueDepth, depth);
                 drop(q);
                 self.ready.notify_one();
                 return;
@@ -598,11 +597,7 @@ fn run(listener: TcpListener, state: Arc<State>) {
                 if let Err(payload) = died {
                     let why = panic_message(payload.as_ref());
                     eprintln!("ltspd: dispatcher died: {why}");
-                    state
-                        .engine
-                        .gauges
-                        .dispatcher_deaths
-                        .fetch_add(1, Ordering::Relaxed);
+                    state.engine.counters().add(Counter::DispatcherDeaths, 1);
                     state.engine.flight.dump("dispatcher-died");
                     tel.emit(Event::ServerLifecycle {
                         phase: "dispatcher-died",
@@ -675,11 +670,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Accounts one injected fault: the counter and the trace event.
 fn note_fault(state: &State, tel: &Telemetry, site: &'static str, id: &str) {
-    state
-        .engine
-        .gauges
-        .faults_injected
-        .fetch_add(1, Ordering::Relaxed);
+    state.engine.counters().add(Counter::FaultsInjected, 1);
     if tel.is_enabled() {
         tel.emit(Event::FaultInjected {
             site,
@@ -760,11 +751,7 @@ fn handle_contained(
         }
         Err(payload) => {
             let msg = panic_message(payload.as_ref());
-            state
-                .engine
-                .gauges
-                .request_panics
-                .fetch_add(1, Ordering::Relaxed);
+            state.engine.counters().add(Counter::RequestPanics, 1);
             if tel.is_enabled() {
                 tel.emit(Event::RequestPanic {
                     trace_id: req.id.clone(),
@@ -831,11 +818,7 @@ fn reader_loop(mut stream: TcpStream, state: &Arc<State>, tel: &Telemetry) {
         return;
     };
     let conn = Arc::new(Conn::new(state.cfg.outbound_max));
-    state
-        .engine
-        .gauges
-        .connections
-        .fetch_add(1, Ordering::Relaxed);
+    state.engine.counters().add(Counter::Connections, 1);
     let writer = {
         let conn = Arc::clone(&conn);
         let state = Arc::clone(state);
@@ -851,11 +834,7 @@ fn reader_loop(mut stream: TcpStream, state: &Arc<State>, tel: &Telemetry) {
     // last holder (queued jobs done, outbound flushed).
     drop(conn);
     let _ = writer.join();
-    state
-        .engine
-        .gauges
-        .connections
-        .fetch_sub(1, Ordering::Relaxed);
+    state.engine.counters().sub(Counter::Connections, 1);
 }
 
 /// Newline framing over one connection's inbound bytes: every byte is
@@ -968,13 +947,7 @@ fn serve_line(
         }
     };
     if req.op == ReqOp::Shutdown {
-        let resp = Response {
-            id: req.id.clone(),
-            status: "draining",
-            cache: "-",
-            body: ",\"op\":\"shutdown\"".into(),
-            timings: None,
-        };
+        let resp = Response::new(&req.id, "draining", "-", ",\"op\":\"shutdown\"");
         conn.answer(&state.engine.finish(&req, resp, tel));
         state.start_drain("shutdown request", tel);
         return false;
@@ -1136,16 +1109,8 @@ fn timed_out(e: &std::io::Error) -> bool {
 fn shed_connection(conn: &Conn, stream: &TcpStream, state: &State, tel: &Telemetry, why: &str) {
     let shed = conn.kill();
     let _ = stream.shutdown(Shutdown::Both);
-    state
-        .engine
-        .gauges
-        .conn_shed
-        .fetch_add(1, Ordering::Relaxed);
-    state
-        .engine
-        .gauges
-        .responses_shed
-        .fetch_add(shed, Ordering::Relaxed);
+    state.engine.counters().add(Counter::ConnectionsShed, 1);
+    state.engine.counters().add(Counter::ResponsesShed, shed);
     if tel.is_enabled() {
         tel.warn(format!("connection shed: {why} ({shed} responses dropped)"));
         tel.counter_add("serve.conn.shed", 1);
@@ -1194,6 +1159,7 @@ fn write_with_deadline(stream: &mut TcpStream, buf: &[u8], state: &State) -> std
 fn dispatch_loop(state: &Arc<State>, tel: &Telemetry) {
     let pool = ltsp_par::Pool::new(state.cfg.jobs);
     let fault = &state.cfg.fault;
+    let counters = state.engine.counters();
     loop {
         let batch: Vec<Job> = {
             let mut q = lock_unpoisoned(&state.queue);
@@ -1228,25 +1194,18 @@ fn dispatch_loop(state: &Arc<State>, tel: &Telemetry) {
             }
             let n = q.len().min(state.cfg.batch_max);
             let batch: Vec<Job> = q.drain(..n).collect();
-            state
-                .engine
-                .gauges
-                .queue_depth
-                .store(q.len() as u64, Ordering::Relaxed);
+            counters.set(Counter::QueueDepth, q.len() as u64);
             batch
         };
         let popped_at = Instant::now();
-        let gauges = &state.engine.gauges;
-        gauges
-            .inflight
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        counters.add(Counter::Inflight, batch.len() as u64);
         // Fast path: a lone request runs on the dispatcher thread — no
         // worker spawn, so a cold compile costs no thread on top.
         if let [job] = batch.as_slice() {
             let waited = Some((job.enqueued_at, popped_at));
             let resp = handle_forked(state, &job.req, Route::Queued(job.key), waited, tel);
             job.conn.send(&resp);
-            gauges.inflight.fetch_sub(1, Ordering::Relaxed);
+            counters.sub(Counter::Inflight, 1);
             continue;
         }
         // Identical requests inside one batch must not race on the
@@ -1281,9 +1240,7 @@ fn dispatch_loop(state: &Arc<State>, tel: &Telemetry) {
             job.conn
                 .send(resp.as_ref().expect("every batch job is answered"));
         }
-        gauges
-            .inflight
-            .fetch_sub(batch.len() as u64, Ordering::Relaxed);
+        counters.sub(Counter::Inflight, batch.len() as u64);
     }
 }
 

@@ -1,39 +1,61 @@
 //! The request engine: the full compilation pipeline behind the wire
-//! protocol, fronted by two content-addressed caches.
+//! protocol, fronted by one content-addressed result cache.
 //!
-//! - **Compile** requests go through [`ltsp_core::compile_loop_cached`]:
-//!   the cache stores [`CompiledLoop`] artifacts keyed by canonicalized
-//!   loop + full [`CompileConfig`] + machine + trip, and the response
-//!   body is (deterministically) re-rendered from the artifact.
-//! - **Verify** and **oracle** requests cache the *rendered response
-//!   body* keyed by canonicalized loop + the request's oracle knobs —
-//!   the expensive part is the search, not the rendering.
+//! A cacheable request (`compile` / `verify` / `oracle`) is looked up
+//! twice in that cache:
+//!
+//! 1. by its **raw request key** ([`Engine::request_key`]: the loop text
+//!    byte for byte plus every knob), so a repeated request skips even
+//!    the loop parse;
+//! 2. on a miss, after the parse, by the **canonical key of its body**.
+//!    A body has a kind — heuristic, exact, tiered, adaptive tier,
+//!    adaptive, verify, oracle — and everything that differs between
+//!    kinds is one row of the `BodyKind` table: the key's namespace tag
+//!    and what it hashes, how the body is computed, the fields a tier
+//!    answer is stamped with, and the kind the refine worker later
+//!    upgrades it to. All kinds take one path (`Shared::body`):
+//!    look up or compute, persist a newly computed body, tag the answer.
+//!    Requests that differ only in formatting meet at this level.
+//!
+//! Heuristic-family computations additionally go through the core
+//! crate's compiled-artifact cache ([`ltsp_core::CompileCache`]), which
+//! shares one compile between the kinds that render it differently.
 //!
 //! Either way a hit returns bytes identical to what the cold path
 //! produced, and a key covers every input that can change the answer, so
-//! eviction can only ever cost time, never correctness.
+//! eviction can only ever cost time, never correctness. The `cache` tag
+//! follows one rule at both levels: a found entry answers `upgraded` if
+//! the refine worker has replaced its bytes, else `hit`; a computed body
+//! answers `hit` if its compiled artifact was cached, else `miss`.
 //!
 //! The engine is `Sync`: the daemon calls [`Engine::handle`] from many
 //! pool workers at once. Every response is a pure function of the
 //! request, which is what keeps batch composition (and therefore
-//! `--jobs`) out of the bytes on the wire.
+//! `--jobs`) out of the bytes on the wire. The request threads and the
+//! refine worker share the caches, the persist log and the counters
+//! ([`crate::counters`]) behind one `Arc`, and both reach a body through
+//! the same path — so an upgrade's bytes are a sync request's bytes.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use ltsp_adaptive::{compile_loop_adaptive, AdaptiveOptions};
 use ltsp_cache::persist::CacheLog;
 use ltsp_cache::{CacheConfig, Fingerprint, FingerprintHasher, ShardedLru};
-use ltsp_core::{compile_loop_cached_phased, new_compile_cache, CompileCache, CompileConfig};
+use ltsp_core::{
+    compile_loop_cached_phased, new_compile_cache, CompileCache, CompileConfig, CompiledLoop,
+};
 use ltsp_ir::{parse_loop, LoopIr, ParseError};
 use ltsp_machine::MachineModel;
-use ltsp_oracle::{differential_case, exact_case, IiVerdict, OracleOptions};
+use ltsp_oracle::{differential_case, exact_case, IiVerdict, OracleOptions, Violation};
 use ltsp_telemetry::phase::{Phase, PhaseTimer};
 use ltsp_telemetry::{lock_unpoisoned, prom, Event, Histogram, Telemetry};
 
+use crate::counters::{Counter, Counters, Sampled};
 use crate::flight::{FlightRecord, FlightRecorder};
 use crate::proto::{
     push_bool_field, push_str_field, push_u64_field, Backend, Mode, ReqOp, Request, Response,
@@ -42,13 +64,24 @@ use crate::report::{render_adaptive_report, render_compile_report, render_exact_
 
 /// A cached request outcome: the response status plus the body fragment
 /// (everything after the envelope), and whether the entry was upgraded
-/// in place by the tiered backend's exact refinement (hits on upgraded
-/// entries report `cache:"upgraded"`).
+/// in place by the refine worker (hits on upgraded entries report
+/// `cache:"upgraded"`).
 #[derive(Debug, Clone)]
 struct CachedResult {
     status: &'static str,
     body: Arc<str>,
     upgraded: bool,
+}
+
+impl CachedResult {
+    /// An entry as computed or replayed: not (yet) upgraded.
+    fn new(status: &'static str, body: impl Into<Arc<str>>) -> CachedResult {
+        CachedResult {
+            status,
+            body: body.into(),
+            upgraded: false,
+        }
+    }
 }
 
 /// A first-level cache entry found by [`Engine::probe`]: enough to
@@ -130,192 +163,193 @@ impl Default for EngineConfig {
     }
 }
 
-/// Request counters by final status (monotonic, exposed via `stats`).
-#[derive(Debug, Default)]
-pub struct ServeCounters {
-    /// `status:"ok"` responses.
-    pub ok: AtomicU64,
-    /// `status:"rejected"` responses.
-    pub rejected: AtomicU64,
-    /// `status:"error"` responses.
-    pub error: AtomicU64,
-    /// `status:"overloaded"` responses (bumped by the daemon).
-    pub overloaded: AtomicU64,
-    /// `status:"draining"` responses (bumped by the daemon).
-    pub draining: AtomicU64,
-    /// Requests answered on their connection's own thread from a
-    /// result-cache hit ([`Route::Inline`]); the rest of the handled
-    /// requests crossed the queue and the dispatcher.
-    pub served_inline: AtomicU64,
+/// What a cached body is the answer to. Everything that differs between
+/// kinds is in [`BodyKind::row`]; [`Shared::body`] is the one path all
+/// of them take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BodyKind {
+    /// The production pipeliner's compile.
+    Heuristic,
+    /// Branch-and-bound emission at the proven minimal II.
+    Exact,
+    /// The heuristic compile, as `backend:"tiered"` answers it first.
+    Tiered,
+    /// The heuristic compile, as `mode:"adaptive"` answers it first.
+    AdaptiveTier,
+    /// The adaptive feedback loop's converged compile.
+    Adaptive,
+    /// Pipeline plus independent validation.
+    Verify,
+    /// [`BodyKind::Verify`] plus the exact-II proof.
+    Oracle,
 }
 
-impl ServeCounters {
-    fn bump(&self, status: &str) {
-        match status {
-            "ok" => &self.ok,
-            "rejected" => &self.rejected,
-            "overloaded" => &self.overloaded,
-            "draining" => &self.draining,
-            _ => &self.error,
+/// What a body key hashes after its tag.
+enum KeyBase {
+    /// [`ltsp_core::compile_key`]: the canonical loop, the machine, the
+    /// whole compile configuration and the trip estimate.
+    Compile,
+    /// The canonical loop and the machine — an answer no compile knob
+    /// changes.
+    Loop,
+}
+
+/// One kind's row.
+struct KindRow {
+    /// The key's namespace. No two kinds share one: an in-place upgrade
+    /// swaps a tier entry's bytes and must never reach another kind's.
+    tag: &'static str,
+    base: KeyBase,
+    /// Whether the node budget and the effective deadline bound the
+    /// computation, and are therefore part of the key.
+    budgeted: bool,
+    /// Computes the status and body fragment on a miss.
+    compute: fn(&Shared, &Work) -> (&'static str, String),
+    /// The field a tier's answer is stamped with, followed by
+    /// `"refined":false`, so clients can tell which tier they got.
+    stamp: Option<(&'static str, &'static str)>,
+    /// The kind the refine worker upgrades this one to, in place.
+    refines_to: Option<BodyKind>,
+}
+
+impl BodyKind {
+    fn row(self) -> KindRow {
+        match self {
+            BodyKind::Heuristic => KindRow {
+                tag: "compile-body-v1",
+                base: KeyBase::Compile,
+                budgeted: false,
+                compute: Shared::heuristic_body,
+                stamp: None,
+                refines_to: None,
+            },
+            BodyKind::Exact => KindRow {
+                tag: "compile-body-exact-v1",
+                base: KeyBase::Loop,
+                budgeted: true,
+                compute: Shared::exact_body,
+                stamp: None,
+                refines_to: None,
+            },
+            BodyKind::Tiered => KindRow {
+                tag: "compile-body-tiered-v1",
+                base: KeyBase::Compile,
+                budgeted: true,
+                compute: Shared::heuristic_body,
+                stamp: Some(("backend", "tiered")),
+                refines_to: Some(BodyKind::Exact),
+            },
+            // No budget or deadline in either adaptive key: the loop
+            // runs a fixed deterministic refinement window, not a search.
+            BodyKind::AdaptiveTier => KindRow {
+                tag: "compile-body-adaptive-tier-v1",
+                base: KeyBase::Compile,
+                budgeted: false,
+                compute: Shared::heuristic_body,
+                stamp: Some(("mode", "adaptive")),
+                refines_to: Some(BodyKind::Adaptive),
+            },
+            BodyKind::Adaptive => KindRow {
+                tag: "compile-body-adaptive-v1",
+                base: KeyBase::Compile,
+                budgeted: false,
+                compute: Shared::adaptive_body,
+                stamp: None,
+                refines_to: None,
+            },
+            BodyKind::Verify => KindRow {
+                tag: "verify-v1",
+                base: KeyBase::Loop,
+                budgeted: false,
+                compute: Shared::case_body,
+                stamp: None,
+                refines_to: None,
+            },
+            BodyKind::Oracle => KindRow {
+                tag: "oracle-v1",
+                base: KeyBase::Loop,
+                budgeted: true,
+                compute: Shared::case_body,
+                stamp: None,
+                refines_to: None,
+            },
         }
-        .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The kind of body a cacheable request asks for. `mode:"adaptive"`
+    /// layers on the heuristic backend only; `parse_request` refuses the
+    /// other combinations, and a hand-built request gets the same
+    /// answer here.
+    fn of(req: &Request) -> Result<BodyKind, &'static str> {
+        Ok(match (req.op, req.mode, req.backend) {
+            (ReqOp::Verify, ..) => BodyKind::Verify,
+            (ReqOp::Oracle, ..) => BodyKind::Oracle,
+            (_, Mode::Adaptive, Backend::Heuristic) => BodyKind::AdaptiveTier,
+            (_, Mode::Adaptive, _) => return Err("mode 'adaptive' requires the heuristic backend"),
+            (_, Mode::Static, Backend::Heuristic) => BodyKind::Heuristic,
+            (_, Mode::Static, Backend::Exact) => BodyKind::Exact,
+            (_, Mode::Static, Backend::Tiered) => BodyKind::Tiered,
+        })
     }
 }
 
-/// Live operational gauges and chaos counters, updated by the daemon's
-/// threads and read by the `metrics` exposition. Plain atomics:
-/// monotonically increasing for the `*_total` counters, last-write-wins
-/// snapshots for the gauges.
-#[derive(Debug, Default)]
-pub struct ServerGauges {
-    /// Requests sitting in the admission queue right now.
-    pub queue_depth: AtomicU64,
-    /// Requests currently being handled by the dispatcher batch.
-    pub inflight: AtomicU64,
-    /// Open client connections.
-    pub connections: AtomicU64,
-    /// Connections killed for missing the write deadline.
-    pub conn_shed: AtomicU64,
-    /// Responses dropped on shed/dead connections.
-    pub responses_shed: AtomicU64,
-    /// Handler panics contained (real or injected).
-    pub request_panics: AtomicU64,
-    /// Faults injected by the active [`crate::FaultPlan`].
-    pub faults_injected: AtomicU64,
-    /// Dispatcher deaths survived (drain-and-exit path).
-    pub dispatcher_deaths: AtomicU64,
-}
-
-/// Persistence-tier counters (all zero when no log is configured).
-#[derive(Debug, Default)]
-pub struct PersistCounters {
-    /// Records replayed into the result cache at startup (after
-    /// last-writer-wins collapse).
-    pub replayed: AtomicU64,
-    /// Bad records dropped during startup replay (torn/corrupt tail).
-    pub dropped: AtomicU64,
-    /// Clean records superseded by a later append under the same key
-    /// (in-place cache upgrades leave exactly one of these each).
-    pub superseded: AtomicU64,
-    /// Records appended since startup.
-    pub appended: AtomicU64,
-    /// Append failures (the response is still served; the entry is just
-    /// not durable).
-    pub append_errors: AtomicU64,
-}
-
-/// Async-refinement counters — exact upgrades for the tiered backend
-/// and adaptive upgrades for `mode:"adaptive"` (exposed via `stats` and
-/// the Prometheus snapshot).
-#[derive(Debug, Default)]
-pub struct UpgradeCounters {
-    /// Refinement batches queued (one per cold refining compile whose
-    /// work was not already in flight).
-    pub scheduled: AtomicU64,
-    /// Cold refining compiles coalesced onto an already-queued batch
-    /// with the same refinement work (they get their own in-place
-    /// upgrade, but the schedule is computed once).
-    pub coalesced: AtomicU64,
-    /// Upgrades applied in place (raw-request and tier body entries
-    /// swapped to the refined bytes, persisted again) — one per waiter,
-    /// coalesced or not.
-    pub applied: AtomicU64,
-    /// Applied upgrades whose refined schedule strictly improved the
-    /// heuristic II.
-    pub refined: AtomicU64,
-    /// Refinement jobs that failed (parse, emission, or a rejected
-    /// case) — the heuristic entry stays, correctness is unaffected.
-    pub failed: AtomicU64,
-}
-
-/// Which refinement a queued job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RefineKind {
-    /// Tiered backend: the oracle's branch-and-bound exact emission.
-    Exact,
-    /// Adaptive mode: the memsim-fed hint-refinement loop to fixpoint.
-    Adaptive,
+/// What one body computation works on: the request, its parsed loop,
+/// the compile configuration and effective deadline its knobs resolve
+/// to (once), and where time and telemetry are reported.
+struct Work<'a> {
+    req: &'a Request,
+    lp: &'a LoopIr,
+    cfg: CompileConfig,
+    deadline_ms: Option<u64>,
+    tel: &'a Telemetry,
+    phases: &'a PhaseTimer,
+    /// Set by a computation that found its compiled artifact cached.
+    artifact_hit: Cell<bool>,
 }
 
 /// One queued refinement: the cold request to refine, its raw request
-/// key, the deadline resolved at admission time, and which refinement
-/// to run.
+/// key, the tier kind it was answered with and the kind that refines to.
 struct RefineJob {
     raw_key: Fingerprint,
-    deadline_ms: Option<u64>,
-    kind: RefineKind,
+    tier: BodyKind,
+    refined: BodyKind,
     req: Request,
 }
 
-impl RefineJob {
-    /// The key identical refinement *work* coalesces under: two
-    /// in-flight jobs with the same dedup key compute the same refined
-    /// schedule, so the second one waits on the first's batch instead
-    /// of scheduling the computation twice. Covers exactly the inputs
-    /// of the refined body — for `Exact` that is the loop text and the
-    /// search budget/deadline (trip or policy variants share one exact
-    /// schedule); for `Adaptive` the compile config matters too, since
-    /// the refinement re-runs the pipeliner under it.
-    fn dedup_key(&self) -> Fingerprint {
-        let mut h = FingerprintHasher::new();
-        h.write_str(&self.req.loop_text);
-        h.write_u64(self.deadline_ms.map_or(u64::MAX, |d| d));
-        match self.kind {
-            RefineKind::Exact => {
-                h.write_str("refine-exact");
-                h.write_u64(self.req.budget);
-            }
-            RefineKind::Adaptive => {
-                h.write_str("refine-adaptive");
-                h.write_str(&self.req.policy.to_string());
-                h.write_f64(self.req.trip);
-                h.write_u64(u64::from(self.req.threshold));
-                h.write_u64(
-                    u64::from(self.req.prefetch)
-                        | u64::from(self.req.balanced) << 1
-                        | u64::from(self.req.speculate) << 2,
-                );
-            }
-        }
-        h.finish()
-    }
-}
-
-/// In-flight refinement batches, keyed by [`RefineJob::dedup_key`]: the
+/// In-flight refinement batches, keyed by [`Shared::dedup_key`]: the
 /// leader (first job under a key) owns the queue slot; followers append
 /// themselves as waiters. The worker removes the whole entry *before*
 /// computing, so every waiter present at that point shares one
 /// computation and later arrivals become fresh leaders.
 type RefineInflight = Mutex<HashMap<Fingerprint, Vec<RefineJob>>>;
 
-/// Everything the async refinement worker shares with the engine: the
-/// caches and counters it upgrades, behind `Arc` so the worker outlives
-/// any particular borrow of the engine.
-struct RefineShared {
+/// What the request threads and the refine worker share.
+struct Shared {
     machine: MachineModel,
-    result_cache: Arc<ShardedLru<CachedResult>>,
-    persist: Option<Arc<CacheLog>>,
-    persist_counters: Arc<PersistCounters>,
-    upgrades: Arc<UpgradeCounters>,
-    inflight: Arc<RefineInflight>,
+    /// The machine's part of every [`KeyBase::Loop`] key.
+    machine_fp: Fingerprint,
+    compile_cache: CompileCache,
+    result_cache: ShardedLru<CachedResult>,
+    /// The disk tier behind `result_cache` (`None` = in-memory only).
+    persist: Option<CacheLog>,
+    cfg: EngineConfig,
+    counters: Counters,
+    /// Latch so the persist-size warning fires once, not per append.
+    persist_warned: AtomicBool,
+    /// In-flight refinement batches (dedup key → waiters).
+    refine_inflight: RefineInflight,
+    /// Outstanding refinement jobs (waiters, not batches), for
+    /// [`Engine::refine_wait_idle`].
+    refine_pending: (Mutex<u64>, Condvar),
+    /// Held by the worker across each batch's pop-and-process. Tests
+    /// grab it to deterministically coalesce followers onto an already
+    /// queued leader; uncontended otherwise.
+    refine_gate: Mutex<()>,
 }
 
 /// The shared, thread-safe request engine.
 pub struct Engine {
-    machine: MachineModel,
-    compile_cache: CompileCache,
-    result_cache: Arc<ShardedLru<CachedResult>>,
-    /// The disk tier behind `result_cache` (`None` = in-memory only).
-    persist: Option<Arc<CacheLog>>,
-    cfg: EngineConfig,
-    /// Per-status response tallies.
-    pub counters: ServeCounters,
-    /// Persistence-tier tallies (replay/append accounting).
-    pub persist_counters: Arc<PersistCounters>,
-    /// Tiered-backend upgrade tallies (refinement scheduling/outcomes).
-    pub upgrades: Arc<UpgradeCounters>,
-    /// Operational gauges (fed by the daemon, read by `metrics`).
-    pub gauges: ServerGauges,
+    core: Arc<Shared>,
     /// The flight recorder (fed per request, dumped on faults).
     pub flight: FlightRecorder,
     /// Per-phase latency histograms behind the `metrics` op. Kept out
@@ -329,18 +363,6 @@ pub struct Engine {
     refine_tx: Mutex<Option<mpsc::Sender<Fingerprint>>>,
     /// The refinement worker's join handle (`None` after shutdown).
     refine_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Outstanding refinement jobs (waiters, not batches), for
-    /// [`Engine::refine_wait_idle`].
-    refine_pending: Arc<(Mutex<u64>, Condvar)>,
-    /// In-flight refinement batches (dedup key → waiters).
-    refine_inflight: Arc<RefineInflight>,
-    /// Held by the worker across each batch's pop-and-process. Tests
-    /// grab it to deterministically coalesce followers onto an already
-    /// queued leader; uncontended otherwise.
-    #[cfg_attr(not(test), allow(dead_code))]
-    refine_gate: Arc<Mutex<()>>,
-    /// Latch so the persist-size warning fires once, not per append.
-    persist_warned: AtomicBool,
 }
 
 impl Engine {
@@ -350,11 +372,11 @@ impl Engine {
     /// the very first request can hit warm. An unopenable log is loud
     /// but non-fatal — the engine degrades to in-memory-only caching.
     pub fn new(cfg: EngineConfig) -> Engine {
-        let result_cache = Arc::new(ShardedLru::new(CacheConfig {
+        let result_cache = ShardedLru::new(CacheConfig {
             byte_budget: cfg.result_cache_bytes,
             ..CacheConfig::default()
-        }));
-        let persist_counters = Arc::new(PersistCounters::default());
+        });
+        let counters = Counters::default();
         let persist = cfg
             .persist_path
             .as_ref()
@@ -364,28 +386,15 @@ impl Engine {
                     // append under the same key, and a warm restart must
                     // serve the upgraded bytes, never the superseded ones.
                     let live = report.last_writer_wins();
-                    persist_counters
-                        .replayed
-                        .store(live.len() as u64, Ordering::Relaxed);
-                    persist_counters
-                        .superseded
-                        .store(report.superseded(), Ordering::Relaxed);
-                    persist_counters
-                        .dropped
-                        .store(report.dropped, Ordering::Relaxed);
+                    counters.set(Counter::PersistReplayed, live.len() as u64);
+                    counters.set(Counter::PersistSuperseded, report.superseded());
+                    counters.set(Counter::PersistDropped, report.dropped);
                     for rec in live {
                         let bytes = rec.body.len() + 64;
-                        result_cache.insert(
-                            rec.key,
-                            CachedResult {
-                                status: intern_status(&rec.status),
-                                body: rec.body.as_str().into(),
-                                upgraded: false,
-                            },
-                            bytes,
-                        );
+                        let entry = CachedResult::new(intern_status(&rec.status), &*rec.body);
+                        result_cache.insert(rec.key, entry, bytes);
                     }
-                    Some(Arc::new(log))
+                    Some(log)
                 }
                 Err(e) => {
                     eprintln!(
@@ -396,102 +405,38 @@ impl Engine {
                 }
             });
         let machine = MachineModel::itanium2();
-        let upgrades = Arc::new(UpgradeCounters::default());
-        let refine_pending = Arc::new((Mutex::new(0u64), Condvar::new()));
-        let refine_inflight: Arc<RefineInflight> = Arc::new(Mutex::new(HashMap::new()));
-        let refine_gate = Arc::new(Mutex::new(()));
-        let shared = RefineShared {
-            machine: machine.clone(),
-            result_cache: Arc::clone(&result_cache),
-            persist: persist.clone(),
-            persist_counters: Arc::clone(&persist_counters),
-            upgrades: Arc::clone(&upgrades),
-            inflight: Arc::clone(&refine_inflight),
-        };
-        let pending = Arc::clone(&refine_pending);
-        let gate = Arc::clone(&refine_gate);
-        let (tx, rx) = mpsc::channel::<Fingerprint>();
-        let handle = std::thread::Builder::new()
-            .name("ltspd-refine".to_string())
-            .spawn(move || {
-                while let Ok(dedup_key) = rx.recv() {
-                    // Pop the whole waiter batch under the gate, before
-                    // computing: every waiter present now shares one
-                    // refinement; a request arriving after the pop finds
-                    // no in-flight entry and becomes a fresh leader.
-                    let _gate = lock_unpoisoned(&gate);
-                    let waiters = lock_unpoisoned(&shared.inflight)
-                        .remove(&dedup_key)
-                        .unwrap_or_default();
-                    // A panicking refinement must not strand waiters or
-                    // kill the worker: contain it, count it, move on.
-                    let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        refine_batch(&shared, &waiters)
-                    }));
-                    if contained.is_err() {
-                        shared.upgrades.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let (lock, cv) = &*pending;
-                    *lock_unpoisoned(lock) -= waiters.len() as u64;
-                    cv.notify_all();
-                }
-            })
-            .expect("spawn refinement worker");
-        Engine {
+        let core = Arc::new(Shared {
+            machine_fp: Fingerprint::of_str(&format!("{machine:?}")),
             machine,
             compile_cache: new_compile_cache(cfg.compile_cache_bytes),
             result_cache,
             persist,
-            flight: FlightRecorder::new(cfg.flight_len, cfg.flight_dir.clone()),
             cfg,
-            counters: ServeCounters::default(),
-            persist_counters,
-            upgrades,
-            gauges: ServerGauges::default(),
+            counters,
+            persist_warned: AtomicBool::new(false),
+            refine_inflight: Mutex::new(HashMap::new()),
+            refine_pending: (Mutex::new(0), Condvar::new()),
+            refine_gate: Mutex::new(()),
+        });
+        let (tx, rx) = mpsc::channel::<Fingerprint>();
+        let worker = Arc::clone(&core);
+        let handle = std::thread::Builder::new()
+            .name("ltspd-refine".to_string())
+            .spawn(move || worker.refine_loop(&rx))
+            .expect("spawn refinement worker");
+        Engine {
+            flight: FlightRecorder::new(core.cfg.flight_len, core.cfg.flight_dir.clone()),
+            core,
             phase_hists: Mutex::new(BTreeMap::new()),
             refine_tx: Mutex::new(Some(tx)),
             refine_handle: Mutex::new(Some(handle)),
-            refine_pending,
-            refine_inflight,
-            refine_gate,
-            persist_warned: AtomicBool::new(false),
         }
     }
 
-    /// Appends a freshly computed result to the disk tier (no-op without
-    /// one). Failures are counted and logged once — durability is
-    /// best-effort, correctness never depends on it.
-    fn persist_append(&self, key: Fingerprint, status: &str, body: &str) {
-        append_record(
-            self.persist.as_deref(),
-            &self.persist_counters,
-            key,
-            status,
-            body,
-        );
-        self.check_persist_size();
-    }
-
-    /// The operator tripwire behind `--persist-warn-mb`: one loud line
-    /// the first time the append-only log crosses the threshold. The
-    /// gauge (`persist_log_bytes` in `stats`, `ltsp_persist_log_bytes`
-    /// in the Prometheus snapshot) keeps reporting after that.
-    fn check_persist_size(&self) {
-        let (Some(limit), Some(log)) = (self.cfg.persist_warn_bytes, self.persist.as_deref())
-        else {
-            return;
-        };
-        let bytes = log.log_bytes();
-        if bytes > limit && !self.persist_warned.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "ltspd: WARNING: persist log {} is {:.1} MiB, past the {:.1} MiB warning \
-                 threshold — the log is append-only and only ever grows; rotate or remove it \
-                 to reclaim space (a fresh log re-warms from live traffic)",
-                log.path().display(),
-                bytes as f64 / (1 << 20) as f64,
-                limit as f64 / (1 << 20) as f64,
-            );
-        }
+    /// The counters the engine, its refine worker and the daemon's
+    /// threads keep (see [`crate::counters`]).
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.core.counters
     }
 
     /// Test hook: while the returned guard is held, the refine worker
@@ -500,13 +445,13 @@ impl Engine {
     /// queued leader.
     #[cfg(test)]
     fn refine_pause(&self) -> std::sync::MutexGuard<'_, ()> {
-        lock_unpoisoned(&self.refine_gate)
+        lock_unpoisoned(&self.core.refine_gate)
     }
 
     /// Blocks until every scheduled refinement has completed (tests and
     /// drain use this to make upgrade effects observable deterministically).
     pub fn refine_wait_idle(&self) {
-        let (lock, cv) = &*self.refine_pending;
+        let (lock, cv) = &self.core.refine_pending;
         let mut n = lock_unpoisoned(lock);
         while *n > 0 {
             n = cv.wait(n).unwrap_or_else(|e| e.into_inner());
@@ -548,7 +493,7 @@ impl Engine {
         let key = route.key().or_else(|| self.request_key(req));
         let resp = match (route, req.op) {
             (Route::Inline(hit), _) => {
-                self.counters.served_inline.fetch_add(1, Ordering::Relaxed);
+                self.counters().add(Counter::ServedInline, 1);
                 phases.add_us(Phase::CacheLookup, hit.lookup_us);
                 hit_response(req, &hit.entry)
             }
@@ -556,15 +501,22 @@ impl Engine {
                 let key = key.expect("cacheable ops have a request key");
                 self.cached_response(req, key, tel, phases)
             }
-            (_, ReqOp::Ping) => Response {
-                id: req.id.clone(),
-                status: "ok",
-                cache: "-",
-                body: ",\"op\":\"ping\"".into(),
-                timings: None,
-            },
-            (_, ReqOp::Stats) => self.stats_response(req),
-            (_, ReqOp::Metrics) => self.metrics_response(req),
+            (_, ReqOp::Ping) => Response::new(&req.id, "ok", "-", ",\"op\":\"ping\""),
+            (_, ReqOp::Stats) => {
+                let mut body = String::new();
+                push_str_field(&mut body, "op", "stats");
+                self.counters().push_stats(&self.sampled(), &mut body);
+                Response::new(&req.id, "ok", "-", body)
+            }
+            // The Prometheus text snapshot escaped into a string field.
+            // Bypasses every cache (like `stats`) and is excluded from
+            // the determinism contract.
+            (_, ReqOp::Metrics) => {
+                let mut body = String::new();
+                push_str_field(&mut body, "op", "metrics");
+                push_str_field(&mut body, "metrics", &self.render_prometheus());
+                Response::new(&req.id, "ok", "-", body)
+            }
             (_, ReqOp::Shutdown) => Response::error(&req.id, "error", "shutdown not admitted here"),
         };
         phases.add_us(Phase::Handler, t0.elapsed().as_micros() as u64);
@@ -603,13 +555,8 @@ impl Engine {
                 }
             }
         }
-        self.flight.record(FlightRecord::capture(
-            req,
-            key,
-            resp.status,
-            resp.cache,
-            phases,
-        ));
+        let record = FlightRecord::capture(req, key, resp.status, resp.cache, phases);
+        self.flight.record(record);
     }
 
     /// Records a single out-of-band phase sample (whoever writes a
@@ -644,14 +591,9 @@ impl Engine {
         h.write_str(req.backend.tag());
         h.write_str(req.mode.tag());
         h.write_str(&req.loop_text);
-        h.write_str(&req.policy.to_string());
-        h.write_f64(req.trip);
-        h.write_u64(u64::from(req.threshold));
-        h.write_u64(
-            u64::from(req.prefetch) | u64::from(req.balanced) << 1 | u64::from(req.speculate) << 2,
-        );
+        hash_compile_knobs(&mut h, req);
         h.write_u64(req.budget);
-        h.write_u64(self.effective_deadline_ms(req).map_or(u64::MAX, |d| d));
+        h.write_u64(deadline_word(self.core.effective_deadline_ms(req)));
         Some(h.finish())
     }
 
@@ -662,7 +604,7 @@ impl Engine {
     /// the one miss it is.
     pub fn probe(&self, key: Fingerprint) -> Option<CacheHit> {
         let t0 = Instant::now();
-        let entry = self.result_cache.probe(key)?;
+        let entry = self.core.result_cache.probe(key)?;
         Some(CacheHit {
             key,
             entry,
@@ -671,10 +613,10 @@ impl Engine {
     }
 
     /// First-level cache in front of the pipeline. A miss falls through
-    /// to the canonical per-op path, whose artifact/body caches still
-    /// deduplicate requests that differ only in formatting. Responses
-    /// are pure functions of their requests, so caching the whole
-    /// outcome (including error outcomes) is sound.
+    /// to the request's body ([`Shared::answer`]), whose canonical key
+    /// still deduplicates requests that differ only in formatting.
+    /// Responses are pure functions of their requests, so caching the
+    /// whole outcome (including error outcomes) is sound.
     fn cached_response(
         &self,
         req: &Request,
@@ -682,22 +624,15 @@ impl Engine {
         tel: &Telemetry,
         phases: &PhaseTimer,
     ) -> Response {
-        let inner_tag = std::cell::Cell::new("miss");
+        let inner_tag = Cell::new("miss");
         let t0 = Instant::now();
-        let (cached, hit) = self.result_cache.get_or_insert_with(
+        let (cached, hit) = self.core.result_cache.get_or_insert_with(
             key,
             |r| r.body.len() + req.loop_text.len() + 64,
             || {
-                let resp = match req.op {
-                    ReqOp::Compile => self.compile(req, tel, phases),
-                    _ => self.verify_or_oracle(req, tel, phases),
-                };
+                let resp = self.core.answer(req, tel, phases);
                 inner_tag.set(resp.cache);
-                CachedResult {
-                    status: resp.status,
-                    body: resp.body,
-                    upgraded: false,
-                }
+                CachedResult::new(resp.status, resp.body)
             },
         );
         if hit {
@@ -706,26 +641,22 @@ impl Engine {
             phases.add_us(Phase::CacheLookup, t0.elapsed().as_micros() as u64);
             return hit_response(req, &cached);
         }
-        self.persist_append(key, cached.status, &cached.body);
-        // A cold refining compile answered with the heuristic
-        // schedule: queue the async refinement — exact emission for
-        // the tiered backend, the adaptive feedback loop for
-        // `mode:"adaptive"` — which upgrades this entry (and the
-        // tier body entry) in place when it lands.
-        if req.op == ReqOp::Compile && cached.status == "ok" {
-            if req.backend == Backend::Tiered {
-                self.schedule_refine(req, key, RefineKind::Exact);
-            } else if req.mode == Mode::Adaptive {
-                self.schedule_refine(req, key, RefineKind::Adaptive);
+        self.core.persist_append(key, cached.status, &cached.body);
+        // A cold request answered with a tier's heuristic schedule:
+        // queue the async refinement, which upgrades this entry (and
+        // the tier body entry) in place when it lands.
+        if let (Ok(tier), "ok") = (BodyKind::of(req), cached.status) {
+            if let Some(refined) = tier.row().refines_to {
+                self.schedule_refine(RefineJob {
+                    raw_key: key,
+                    tier,
+                    refined,
+                    req: req.clone(),
+                });
             }
         }
-        Response {
-            id: req.id.clone(),
-            status: cached.status,
-            cache: inner_tag.get(),
-            body: Arc::clone(&cached.body),
-            timings: None,
-        }
+        let body = Arc::clone(&cached.body);
+        Response::new(&req.id, cached.status, inner_tag.get(), body)
     }
 
     /// Queues one refinement job for a cold refining compile,
@@ -737,27 +668,22 @@ impl Engine {
     /// scheduling the computation twice — each waiter still gets its
     /// own in-place upgrade. Failure to queue (worker already shut
     /// down) is counted, never surfaced: the heuristic answer stands.
-    fn schedule_refine(&self, req: &Request, raw_key: Fingerprint, kind: RefineKind) {
-        let job = RefineJob {
-            raw_key,
-            deadline_ms: self.effective_deadline_ms(req),
-            kind,
-            req: req.clone(),
-        };
-        let dedup_key = job.dedup_key();
-        let (lock, cv) = &*self.refine_pending;
+    fn schedule_refine(&self, job: RefineJob) {
+        let sh = &*self.core;
+        let dedup_key = sh.dedup_key(job.refined, &job.req);
+        let (lock, cv) = &sh.refine_pending;
         {
-            let mut inflight = lock_unpoisoned(&self.refine_inflight);
+            let mut inflight = lock_unpoisoned(&sh.refine_inflight);
             if let Some(waiters) = inflight.get_mut(&dedup_key) {
                 waiters.push(job);
                 drop(inflight);
-                self.upgrades.coalesced.fetch_add(1, Ordering::Relaxed);
+                sh.counters.add(Counter::UpgradesCoalesced, 1);
                 *lock_unpoisoned(lock) += 1;
                 return;
             }
             inflight.insert(dedup_key, vec![job]);
         }
-        self.upgrades.scheduled.fetch_add(1, Ordering::Relaxed);
+        sh.counters.add(Counter::UpgradesScheduled, 1);
         *lock_unpoisoned(lock) += 1;
         let sent = lock_unpoisoned(&self.refine_tx)
             .as_ref()
@@ -765,10 +691,10 @@ impl Engine {
         if !sent {
             // Shutdown race: reclaim the batch (the leader plus any
             // follower that squeezed in) — nobody will process it.
-            let reclaimed = lock_unpoisoned(&self.refine_inflight)
+            let reclaimed = lock_unpoisoned(&sh.refine_inflight)
                 .remove(&dedup_key)
                 .map_or(0, |w| w.len() as u64);
-            self.upgrades.failed.fetch_add(1, Ordering::Relaxed);
+            sh.counters.add(Counter::UpgradesFailed, 1);
             *lock_unpoisoned(lock) -= reclaimed;
             cv.notify_all();
         }
@@ -777,17 +703,7 @@ impl Engine {
     /// Tallies and traces a response (also used by the daemon for
     /// admission-path responses: overloaded / draining / parse errors).
     pub fn finish(&self, req: &Request, resp: Response, tel: &Telemetry) -> Response {
-        self.counters.bump(resp.status);
-        if tel.is_enabled() {
-            tel.emit(Event::ServerRequest {
-                trace_id: req.id.clone(),
-                op: req.op.tag(),
-                status: resp.status,
-                cache: resp.cache,
-                loop_name: loop_name_of(&req.loop_text),
-            });
-        }
-        resp
+        self.tally(&req.id, req.op.tag(), &req.loop_text, resp, tel)
     }
 
     /// Like [`Engine::finish`] for responses produced before a
@@ -800,391 +716,109 @@ impl Engine {
         resp: Response,
         tel: &Telemetry,
     ) -> Response {
-        self.counters.bump(resp.status);
+        self.tally(trace_id, op, "", resp, tel)
+    }
+
+    fn tally(
+        &self,
+        trace_id: &str,
+        op: &'static str,
+        loop_text: &str,
+        resp: Response,
+        tel: &Telemetry,
+    ) -> Response {
+        self.counters().count_response(resp.status);
         if tel.is_enabled() {
             tel.emit(Event::ServerRequest {
                 trace_id: trace_id.to_string(),
                 op,
                 status: resp.status,
                 cache: resp.cache,
-                loop_name: String::new(),
+                loop_name: loop_name_of(loop_text),
             });
         }
         resp
     }
 
-    /// Exports both caches' counters into `tel`'s metrics registry.
+    /// What the counter table samples rather than owns, as of now.
+    fn sampled(&self) -> Sampled {
+        Sampled {
+            compile: self.core.compile_cache.stats(),
+            result: self.core.result_cache.stats(),
+            log_bytes: self.core.persist.as_ref().map_or(0, CacheLog::log_bytes),
+            flight_records: self.flight.len() as u64,
+            flight_dumps: self.flight.dump_count(),
+        }
+    }
+
+    /// Exports both caches' counters and the request tallies into
+    /// `tel`'s metrics registry.
     pub fn export_metrics(&self, tel: &Telemetry) {
-        self.compile_cache
-            .export_metrics(tel, "serve.compile_cache");
-        self.result_cache.export_metrics(tel, "serve.result_cache");
-        tel.counter_add(
-            "serve.requests.ok",
-            self.counters.ok.load(Ordering::Relaxed),
-        );
-        tel.counter_add(
-            "serve.requests.rejected",
-            self.counters.rejected.load(Ordering::Relaxed),
-        );
-        tel.counter_add(
-            "serve.requests.error",
-            self.counters.error.load(Ordering::Relaxed),
-        );
-        tel.counter_add(
-            "serve.requests.overloaded",
-            self.counters.overloaded.load(Ordering::Relaxed),
-        );
+        let sh = &self.core;
+        sh.compile_cache.export_metrics(tel, "serve.compile_cache");
+        sh.result_cache.export_metrics(tel, "serve.result_cache");
+        sh.counters.export(&self.sampled(), tel);
     }
 
-    fn parse(&self, req: &Request, phases: &PhaseTimer) -> Result<LoopIr, Response> {
-        match phases.time(Phase::Parse, || parse_loop(&req.loop_text)) {
-            Ok(lp) => Ok(lp),
-            Err(ParseError::Syntax { line, message }) => {
-                let mut body = String::new();
-                push_str_field(&mut body, "op", req.op.tag());
-                push_str_field(&mut body, "error_kind", "syntax");
-                push_u64_field(&mut body, "line", line as u64);
-                push_str_field(&mut body, "error", &message);
-                Err(Response {
-                    id: req.id.clone(),
-                    status: "error",
-                    cache: "-",
-                    body: body.into(),
-                    timings: None,
-                })
+    /// The full operational snapshot in Prometheus text format: request
+    /// counters by status, cache counters and sizes, live gauges, chaos
+    /// counters, and the per-phase latency histograms (cumulative
+    /// `le` buckets in microseconds).
+    pub fn render_prometheus(&self) -> String {
+        let mut out = String::new();
+        self.counters().push_prometheus(&self.sampled(), &mut out);
+        let family = "ltsp_phase_us";
+        prom::push_type(&mut out, family, "histogram");
+        let hists = lock_unpoisoned(&self.phase_hists);
+        for (name, h) in hists.iter() {
+            prom::push_histogram(&mut out, family, &[("phase", name)], h);
+        }
+        out
+    }
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        self.refine_shutdown();
+    }
+}
+
+impl Shared {
+    /// Appends a freshly computed result to the disk tier (no-op without
+    /// one). Failures are counted and logged once — durability is
+    /// best-effort, correctness never depends on it. Every append, from
+    /// a request thread or the refine worker, also checks the operator
+    /// tripwire behind `--persist-warn-mb`: one loud line the first time
+    /// the append-only log crosses the threshold (the log-size gauge
+    /// keeps reporting after that).
+    fn persist_append(&self, key: Fingerprint, status: &str, body: &str) {
+        let Some(log) = &self.persist else { return };
+        match log.append(key, status, body) {
+            Ok(()) => {
+                self.counters.add(Counter::PersistAppended, 1);
             }
-            Err(ParseError::Invalid(e)) => {
-                let mut body = String::new();
-                push_str_field(&mut body, "op", req.op.tag());
-                push_str_field(&mut body, "error_kind", "invalid");
-                push_str_field(&mut body, "error", &e.to_string());
-                Err(Response {
-                    id: req.id.clone(),
-                    status: "error",
-                    cache: "-",
-                    body: body.into(),
-                    timings: None,
-                })
+            Err(e) => {
+                if self.counters.add(Counter::PersistAppendErrors, 1) == 0 {
+                    eprintln!(
+                        "ltspd: persist append to {} failed: {e} (cache stays in-memory)",
+                        log.path().display()
+                    );
+                }
             }
         }
-    }
-
-    /// Dispatches a compile on the request's backend: heuristic (the
-    /// production pipeliner), exact (sync branch-and-bound emission), or
-    /// tiered (heuristic now, exact refinement async). `mode:"adaptive"`
-    /// layers on the heuristic backend only: heuristic now, adaptive
-    /// hint refinement async.
-    fn compile(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
-        if req.mode == Mode::Adaptive {
-            return match req.backend {
-                Backend::Heuristic => self.compile_adaptive_tier(req, tel, phases),
-                // parse_request rejects the combination; a hand-built
-                // Request gets the same answer here.
-                _ => Response::error(
-                    &req.id,
-                    "error",
-                    "mode 'adaptive' requires the heuristic backend",
-                ),
-            };
-        }
-        match req.backend {
-            Backend::Heuristic => self.compile_heuristic(req, tel, phases),
-            Backend::Exact => self.compile_exact(req, phases),
-            Backend::Tiered => self.compile_tiered(req, tel, phases),
-        }
-    }
-
-    /// Renders the heuristic compile body (shared by the heuristic and
-    /// tiered paths; the tiered path appends its backend fields).
-    fn render_heuristic_body(&self, req: &Request, compiled: &ltsp_core::CompiledLoop) -> String {
-        let mut body = String::new();
-        push_str_field(&mut body, "op", "compile");
-        push_str_field(&mut body, "loop", compiled.lp.name());
-        push_bool_field(&mut body, "pipelined", compiled.pipelined);
-        push_u64_field(&mut body, "ii", u64::from(compiled.kernel.ii()));
-        push_u64_field(
-            &mut body,
-            "stages",
-            u64::from(compiled.kernel.stage_count()),
-        );
-        if let Some(stats) = compiled.stats {
-            push_u64_field(&mut body, "res_mii", u64::from(stats.res_mii));
-            push_u64_field(&mut body, "rec_mii", u64::from(stats.rec_mii));
-        }
-        if let Some(regs) = compiled.regs {
-            use std::fmt::Write as _;
-            let _ = write!(
-                body,
-                ",\"regs\":[{},{},{}]",
-                regs.rotating_gr, regs.rotating_fr, regs.rotating_pr
+        let Some(limit) = self.cfg.persist_warn_bytes else {
+            return;
+        };
+        let bytes = log.log_bytes();
+        if bytes > limit && !self.persist_warned.swap(true, Ordering::Relaxed) {
+            eprintln!(
+                "ltspd: WARNING: persist log {} is {:.1} MiB, past the {:.1} MiB warning \
+                 threshold — the log is append-only and only ever grows; rotate or remove it \
+                 to reclaim space (a fresh log re-warms from live traffic)",
+                log.path().display(),
+                bytes as f64 / (1 << 20) as f64,
+                limit as f64 / (1 << 20) as f64,
             );
-        }
-        push_str_field(
-            &mut body,
-            "report",
-            &render_compile_report(compiled, req.policy, req.trip),
-        );
-        body
-    }
-
-    fn compile_heuristic(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
-        let lp = match self.parse(req, phases) {
-            Ok(lp) => lp,
-            Err(resp) => return resp,
-        };
-        let cfg = CompileConfig::new(req.policy)
-            .with_threshold(req.threshold)
-            .with_prefetch(req.prefetch)
-            .with_balanced_recurrences(req.balanced)
-            .with_data_speculation(req.speculate);
-        // Two-level: the artifact cache deduplicates the compile itself,
-        // and the rendered body (kernel dump + JSON escaping, the bulk of
-        // the per-hit cost for large kernels) is cached alongside the
-        // verify/oracle results, keyed by the same inputs as the artifact.
-        let body_key = {
-            let mut h = FingerprintHasher::new();
-            h.write_str("compile-body-v1");
-            h.write_fingerprint(ltsp_core::compile_key(&lp, &self.machine, &cfg, req.trip));
-            h.finish()
-        };
-        let artifact_hit = std::cell::Cell::new(false);
-        let (cached, body_hit) = self.result_cache.get_or_insert_with(
-            body_key,
-            |r| r.body.len() + 32,
-            || {
-                let (compiled, hit) = compile_loop_cached_phased(
-                    &self.compile_cache,
-                    &lp,
-                    &self.machine,
-                    &cfg,
-                    req.trip,
-                    tel,
-                    Some(phases),
-                );
-                artifact_hit.set(hit);
-                phases.time(Phase::Render, || CachedResult {
-                    status: "ok",
-                    body: self.render_heuristic_body(req, &compiled).into(),
-                    upgraded: false,
-                })
-            },
-        );
-        if !body_hit {
-            // Persist under the canonical body key too: a formatting
-            // variant of a known loop replays to a parse-then-hit after
-            // restart, not a recompile.
-            self.persist_append(body_key, cached.status, &cached.body);
-        }
-        Response {
-            id: req.id.clone(),
-            status: cached.status,
-            cache: if body_hit || artifact_hit.get() {
-                "hit"
-            } else {
-                "miss"
-            },
-            body: cached.body.clone(),
-            timings: None,
-        }
-    }
-
-    /// The sync exact path: branch-and-bound emission at the proven
-    /// minimal II, validator-certified, rendered once and cached under
-    /// the exact body key (shared with the tiered refinement worker).
-    fn compile_exact(&self, req: &Request, phases: &PhaseTimer) -> Response {
-        let lp = match self.parse(req, phases) {
-            Ok(lp) => lp,
-            Err(resp) => return resp,
-        };
-        let deadline_ms = self.effective_deadline_ms(req);
-        let body_key = exact_body_key(&self.machine, &lp, req.budget, deadline_ms);
-        let (cached, hit) = self.result_cache.get_or_insert_with(
-            body_key,
-            |r| r.body.len() + 32,
-            || compute_exact_body(&self.machine, &lp, req.budget, deadline_ms),
-        );
-        if !hit {
-            self.persist_append(body_key, cached.status, &cached.body);
-        }
-        Response {
-            id: req.id.clone(),
-            status: cached.status,
-            cache: if hit { "hit" } else { "miss" },
-            body: cached.body.clone(),
-            timings: None,
-        }
-    }
-
-    /// The tiered initial answer: the heuristic compile, rendered under
-    /// the tiered body key (which the refinement worker later upgrades
-    /// in place). Tagged so clients can tell which tier they got.
-    fn compile_tiered(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
-        let lp = match self.parse(req, phases) {
-            Ok(lp) => lp,
-            Err(resp) => return resp,
-        };
-        let cfg = CompileConfig::new(req.policy)
-            .with_threshold(req.threshold)
-            .with_prefetch(req.prefetch)
-            .with_balanced_recurrences(req.balanced)
-            .with_data_speculation(req.speculate);
-        let deadline_ms = self.effective_deadline_ms(req);
-        let body_key = tiered_body_key(&self.machine, &lp, &cfg, req.trip, req.budget, deadline_ms);
-        let artifact_hit = std::cell::Cell::new(false);
-        let (cached, body_hit) = self.result_cache.get_or_insert_with(
-            body_key,
-            |r| r.body.len() + 32,
-            || {
-                let (compiled, hit) = compile_loop_cached_phased(
-                    &self.compile_cache,
-                    &lp,
-                    &self.machine,
-                    &cfg,
-                    req.trip,
-                    tel,
-                    Some(phases),
-                );
-                artifact_hit.set(hit);
-                phases.time(Phase::Render, || {
-                    let mut body = self.render_heuristic_body(req, &compiled);
-                    push_str_field(&mut body, "backend", "tiered");
-                    push_bool_field(&mut body, "refined", false);
-                    CachedResult {
-                        status: "ok",
-                        body: body.into(),
-                        upgraded: false,
-                    }
-                })
-            },
-        );
-        if !body_hit {
-            self.persist_append(body_key, cached.status, &cached.body);
-        }
-        Response {
-            id: req.id.clone(),
-            status: cached.status,
-            cache: if body_hit {
-                if cached.upgraded {
-                    "upgraded"
-                } else {
-                    "hit"
-                }
-            } else if artifact_hit.get() {
-                "hit"
-            } else {
-                "miss"
-            },
-            body: cached.body.clone(),
-            timings: None,
-        }
-    }
-
-    /// The adaptive initial answer: the heuristic compile, rendered
-    /// under the adaptive tier body key (which the refinement worker
-    /// later upgrades in place with the converged schedule). Tagged
-    /// `mode:"adaptive"` / `refined:false` so clients can tell they got
-    /// the fast static tier.
-    fn compile_adaptive_tier(
-        &self,
-        req: &Request,
-        tel: &Telemetry,
-        phases: &PhaseTimer,
-    ) -> Response {
-        let lp = match self.parse(req, phases) {
-            Ok(lp) => lp,
-            Err(resp) => return resp,
-        };
-        let cfg = CompileConfig::new(req.policy)
-            .with_threshold(req.threshold)
-            .with_prefetch(req.prefetch)
-            .with_balanced_recurrences(req.balanced)
-            .with_data_speculation(req.speculate);
-        let body_key = adaptive_tier_body_key(&self.machine, &lp, &cfg, req.trip);
-        let artifact_hit = std::cell::Cell::new(false);
-        let (cached, body_hit) = self.result_cache.get_or_insert_with(
-            body_key,
-            |r| r.body.len() + 32,
-            || {
-                let (compiled, hit) = compile_loop_cached_phased(
-                    &self.compile_cache,
-                    &lp,
-                    &self.machine,
-                    &cfg,
-                    req.trip,
-                    tel,
-                    Some(phases),
-                );
-                artifact_hit.set(hit);
-                phases.time(Phase::Render, || {
-                    let mut body = self.render_heuristic_body(req, &compiled);
-                    push_str_field(&mut body, "mode", "adaptive");
-                    push_bool_field(&mut body, "refined", false);
-                    CachedResult {
-                        status: "ok",
-                        body: body.into(),
-                        upgraded: false,
-                    }
-                })
-            },
-        );
-        if !body_hit {
-            self.persist_append(body_key, cached.status, &cached.body);
-        }
-        Response {
-            id: req.id.clone(),
-            status: cached.status,
-            cache: if body_hit {
-                if cached.upgraded {
-                    "upgraded"
-                } else {
-                    "hit"
-                }
-            } else if artifact_hit.get() {
-                "hit"
-            } else {
-                "miss"
-            },
-            body: cached.body.clone(),
-            timings: None,
-        }
-    }
-
-    /// Verify and oracle share shape: pipeline + independent validation,
-    /// oracle adds the exact-II proof. Outcomes are cached as rendered
-    /// bodies keyed on the canonicalized loop and every knob that can
-    /// change the answer.
-    fn verify_or_oracle(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
-        let lp = match self.parse(req, phases) {
-            Ok(lp) => lp,
-            Err(resp) => return resp,
-        };
-        let mut h = FingerprintHasher::new();
-        h.write_str(if req.op == ReqOp::Oracle {
-            "oracle-v1"
-        } else {
-            "verify-v1"
-        });
-        h.write_str(&lp.to_string());
-        h.write_fingerprint(Fingerprint::of_str(&format!("{:?}", self.machine)));
-        if req.op == ReqOp::Oracle {
-            h.write_u64(req.budget);
-            h.write_u64(self.effective_deadline_ms(req).map_or(u64::MAX, |d| d));
-        }
-        let key = h.finish();
-        let (cached, hit) = self.result_cache.get_or_insert_with(
-            key,
-            |r| r.body.len() + 32,
-            || self.run_case(req, &lp, tel),
-        );
-        if !hit {
-            self.persist_append(key, cached.status, &cached.body);
-        }
-        Response {
-            id: req.id.clone(),
-            status: cached.status,
-            cache: if hit { "hit" } else { "miss" },
-            body: cached.body.clone(),
-            timings: None,
         }
     }
 
@@ -1202,36 +836,248 @@ impl Engine {
         }
     }
 
-    fn run_case(&self, req: &Request, lp: &LoopIr, tel: &Telemetry) -> CachedResult {
-        use std::fmt::Write as _;
+    /// A cacheable request's answer from below the first-level cache:
+    /// the parse, then the body of the kind it asks for.
+    fn answer(&self, req: &Request, tel: &Telemetry, phases: &PhaseTimer) -> Response {
+        let kind = match BodyKind::of(req) {
+            Ok(kind) => kind,
+            Err(refusal) => return Response::error(&req.id, "error", refusal),
+        };
+        let lp = match phases.time(Phase::Parse, || parse_loop(&req.loop_text)) {
+            Ok(lp) => lp,
+            Err(e) => {
+                let mut body = String::new();
+                push_str_field(&mut body, "op", req.op.tag());
+                match e {
+                    ParseError::Syntax { line, message } => {
+                        push_str_field(&mut body, "error_kind", "syntax");
+                        push_u64_field(&mut body, "line", line as u64);
+                        push_str_field(&mut body, "error", &message);
+                    }
+                    ParseError::Invalid(e) => {
+                        push_str_field(&mut body, "error_kind", "invalid");
+                        push_str_field(&mut body, "error", &e.to_string());
+                    }
+                }
+                return Response::new(&req.id, "error", "-", body);
+            }
+        };
+        let (entry, tag) = self.body(kind, &self.work(req, &lp, tel, phases));
+        Response::new(&req.id, entry.status, tag, Arc::clone(&entry.body))
+    }
+
+    fn work<'a>(
+        &self,
+        req: &'a Request,
+        lp: &'a LoopIr,
+        tel: &'a Telemetry,
+        phases: &'a PhaseTimer,
+    ) -> Work<'a> {
+        Work {
+            req,
+            lp,
+            cfg: CompileConfig::new(req.policy)
+                .with_threshold(req.threshold)
+                .with_prefetch(req.prefetch)
+                .with_balanced_recurrences(req.balanced)
+                .with_data_speculation(req.speculate),
+            deadline_ms: self.effective_deadline_ms(req),
+            tel,
+            phases,
+            artifact_hit: Cell::new(false),
+        }
+    }
+
+    /// The canonical cache key of `w`'s body of `kind`, as the kind's
+    /// row spells it.
+    fn body_key(&self, kind: BodyKind, w: &Work) -> Fingerprint {
+        let row = kind.row();
+        let mut h = FingerprintHasher::new();
+        h.write_str(row.tag);
+        match row.base {
+            KeyBase::Compile => h.write_fingerprint(ltsp_core::compile_key(
+                w.lp,
+                &self.machine,
+                &w.cfg,
+                w.req.trip,
+            )),
+            KeyBase::Loop => {
+                h.write_str(&w.lp.to_string());
+                h.write_fingerprint(self.machine_fp);
+            }
+        }
+        if row.budgeted {
+            h.write_u64(w.req.budget);
+            h.write_u64(deadline_word(w.deadline_ms));
+        }
+        h.finish()
+    }
+
+    /// The one path to a cached body, for every kind and for request
+    /// threads and the refine worker alike: look the canonical key up,
+    /// compute (and stamp) on a miss, persist what was computed — under
+    /// the canonical key too, so a formatting variant of a known loop
+    /// replays to a parse-then-hit after restart, not a recompile — and
+    /// tag the answer by the module's one rule.
+    fn body(&self, kind: BodyKind, w: &Work) -> (Arc<CachedResult>, &'static str) {
+        let row = kind.row();
+        let key = self.body_key(kind, w);
+        let (entry, hit) = self.result_cache.get_or_insert_with(
+            key,
+            |r| r.body.len() + 32,
+            || {
+                let (status, mut body) = (row.compute)(self, w);
+                if let Some((field, value)) = row.stamp {
+                    push_str_field(&mut body, field, value);
+                    push_bool_field(&mut body, "refined", false);
+                }
+                CachedResult::new(status, body)
+            },
+        );
+        if !hit {
+            self.persist_append(key, entry.status, &entry.body);
+        }
+        let tag = match (hit, entry.upgraded) {
+            (true, true) => "upgraded",
+            (true, false) => "hit",
+            (false, _) if w.artifact_hit.get() => "hit",
+            (false, _) => "miss",
+        };
+        (entry, tag)
+    }
+
+    /// The production pipeliner's compile, through the artifact cache
+    /// (which deduplicates the compile itself; the rendered body —
+    /// kernel dump plus JSON escaping, the bulk of the per-hit cost for
+    /// large kernels — is what [`Shared::body`] caches).
+    fn heuristic_body(&self, w: &Work) -> (&'static str, String) {
+        let (compiled, hit) = compile_loop_cached_phased(
+            &self.compile_cache,
+            w.lp,
+            &self.machine,
+            &w.cfg,
+            w.req.trip,
+            w.tel,
+            Some(w.phases),
+        );
+        w.artifact_hit.set(hit);
+        w.phases.time(Phase::Render, || {
+            let mut body = String::new();
+            push_compiled_facts(&mut body, &compiled);
+            let report = render_compile_report(&compiled, w.req.policy, w.req.trip);
+            push_str_field(&mut body, "report", &report);
+            ("ok", body)
+        })
+    }
+
+    /// Runs the adaptive refinement loop to its certified fixpoint and
+    /// renders the converged compile body: the chosen schedule's facts
+    /// plus the adaptive telemetry (`static_ii`, `rounds`,
+    /// `chosen_round`, `converged`, `certified`, `dropped_prefetches`,
+    /// `refined`) and the canonical [`render_adaptive_report`] text —
+    /// the same renderer `ltspc compile --adaptive` prints through, so
+    /// the upgraded server bytes and the local CLI report agree by
+    /// construction. An uncertified round (a scheduler bug by
+    /// definition) renders as `rejected`, and the fast static tier
+    /// stays in place.
+    fn adaptive_body(&self, w: &Work) -> (&'static str, String) {
+        let res = compile_loop_adaptive(
+            w.lp,
+            &self.machine,
+            &w.cfg,
+            w.req.trip,
+            &AdaptiveOptions::default(),
+            w.tel,
+        );
+        let certified = res.all_certified();
+        let mut body = String::new();
+        push_compiled_facts(&mut body, &res.compiled);
+        push_str_field(&mut body, "mode", "adaptive");
+        push_u64_field(&mut body, "static_ii", u64::from(res.static_ii()));
+        push_u64_field(&mut body, "rounds", res.rounds.len() as u64);
+        push_u64_field(&mut body, "chosen_round", u64::from(res.chosen_round));
+        push_bool_field(&mut body, "converged", res.converged);
+        push_bool_field(&mut body, "certified", certified);
+        push_u64_field(
+            &mut body,
+            "dropped_prefetches",
+            res.chosen().overlay.dropped_prefetches() as u64,
+        );
+        push_bool_field(&mut body, "refined", res.ii() < res.static_ii());
+        let report = render_adaptive_report(&res, w.req.policy, w.req.trip);
+        push_str_field(&mut body, "report", &report);
+        (if certified { "ok" } else { "rejected" }, body)
+    }
+
+    /// Runs the exact backend and renders the compile body it produces:
+    /// the emitted schedule's facts plus the refinement telemetry
+    /// (`heuristic_ii`, `proven_optimal`, `refined`, `nodes`). A
+    /// rejected case (validator violations — a real bug somewhere)
+    /// renders the violations like the oracle op does.
+    fn exact_body(&self, w: &Work) -> (&'static str, String) {
         let opts = OracleOptions {
-            node_budget: if req.op == ReqOp::Oracle {
-                req.budget
+            node_budget: w.req.budget,
+            time_budget: w.deadline_ms.map(Duration::from_millis),
+            ..OracleOptions::default()
+        };
+        let mut body = String::new();
+        push_str_field(&mut body, "op", "compile");
+        match exact_case(w.lp, &self.machine, &opts) {
+            Ok(case) => {
+                let r = &case.result;
+                push_str_field(&mut body, "loop", &case.name);
+                // A refined schedule is a genuine modulo schedule even when
+                // the heuristic had fallen back to the acyclic path.
+                push_bool_field(&mut body, "pipelined", case.pipelined || r.refined);
+                push_u64_field(&mut body, "ii", u64::from(r.schedule.ii()));
+                push_u64_field(&mut body, "stages", u64::from(r.schedule.stage_count()));
+                push_str_field(&mut body, "backend", "exact");
+                push_u64_field(&mut body, "heuristic_ii", u64::from(case.heuristic_ii));
+                push_bool_field(&mut body, "proven_optimal", r.proven_optimal);
+                push_bool_field(&mut body, "refined", r.refined);
+                push_u64_field(&mut body, "nodes", r.nodes);
+                let regs = &r.regs;
+                push_regs(
+                    &mut body,
+                    [regs.rotating_gr, regs.rotating_fr, regs.rotating_pr],
+                );
+                push_str_field(&mut body, "report", &render_exact_report(w.lp, &case));
+                ("ok", body)
+            }
+            Err(violations) => {
+                push_str_field(&mut body, "loop", w.lp.name());
+                push_str_field(&mut body, "backend", "exact");
+                push_violations(&mut body, w.lp.name(), &violations);
+                ("rejected", body)
+            }
+        }
+    }
+
+    /// Verify and oracle share shape: pipeline + independent validation,
+    /// oracle adds the exact-II proof.
+    fn case_body(&self, w: &Work) -> (&'static str, String) {
+        use std::fmt::Write as _;
+        let oracle = w.req.op == ReqOp::Oracle;
+        let opts = OracleOptions {
+            node_budget: if oracle {
+                w.req.budget
             } else {
                 OracleOptions::default().node_budget
             },
-            time_budget: self.effective_deadline_ms(req).map(Duration::from_millis),
+            time_budget: w.deadline_ms.map(Duration::from_millis),
             ..OracleOptions::default()
         };
-        let r = differential_case(lp, &self.machine, &opts, tel);
+        let r = differential_case(w.lp, &self.machine, &opts, w.tel);
         let mut body = String::new();
-        push_str_field(&mut body, "op", req.op.tag());
+        push_str_field(&mut body, "op", w.req.op.tag());
         push_str_field(&mut body, "loop", &r.name);
         push_bool_field(&mut body, "pipelined", r.pipelined);
         push_u64_field(&mut body, "ii", u64::from(r.heuristic_ii));
-        body.push_str(",\"violations\":[");
+        push_violations(&mut body, &r.name, &r.violations);
         let mut report = String::new();
-        for (i, v) in r.violations.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            let line = format!("{}: violation [{}]: {v}", r.name, v.kind());
-            let _ = write!(body, "\"{}\"", ltsp_telemetry::json::escape(&line));
-        }
-        body.push(']');
         let certified = r.violations.is_empty();
         let mut status: &'static str = if certified { "ok" } else { "rejected" };
-        if req.op == ReqOp::Verify {
+        if !oracle {
             if certified {
                 let _ = writeln!(
                     report,
@@ -1284,604 +1130,169 @@ impl Engine {
             }
         }
         push_str_field(&mut body, "report", &report);
-        CachedResult {
-            status,
-            body: body.into(),
-            upgraded: false,
+        (status, body)
+    }
+
+    /// The key identical refinement *work* coalesces under: two
+    /// in-flight jobs with the same dedup key compute the same refined
+    /// body, so the second one waits on the first's batch instead of
+    /// scheduling the computation twice. Covers the inputs of the
+    /// `refined` kind's key as its row names them — the raw loop text
+    /// (no parse on the request path) and the deadline always, the
+    /// budget where one bounds the search, the compile knobs where the
+    /// key is a compile key — so trip or policy variants of a tiered
+    /// request share one exact schedule, and adaptive ones do not.
+    fn dedup_key(&self, refined: BodyKind, req: &Request) -> Fingerprint {
+        let row = refined.row();
+        let mut h = FingerprintHasher::new();
+        h.write_str(row.tag);
+        h.write_str(&req.loop_text);
+        h.write_u64(deadline_word(self.effective_deadline_ms(req)));
+        if row.budgeted {
+            h.write_u64(req.budget);
+        }
+        if matches!(row.base, KeyBase::Compile) {
+            hash_compile_knobs(&mut h, req);
+        }
+        h.finish()
+    }
+
+    /// The refine worker: one coalesced batch per message, until the
+    /// engine drops the sender.
+    fn refine_loop(&self, rx: &mpsc::Receiver<Fingerprint>) {
+        while let Ok(dedup_key) = rx.recv() {
+            // Pop the whole waiter batch under the gate, before
+            // computing: every waiter present now shares one
+            // refinement; a request arriving after the pop finds
+            // no in-flight entry and becomes a fresh leader.
+            let _gate = lock_unpoisoned(&self.refine_gate);
+            let waiters = lock_unpoisoned(&self.refine_inflight)
+                .remove(&dedup_key)
+                .unwrap_or_default();
+            // A panicking refinement must not strand waiters or
+            // kill the worker: contain it, count it, move on.
+            let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.refine_batch(&waiters)
+            }));
+            if contained.is_err() {
+                self.counters.add(Counter::UpgradesFailed, 1);
+            }
+            let (lock, cv) = &self.refine_pending;
+            *lock_unpoisoned(lock) -= waiters.len() as u64;
+            cv.notify_all();
         }
     }
 
-    fn stats_response(&self, req: &Request) -> Response {
-        let mut body = String::new();
-        push_str_field(&mut body, "op", "stats");
-        for (key, v) in [
-            ("requests_ok", self.counters.ok.load(Ordering::Relaxed)),
-            (
-                "requests_rejected",
-                self.counters.rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "requests_error",
-                self.counters.error.load(Ordering::Relaxed),
-            ),
-            (
-                "requests_overloaded",
-                self.counters.overloaded.load(Ordering::Relaxed),
-            ),
-            (
-                "served_inline",
-                self.counters.served_inline.load(Ordering::Relaxed),
-            ),
-        ] {
-            push_u64_field(&mut body, key, v);
+    /// Processes one coalesced refinement batch: compute (or reuse) the
+    /// refined body *once* — [`Shared::body`] of the kind the waiters'
+    /// tier refines to — then swap every waiter's raw-request and tier
+    /// body-key entries to it in place — each insert replaces a whole
+    /// `Arc`'d value, so readers observe heuristic bytes or refined
+    /// bytes, never a torn mix — and append the upgrades under their
+    /// keys so a warm restart replays the refined bytes
+    /// (last-writer-wins). All waiters share a dedup key, so the first
+    /// job's refinement inputs are the batch's.
+    fn refine_batch(&self, jobs: &[RefineJob]) {
+        let Some(first) = jobs.first() else { return };
+        let failed = || {
+            self.counters
+                .add(Counter::UpgradesFailed, jobs.len() as u64)
+        };
+        let Ok(lp) = parse_loop(&first.req.loop_text) else {
+            // Unreachable in practice: the initial compiles parsed this text.
+            failed();
+            return;
+        };
+        let (tel, phases) = (Telemetry::disabled(), PhaseTimer::new());
+        let (refined, _) = self.body(first.refined, &self.work(&first.req, &lp, &tel, &phases));
+        if refined.status != "ok" {
+            failed();
+            return;
         }
-        for (prefix, stats) in [
-            ("compile_cache", self.compile_cache.stats()),
-            ("result_cache", self.result_cache.stats()),
-        ] {
-            push_u64_field(&mut body, &format!("{prefix}_hits"), stats.hits);
-            push_u64_field(&mut body, &format!("{prefix}_misses"), stats.misses);
-            push_u64_field(&mut body, &format!("{prefix}_evictions"), stats.evictions);
-            push_u64_field(&mut body, &format!("{prefix}_entries"), stats.entries);
-            push_u64_field(&mut body, &format!("{prefix}_bytes"), stats.bytes);
-        }
-        for (key, v) in [
-            ("persist_replayed", &self.persist_counters.replayed),
-            ("persist_dropped", &self.persist_counters.dropped),
-            ("persist_superseded", &self.persist_counters.superseded),
-            ("persist_appended", &self.persist_counters.appended),
-            (
-                "persist_append_errors",
-                &self.persist_counters.append_errors,
-            ),
-        ] {
-            push_u64_field(&mut body, key, v.load(Ordering::Relaxed));
-        }
-        push_u64_field(
-            &mut body,
-            "persist_log_bytes",
-            self.persist.as_deref().map_or(0, CacheLog::log_bytes),
-        );
-        for (key, v) in [
-            ("upgrades_scheduled", &self.upgrades.scheduled),
-            ("upgrades_coalesced", &self.upgrades.coalesced),
-            ("upgrades_applied", &self.upgrades.applied),
-            ("upgrades_refined", &self.upgrades.refined),
-            ("upgrades_failed", &self.upgrades.failed),
-        ] {
-            push_u64_field(&mut body, key, v.load(Ordering::Relaxed));
-        }
-        Response {
-            id: req.id.clone(),
-            status: "ok",
-            cache: "-",
-            body: body.into(),
-            timings: None,
-        }
-    }
-
-    /// The `{"op":"metrics"}` response: the Prometheus text snapshot
-    /// escaped into a `"metrics"` string field. Bypasses every cache
-    /// (like `stats`) and is excluded from the determinism contract.
-    fn metrics_response(&self, req: &Request) -> Response {
-        let mut body = String::new();
-        push_str_field(&mut body, "op", "metrics");
-        push_str_field(&mut body, "metrics", &self.render_prometheus());
-        Response {
-            id: req.id.clone(),
-            status: "ok",
-            cache: "-",
-            body: body.into(),
-            timings: None,
-        }
-    }
-
-    /// The full operational snapshot in Prometheus text format: request
-    /// counters by status, cache counters and sizes, live gauges, chaos
-    /// counters, and the per-phase latency histograms (cumulative
-    /// `le` buckets in microseconds).
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        prom::push_type(&mut out, "ltsp_requests_total", "counter");
-        for (status, v) in [
-            ("ok", self.counters.ok.load(Ordering::Relaxed)),
-            ("rejected", self.counters.rejected.load(Ordering::Relaxed)),
-            ("error", self.counters.error.load(Ordering::Relaxed)),
-            (
-                "overloaded",
-                self.counters.overloaded.load(Ordering::Relaxed),
-            ),
-            ("draining", self.counters.draining.load(Ordering::Relaxed)),
-        ] {
-            prom::push_sample(
-                &mut out,
-                "ltsp_requests_total",
-                &[("status", status)],
-                v as f64,
+        let strictly_refined = refined.body.contains("\"refined\":true");
+        for job in jobs {
+            let tier_key = self.body_key(job.tier, &self.work(&job.req, &lp, &tel, &phases));
+            let up = CachedResult {
+                status: refined.status,
+                body: refined.body.clone(),
+                upgraded: true,
+            };
+            self.result_cache.insert(
+                job.raw_key,
+                up.clone(),
+                up.body.len() + job.req.loop_text.len() + 64,
             );
-        }
-        let caches = [
-            ("compile", self.compile_cache.stats()),
-            ("result", self.result_cache.stats()),
-        ];
-        for (name, kind, get) in [
-            (
-                "ltsp_cache_hits_total",
-                "counter",
-                (|s| s.hits) as fn(&ltsp_cache::CacheStats) -> u64,
-            ),
-            ("ltsp_cache_misses_total", "counter", |s| s.misses),
-            ("ltsp_cache_evictions_total", "counter", |s| s.evictions),
-            ("ltsp_cache_entries", "gauge", |s| s.entries),
-            ("ltsp_cache_bytes", "gauge", |s| s.bytes),
-        ] {
-            prom::push_type(&mut out, name, kind);
-            for (cache, stats) in &caches {
-                prom::push_sample(&mut out, name, &[("cache", cache)], get(stats) as f64);
+            let bytes = up.body.len() + 32;
+            self.result_cache.insert(tier_key, up, bytes);
+            // Second appends under both keys: the in-place upgrade, durably.
+            for key in [job.raw_key, tier_key] {
+                self.persist_append(key, refined.status, &refined.body);
+            }
+            self.counters.add(Counter::UpgradesApplied, 1);
+            if strictly_refined {
+                self.counters.add(Counter::UpgradesRefined, 1);
             }
         }
-        for (name, v) in [
-            ("ltsp_queue_depth", &self.gauges.queue_depth),
-            ("ltsp_inflight", &self.gauges.inflight),
-            ("ltsp_connections", &self.gauges.connections),
-        ] {
-            prom::push_type(&mut out, name, "gauge");
-            prom::push_sample(&mut out, name, &[], v.load(Ordering::Relaxed) as f64);
-        }
-        for (name, v) in [
-            ("ltsp_served_inline_total", &self.counters.served_inline),
-            ("ltsp_connections_shed_total", &self.gauges.conn_shed),
-            ("ltsp_responses_shed_total", &self.gauges.responses_shed),
-            ("ltsp_request_panics_total", &self.gauges.request_panics),
-            ("ltsp_faults_injected_total", &self.gauges.faults_injected),
-            (
-                "ltsp_dispatcher_deaths_total",
-                &self.gauges.dispatcher_deaths,
-            ),
-        ] {
-            prom::push_type(&mut out, name, "counter");
-            prom::push_sample(&mut out, name, &[], v.load(Ordering::Relaxed) as f64);
-        }
-        for (name, kind, v) in [
-            (
-                "ltsp_persist_replayed_records",
-                "gauge",
-                &self.persist_counters.replayed,
-            ),
-            (
-                "ltsp_persist_dropped_records",
-                "gauge",
-                &self.persist_counters.dropped,
-            ),
-            (
-                "ltsp_persist_superseded_records",
-                "gauge",
-                &self.persist_counters.superseded,
-            ),
-            (
-                "ltsp_persist_appended_total",
-                "counter",
-                &self.persist_counters.appended,
-            ),
-            (
-                "ltsp_persist_append_errors_total",
-                "counter",
-                &self.persist_counters.append_errors,
-            ),
-        ] {
-            prom::push_type(&mut out, name, kind);
-            prom::push_sample(&mut out, name, &[], v.load(Ordering::Relaxed) as f64);
-        }
-        prom::push_type(&mut out, "ltsp_persist_log_bytes", "gauge");
-        prom::push_sample(
-            &mut out,
-            "ltsp_persist_log_bytes",
-            &[],
-            self.persist.as_deref().map_or(0, CacheLog::log_bytes) as f64,
-        );
-        prom::push_type(&mut out, "ltsp_upgrades_total", "counter");
-        for (event, v) in [
-            ("scheduled", &self.upgrades.scheduled),
-            ("coalesced", &self.upgrades.coalesced),
-            ("applied", &self.upgrades.applied),
-            ("refined", &self.upgrades.refined),
-            ("failed", &self.upgrades.failed),
-        ] {
-            prom::push_sample(
-                &mut out,
-                "ltsp_upgrades_total",
-                &[("event", event)],
-                v.load(Ordering::Relaxed) as f64,
-            );
-        }
-        prom::push_type(&mut out, "ltsp_flight_records", "gauge");
-        prom::push_sample(
-            &mut out,
-            "ltsp_flight_records",
-            &[],
-            self.flight.len() as f64,
-        );
-        prom::push_type(&mut out, "ltsp_flight_dumps_total", "counter");
-        prom::push_sample(
-            &mut out,
-            "ltsp_flight_dumps_total",
-            &[],
-            self.flight.dump_count() as f64,
-        );
-        prom::push_type(&mut out, "ltsp_phase_us", "histogram");
-        let hists = lock_unpoisoned(&self.phase_hists);
-        for (name, h) in hists.iter() {
-            prom::push_histogram(&mut out, "ltsp_phase_us", &[("phase", name)], h);
-        }
-        out
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.refine_shutdown();
     }
 }
 
 /// The answer to `req` from its first-level cache entry — the one
 /// place a hit's envelope is put together, whichever thread found it.
 fn hit_response(req: &Request, entry: &CachedResult) -> Response {
-    Response {
-        id: req.id.clone(),
-        status: entry.status,
-        cache: if entry.upgraded { "upgraded" } else { "hit" },
-        body: Arc::clone(&entry.body),
-        timings: None,
-    }
+    let cache = if entry.upgraded { "upgraded" } else { "hit" };
+    Response::new(&req.id, entry.status, cache, Arc::clone(&entry.body))
 }
 
-/// Appends one record to the disk tier (shared by the engine and the
-/// refinement worker). Failures are counted and logged once.
-fn append_record(
-    log: Option<&CacheLog>,
-    counters: &PersistCounters,
-    key: Fingerprint,
-    status: &str,
-    body: &str,
-) {
-    let Some(log) = log else { return };
-    match log.append(key, status, body) {
-        Ok(()) => {
-            counters.appended.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(e) => {
-            if counters.append_errors.fetch_add(1, Ordering::Relaxed) == 0 {
-                eprintln!(
-                    "ltspd: persist append to {} failed: {e} (cache stays in-memory)",
-                    log.path().display()
-                );
-            }
-        }
-    }
+/// How an effective deadline is hashed into a key (`None` = unlimited).
+fn deadline_word(deadline_ms: Option<u64>) -> u64 {
+    deadline_ms.unwrap_or(u64::MAX)
 }
 
-/// The canonical cache key of an exact-backend compile body: loop +
-/// machine + search budget + deadline. Shared by sync `--backend exact`
-/// requests and the tiered refinement worker, so either path warms the
-/// other.
-fn exact_body_key(
-    machine: &MachineModel,
-    lp: &LoopIr,
-    budget: u64,
-    deadline_ms: Option<u64>,
-) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_str("compile-body-exact-v1");
-    h.write_str(&lp.to_string());
-    h.write_fingerprint(Fingerprint::of_str(&format!("{machine:?}")));
-    h.write_u64(budget);
-    h.write_u64(deadline_ms.map_or(u64::MAX, |d| d));
-    h.finish()
-}
-
-/// The canonical cache key of a tiered compile body. Separate from the
-/// heuristic `compile-body-v1` keyspace on purpose: in-place upgrades
-/// swap *this* entry's bytes, and must never corrupt a plain heuristic
-/// compile's cached body.
-fn tiered_body_key(
-    machine: &MachineModel,
-    lp: &LoopIr,
-    cfg: &CompileConfig,
-    trip: f64,
-    budget: u64,
-    deadline_ms: Option<u64>,
-) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_str("compile-body-tiered-v1");
-    h.write_fingerprint(ltsp_core::compile_key(lp, machine, cfg, trip));
-    h.write_u64(budget);
-    h.write_u64(deadline_ms.map_or(u64::MAX, |d| d));
-    h.finish()
-}
-
-/// The canonical cache key of an adaptive-mode tier body (the fast
-/// static answer the refinement later upgrades in place). Separate from
-/// both the heuristic and tiered keyspaces, same reasoning as
-/// [`tiered_body_key`]. No oracle budget or deadline: the adaptive loop
-/// runs a fixed deterministic refinement window, not a search.
-fn adaptive_tier_body_key(
-    machine: &MachineModel,
-    lp: &LoopIr,
-    cfg: &CompileConfig,
-    trip: f64,
-) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_str("compile-body-adaptive-tier-v1");
-    h.write_fingerprint(ltsp_core::compile_key(lp, machine, cfg, trip));
-    h.finish()
-}
-
-/// The canonical cache key of a *converged* adaptive compile body: the
-/// same compile inputs as the tier key, under its own namespace. Every
-/// refinement of the same (loop, config, trip) lands here first, so
-/// coalesced-then-split request streams (and warm restarts) compute the
-/// fixpoint once.
-fn adaptive_body_key(
-    machine: &MachineModel,
-    lp: &LoopIr,
-    cfg: &CompileConfig,
-    trip: f64,
-) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_str("compile-body-adaptive-v1");
-    h.write_fingerprint(ltsp_core::compile_key(lp, machine, cfg, trip));
-    h.finish()
-}
-
-/// Runs the adaptive refinement loop to its certified fixpoint and
-/// renders the converged compile body: the chosen schedule's facts plus
-/// the adaptive telemetry (`static_ii`, `rounds`, `chosen_round`,
-/// `converged`, `certified`, `dropped_prefetches`, `refined`) and the
-/// canonical [`render_adaptive_report`] text — the same renderer
-/// `ltspc compile --adaptive` prints through, so the upgraded server
-/// bytes and the local CLI report agree by construction. An uncertified
-/// round (a scheduler bug by definition) renders as `rejected`, and the
-/// fast static tier stays in place.
-fn compute_adaptive_body(
-    machine: &MachineModel,
-    lp: &LoopIr,
-    cfg: &CompileConfig,
-    req: &Request,
-) -> CachedResult {
-    use std::fmt::Write as _;
-    let res = compile_loop_adaptive(
-        lp,
-        machine,
-        cfg,
-        req.trip,
-        &AdaptiveOptions::default(),
-        &Telemetry::disabled(),
+/// Hashes the knobs a request's [`CompileConfig`] and trip estimate are
+/// built from.
+fn hash_compile_knobs(h: &mut FingerprintHasher, req: &Request) {
+    h.write_str(&req.policy.to_string());
+    h.write_f64(req.trip);
+    h.write_u64(u64::from(req.threshold));
+    h.write_u64(
+        u64::from(req.prefetch) | u64::from(req.balanced) << 1 | u64::from(req.speculate) << 2,
     );
-    let certified = res.all_certified();
-    let compiled = &res.compiled;
-    let mut body = String::new();
-    push_str_field(&mut body, "op", "compile");
-    push_str_field(&mut body, "loop", compiled.lp.name());
-    push_bool_field(&mut body, "pipelined", compiled.pipelined);
-    push_u64_field(&mut body, "ii", u64::from(compiled.kernel.ii()));
-    push_u64_field(
-        &mut body,
-        "stages",
-        u64::from(compiled.kernel.stage_count()),
-    );
+}
+
+/// The facts every body rendered from a [`CompiledLoop`] opens with.
+fn push_compiled_facts(body: &mut String, compiled: &CompiledLoop) {
+    push_str_field(body, "op", "compile");
+    push_str_field(body, "loop", compiled.lp.name());
+    push_bool_field(body, "pipelined", compiled.pipelined);
+    push_u64_field(body, "ii", u64::from(compiled.kernel.ii()));
+    push_u64_field(body, "stages", u64::from(compiled.kernel.stage_count()));
     if let Some(stats) = compiled.stats {
-        push_u64_field(&mut body, "res_mii", u64::from(stats.res_mii));
-        push_u64_field(&mut body, "rec_mii", u64::from(stats.rec_mii));
+        push_u64_field(body, "res_mii", u64::from(stats.res_mii));
+        push_u64_field(body, "rec_mii", u64::from(stats.rec_mii));
     }
-    if let Some(regs) = compiled.regs {
-        let _ = write!(
-            body,
-            ",\"regs\":[{},{},{}]",
-            regs.rotating_gr, regs.rotating_fr, regs.rotating_pr
-        );
-    }
-    push_str_field(&mut body, "mode", "adaptive");
-    push_u64_field(&mut body, "static_ii", u64::from(res.static_ii()));
-    push_u64_field(&mut body, "rounds", res.rounds.len() as u64);
-    push_u64_field(&mut body, "chosen_round", u64::from(res.chosen_round));
-    push_bool_field(&mut body, "converged", res.converged);
-    push_bool_field(&mut body, "certified", certified);
-    push_u64_field(
-        &mut body,
-        "dropped_prefetches",
-        res.chosen().overlay.dropped_prefetches() as u64,
-    );
-    push_bool_field(&mut body, "refined", res.ii() < res.static_ii());
-    push_str_field(
-        &mut body,
-        "report",
-        &render_adaptive_report(&res, req.policy, req.trip),
-    );
-    CachedResult {
-        status: if certified { "ok" } else { "rejected" },
-        body: body.into(),
-        upgraded: false,
+    if let Some(r) = compiled.regs {
+        push_regs(body, [r.rotating_gr, r.rotating_fr, r.rotating_pr]);
     }
 }
 
-/// Runs the exact backend on `lp` and renders the compile body it
-/// produces: the emitted schedule's facts plus the refinement telemetry
-/// (`heuristic_ii`, `proven_optimal`, `refined`, `nodes`). A rejected
-/// case (validator violations — a real bug somewhere) renders the
-/// violations like the oracle op does.
-fn compute_exact_body(
-    machine: &MachineModel,
-    lp: &LoopIr,
-    budget: u64,
-    deadline_ms: Option<u64>,
-) -> CachedResult {
+/// Appends `"regs":[GR,FR,PR]`, the rotating registers a schedule uses.
+fn push_regs(body: &mut String, [gr, fr, pr]: [u32; 3]) {
     use std::fmt::Write as _;
-    let opts = OracleOptions {
-        node_budget: budget,
-        time_budget: deadline_ms.map(Duration::from_millis),
-        ..OracleOptions::default()
-    };
-    match exact_case(lp, machine, &opts) {
-        Ok(case) => {
-            let mut body = String::new();
-            push_str_field(&mut body, "op", "compile");
-            push_str_field(&mut body, "loop", &case.name);
-            // A refined schedule is a genuine modulo schedule even when
-            // the heuristic had fallen back to the acyclic path.
-            push_bool_field(
-                &mut body,
-                "pipelined",
-                case.pipelined || case.result.refined,
-            );
-            push_u64_field(&mut body, "ii", u64::from(case.result.schedule.ii()));
-            push_u64_field(
-                &mut body,
-                "stages",
-                u64::from(case.result.schedule.stage_count()),
-            );
-            push_str_field(&mut body, "backend", "exact");
-            push_u64_field(&mut body, "heuristic_ii", u64::from(case.heuristic_ii));
-            push_bool_field(&mut body, "proven_optimal", case.result.proven_optimal);
-            push_bool_field(&mut body, "refined", case.result.refined);
-            push_u64_field(&mut body, "nodes", case.result.nodes);
-            let regs = &case.result.regs;
-            let _ = write!(
-                body,
-                ",\"regs\":[{},{},{}]",
-                regs.rotating_gr, regs.rotating_fr, regs.rotating_pr
-            );
-            push_str_field(&mut body, "report", &render_exact_report(lp, &case));
-            CachedResult {
-                status: "ok",
-                body: body.into(),
-                upgraded: false,
-            }
-        }
-        Err(violations) => {
-            let mut body = String::new();
-            push_str_field(&mut body, "op", "compile");
-            push_str_field(&mut body, "loop", lp.name());
-            push_str_field(&mut body, "backend", "exact");
-            body.push_str(",\"violations\":[");
-            for (i, v) in violations.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                let line = format!("{}: violation [{}]: {v}", lp.name(), v.kind());
-                let _ = write!(body, "\"{}\"", ltsp_telemetry::json::escape(&line));
-            }
-            body.push(']');
-            CachedResult {
-                status: "rejected",
-                body: body.into(),
-                upgraded: false,
-            }
-        }
-    }
+    let _ = write!(body, ",\"regs\":[{gr},{fr},{pr}]");
 }
 
-/// The compile configuration a refining request compiled under (the
-/// same knobs the cold path used).
-fn compile_config_of(req: &Request) -> CompileConfig {
-    CompileConfig::new(req.policy)
-        .with_threshold(req.threshold)
-        .with_prefetch(req.prefetch)
-        .with_balanced_recurrences(req.balanced)
-        .with_data_speculation(req.speculate)
-}
-
-/// Processes one coalesced refinement batch: compute (or reuse) the
-/// refined body *once* under its shared canonical key, then swap every
-/// waiter's raw-request and tier body-key entries to it in place —
-/// each insert replaces a whole `Arc`'d value, so readers observe
-/// heuristic bytes or refined bytes, never a torn mix — and append the
-/// upgrades under their keys so a warm restart replays the refined
-/// bytes (last-writer-wins). All waiters share a dedup key, so the
-/// first job's refinement inputs are the batch's.
-fn refine_batch(sh: &RefineShared, jobs: &[RefineJob]) {
-    let Some(first) = jobs.first() else { return };
-    let req = &first.req;
-    let Ok(lp) = parse_loop(&req.loop_text) else {
-        // Unreachable in practice: the initial compiles parsed this text.
-        sh.upgrades
-            .failed
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        return;
-    };
-    let refined_key = match first.kind {
-        RefineKind::Exact => exact_body_key(&sh.machine, &lp, req.budget, first.deadline_ms),
-        RefineKind::Adaptive => {
-            adaptive_body_key(&sh.machine, &lp, &compile_config_of(req), req.trip)
+/// Appends `"violations":[…]`, one report line per validator finding.
+fn push_violations(body: &mut String, name: &str, violations: &[Violation]) {
+    use std::fmt::Write as _;
+    body.push_str(",\"violations\":[");
+    for (i, v) in violations.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
         }
-    };
-    let (refined, refined_hit) = sh.result_cache.get_or_insert_with(
-        refined_key,
-        |r| r.body.len() + 32,
-        || match first.kind {
-            RefineKind::Exact => {
-                compute_exact_body(&sh.machine, &lp, req.budget, first.deadline_ms)
-            }
-            RefineKind::Adaptive => {
-                compute_adaptive_body(&sh.machine, &lp, &compile_config_of(req), req)
-            }
-        },
-    );
-    if !refined_hit {
-        append_record(
-            sh.persist.as_deref(),
-            &sh.persist_counters,
-            refined_key,
-            refined.status,
-            &refined.body,
-        );
+        let line = format!("{name}: violation [{}]: {v}", v.kind());
+        let _ = write!(body, "\"{}\"", ltsp_telemetry::json::escape(&line));
     }
-    if refined.status != "ok" {
-        sh.upgrades
-            .failed
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        return;
-    }
-    let strictly_refined = refined.body.contains("\"refined\":true");
-    for job in jobs {
-        let cfg = compile_config_of(&job.req);
-        let tier_key = match job.kind {
-            RefineKind::Exact => tiered_body_key(
-                &sh.machine,
-                &lp,
-                &cfg,
-                job.req.trip,
-                job.req.budget,
-                job.deadline_ms,
-            ),
-            RefineKind::Adaptive => adaptive_tier_body_key(&sh.machine, &lp, &cfg, job.req.trip),
-        };
-        let up = CachedResult {
-            status: refined.status,
-            body: refined.body.clone(),
-            upgraded: true,
-        };
-        sh.result_cache.insert(
-            job.raw_key,
-            up.clone(),
-            up.body.len() + job.req.loop_text.len() + 64,
-        );
-        let bytes = up.body.len() + 32;
-        sh.result_cache.insert(tier_key, up, bytes);
-        // Second appends under both keys: the in-place upgrade, durably.
-        for key in [job.raw_key, tier_key] {
-            append_record(
-                sh.persist.as_deref(),
-                &sh.persist_counters,
-                key,
-                refined.status,
-                &refined.body,
-            );
-        }
-        sh.upgrades.applied.fetch_add(1, Ordering::Relaxed);
-        if strictly_refined {
-            sh.upgrades.refined.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    body.push(']');
 }
 
 /// Maps a replayed status string back onto the engine's static status
@@ -1923,6 +1334,12 @@ mod tests {
         json::escape(&ltsp_workloads::saxpy(name).to_string())
     }
 
+    /// A request line for `saxpy("s")`; `fields` follow the loop, each
+    /// with its leading comma.
+    fn request_line(op: &str, fields: &str) -> String {
+        format!(r#"{{"op":"{op}","loop":"{}"{fields}}}"#, loop_json("s"))
+    }
+
     fn bool_of(v: &json::JsonValue, key: &str) -> bool {
         match v.get(key) {
             Some(json::JsonValue::Bool(b)) => *b,
@@ -1934,10 +1351,7 @@ mod tests {
     fn compile_misses_then_hits_with_identical_bytes() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let line = format!(
-            r#"{{"op":"compile","id":"c1","loop":"{}"}}"#,
-            loop_json("s")
-        );
+        let line = request_line("compile", r#","id":"c1""#);
         let cold = e.handle(&req(&line), &tel);
         let warm = e.handle(&req(&line), &tel);
         assert_eq!(cold.status, "ok");
@@ -1963,17 +1377,18 @@ mod tests {
     fn a_probe_answers_hits_and_leaves_misses_to_the_handler() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let r = req(&format!(
-            r#"{{"op":"compile","id":"p1","loop":"{}"}}"#,
-            loop_json("s")
-        ));
+        let r = req(&request_line("compile", r#","id":"p1""#));
         let key = e.request_key(&r).expect("compile requests are keyed");
         assert!(e.probe(key).is_none(), "nothing cached yet");
-        assert_eq!(e.result_cache.stats().misses, 0, "absence is not a miss");
+        assert_eq!(
+            e.core.result_cache.stats().misses,
+            0,
+            "absence is not a miss"
+        );
 
         let cold = e.handle_phased(&r, Route::Queued(Some(key)), &tel, &PhaseTimer::new());
         assert_eq!(cold.cache, "miss");
-        let after_cold = e.result_cache.stats();
+        let after_cold = e.core.result_cache.stats();
         assert_eq!(
             after_cold.misses, 2,
             "raw-request key + body key, once each"
@@ -1985,14 +1400,14 @@ mod tests {
         assert_eq!((warm.status, warm.cache), ("ok", "hit"));
         assert_eq!(warm.body, cold.body, "the probed entry is the cold bytes");
         assert_eq!(warm.render(), e.handle(&r, &tel).render());
-        let after_warm = e.result_cache.stats();
+        let after_warm = e.core.result_cache.stats();
         assert_eq!(after_warm.misses, after_cold.misses);
         assert_eq!(
             after_warm.hits,
             after_cold.hits + 2,
             "the probe, then handle"
         );
-        assert_eq!(e.counters.served_inline.load(Ordering::Relaxed), 1);
+        assert_eq!(e.counters().get(Counter::ServedInline), 1);
         assert_eq!(
             phases.get_us(Phase::QueueWait),
             0,
@@ -2004,11 +1419,8 @@ mod tests {
     fn config_knobs_split_the_compile_key() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let a = format!(r#"{{"op":"compile","loop":"{}"}}"#, loop_json("s"));
-        let b = format!(
-            r#"{{"op":"compile","loop":"{}","policy":"baseline"}}"#,
-            loop_json("s")
-        );
+        let a = request_line("compile", "");
+        let b = request_line("compile", r#","policy":"baseline""#);
         assert_eq!(e.handle(&req(&a), &tel).cache, "miss");
         assert_eq!(
             e.handle(&req(&b), &tel).cache,
@@ -2022,7 +1434,7 @@ mod tests {
     fn verify_certifies_and_caches() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let line = format!(r#"{{"op":"verify","loop":"{}"}}"#, loop_json("s"));
+        let line = request_line("verify", "");
         let cold = e.handle(&req(&line), &tel);
         assert_eq!(cold.status, "ok");
         assert_eq!(cold.cache, "miss");
@@ -2044,10 +1456,7 @@ mod tests {
         let e = engine();
         let tel = Telemetry::disabled();
         // deadline_ms:0 = unlimited, so the node budget decides.
-        let line = format!(
-            r#"{{"op":"oracle","loop":"{}","budget":200000,"deadline_ms":0}}"#,
-            loop_json("s")
-        );
+        let line = request_line("oracle", r#","budget":200000,"deadline_ms":0"#);
         let r = e.handle(&req(&line), &tel);
         assert_eq!(r.status, "ok", "{}", r.render());
         let v = json::parse(&r.render()).unwrap();
@@ -2090,14 +1499,8 @@ mod tests {
     fn oracle_budget_splits_the_result_key() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let a = format!(
-            r#"{{"op":"oracle","loop":"{}","budget":200000,"deadline_ms":0}}"#,
-            loop_json("s")
-        );
-        let b = format!(
-            r#"{{"op":"oracle","loop":"{}","budget":7,"deadline_ms":0}}"#,
-            loop_json("s")
-        );
+        let a = request_line("oracle", r#","budget":200000,"deadline_ms":0"#);
+        let b = request_line("oracle", r#","budget":7,"deadline_ms":0"#);
         assert_eq!(e.handle(&req(&a), &tel).cache, "miss");
         let rb = e.handle(&req(&b), &tel);
         assert_eq!(rb.cache, "miss", "budget changes the key");
@@ -2122,10 +1525,7 @@ mod tests {
     fn requests_emit_trace_events_and_counters() {
         let e = engine();
         let tel = Telemetry::enabled();
-        let line = format!(
-            r#"{{"op":"verify","id":"t-9","loop":"{}"}}"#,
-            loop_json("s")
-        );
+        let line = request_line("verify", r#","id":"t-9""#);
         e.handle(&req(&line), &tel);
         let events = tel.events();
         let ev = events
@@ -2134,7 +1534,7 @@ mod tests {
             .expect("server_request event");
         let rendered = format!("{:?}", ev.event);
         assert!(rendered.contains("t-9"), "{rendered}");
-        assert_eq!(e.counters.ok.load(Ordering::Relaxed), 1);
+        assert_eq!(e.counters().get(Counter::RequestsOk), 1);
         let stats = e.handle(&req(r#"{"op":"stats"}"#), &tel);
         let v = json::parse(&stats.render()).unwrap();
         assert_eq!(v.get("requests_ok").unwrap().as_u64(), Some(1));
@@ -2147,10 +1547,7 @@ mod tests {
     fn exact_backend_compiles_with_optimality_telemetry() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let line = format!(
-            r#"{{"op":"compile","id":"x1","loop":"{}","backend":"exact"}}"#,
-            loop_json("s")
-        );
+        let line = request_line("compile", r#","id":"x1","backend":"exact""#);
         let cold = e.handle(&req(&line), &tel);
         assert_eq!(cold.status, "ok", "{}", cold.render());
         assert_eq!(cold.cache, "miss");
@@ -2175,11 +1572,8 @@ mod tests {
     fn backend_splits_the_request_key() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let heur = format!(r#"{{"op":"compile","loop":"{}"}}"#, loop_json("s"));
-        let exact = format!(
-            r#"{{"op":"compile","loop":"{}","backend":"exact"}}"#,
-            loop_json("s")
-        );
+        let heur = request_line("compile", "");
+        let exact = request_line("compile", r#","backend":"exact""#);
         assert_eq!(e.handle(&req(&heur), &tel).cache, "miss");
         assert_eq!(
             e.handle(&req(&exact), &tel).cache,
@@ -2193,10 +1587,7 @@ mod tests {
     fn tiered_compile_answers_heuristically_then_upgrades_in_place() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let line = format!(
-            r#"{{"op":"compile","id":"t1","loop":"{}","backend":"tiered"}}"#,
-            loop_json("s")
-        );
+        let line = request_line("compile", r#","id":"t1","backend":"tiered""#);
         let cold = e.handle(&req(&line), &tel);
         assert_eq!(cold.status, "ok", "{}", cold.render());
         assert_eq!(cold.cache, "miss");
@@ -2209,9 +1600,9 @@ mod tests {
         assert!(!bool_of(&v, "refined"));
 
         e.refine_wait_idle();
-        assert_eq!(e.upgrades.scheduled.load(Ordering::Relaxed), 1);
-        assert_eq!(e.upgrades.applied.load(Ordering::Relaxed), 1);
-        assert_eq!(e.upgrades.failed.load(Ordering::Relaxed), 0);
+        assert_eq!(e.counters().get(Counter::UpgradesScheduled), 1);
+        assert_eq!(e.counters().get(Counter::UpgradesApplied), 1);
+        assert_eq!(e.counters().get(Counter::UpgradesFailed), 0);
 
         let warm = e.handle(&req(&line), &tel);
         assert_eq!(warm.cache, "upgraded", "hit on an upgraded entry");
@@ -2222,47 +1613,45 @@ mod tests {
 
         // The upgraded bytes ARE the exact backend's bytes: a sync exact
         // request for the same loop returns the identical body.
-        let exact_line = format!(
-            r#"{{"op":"compile","id":"t2","loop":"{}","backend":"exact"}}"#,
-            loop_json("s")
-        );
+        let exact_line = request_line("compile", r#","id":"t2","backend":"exact""#);
         let exact = e.handle(&req(&exact_line), &tel);
         assert_eq!(exact.body, warm.body, "upgrade == exact, byte for byte");
     }
 
-    #[test]
-    fn tiered_upgrade_survives_warm_restart_with_zero_misses() {
-        let dir =
-            std::env::temp_dir().join(format!("ltsp-engine-tiered-restart-{}", std::process::id()));
+    /// An empty persist log in a per-test, per-process directory.
+    fn fresh_log(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ltsp-engine-{test}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.log");
         let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Warm restart after an upgrade: replay must collapse the
+    /// duplicate-key appends to the refined bytes (last-writer-wins) and
+    /// serve them as hits — no recompiles, no resurrection of the tier's
+    /// first body.
+    fn upgrade_survives_warm_restart(test: &str, line: &str) {
+        let path = fresh_log(test);
         let cfg = || EngineConfig {
             persist_path: Some(path.clone()),
             ..EngineConfig::default()
         };
         let tel = Telemetry::disabled();
-        let line = format!(
-            r#"{{"op":"compile","id":"t1","loop":"{}","backend":"tiered"}}"#,
-            loop_json("s")
-        );
         let upgraded_body = {
             let e = Engine::new(cfg());
-            e.handle(&req(&line), &tel);
+            e.handle(&req(line), &tel);
             e.refine_wait_idle();
-            let warm = e.handle(&req(&line), &tel);
+            let warm = e.handle(&req(line), &tel);
             assert_eq!(warm.cache, "upgraded");
             warm.body
         };
-        // Warm restart: replay must collapse the duplicate-key appends
-        // to the upgraded bytes (last-writer-wins) and serve them as
-        // hits — no recompiles, no resurrections of the heuristic body.
         let e = Engine::new(cfg());
         assert!(
-            e.persist_counters.superseded.load(Ordering::Relaxed) >= 2,
-            "raw and tiered keys were each appended twice"
+            e.counters().get(Counter::PersistSuperseded) >= 2,
+            "raw and tier keys were each appended twice"
         );
-        let replayed = e.handle(&req(&line), &tel);
+        let replayed = e.handle(&req(line), &tel);
         assert_eq!(replayed.cache, "hit", "replayed entries serve as hits");
         assert_eq!(replayed.body, upgraded_body, "upgraded bytes replay");
         let stats = e.handle(&req(r#"{"op":"stats"}"#), &tel);
@@ -2272,17 +1661,32 @@ mod tests {
             Some(0),
             "zero misses after a post-upgrade warm restart"
         );
+        let log_bytes = v.get("persist_log_bytes").unwrap().as_u64().unwrap();
+        assert_eq!(
+            log_bytes,
+            std::fs::metadata(&path).unwrap().len(),
+            "the gauge tracks the on-disk log size"
+        );
+    }
+
+    #[test]
+    fn tiered_upgrade_survives_warm_restart_with_zero_misses() {
+        let line = request_line("compile", r#","id":"t1","backend":"tiered""#);
+        upgrade_survives_warm_restart("tiered-restart", &line);
+    }
+
+    #[test]
+    fn adaptive_upgrade_survives_warm_restart_with_zero_misses() {
+        let line = request_line("compile", r#","id":"a1","mode":"adaptive""#);
+        upgrade_survives_warm_restart("adaptive-restart", &line);
     }
 
     #[test]
     fn mode_splits_the_request_key() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let stat = format!(r#"{{"op":"compile","loop":"{}"}}"#, loop_json("s"));
-        let adpt = format!(
-            r#"{{"op":"compile","loop":"{}","mode":"adaptive"}}"#,
-            loop_json("s")
-        );
+        let stat = request_line("compile", "");
+        let adpt = request_line("compile", r#","mode":"adaptive""#);
         let rs = e.handle(&req(&stat), &tel);
         assert_eq!(rs.cache, "miss");
         // The adaptive request reuses the compiled artifact (a "hit")
@@ -2305,10 +1709,7 @@ mod tests {
     fn adaptive_compile_answers_statically_then_upgrades_in_place() {
         let e = engine();
         let tel = Telemetry::disabled();
-        let line = format!(
-            r#"{{"op":"compile","id":"a1","loop":"{}","mode":"adaptive"}}"#,
-            loop_json("s")
-        );
+        let line = request_line("compile", r#","id":"a1","mode":"adaptive""#);
         let cold = e.handle(&req(&line), &tel);
         assert_eq!(cold.status, "ok", "{}", cold.render());
         assert_eq!(cold.cache, "miss");
@@ -2322,10 +1723,10 @@ mod tests {
         let static_ii = v.get("ii").unwrap().as_u64().unwrap();
 
         e.refine_wait_idle();
-        assert_eq!(e.upgrades.scheduled.load(Ordering::Relaxed), 1);
-        assert_eq!(e.upgrades.applied.load(Ordering::Relaxed), 1);
-        assert_eq!(e.upgrades.failed.load(Ordering::Relaxed), 0);
-        assert_eq!(e.upgrades.refined.load(Ordering::Relaxed), 1);
+        assert_eq!(e.counters().get(Counter::UpgradesScheduled), 1);
+        assert_eq!(e.counters().get(Counter::UpgradesApplied), 1);
+        assert_eq!(e.counters().get(Counter::UpgradesFailed), 0);
+        assert_eq!(e.counters().get(Counter::UpgradesRefined), 1);
 
         let warm = e.handle(&req(&line), &tel);
         assert_eq!(warm.cache, "upgraded", "hit on an upgraded entry");
@@ -2349,64 +1750,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_upgrade_survives_warm_restart_with_zero_misses() {
-        let dir = std::env::temp_dir().join(format!(
-            "ltsp-engine-adaptive-restart-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.log");
-        let _ = std::fs::remove_file(&path);
-        let cfg = || EngineConfig {
-            persist_path: Some(path.clone()),
-            ..EngineConfig::default()
-        };
-        let tel = Telemetry::disabled();
-        let line = format!(
-            r#"{{"op":"compile","id":"a1","loop":"{}","mode":"adaptive"}}"#,
-            loop_json("s")
-        );
-        let upgraded_body = {
-            let e = Engine::new(cfg());
-            e.handle(&req(&line), &tel);
-            e.refine_wait_idle();
-            let warm = e.handle(&req(&line), &tel);
-            assert_eq!(warm.cache, "upgraded");
-            warm.body
-        };
-        // Warm restart: the LWW replay collapses the duplicate-key
-        // appends to the converged adaptive bytes and serves them as
-        // hits — no recompiles, no resurrection of the static body.
-        let e = Engine::new(cfg());
-        assert!(
-            e.persist_counters.superseded.load(Ordering::Relaxed) >= 2,
-            "raw and adaptive-tier keys were each appended twice"
-        );
-        let replayed = e.handle(&req(&line), &tel);
-        assert_eq!(replayed.cache, "hit", "replayed entries serve as hits");
-        assert_eq!(replayed.body, upgraded_body, "adaptive bytes replay");
-        let stats = e.handle(&req(r#"{"op":"stats"}"#), &tel);
-        let v = json::parse(&stats.render()).unwrap();
-        assert_eq!(
-            v.get("result_cache_misses").unwrap().as_u64(),
-            Some(0),
-            "zero misses after a post-upgrade warm restart"
-        );
-        let log_bytes = v.get("persist_log_bytes").unwrap().as_u64().unwrap();
-        assert_eq!(
-            log_bytes,
-            std::fs::metadata(&path).unwrap().len(),
-            "the gauge tracks the on-disk log size"
-        );
-    }
-
-    #[test]
     fn persist_warning_latches_once_past_the_threshold() {
-        let dir =
-            std::env::temp_dir().join(format!("ltsp-engine-persist-warn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.log");
-        let _ = std::fs::remove_file(&path);
+        let path = fresh_log("persist-warn");
         let e = Engine::new(EngineConfig {
             persist_path: Some(path.clone()),
             persist_warn_bytes: Some(1), // any append crosses it
@@ -2414,18 +1759,13 @@ mod tests {
         });
         let tel = Telemetry::disabled();
         assert!(
-            !e.persist_warned.load(Ordering::Relaxed),
+            !e.core.persist_warned.load(Ordering::Relaxed),
             "an empty log is under the threshold"
         );
-        let line = |id: &str| {
-            format!(
-                r#"{{"op":"compile","id":"{id}","loop":"{}"}}"#,
-                loop_json("s")
-            )
-        };
+        let line = |id: &str| request_line("compile", &format!(r#","id":"{id}""#));
         e.handle(&req(&line("w1")), &tel);
         assert!(
-            e.persist_warned.load(Ordering::Relaxed),
+            e.core.persist_warned.load(Ordering::Relaxed),
             "the first append past the threshold trips the warning"
         );
         // A generous threshold never warns.
@@ -2436,7 +1776,44 @@ mod tests {
             ..EngineConfig::default()
         });
         quiet.handle(&req(&line("w2")), &tel);
-        assert!(!quiet.persist_warned.load(Ordering::Relaxed));
+        assert!(!quiet.core.persist_warned.load(Ordering::Relaxed));
+    }
+
+    /// The tripwire watches every append, the refine worker's included:
+    /// three of the five records a tiered key leaves in the log are
+    /// written by the upgrade.
+    #[test]
+    fn persist_warning_sees_the_refine_workers_appends() {
+        let path = fresh_log("persist-warn-refine");
+        let tel = Telemetry::disabled();
+        let line = request_line("compile", r#","id":"w","backend":"tiered""#);
+        // (log bytes, latch) once the cold answer is out and the worker
+        // has not started, then once the upgrade has landed.
+        let run = |persist_warn_bytes: Option<u64>| {
+            let _ = std::fs::remove_file(&path);
+            let e = Engine::new(EngineConfig {
+                persist_path: Some(path.clone()),
+                persist_warn_bytes,
+                ..EngineConfig::default()
+            });
+            let look = |e: &Engine| {
+                (
+                    e.core.persist.as_ref().unwrap().log_bytes(),
+                    e.core.persist_warned.load(Ordering::Relaxed),
+                )
+            };
+            let gate = e.refine_pause();
+            e.handle(&req(&line), &tel);
+            let answered = look(&e);
+            drop(gate);
+            e.refine_wait_idle();
+            (answered, look(&e))
+        };
+        let ((answered_bytes, _), (upgraded_bytes, _)) = run(None);
+        assert!(upgraded_bytes > answered_bytes, "the upgrade appends");
+        let ((_, early), (_, late)) = run(Some(answered_bytes));
+        assert!(!early, "the cold answer's appends end at the threshold");
+        assert!(late, "the upgrade's appends cross it");
     }
 
     #[test]
@@ -2445,14 +1822,8 @@ mod tests {
         let tel = Telemetry::disabled();
         // Same loop text and budget, different trip estimates: distinct
         // raw and tiered keys, but one shared exact refinement.
-        let a = format!(
-            r#"{{"op":"compile","id":"c1","loop":"{}","backend":"tiered","trip":100}}"#,
-            loop_json("s")
-        );
-        let b = format!(
-            r#"{{"op":"compile","id":"c2","loop":"{}","backend":"tiered","trip":200}}"#,
-            loop_json("s")
-        );
+        let a = request_line("compile", r#","id":"c1","backend":"tiered","trip":100"#);
+        let b = request_line("compile", r#","id":"c2","backend":"tiered","trip":200"#);
         {
             let _gate = e.refine_pause();
             assert_eq!(e.handle(&req(&a), &tel).cache, "miss");
@@ -2460,21 +1831,21 @@ mod tests {
         }
         e.refine_wait_idle();
         assert_eq!(
-            e.upgrades.scheduled.load(Ordering::Relaxed),
+            e.counters().get(Counter::UpgradesScheduled),
             1,
             "one leader queued"
         );
         assert_eq!(
-            e.upgrades.coalesced.load(Ordering::Relaxed),
+            e.counters().get(Counter::UpgradesCoalesced),
             1,
             "the second request coalesced onto it"
         );
         assert_eq!(
-            e.upgrades.applied.load(Ordering::Relaxed),
+            e.counters().get(Counter::UpgradesApplied),
             2,
             "both waiters were upgraded"
         );
-        assert_eq!(e.upgrades.failed.load(Ordering::Relaxed), 0);
+        assert_eq!(e.counters().get(Counter::UpgradesFailed), 0);
         for line in [&a, &b] {
             let warm = e.handle(&req(line), &tel);
             assert_eq!(warm.cache, "upgraded", "{}", warm.render());
@@ -2489,72 +1860,5 @@ mod tests {
         assert_eq!(loop_name_of("loop saxpy {\n}"), "saxpy");
         assert_eq!(loop_name_of("loop x{ }"), "x");
         assert_eq!(loop_name_of("not a loop"), "");
-    }
-}
-
-#[cfg(test)]
-mod warmprof {
-    use super::*;
-    use crate::proto::parse_request;
-    use ltsp_telemetry::Telemetry;
-
-    #[test]
-    #[ignore]
-    fn warm_profile() {
-        let mut b = ltsp_ir::LoopBuilder::new("syn0");
-        let c0 = b.live_in_fr("c0");
-        let c1 = b.live_in_fr("c1");
-        for s in 0..3u64 {
-            let x = b.affine_ref(
-                &format!("x{s}[i]"),
-                ltsp_ir::DataClass::Fp,
-                (s + 1) << 24,
-                8,
-                8,
-            );
-            let v = b.load(x);
-            let mut t = b.fma(c0, v, c1);
-            for _ in 0..12 {
-                t = b.fma(c0, t, c1);
-                t = b.fmul(t, t);
-            }
-            let y = b.affine_ref(
-                &format!("y{s}[i]"),
-                ltsp_ir::DataClass::Fp,
-                ((s + 1) << 24) + (1 << 20),
-                8,
-                8,
-            );
-            b.store(y, t);
-        }
-        let lp = b.build().unwrap();
-        let text = lp.to_string();
-        let line = format!(
-            "{{\"op\":\"compile\",\"id\":\"p\",\"loop\":\"{}\"}}",
-            ltsp_telemetry::json::escape(&text)
-        );
-        let tel = Telemetry::disabled();
-        let engine = Engine::new(EngineConfig::default());
-        let req = parse_request(&line).unwrap();
-        let r = engine.handle(&req, &tel);
-        eprintln!("body bytes: {}", r.body.len());
-        let t0 = std::time::Instant::now();
-        let n = 2000;
-        for _ in 0..n {
-            let req = parse_request(&line).unwrap();
-            let _ = engine.handle(&req, &tel);
-        }
-        eprintln!("warm handle+parse: {:?}/iter", t0.elapsed() / n);
-        let t0 = std::time::Instant::now();
-        for _ in 0..n {
-            let _ = parse_request(&line).unwrap();
-        }
-        eprintln!("parse_request alone: {:?}/iter", t0.elapsed() / n);
-        let t0 = std::time::Instant::now();
-        for _ in 0..n {
-            let lp2 = ltsp_ir::parse_loop(&text).unwrap();
-            std::hint::black_box(lp2.to_string());
-        }
-        eprintln!("loop parse+tostring: {:?}/iter", t0.elapsed() / n);
     }
 }

@@ -17,6 +17,7 @@
 //! [`daemon`] for the backpressure state machine and drain semantics
 //! (also DESIGN.md §12).
 
+mod counters;
 pub mod daemon;
 pub mod engine;
 pub mod fault;
@@ -25,9 +26,7 @@ pub mod proto;
 mod report;
 
 pub use daemon::{serve, spawn, ServerConfig, ServerHandle, SHARD_KILL_EXIT_CODE};
-pub use engine::{
-    CacheHit, Engine, EngineConfig, PersistCounters, Route, ServerGauges, UpgradeCounters,
-};
+pub use engine::{CacheHit, Engine, EngineConfig, Route};
 pub use fault::{FaultPlan, FaultSite};
 pub use flight::{normalize_flight_dump, read_dumps, FlightRecord, FlightRecorder};
 pub use proto::{parse_request, Backend, Mode, ProtoError, ReqOp, Request, Response};

@@ -362,15 +362,27 @@ pub struct Response {
 }
 
 impl Response {
-    /// An error response with a message body.
-    pub fn error(id: &str, status: &'static str, message: &str) -> Response {
+    /// A response to request `id` without a timing breakdown (the
+    /// engine attaches one last, to requests that asked).
+    pub fn new(
+        id: &str,
+        status: &'static str,
+        cache: &'static str,
+        body: impl Into<Arc<str>>,
+    ) -> Response {
         Response {
             id: id.to_string(),
             status,
-            cache: "-",
-            body: format!(",\"error\":\"{}\"", escape(message)).into(),
+            cache,
+            body: body.into(),
             timings: None,
         }
+    }
+
+    /// An error response with a message body.
+    pub fn error(id: &str, status: &'static str, message: &str) -> Response {
+        let body = format!(",\"error\":\"{}\"", escape(message));
+        Response::new(id, status, "-", body)
     }
 
     /// Renders the single response line (no trailing newline).
@@ -470,13 +482,7 @@ mod tests {
         push_u64_field(&mut body, "ii", 4);
         push_bool_field(&mut body, "pipelined", true);
         push_str_field(&mut body, "report", "two\nlines");
-        let r = Response {
-            id: "r1".to_string(),
-            status: "ok",
-            cache: "miss",
-            body: body.into(),
-            timings: None,
-        };
+        let r = Response::new("r1", "ok", "miss", body);
         let line = r.render();
         assert!(!line.contains('\n'), "newlines are escaped: {line}");
         let v = json::parse(&line).unwrap();
@@ -495,13 +501,7 @@ mod tests {
         let off = parse_request(r#"{"op":"compile","id":"t","loop":"loop x {\n}"}"#).unwrap();
         assert!(!off.timings, "timings defaults to off");
 
-        let mut resp = Response {
-            id: "t".to_string(),
-            status: "ok",
-            cache: "hit",
-            body: ",\"op\":\"compile\"".into(),
-            timings: None,
-        };
+        let mut resp = Response::new("t", "ok", "hit", ",\"op\":\"compile\"");
         let plain = resp.render();
         resp.timings = Some("{\"sched_us\":12}".to_string());
         let timed = resp.render();
