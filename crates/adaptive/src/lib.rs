@@ -34,7 +34,7 @@ use ltsp_ir::{LatencyHint, LoopIr};
 use ltsp_machine::MachineModel;
 use ltsp_memsim::{Executor, ExecutorConfig, RefObservation, StreamMode};
 use ltsp_oracle::validate_schedule;
-use ltsp_telemetry::{Event, Telemetry};
+use ltsp_telemetry::{Event, Observer, Telemetry};
 
 /// Configuration of the refinement loop. The defaults are deliberately
 /// small and **fixed**: the adaptive contract is that the same loop text
@@ -331,13 +331,9 @@ pub fn compile_loop_adaptive(
         if round > 0 {
             round_cfg.observed_overlay = Some(overlay.clone());
         }
-        let compiled = ltsp_core::compile_loop_with_profile_traced(
-            lp,
-            machine,
-            &round_cfg,
-            trip_estimate,
-            tel,
-        );
+        let obs = Observer::new(tel, None);
+        let compiled =
+            ltsp_core::compile_loop_observed(lp, machine, &round_cfg, trip_estimate, obs);
 
         // Trust but verify: the independent validator re-derives every
         // constraint from the base-latency graph; a boosted schedule

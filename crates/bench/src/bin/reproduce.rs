@@ -44,7 +44,7 @@ use ltsp_bench::{
 };
 use ltsp_machine::MachineModel;
 use ltsp_telemetry::phase::{PhaseTimer, ALL_PHASES};
-use ltsp_telemetry::{Histogram, Telemetry};
+use ltsp_telemetry::{Histogram, Observer, Telemetry};
 use std::io::Write as _;
 use std::time::Instant;
 
@@ -80,7 +80,7 @@ fn write_artifact(
 /// timer attached and folds each compiler phase's wall-clock into a
 /// histogram: the compile-latency KPI source for the bench record.
 fn compile_phase_kpis(machine: &MachineModel) -> Vec<(&'static str, Histogram)> {
-    use ltsp_core::{compile_loop_with_profile_phased, CompileConfig, LatencyPolicy};
+    use ltsp_core::{compile_loop_observed, CompileConfig, LatencyPolicy};
     let tel = Telemetry::disabled();
     let mut hists: Vec<(&'static str, Histogram)> = ALL_PHASES
         .iter()
@@ -95,8 +95,8 @@ fn compile_phase_kpis(machine: &MachineModel) -> Vec<(&'static str, Histogram)> 
         let cfg = CompileConfig::new(policy);
         for (_, lp) in ltsp_workloads::kernel_library() {
             let phases = PhaseTimer::new();
-            let _ =
-                compile_loop_with_profile_phased(&lp, machine, &cfg, 100.0, &tel, Some(&phases));
+            let obs = Observer::new(&tel, Some(&phases));
+            let _ = compile_loop_observed(&lp, machine, &cfg, 100.0, obs);
             for (phase, us) in phases.snapshot() {
                 if us == 0 {
                     continue;

@@ -23,17 +23,18 @@
 //!
 //! Invariants (see DESIGN.md §18): timing is observational — the harness
 //! compiles through the exact production entry points
-//! ([`compile_loop_with_profile_phased`] and the shared report renderer)
-//! and changes nothing about their results; any optimization judged by
-//! this harness must leave every compiled artifact byte-identical.
+//! ([`compile_loop_observed`] with a timer-only [`Observer`], whose
+//! [`Observer::time`] is the one place a compile phase is timed, and the
+//! shared report renderer) and changes nothing about their results; any
+//! optimization judged by this harness must leave every compiled artifact
+//! byte-identical.
 
-use ltsp_core::{compile_loop_with_profile_phased, CompileConfig, LatencyPolicy};
+use ltsp_core::{compile_loop_observed, CompileConfig, LatencyPolicy};
 use ltsp_ir::{parse_loop, LoopIr};
 use ltsp_machine::MachineModel;
 use ltsp_server::render_compile_report;
 use ltsp_telemetry::json::{self, JsonValue};
-use ltsp_telemetry::phase::{Phase, PhaseTimer};
-use ltsp_telemetry::{Histogram, Telemetry};
+use ltsp_telemetry::{Histogram, Observer, Phase, PhaseTimer, Telemetry};
 use ltsp_workloads::{kernel_library, scheduling_heavy};
 
 /// The compiler phases the harness buckets, in pipeline order.
@@ -139,7 +140,7 @@ fn measure_group(
         let cfg = CompileConfig::new(policy);
         for text in &texts {
             let lp = parse_loop(text).expect("printed loop");
-            compile_loop_with_profile_phased(&lp, machine, &cfg, 100.0, &counting, None);
+            compile_loop_observed(&lp, machine, &cfg, 100.0, Observer::new(&counting, None));
         }
     }
     let counters = counting.metrics();
@@ -150,8 +151,8 @@ fn measure_group(
             for _ in 0..repeat {
                 let timer = PhaseTimer::new();
                 let lp = timer.time(Phase::Parse, || parse_loop(text).expect("printed loop"));
-                let compiled =
-                    compile_loop_with_profile_phased(&lp, machine, &cfg, 100.0, &tel, Some(&timer));
+                let obs = Observer::new(&tel, Some(&timer));
+                let compiled = compile_loop_observed(&lp, machine, &cfg, 100.0, obs);
                 let report = timer.time(Phase::Render, || {
                     render_compile_report(&compiled, policy, 100.0)
                 });

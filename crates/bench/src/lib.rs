@@ -30,7 +30,6 @@ mod experiments;
 mod extensions;
 mod fig5;
 mod mcf;
-pub mod microbench;
 mod oracle_gap;
 mod stats;
 
@@ -46,6 +45,5 @@ pub use extensions::{
 };
 pub use fig5::{fig5, Fig5Result};
 pub use mcf::{mcf_case_study, McfCaseStudy};
-pub use microbench::{Bench, BenchResult};
 pub use oracle_gap::{oracle_gap, OracleGapResult};
 pub use stats::{compile_time, regstats, CompileTimeResult, RegStatsResult};

@@ -1,5 +1,6 @@
 //! The compile-side cache hook: content-addressed memoization of
-//! [`compile_loop_with_profile_traced`] results.
+//! [`compile_loop_observed`] results, so a hit skips the whole compile —
+//! and with it every phase an [`Observer`] would have timed.
 //!
 //! The cache key is a [`Fingerprint`] over the **canonicalized** inputs:
 //!
@@ -19,10 +20,9 @@ use std::sync::Arc;
 use ltsp_cache::{CacheConfig, Fingerprint, FingerprintHasher, ShardedLru};
 use ltsp_ir::LoopIr;
 use ltsp_machine::MachineModel;
-use ltsp_telemetry::phase::{Phase, PhaseTimer};
-use ltsp_telemetry::Telemetry;
+use ltsp_telemetry::{Observer, Phase};
 
-use crate::compile::{compile_loop_with_profile_phased, CompiledLoop};
+use crate::compile::{compile_loop_observed, CompiledLoop};
 use crate::config::CompileConfig;
 
 impl CompileConfig {
@@ -74,51 +74,35 @@ fn approx_bytes(c: &CompiledLoop) -> usize {
     format!("{c:?}").len()
 }
 
-/// [`compile_loop_with_profile_traced`] behind a [`CompileCache`]: returns
-/// the cached kernel for a previously seen (loop, config, machine, trip)
+/// [`compile_loop_observed`] behind a [`CompileCache`]: returns the
+/// cached kernel for a previously seen (loop, config, machine, trip)
 /// tuple, or compiles, caches and returns. The boolean is `true` on a
 /// cache hit.
 ///
 /// A hit returns the identical [`CompiledLoop`] the cold compile produced
 /// (shared via `Arc`, so hits are pointer clones); because compilation is
 /// a deterministic pure function of the key, hit and miss paths are
-/// indistinguishable to the caller except in latency. Note that a hit
-/// emits no compile-phase telemetry — the compile being skipped is the
-/// point — so callers that need a decision trace for a specific request
-/// should bypass the cache for it.
+/// indistinguishable to the caller except in latency. A cold compile
+/// books its time under the compile phases (`hlo`/`ddg`/`mrt`/`sched`/
+/// `regalloc`), a hit books the probe under `cache_lookup`. Note that a
+/// hit emits no compile-phase telemetry — the compile being skipped is
+/// the point — so callers that need a decision trace for a specific
+/// request should bypass the cache for it.
 pub fn compile_loop_cached(
     cache: &CompileCache,
     lp: &LoopIr,
     machine: &MachineModel,
     cfg: &CompileConfig,
     trip_estimate: f64,
-    tel: &Telemetry,
-) -> (Arc<CompiledLoop>, bool) {
-    compile_loop_cached_phased(cache, lp, machine, cfg, trip_estimate, tel, None)
-}
-
-/// [`compile_loop_cached`] with optional per-phase wall-clock
-/// attribution: a cold compile books its time under the compile phases
-/// (`hlo`/`ddg`/`mrt`/`sched`/`regalloc`), a hit books the probe under
-/// `cache_lookup`.
-pub fn compile_loop_cached_phased(
-    cache: &CompileCache,
-    lp: &LoopIr,
-    machine: &MachineModel,
-    cfg: &CompileConfig,
-    trip_estimate: f64,
-    tel: &Telemetry,
-    phases: Option<&PhaseTimer>,
+    obs: Observer,
 ) -> (Arc<CompiledLoop>, bool) {
     let key = compile_key(lp, machine, cfg, trip_estimate);
     let t0 = std::time::Instant::now();
     let (compiled, hit) = cache.get_or_insert_with(key, approx_bytes, || {
-        compile_loop_with_profile_phased(lp, machine, cfg, trip_estimate, tel, phases)
+        compile_loop_observed(lp, machine, cfg, trip_estimate, obs)
     });
-    if hit {
-        if let Some(p) = phases {
-            p.add_us(Phase::CacheLookup, t0.elapsed().as_micros() as u64);
-        }
+    if let (true, Some(p)) = (hit, obs.phases) {
+        p.add_us(Phase::CacheLookup, t0.elapsed().as_micros() as u64);
     }
     (compiled, hit)
 }
@@ -126,7 +110,7 @@ pub fn compile_loop_cached_phased(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_loop_with_profile_traced;
+    use crate::compile::compile_loop_with_profile;
     use crate::config::LatencyPolicy;
     use ltsp_workloads::saxpy;
 
@@ -190,13 +174,13 @@ mod tests {
         let cfg = CompileConfig::new(LatencyPolicy::HloHints);
         let lp = saxpy("s");
         let cache = new_compile_cache(1 << 20);
-        let tel = Telemetry::disabled();
-        let (cold, hit0) = compile_loop_cached(&cache, &lp, &m, &cfg, 100.0, &tel);
-        let (warm, hit1) = compile_loop_cached(&cache, &lp, &m, &cfg, 100.0, &tel);
+        let obs = Observer::disabled();
+        let (cold, hit0) = compile_loop_cached(&cache, &lp, &m, &cfg, 100.0, obs);
+        let (warm, hit1) = compile_loop_cached(&cache, &lp, &m, &cfg, 100.0, obs);
         assert!(!hit0);
         assert!(hit1);
         assert!(Arc::ptr_eq(&cold, &warm), "a hit is a pointer clone");
-        let fresh = compile_loop_with_profile_traced(&lp, &m, &cfg, 100.0, &tel);
+        let fresh = compile_loop_with_profile(&lp, &m, &cfg, 100.0);
         assert_eq!(
             format!("{:?}", *warm),
             format!("{fresh:?}"),

@@ -1,14 +1,13 @@
 //! The compiler driver: HLO → criticality → latency-tolerant pipelining.
 
-use ltsp_hlo::{run_hlo_traced, HintReason, HloReport};
+use ltsp_hlo::{run_hlo_observed, HintReason, HloReport};
 use ltsp_ir::{DataClass, InstId, LatencyHint, LoopIr, Opcode, RegClass};
 use ltsp_machine::LatencyQuery;
 use ltsp_machine::MachineModel;
 use ltsp_pipeliner::{
-    pipeline_loop_phased, LoadClassification, ModuloSchedule, PipelineStats, RegAllocation,
+    pipeline_loop_observed, LoadClassification, ModuloSchedule, PipelineStats, RegAllocation,
 };
-use ltsp_telemetry::phase::{time_opt, Phase, PhaseTimer};
-use ltsp_telemetry::{Event, Telemetry};
+use ltsp_telemetry::{Event, Observer, Phase, Telemetry};
 
 use crate::config::{CompileConfig, LatencyPolicy};
 
@@ -206,7 +205,7 @@ pub fn compile_loop_with_profile(
     cfg: &CompileConfig,
     trip_estimate: f64,
 ) -> CompiledLoop {
-    compile_loop_with_profile_traced(lp, machine, cfg, trip_estimate, &Telemetry::disabled())
+    compile_loop_observed(lp, machine, cfg, trip_estimate, Observer::disabled())
 }
 
 /// Emits one [`Event::BoostAssigned`] per load the final kernel schedules
@@ -261,60 +260,42 @@ fn emit_boost_events(
     tel.counter_add("compile.boosted_loads", boosted);
 }
 
-/// [`compile_loop_with_profile`] with the whole decision trail recorded on
-/// a telemetry sink: HLO hint marking, criticality verdicts, scheduling
-/// attempts and fallbacks (via the traced HLO/pipeliner entry points),
-/// per-phase wall-clock spans, and a [`Event::BoostAssigned`] per load the
-/// kernel schedules at a boosted latency.
-pub fn compile_loop_with_profile_traced(
+/// [`compile_loop_with_profile`] reporting to an [`Observer`]. The sink
+/// gets the whole decision trail — HLO hint marking, criticality
+/// verdicts, scheduling attempts and fallbacks, and an
+/// [`Event::BoostAssigned`] per load the kernel schedules at a boosted
+/// latency — and each compile phase is timed once: `hlo` here, the
+/// pipeliner's `ddg`/`mrt`/`sched`/`regalloc` split inside
+/// [`pipeline_loop_observed`]. Observing changes nothing about the result.
+pub fn compile_loop_observed(
     lp: &LoopIr,
     machine: &MachineModel,
     cfg: &CompileConfig,
     trip_estimate: f64,
-    tel: &Telemetry,
+    obs: Observer,
 ) -> CompiledLoop {
-    compile_loop_with_profile_phased(lp, machine, cfg, trip_estimate, tel, None)
-}
-
-/// [`compile_loop_with_profile_traced`] with optional per-phase
-/// wall-clock attribution on a [`PhaseTimer`]: `hlo` for high-level
-/// optimization, and the pipeliner's `ddg`/`mrt`/`sched`/`regalloc`
-/// split. Timing is observational only.
-pub fn compile_loop_with_profile_phased(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    cfg: &CompileConfig,
-    trip_estimate: f64,
-    tel: &Telemetry,
-    phases: Option<&PhaseTimer>,
-) -> CompiledLoop {
+    let (tel, name) = (obs.tel, lp.name());
     let mut lp = lp.clone();
-    let hlo = {
-        let _span = tel.span(format!("hlo:{}", lp.name()));
-        // The observed overlay rides into the prefetcher here (so it can
-        // drop observed-redundant prefetches) rather than living in
-        // `cfg.hlo` directly — the cache fingerprint then tracks it
-        // exactly once, via `CompileConfig::observed_overlay`.
-        let hlo_cfg;
-        let hlo_cfg = if let Some(ov) = &cfg.observed_overlay {
-            hlo_cfg = ltsp_hlo::HloConfig {
-                observed: Some(ov.clone()),
-                ..cfg.hlo.clone()
-            };
-            &hlo_cfg
-        } else {
-            &cfg.hlo
+    // The observed overlay rides into the prefetcher here (so it can drop
+    // observed-redundant prefetches) rather than living in `cfg.hlo`
+    // directly — the cache fingerprint then tracks it exactly once, via
+    // `CompileConfig::observed_overlay`.
+    let hlo_cfg;
+    let hlo_cfg = if let Some(ov) = &cfg.observed_overlay {
+        hlo_cfg = ltsp_hlo::HloConfig {
+            observed: Some(ov.clone()),
+            ..cfg.hlo.clone()
         };
-        time_opt(phases, Phase::Hlo, || {
-            run_hlo_traced(&mut lp, machine, Some(trip_estimate), hlo_cfg, tel)
-        })
+        &hlo_cfg
+    } else {
+        &cfg.hlo
     };
+    let hlo = obs.time(Phase::Hlo, name, || {
+        run_hlo_observed(&mut lp, machine, Some(trip_estimate), hlo_cfg, obs)
+    });
 
     let hint_fn = |inst: InstId| hint_for_load(&lp, &hlo, cfg, trip_estimate, inst);
-    let pipelined = {
-        let _span = tel.span(format!("pipeline:{}", lp.name()));
-        pipeline_loop_phased(&lp, machine, &hint_fn, &cfg.pipeline, tel, phases)
-    };
+    let pipelined = pipeline_loop_observed(&lp, machine, &hint_fn, &cfg.pipeline, obs);
     tel.counter_add("compile.loops", 1);
     match pipelined {
         Ok(p) => {

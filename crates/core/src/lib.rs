@@ -23,12 +23,9 @@ mod report;
 mod runner;
 pub mod theory;
 
-pub use cache::{
-    compile_key, compile_loop_cached, compile_loop_cached_phased, new_compile_cache, CompileCache,
-};
+pub use cache::{compile_key, compile_loop_cached, new_compile_cache, CompileCache};
 pub use compile::{
-    compile_loop, compile_loop_with_profile, compile_loop_with_profile_phased,
-    compile_loop_with_profile_traced, sample_miss_hints, CompiledLoop,
+    compile_loop, compile_loop_observed, compile_loop_with_profile, sample_miss_hints, CompiledLoop,
 };
 pub use config::{CompileConfig, LatencyPolicy};
 pub use report::{format_cycle_accounting, format_gain_table, geomean_gain};

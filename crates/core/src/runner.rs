@@ -6,10 +6,10 @@ use ltsp_ir::SplitMix64;
 use ltsp_machine::MachineModel;
 use ltsp_memsim::{CycleCounters, Executor, ExecutorConfig};
 use ltsp_par::Pool;
-use ltsp_telemetry::Telemetry;
+use ltsp_telemetry::{Observer, Telemetry};
 use ltsp_workloads::{Benchmark, LoopSpec};
 
-use crate::compile::compile_loop_with_profile_traced;
+use crate::compile::{compile_loop_observed, compile_loop_with_profile};
 use crate::config::CompileConfig;
 
 /// Process-wide default worker count picked up by [`RunConfig::new`]
@@ -181,13 +181,8 @@ fn run_loop(bench_name: &str, spec: &LoopSpec, machine: &MachineModel, rc: &RunC
     } else {
         spec.static_trip_estimate
     };
-    let compiled = compile_loop_with_profile_traced(
-        &spec.loop_ir,
-        machine,
-        &rc.compile,
-        trip_estimate,
-        &rc.telemetry,
-    );
+    let obs = Observer::new(&rc.telemetry, None);
+    let compiled = compile_loop_observed(&spec.loop_ir, machine, &rc.compile, trip_estimate, obs);
 
     let loop_seed = rc.seed ^ fnv(bench_name) ^ fnv(&spec.name);
     let exec_cfg = ExecutorConfig {
@@ -255,20 +250,9 @@ fn run_loop_versioned(
     let boost_cfg = rc.compile.clone().with_threshold(0);
     // Only the boosted version's compile is traced — the baseline version
     // makes no latency decisions worth recording.
-    let base = compile_loop_with_profile_traced(
-        &spec.loop_ir,
-        machine,
-        &base_cfg,
-        trip_estimate,
-        &Telemetry::disabled(),
-    );
-    let boost = compile_loop_with_profile_traced(
-        &spec.loop_ir,
-        machine,
-        &boost_cfg,
-        trip_estimate,
-        &rc.telemetry,
-    );
+    let base = compile_loop_with_profile(&spec.loop_ir, machine, &base_cfg, trip_estimate);
+    let obs = Observer::new(&rc.telemetry, None);
+    let boost = compile_loop_observed(&spec.loop_ir, machine, &boost_cfg, trip_estimate, obs);
     debug_assert_eq!(
         base.lp, boost.lp,
         "policies only change scheduling, not the loop body"

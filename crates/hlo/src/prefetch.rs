@@ -373,17 +373,19 @@ pub fn run_hlo(
     }
 }
 
-/// [`run_hlo`] with every per-reference decision recorded on a telemetry
-/// sink as an [`ltsp_telemetry::Event::HloDecision`] (which heuristic
-/// fired, the hint set, the prefetch distance chosen).
-pub fn run_hlo_traced(
+/// [`run_hlo`] with every per-reference decision recorded on the
+/// observer's sink as an [`ltsp_telemetry::Event::HloDecision`] (which
+/// heuristic fired, the hint set, the prefetch distance chosen). The
+/// caller times the pass: it is the whole `hlo` phase.
+pub fn run_hlo_observed(
     lp: &mut LoopIr,
     machine: &MachineModel,
     trip_estimate: Option<f64>,
     cfg: &HloConfig,
-    tel: &ltsp_telemetry::Telemetry,
+    obs: ltsp_telemetry::Observer,
 ) -> HloReport {
     let report = run_hlo(lp, machine, trip_estimate, cfg);
+    let tel = obs.tel;
     if tel.is_enabled() {
         for d in &report.decisions {
             tel.emit(ltsp_telemetry::Event::HloDecision {

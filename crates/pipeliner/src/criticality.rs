@@ -3,6 +3,7 @@
 use ltsp_ddg::Ddg;
 use ltsp_ir::{InstId, LatencyHint, LoopIr, Opcode};
 use ltsp_machine::{LatencyQuery, MachineModel};
+use ltsp_telemetry::{Event, Observer};
 
 /// Whether a load may be scheduled at its hint-derived expected latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,50 +84,39 @@ pub fn classify_loads(
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     cycle_cap: usize,
 ) -> LoadClassification {
-    classify_loads_with(lp, machine, ddg_base, hint_of, cycle_cap, false)
+    let obs = Observer::disabled();
+    classify_loads_observed(lp, machine, ddg_base, hint_of, cycle_cap, false, obs)
 }
 
 /// [`classify_loads`] with the **balanced-recurrence extension** the paper
 /// names as future work ("balancing latency increases between different
-/// loads on a recurrence cycle"): instead of marking every load on a
-/// violating cycle critical, the cycle's slack against the Min II —
+/// loads on a recurrence cycle") and the analysis recorded on the
+/// observer's sink.
+///
+/// With `balance_cycles`, instead of marking every load on a violating
+/// cycle critical, the cycle's slack against the Min II —
 /// `threshold·Σomega − base length` — is divided equally among the cycle's
 /// load-data edges, and each load is scheduled for `base + share`, capped
 /// at its hinted expected latency. Loads on several cycles take the
 /// smallest share. With `balance_cycles = false` this is exactly the
 /// paper's algorithm.
-pub fn classify_loads_with(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    ddg_base: &Ddg,
-    hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
-    cycle_cap: usize,
-    balance_cycles: bool,
-) -> LoadClassification {
-    classify_loads_traced(
-        lp,
-        machine,
-        ddg_base,
-        hint_of,
-        cycle_cap,
-        balance_cycles,
-        &ltsp_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`classify_loads_with`] recording the analysis on a telemetry sink:
-/// the recurrence-cycle enumeration and, per load, a
+///
+/// The trace gets the recurrence-cycle enumeration (cycle count, and
+/// whether the cap truncated the search — a truncated enumeration can
+/// under-mark critical loads) and, per load, a
 /// [`ltsp_telemetry::Event::CriticalityVerdict`] with the worst implied II
-/// over raised cycles through the load against the II threshold.
-pub fn classify_loads_traced(
+/// over raised cycles through the load against the II threshold. The
+/// caller times the analysis (it is part of the `mrt` phase).
+pub fn classify_loads_observed(
     lp: &LoopIr,
     machine: &MachineModel,
     ddg_base: &Ddg,
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     cycle_cap: usize,
     balance_cycles: bool,
-    tel: &ltsp_telemetry::Telemetry,
+    obs: Observer,
 ) -> LoadClassification {
+    let tel = obs.tel;
     let n = lp.insts().len();
     let mut class: Vec<Option<LoadClass>> = lp
         .insts()
@@ -172,7 +162,16 @@ pub fn classify_loads_traced(
     // the per-load criticality verdicts in the decision trace.
     let mut worst_ii: Vec<u32> = vec![0; n];
 
-    for cycle in ddg_base.recurrence_cycles_traced(cycle_cap, tel) {
+    let cycles = ddg_base.recurrence_cycles(cycle_cap);
+    if tel.is_enabled() {
+        tel.emit(Event::CycleEnumeration {
+            cycles: cycles.len() as u64,
+            cap: cycle_cap as u64,
+            truncated: cycles.len() >= cycle_cap,
+        });
+        tel.counter_add("ddg.recurrence_cycles", cycles.len() as u64);
+    }
+    for cycle in cycles {
         let summary = ddg_base.cycle_summary(&cycle, &raised);
         for load in ddg_base.cycle_loads(&cycle) {
             let w = &mut worst_ii[load.index()];
@@ -251,7 +250,7 @@ pub fn classify_loads_traced(
                 continue;
             }
             let critical = class[i] == Some(LoadClass::Critical);
-            tel.emit(ltsp_telemetry::Event::CriticalityVerdict {
+            tel.emit(Event::CriticalityVerdict {
                 loop_name: lp.name().to_string(),
                 load: format!("i{i}"),
                 critical,
@@ -291,6 +290,12 @@ mod tests {
                 0
             }
         })
+    }
+
+    /// Every load hinted L3, strict or balanced.
+    fn classify_l3(lp: &LoopIr, m: &MachineModel, ddg: &Ddg, balance: bool) -> LoadClassification {
+        let l3 = |_| Some(LatencyHint::L3);
+        classify_loads_observed(lp, m, ddg, &l3, 1000, balance, Observer::disabled())
     }
 
     #[test]
@@ -354,11 +359,11 @@ mod tests {
         let ddg = build_ddg_base(&lp, &m);
         assert_eq!(m.res_mii(&lp), 2);
 
-        let strict = classify_loads_with(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 1000, false);
+        let strict = classify_l3(&lp, &m, &ddg, false);
         assert_eq!(strict.class(InstId(0)), Some(LoadClass::Critical));
         assert_eq!(strict.query(InstId(0)), LatencyQuery::Base);
 
-        let balanced = classify_loads_with(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 1000, true);
+        let balanced = classify_l3(&lp, &m, &ddg, true);
         assert_eq!(balanced.class(InstId(0)), Some(LoadClass::NonCritical));
         assert_eq!(balanced.query(InstId(0)), LatencyQuery::Exact(2));
         // Off-cycle loads keep their full hinted latency in both modes.
@@ -376,7 +381,7 @@ mod tests {
         for lp in loops_with_cycles() {
             let ddg = build_ddg_base(&lp, &m);
             let threshold = m.res_mii(&lp).max(ddg.rec_mii());
-            let cls = classify_loads_with(&lp, &m, &ddg, &|_| Some(LatencyHint::L3), 1000, true);
+            let cls = classify_l3(&lp, &m, &ddg, true);
             // Rebuild the DDG with the balanced latencies: the RecMII must
             // not exceed the threshold.
             let boosted = Ddg::build(&lp, &m, &|id| {

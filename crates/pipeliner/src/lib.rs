@@ -33,16 +33,14 @@ mod schedule;
 mod scheduler;
 
 pub use bundle::{form_bundles, Bundle, BundleTemplate, BundledKernel};
-pub use criticality::{
-    classify_loads, classify_loads_traced, classify_loads_with, LoadClass, LoadClassification,
-};
+pub use criticality::{classify_loads, classify_loads_observed, LoadClass, LoadClassification};
 pub use emit::{
     assign_registers, emit_kernel, emit_setup, mve_unroll_factor, RegisterAssignment, RotatingRange,
 };
 pub use mrt::Mrt;
 pub use pipeline::{
-    pipeline_loop, pipeline_loop_phased, pipeline_loop_traced, PipelineError, PipelineOptions,
-    PipelineStats, PipelinedLoop,
+    pipeline_loop, pipeline_loop_observed, PipelineError, PipelineOptions, PipelineStats,
+    PipelinedLoop,
 };
 pub use regalloc::{allocate_rotating, register_floor, RegAllocError, RegAllocation};
 pub use schedule::{KernelSlot, ModuloSchedule};

@@ -7,10 +7,9 @@ use ltsp_ddg::Ddg;
 use ltsp_ir::{InstId, LatencyHint, LoopIr, Opcode, RegClass};
 use ltsp_machine::{LatencyQuery, MachineModel};
 
-use ltsp_telemetry::phase::{time_opt, Phase, PhaseTimer};
-use ltsp_telemetry::{Event, Telemetry};
+use ltsp_telemetry::{Event, Observer, Phase};
 
-use crate::criticality::{classify_loads_traced, LoadClass, LoadClassification};
+use crate::criticality::{classify_loads_observed, LoadClass, LoadClassification};
 use crate::regalloc::{allocate_rotating, register_floor, RegAllocError, RegAllocation};
 use crate::schedule::ModuloSchedule;
 use crate::scheduler::{acyclic_schedule, ModuloScheduler};
@@ -203,7 +202,7 @@ pub fn pipeline_loop(
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     opts: &PipelineOptions,
 ) -> Result<PipelinedLoop, PipelineError> {
-    pipeline_loop_traced(lp, machine, hint_of, opts, &Telemetry::disabled())
+    pipeline_loop_observed(lp, machine, hint_of, opts, Observer::disabled())
 }
 
 fn failure_outcome(f: &crate::scheduler::ScheduleFailure) -> &'static str {
@@ -243,35 +242,25 @@ fn floor_overflow(
         })
 }
 
-/// [`pipeline_loop`] with the driver's decision trail recorded on a
-/// telemetry sink: per-load criticality verdicts, every scheduling attempt
-/// with its outcome, II escalations, and the register-pressure fallbacks
-/// of the ladder.
-pub fn pipeline_loop_traced(
+/// [`pipeline_loop`] reporting to an [`Observer`]. The sink gets the
+/// driver's decision trail: per-load criticality verdicts, every
+/// scheduling attempt with its outcome, II escalations, and the
+/// register-pressure fallbacks of the ladder. Each region is timed once
+/// ([`Observer::time`]) as one of four phases: DDG construction and MII
+/// analysis (`ddg`), criticality classification and the acyclic
+/// profitability ceiling (`mrt`), every modulo-scheduling attempt across
+/// II escalations (`sched`), and rotating register allocation and the
+/// register floor (`regalloc`). Results are identical with or without a
+/// timer or an enabled sink.
+pub fn pipeline_loop_observed(
     lp: &LoopIr,
     machine: &MachineModel,
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     opts: &PipelineOptions,
-    tel: &Telemetry,
+    obs: Observer,
 ) -> Result<PipelinedLoop, PipelineError> {
-    pipeline_loop_phased(lp, machine, hint_of, opts, tel, None)
-}
-
-/// [`pipeline_loop_traced`] with optional per-phase wall-clock
-/// attribution: DDG construction and MII analysis (`ddg`), criticality
-/// classification and the acyclic profitability ceiling (`mrt`), every
-/// modulo-scheduling attempt across II escalations (`sched`), and
-/// rotating register allocation (`regalloc`). Timing is observational —
-/// results are identical with or without a timer.
-pub fn pipeline_loop_phased(
-    lp: &LoopIr,
-    machine: &MachineModel,
-    hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
-    opts: &PipelineOptions,
-    tel: &Telemetry,
-    phases: Option<&PhaseTimer>,
-) -> Result<PipelinedLoop, PipelineError> {
-    let (ddg_base, res_mii, rec_mii, speculated) = time_opt(phases, Phase::Ddg, || {
+    let (tel, name) = (obs.tel, lp.name());
+    let (ddg_base, res_mii, rec_mii, speculated) = obs.time(Phase::Ddg, name, || {
         let mut ddg_base = Ddg::build_with_load_floor(lp, machine, 0);
         let res_mii = machine.res_mii(lp);
         let mut rec_mii = ddg_base.rec_mii();
@@ -308,15 +297,15 @@ pub fn pipeline_loop_phased(
     });
     let min_ii = res_mii.max(rec_mii);
 
-    let cls = time_opt(phases, Phase::Mrt, || {
-        classify_loads_traced(
+    let cls = obs.time(Phase::Mrt, name, || {
+        classify_loads_observed(
             lp,
             machine,
             &ddg_base,
             hint_of,
             opts.cycle_cap,
             opts.balance_cycle_slack,
-            tel,
+            obs,
         )
     });
     let critical_loads = lp
@@ -327,7 +316,7 @@ pub fn pipeline_loop_phased(
 
     // Profitability ceiling: beyond the acyclic schedule length, the global
     // code scheduler does at least as well without pipelining overhead.
-    let acyclic = time_opt(phases, Phase::Mrt, || {
+    let acyclic = obs.time(Phase::Mrt, name, || {
         acyclic_schedule(lp, machine, &ddg_base)
     });
     let max_ii = (min_ii + opts.max_ii_slack).min(acyclic.ii().max(min_ii));
@@ -342,10 +331,10 @@ pub fn pipeline_loop_phased(
         let fallback = if speculated.is_empty() {
             acyclic
         } else {
-            let ddg = time_opt(phases, Phase::Ddg, || {
+            let ddg = obs.time(Phase::Ddg, name, || {
                 Ddg::build_with_load_floor(lp, machine, 0)
             });
-            time_opt(phases, Phase::Sched, || acyclic_schedule(lp, machine, &ddg))
+            obs.time(Phase::Sched, name, || acyclic_schedule(lp, machine, &ddg))
         };
         PipelineError {
             attempts,
@@ -356,7 +345,7 @@ pub fn pipeline_loop_phased(
 
     // Register floor: the floor never rises with the II, so a loop over
     // the supply at `max_ii` fails allocation on every rung of both phases.
-    if let Some(e) = time_opt(phases, Phase::Regalloc, || {
+    if let Some(e) = obs.time(Phase::Regalloc, name, || {
         floor_overflow(lp, machine, &ddg_base, max_ii)
     }) {
         if tel.is_enabled() {
@@ -387,7 +376,7 @@ pub fn pipeline_loop_phased(
 
     let mut base_phase_start = min_ii;
     if cls.boosted_count() > 0 {
-        let ddg_boosted = time_opt(phases, Phase::Ddg, || {
+        let ddg_boosted = obs.time(Phase::Ddg, name, || {
             let mut ddg_boosted = build_ddg(lp, machine, |id| cls.query(id));
             if !speculated.is_empty() {
                 let spec = speculated.clone();
@@ -413,7 +402,7 @@ pub fn pipeline_loop_phased(
                 }
             }
             attempts += 1;
-            let sched = match time_opt(phases, Phase::Sched, || {
+            let sched = match obs.time(Phase::Sched, name, || {
                 scheduler.schedule_at(ii, opts.budget_factor)
             }) {
                 Ok(sched) => {
@@ -441,7 +430,7 @@ pub fn pipeline_loop_phased(
                     // permanently higher II for the boosts — containment says
                     // drop the boosts instead.
                     attempts += 1;
-                    let base_res = time_opt(phases, Phase::Sched, || {
+                    let base_res = obs.time(Phase::Sched, name, || {
                         base_scheduler.schedule_at(ii, opts.budget_factor)
                     });
                     if tel.is_enabled() {
@@ -467,7 +456,7 @@ pub fn pipeline_loop_phased(
                     continue;
                 }
             };
-            match time_opt(phases, Phase::Regalloc, || {
+            match obs.time(Phase::Regalloc, name, || {
                 allocate_rotating(lp, &sched, machine)
             }) {
                 Ok(regs) => {
@@ -510,7 +499,7 @@ pub fn pipeline_loop_phased(
     // whether they schedule or not, so the phase starts past them. (The
     // boosted phase keeps every rung: whether one schedules decides where
     // the boosts are dropped.)
-    let last_over = time_opt(phases, Phase::Regalloc, || {
+    let last_over = obs.time(Phase::Regalloc, name, || {
         (base_phase_start..max_ii)
             .map_while(|ii| floor_overflow(lp, machine, &ddg_base, ii))
             .enumerate()
@@ -547,7 +536,7 @@ pub fn pipeline_loop_phased(
             }
         }
         attempts += 1;
-        let sched = match time_opt(phases, Phase::Sched, || {
+        let sched = match obs.time(Phase::Sched, name, || {
             scheduler.schedule_at(ii, opts.budget_factor)
         }) {
             Ok(sched) => {
@@ -574,7 +563,7 @@ pub fn pipeline_loop_phased(
                 continue;
             }
         };
-        match time_opt(phases, Phase::Regalloc, || {
+        match obs.time(Phase::Regalloc, name, || {
             allocate_rotating(lp, &sched, machine)
         }) {
             Ok(regs) => {
@@ -618,6 +607,7 @@ pub fn pipeline_loop_phased(
 mod tests {
     use super::*;
     use ltsp_ir::{DataClass, LoopBuilder};
+    use ltsp_telemetry::Telemetry;
 
     fn running_example() -> LoopIr {
         let mut b = LoopBuilder::new("ex");
@@ -741,12 +731,12 @@ mod tests {
         // Same setup as `register_overflow_drops_boosts`.
         let (lp, tight) = (wide_fp_loop(), machine_with_fr(16));
         let tel = Telemetry::enabled();
-        let p = pipeline_loop_traced(
+        let p = pipeline_loop_observed(
             &lp,
             &tight,
             &|_| Some(LatencyHint::L3),
             &PipelineOptions::default(),
-            &tel,
+            Observer::new(&tel, None),
         )
         .unwrap();
         assert!(p.stats.dropped_boosts);
@@ -808,12 +798,12 @@ mod tests {
         // Seven FP values can never share six registers, at any II.
         let (lp, starved) = (wide_fp_loop(), machine_with_fr(6));
         let tel = Telemetry::enabled();
-        let e = pipeline_loop_traced(
+        let e = pipeline_loop_observed(
             &lp,
             &starved,
             &|_| Some(LatencyHint::L3),
             &PipelineOptions::default(),
-            &tel,
+            Observer::new(&tel, None),
         )
         .unwrap_err();
         assert_eq!((e.attempts, e.min_ii), (0, 3));

@@ -69,7 +69,7 @@
 //! recovery (DESIGN.md §13):
 //!
 //! - **A panicking request** is caught (`catch_unwind` around
-//!   [`Engine::handle_phased`], wherever the request is served: the
+//!   `Engine::handle_routed`, wherever the request is served: the
 //!   dispatcher, a pool item, a reader), answered `status:"error"` with
 //!   the panic payload, recorded as an [`Event::RequestPanic`], and
 //!   forgotten — the daemon keeps serving. Locks are poison-tolerant
@@ -128,8 +128,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ltsp_cache::Fingerprint;
-use ltsp_telemetry::phase::{Phase, PhaseTimer};
-use ltsp_telemetry::{lock_unpoisoned, Event, Telemetry};
+use ltsp_telemetry::{lock_unpoisoned, Event, Phase, PhaseTimer, Telemetry};
 
 use crate::counters::Counter;
 use crate::engine::{CacheHit, Engine, EngineConfig, Route};
@@ -681,7 +680,7 @@ fn note_fault(state: &State, tel: &Telemetry, site: &'static str, id: &str) {
 
 /// Runs one request with its failure contained: injected delays and
 /// panics fire here (keyed on the request id), and *any* panic out of
-/// [`Engine::handle_phased`] — injected or real — becomes a
+/// `Engine::handle_routed` — injected or real — becomes a
 /// `status:"error"` response plus an [`Event::RequestPanic`], never a
 /// dead daemon. Every request that is not answered at admission comes
 /// through here, on whichever thread serves it: the dispatcher, a pool
@@ -740,7 +739,7 @@ fn handle_contained(
             note_fault(state, tel, "panic", &req.id);
             panic!("injected handler panic for request {}", req.id);
         }
-        state.engine.handle_phased(req, route, tel, &phases)
+        state.engine.handle_routed(req, route, tel, &phases)
     }));
     match result {
         Ok(resp) => {

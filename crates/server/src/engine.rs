@@ -47,13 +47,14 @@ use ltsp_adaptive::{compile_loop_adaptive, AdaptiveOptions};
 use ltsp_cache::persist::CacheLog;
 use ltsp_cache::{CacheConfig, Fingerprint, FingerprintHasher, ShardedLru};
 use ltsp_core::{
-    compile_loop_cached_phased, new_compile_cache, CompileCache, CompileConfig, CompiledLoop,
+    compile_loop_cached, new_compile_cache, CompileCache, CompileConfig, CompiledLoop,
 };
 use ltsp_ir::{parse_loop, LoopIr, ParseError};
 use ltsp_machine::MachineModel;
 use ltsp_oracle::{differential_case, exact_case, IiVerdict, OracleOptions, Violation};
-use ltsp_telemetry::phase::{Phase, PhaseTimer};
-use ltsp_telemetry::{lock_unpoisoned, prom, Event, Histogram, Telemetry};
+use ltsp_telemetry::{
+    lock_unpoisoned, prom, Event, Histogram, Observer, Phase, PhaseTimer, Telemetry,
+};
 
 use crate::counters::{Counter, Counters, Sampled};
 use crate::flight::{FlightRecord, FlightRecorder};
@@ -88,17 +89,17 @@ impl CachedResult {
 /// answer the request it was probed for, nothing that could start a
 /// compile.
 #[derive(Debug)]
-pub struct CacheHit {
+pub(crate) struct CacheHit {
     key: Fingerprint,
     entry: Arc<CachedResult>,
     /// What the probe cost, booked as the request's `cache_lookup`.
     lookup_us: u64,
 }
 
-/// How a request reached [`Engine::handle_phased`], which decides where
+/// How a request reached [`Engine::handle_routed`], which decides where
 /// its first-level key comes from and which lifecycle phases it has.
 #[derive(Debug)]
-pub enum Route {
+pub(crate) enum Route {
     /// An in-process call: no queue, and the key is computed here.
     Direct,
     /// Through the daemon's admission queue and dispatcher, with the
@@ -301,8 +302,7 @@ struct Work<'a> {
     lp: &'a LoopIr,
     cfg: CompileConfig,
     deadline_ms: Option<u64>,
-    tel: &'a Telemetry,
-    phases: &'a PhaseTimer,
+    obs: Observer<'a>,
     /// Set by a computation that found its compiled artifact cached.
     artifact_hit: Cell<bool>,
 }
@@ -472,7 +472,7 @@ impl Engine {
     /// on `tel` and tallies the status. `shutdown` is the daemon's
     /// business and answers `error` here.
     pub fn handle(&self, req: &Request, tel: &Telemetry) -> Response {
-        self.handle_phased(req, Route::Direct, tel, &PhaseTimer::new())
+        self.handle_routed(req, Route::Direct, tel, &PhaseTimer::new())
     }
 
     /// [`Engine::handle`] for a request that arrived by `route`,
@@ -481,7 +481,7 @@ impl Engine {
     /// time, feeds the per-phase histograms and the flight recorder,
     /// and — when the request opted in with `"timings":true` — attaches
     /// the breakdown to the response envelope.
-    pub fn handle_phased(
+    pub(crate) fn handle_routed(
         &self,
         req: &Request,
         route: Route,
@@ -562,7 +562,7 @@ impl Engine {
     /// Records a single out-of-band phase sample (whoever writes a
     /// response to its socket books `write` time here, after the
     /// response envelope is sealed).
-    pub fn record_phase_sample(&self, phase: Phase, us: u64) {
+    pub(crate) fn record_phase_sample(&self, phase: Phase, us: u64) {
         lock_unpoisoned(&self.phase_hists)
             .entry(phase.name())
             .or_default()
@@ -573,8 +573,8 @@ impl Engine {
     /// bypass the result cache: the *raw* request content (loop text
     /// byte-for-byte plus every knob), so a hit skips even the loop
     /// parse. The daemon computes it once, where the request is read,
-    /// and uses it to probe for a hit on the spot ([`Engine::probe`]),
-    /// to hand the request on ([`Route::Queued`]), and to dedupe
+    /// and uses it to probe for a hit on the spot (`Engine::probe`),
+    /// to hand the request on (`Route::Queued`), and to dedupe
     /// identical requests *within* a parallel batch: without that, two
     /// same-key requests race on who populates the cache and the
     /// loser's `"cache"` tag depends on worker timing — a
@@ -602,7 +602,7 @@ impl Engine {
     /// through [`Route::Inline`]; absence counts nothing, because the
     /// caller then queues the request and the handler's own lookup is
     /// the one miss it is.
-    pub fn probe(&self, key: Fingerprint) -> Option<CacheHit> {
+    pub(crate) fn probe(&self, key: Fingerprint) -> Option<CacheHit> {
         let t0 = Instant::now();
         let entry = self.core.result_cache.probe(key)?;
         Some(CacheHit {
@@ -862,17 +862,12 @@ impl Shared {
                 return Response::new(&req.id, "error", "-", body);
             }
         };
-        let (entry, tag) = self.body(kind, &self.work(req, &lp, tel, phases));
+        let obs = Observer::new(tel, Some(phases));
+        let (entry, tag) = self.body(kind, &self.work(req, &lp, obs));
         Response::new(&req.id, entry.status, tag, Arc::clone(&entry.body))
     }
 
-    fn work<'a>(
-        &self,
-        req: &'a Request,
-        lp: &'a LoopIr,
-        tel: &'a Telemetry,
-        phases: &'a PhaseTimer,
-    ) -> Work<'a> {
+    fn work<'a>(&self, req: &'a Request, lp: &'a LoopIr, obs: Observer<'a>) -> Work<'a> {
         Work {
             req,
             lp,
@@ -882,8 +877,7 @@ impl Shared {
                 .with_balanced_recurrences(req.balanced)
                 .with_data_speculation(req.speculate),
             deadline_ms: self.effective_deadline_ms(req),
-            tel,
-            phases,
+            obs,
             artifact_hit: Cell::new(false),
         }
     }
@@ -951,23 +945,27 @@ impl Shared {
     /// kernel dump plus JSON escaping, the bulk of the per-hit cost for
     /// large kernels — is what [`Shared::body`] caches).
     fn heuristic_body(&self, w: &Work) -> (&'static str, String) {
-        let (compiled, hit) = compile_loop_cached_phased(
+        let (compiled, hit) = compile_loop_cached(
             &self.compile_cache,
             w.lp,
             &self.machine,
             &w.cfg,
             w.req.trip,
-            w.tel,
-            Some(w.phases),
+            w.obs,
         );
         w.artifact_hit.set(hit);
-        w.phases.time(Phase::Render, || {
+        let render = || {
             let mut body = String::new();
             push_compiled_facts(&mut body, &compiled);
             let report = render_compile_report(&compiled, w.req.policy, w.req.trip);
             push_str_field(&mut body, "report", &report);
             ("ok", body)
-        })
+        };
+        // Rendering is serving, not compiling: timed, never traced.
+        match w.obs.phases {
+            Some(t) => t.time(Phase::Render, render),
+            None => render(),
+        }
     }
 
     /// Runs the adaptive refinement loop to its certified fixpoint and
@@ -987,7 +985,7 @@ impl Shared {
             &w.cfg,
             w.req.trip,
             &AdaptiveOptions::default(),
-            w.tel,
+            w.obs.tel,
         );
         let certified = res.all_certified();
         let mut body = String::new();
@@ -1067,7 +1065,7 @@ impl Shared {
             time_budget: w.deadline_ms.map(Duration::from_millis),
             ..OracleOptions::default()
         };
-        let r = differential_case(w.lp, &self.machine, &opts, w.tel);
+        let r = differential_case(w.lp, &self.machine, &opts, w.obs.tel);
         let mut body = String::new();
         push_str_field(&mut body, "op", w.req.op.tag());
         push_str_field(&mut body, "loop", &r.name);
@@ -1203,15 +1201,15 @@ impl Shared {
             failed();
             return;
         };
-        let (tel, phases) = (Telemetry::disabled(), PhaseTimer::new());
-        let (refined, _) = self.body(first.refined, &self.work(&first.req, &lp, &tel, &phases));
+        let obs = Observer::disabled();
+        let (refined, _) = self.body(first.refined, &self.work(&first.req, &lp, obs));
         if refined.status != "ok" {
             failed();
             return;
         }
         let strictly_refined = refined.body.contains("\"refined\":true");
         for job in jobs {
-            let tier_key = self.body_key(job.tier, &self.work(&job.req, &lp, &tel, &phases));
+            let tier_key = self.body_key(job.tier, &self.work(&job.req, &lp, obs));
             let up = CachedResult {
                 status: refined.status,
                 body: refined.body.clone(),
@@ -1386,7 +1384,7 @@ mod tests {
             "absence is not a miss"
         );
 
-        let cold = e.handle_phased(&r, Route::Queued(Some(key)), &tel, &PhaseTimer::new());
+        let cold = e.handle_routed(&r, Route::Queued(Some(key)), &tel, &PhaseTimer::new());
         assert_eq!(cold.cache, "miss");
         let after_cold = e.core.result_cache.stats();
         assert_eq!(
@@ -1396,7 +1394,7 @@ mod tests {
 
         let hit = e.probe(key).expect("cached now");
         let phases = PhaseTimer::new();
-        let warm = e.handle_phased(&r, Route::Inline(hit), &tel, &phases);
+        let warm = e.handle_routed(&r, Route::Inline(hit), &tel, &phases);
         assert_eq!((warm.status, warm.cache), ("ok", "hit"));
         assert_eq!(warm.body, cold.body, "the probed entry is the cold bytes");
         assert_eq!(warm.render(), e.handle(&r, &tel).render());

@@ -26,7 +26,7 @@ pub mod proto;
 mod report;
 
 pub use daemon::{serve, spawn, ServerConfig, ServerHandle, SHARD_KILL_EXIT_CODE};
-pub use engine::{CacheHit, Engine, EngineConfig, Route};
+pub use engine::{Engine, EngineConfig};
 pub use fault::{FaultPlan, FaultSite};
 pub use flight::{normalize_flight_dump, read_dumps, FlightRecord, FlightRecorder};
 pub use proto::{parse_request, Backend, Mode, ProtoError, ReqOp, Request, Response};

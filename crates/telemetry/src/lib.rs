@@ -2,7 +2,9 @@
 //!
 //! A telemetry layer with **no external dependencies** (the workspace
 //! builds with no network access): a typed compiler decision trace
-//! ([`Event`]), wall-clock phase timing ([`Telemetry::span`]), a metrics
+//! ([`Event`]), wall-clock phase timing ([`Telemetry::span`]; the compile
+//! path times through [`Observer::time`], which feeds a [`PhaseTimer`]
+//! and the trace from one clock reading), a metrics
 //! registry (counters + histograms, fed by the simulator's cycle
 //! accounting), and three exporters — a JSONL event stream, a JSON
 //! metrics snapshot, and the Chrome `trace_event` format viewable in
@@ -44,7 +46,7 @@ use std::time::Instant;
 pub use event::Event;
 pub use json::{parse as parse_json, JsonValue, Scalar};
 pub use metrics::{Histogram, Metrics};
-pub use phase::{Phase, PhaseTimer};
+pub use phase::{Observer, Phase, PhaseTimer};
 pub use sync::lock_unpoisoned;
 
 /// An [`Event`] stamped with its emission time (µs since the handle was
@@ -118,22 +120,27 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((inner, name, start)) = self.inner.take() {
-            let start_us = us_since(inner.epoch, start);
             let dur_us = start.elapsed().as_micros() as u64;
-            if inner.verbose {
-                eprintln!("[ltsp] {name}: {:.3} ms", dur_us as f64 / 1e3);
-            }
-            let mut st = lock_unpoisoned(&inner.state);
-            let seq = st.next_seq();
-            st.spans.push(SpanRecord {
-                seq,
-                name,
-                start_us,
-                dur_us,
-                tid: 0,
-            });
+            push_span(&inner, name, start, dur_us);
         }
     }
+}
+
+/// Records a closed span on the sink's own lane.
+fn push_span(inner: &Inner, name: String, start: Instant, dur_us: u64) {
+    if inner.verbose {
+        eprintln!("[ltsp] {name}: {:.3} ms", dur_us as f64 / 1e3);
+    }
+    let start_us = us_since(inner.epoch, start);
+    let mut st = lock_unpoisoned(&inner.state);
+    let seq = st.next_seq();
+    st.spans.push(SpanRecord {
+        seq,
+        name,
+        start_us,
+        dur_us,
+        tid: 0,
+    });
 }
 
 fn us_since(epoch: Instant, t: Instant) -> u64 {

@@ -7,6 +7,11 @@
 //! and the compile path can feed the same timer, and purely observational:
 //! timing a closure changes nothing about its result.
 //!
+//! The compile path reports through an [`Observer`] — a sink plus an
+//! optional timer — and times each of its phases once, with
+//! [`Observer::time`]: the one clock reading goes to the timer and, when
+//! tracing, into a `<phase>:<loop>` span.
+//!
 //! Determinism contract: phase *durations* are wall-clock and therefore
 //! nondeterministic, so they never appear in any byte-compared artifact
 //! unless the client opts in (`"timings":true` on the wire) or the
@@ -17,6 +22,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+use crate::Telemetry;
 
 /// One timed segment of a request's life. The first seven are compiler
 /// phases (recorded inside the compile path), the rest are server-side
@@ -160,13 +167,56 @@ impl PhaseTimer {
     }
 }
 
-/// Times `f` into `phase` when a timer is present; otherwise just runs
-/// it. The compile path threads `Option<&PhaseTimer>` so un-instrumented
-/// callers pay only this branch.
-pub fn time_opt<R>(phases: Option<&PhaseTimer>, phase: Phase, f: impl FnOnce() -> R) -> R {
-    match phases {
-        Some(t) => t.time(phase, f),
-        None => f(),
+/// Where one compile reports: the telemetry sink its decision trail goes
+/// to and, optionally, a [`PhaseTimer`]. It is `Copy`, so every layer of
+/// the compile path takes it by value.
+#[derive(Debug, Clone, Copy)]
+pub struct Observer<'a> {
+    /// The sink for decision events, counters and phase spans.
+    pub tel: &'a Telemetry,
+    /// The timer compile phases are added to, if any.
+    pub phases: Option<&'a PhaseTimer>,
+}
+
+/// The sink of [`Observer::disabled`].
+static DISABLED: Telemetry = Telemetry { inner: None };
+
+impl Observer<'static> {
+    /// Records nothing and reads no clock: a disabled sink, no timer.
+    pub fn disabled() -> Self {
+        Observer {
+            tel: &DISABLED,
+            phases: None,
+        }
+    }
+}
+
+impl<'a> Observer<'a> {
+    /// Reports to `tel` and, when given, `phases`.
+    pub fn new(tel: &'a Telemetry, phases: Option<&'a PhaseTimer>) -> Self {
+        Observer { tel, phases }
+    }
+
+    /// Runs `f` as `phase` of the work named `scope` (a loop name) and
+    /// returns its result. With no timer and a disabled sink this is
+    /// `f()` and one branch. Otherwise the clock is read once around `f`;
+    /// that reading is added to the timer and, when the sink is enabled,
+    /// recorded as a span named `<phase>:<scope>` — so the spans of a
+    /// phase sum exactly to what the timer holds for it.
+    pub fn time<R>(self, phase: Phase, scope: &str, f: impl FnOnce() -> R) -> R {
+        if self.phases.is_none() && !self.tel.is_enabled() {
+            return f();
+        }
+        let start = Instant::now();
+        let out = f();
+        let us = start.elapsed().as_micros() as u64;
+        if let Some(t) = self.phases {
+            t.add_us(phase, us);
+        }
+        if let Some(inner) = &self.tel.inner {
+            crate::push_span(inner, format!("{}:{scope}", phase.name()), start, us);
+        }
+        out
     }
 }
 
@@ -205,12 +255,5 @@ mod tests {
         let empty = PhaseTimer::new().to_json_object();
         let ev = crate::json::parse(&empty).expect("valid json");
         assert_eq!(ev.get("handler_us").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn time_opt_is_transparent() {
-        let t = PhaseTimer::new();
-        assert_eq!(time_opt(Some(&t), Phase::Hlo, || 3), 3);
-        assert_eq!(time_opt(None, Phase::Hlo, || 4), 4);
     }
 }

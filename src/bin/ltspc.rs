@@ -124,13 +124,13 @@
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use ltsp::core::{compile_loop_with_profile_traced, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_observed, CompileConfig, LatencyPolicy};
 use ltsp::ir::parse_loop;
 use ltsp::machine::MachineModel;
 use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
 use ltsp::oracle::OracleOptions;
 use ltsp::pipeliner::{assign_registers, emit_kernel, form_bundles};
-use ltsp::telemetry::Telemetry;
+use ltsp::telemetry::{Observer, Telemetry};
 
 struct Options {
     input: String,
@@ -1479,7 +1479,7 @@ fn main() -> ExitCode {
     } else {
         Telemetry::disabled()
     };
-    let compiled = compile_loop_with_profile_traced(&lp, &machine, &cfg, o.trip, &tel);
+    let compiled = compile_loop_observed(&lp, &machine, &cfg, o.trip, Observer::new(&tel, None));
 
     // The canonical report — the exact same renderer backs `ltspd`'s
     // compile responses, so remote and local output are byte-identical.

@@ -11,10 +11,11 @@
 //! LTSP_BLESS=1 cargo test --test golden
 //! ```
 
-use ltsp::core::{compile_loop_with_profile_traced, CompileConfig, LatencyPolicy};
+mod common;
+
+use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
 use ltsp::machine::MachineModel;
 use ltsp::pipeliner::{assign_registers, emit_kernel};
-use ltsp::telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -53,8 +54,7 @@ fn corpus() -> Vec<(String, ltsp::ir::LoopIr)> {
 /// artifact a compiler engineer would diff after a scheduler change.
 fn snapshot(lp: &ltsp::ir::LoopIr, machine: &MachineModel, policy: LatencyPolicy) -> String {
     let cfg = CompileConfig::new(policy);
-    let compiled =
-        compile_loop_with_profile_traced(lp, machine, &cfg, TRIP, &Telemetry::disabled());
+    let compiled = compile_loop_with_profile(lp, machine, &cfg, TRIP);
     let mut s = String::new();
     let _ = writeln!(s, "loop: {}", lp.name());
     let _ = writeln!(s, "policy: {policy}");
@@ -103,37 +103,11 @@ fn fixture_path(stem: &str, policy: LatencyPolicy) -> PathBuf {
 
 fn check_policy(policy: LatencyPolicy) {
     let machine = MachineModel::itanium2();
-    let bless = std::env::var("LTSP_BLESS").is_ok_and(|v| v == "1");
     let corpus = corpus();
     assert!(corpus.len() >= 17, "corpus should cover the kernel library");
-    let mut mismatches = Vec::new();
     for (stem, lp) in &corpus {
-        let got = snapshot(lp, &machine, policy);
-        let path = fixture_path(stem, policy);
-        if bless {
-            std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir tests/golden");
-            std::fs::write(&path, &got).expect("write fixture");
-            continue;
-        }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{}: {e}\nrun `LTSP_BLESS=1 cargo test --test golden` to generate fixtures",
-                path.display()
-            )
-        });
-        if got != want {
-            mismatches.push(format!(
-                "{}: snapshot drifted from fixture.\n--- fixture\n{want}\n--- actual\n{got}",
-                path.display()
-            ));
-        }
+        common::pin(&fixture_path(stem, policy), snapshot(lp, &machine, policy));
     }
-    assert!(
-        mismatches.is_empty(),
-        "{} golden mismatches (re-bless with LTSP_BLESS=1 if intentional):\n{}",
-        mismatches.len(),
-        mismatches.join("\n")
-    );
 }
 
 #[test]

@@ -16,11 +16,11 @@ use ltsp::ir::{
 };
 use ltsp::machine::{MachineModel, RegisterFiles};
 use ltsp::pipeliner::{
-    acyclic_schedule, allocate_rotating, classify_loads, classify_loads_with, pipeline_loop_traced,
-    register_floor, LoadClassification, ModuloSchedule, ModuloScheduler, PipelineOptions,
-    RegAllocation,
+    acyclic_schedule, allocate_rotating, classify_loads, classify_loads_observed,
+    pipeline_loop_observed, register_floor, LoadClassification, ModuloSchedule, ModuloScheduler,
+    PipelineOptions, RegAllocation,
 };
-use ltsp::telemetry::{Event, Telemetry};
+use ltsp::telemetry::{Event, Observer, Telemetry};
 use ltsp::workloads::{random_loop, scheduling_heavy};
 
 /// Itanium 2 with a smaller rotating FP file.
@@ -166,13 +166,14 @@ fn reference_ladder(
         base.retain_edges(|e| e.kind != DepKind::MemFlow || !pruned.contains(e));
     }
     let min_ii = res_mii.max(base.rec_mii());
-    let cls = classify_loads_with(
+    let cls = classify_loads_observed(
         lp,
         m,
         &base,
         hint_of,
         opts.cycle_cap,
         opts.balance_cycle_slack,
+        Observer::disabled(),
     );
     let max_ii = (min_ii + opts.max_ii_slack).min(acyclic_schedule(lp, m, &base).ii().max(min_ii));
 
@@ -228,7 +229,7 @@ fn assert_same_answers(lp: &LoopIr, m: &MachineModel, opts: &PipelineOptions) ->
     for policy in POLICIES {
         let hint_of = |id| hint(lp, policy, id);
         let tel = Telemetry::enabled();
-        let got = match pipeline_loop_traced(lp, m, &hint_of, opts, &tel) {
+        let got = match pipeline_loop_observed(lp, m, &hint_of, opts, Observer::new(&tel, None)) {
             Ok(p) => Answer::Pipelined {
                 schedule: p.schedule,
                 regs: p.regs,

@@ -20,6 +20,9 @@
 //! LTSP_BLESS=1 cargo test --test scale_golden
 //! ```
 
+mod common;
+
+use common::fnv_words;
 use ltsp::core::{compile_loop, CompileConfig, LatencyPolicy};
 use ltsp::ir::{parse_loop, InstId};
 use ltsp::machine::MachineModel;
@@ -37,17 +40,6 @@ const POLICIES: [LatencyPolicy; 4] = [
 /// `(streams, depth)`.
 const SHAPES: [(usize, usize); 6] = [(3, 15), (3, 16), (4, 11), (4, 12), (5, 9), (3, 10)];
 
-fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 fn table() -> String {
     let machine = MachineModel::itanium2();
     let mut out = String::from(
@@ -61,7 +53,8 @@ fn table() -> String {
             let lp = parse_loop(&text).expect("printed loop parses back");
             let c = compile_loop(&lp, &machine, &cfg);
             let report = render_compile_report(&c, policy, cfg.hlo.default_trip_estimate);
-            let times = fnv((0..c.kernel.len()).map(|i| c.kernel.time(InstId(i as u32)) as u64));
+            let times =
+                fnv_words((0..c.kernel.len()).map(|i| c.kernel.time(InstId(i as u32)) as u64));
             let (gr, fr, pr) = c
                 .regs
                 .map_or((0, 0, 0), |r| (r.rotating_gr, r.rotating_fr, r.rotating_pr));
@@ -73,7 +66,7 @@ fn table() -> String {
                 c.kernel.stage_count(),
                 c.stats.map_or(0, |s| s.schedule_attempts),
                 c.regs_total,
-                fnv(report.bytes().map(u64::from)),
+                fnv_words(report.bytes().map(u64::from)),
             );
         }
     }
@@ -82,23 +75,15 @@ fn table() -> String {
 
 #[test]
 fn scale_kernels_match_the_golden_table() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scale_golden/pins.tsv");
     let got = table();
-    if std::env::var("LTSP_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
-        std::fs::write(&path, &got).expect("write table");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `LTSP_BLESS=1 cargo test --test scale_golden` to generate it",
-            path.display()
-        )
-    });
+    common::pin(
+        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scale_golden/pins.tsv"),
+        &got,
+    );
     // The table must hold what the header comment says it does:
     // (pipelined, II, rotating GR, rotating FR) of the baseline rows.
     let decided = |case: &str| {
-        let row = want.lines().find(|l| l.starts_with(case));
+        let row = got.lines().find(|l| l.starts_with(case));
         let f: Vec<&str> = row.expect("shape is in the table").split('\t').collect();
         (f[1], f[2], f[5], f[6])
     };
@@ -106,18 +91,4 @@ fn scale_kernels_match_the_golden_table() {
     assert_eq!(decided("heavy4x11/baseline"), ("true", "46", "96", "96"));
     assert_eq!(decided("heavy3x16/baseline"), ("false", "141", "0", "0"));
     assert_eq!(decided("heavy4x12/baseline"), ("false", "110", "0", "0"));
-
-    let mismatches: Vec<String> = got
-        .lines()
-        .zip(want.lines())
-        .filter(|(g, w)| g != w)
-        .map(|(g, w)| format!("  want {w}\n  got  {g}"))
-        .collect();
-    assert!(
-        mismatches.is_empty() && got.lines().count() == want.lines().count(),
-        "{} rows drifted from tests/scale_golden/pins.tsv \
-         (re-bless with LTSP_BLESS=1 only if intentional):\n{}",
-        mismatches.len(),
-        mismatches.join("\n")
-    );
 }

@@ -32,8 +32,12 @@
 //! LTSP_BLESS=1 cargo test --test serve_golden
 //! ```
 
+mod common;
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use common::fnv;
 
 use ltsp::cache::persist::CacheLog;
 use ltsp::ir::{DataClass, LoopBuilder};
@@ -77,15 +81,6 @@ const KINDS: [(&str, &str, &str); 8] = [
         r#""trip":7"#,
     ),
 ];
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 fn dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/serve_golden")
@@ -228,43 +223,14 @@ fn records_table(log: &Path) -> String {
     out
 }
 
-/// Compares `got` with the pinned file, or writes it when blessing.
-fn pin(name: &str, got: &[u8], bless: bool) {
-    let path = dir().join(name);
-    if bless {
-        std::fs::create_dir_all(dir()).expect("mkdir");
-        std::fs::write(&path, got).expect("write pin");
-        return;
-    }
-    let want = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `LTSP_BLESS=1 cargo test --test serve_golden` to generate it",
-            path.display()
-        )
-    });
-    if want == got {
-        return;
-    }
-    let (want, got) = (String::from_utf8_lossy(&want), String::from_utf8_lossy(got));
-    let drift: Vec<String> = want
-        .lines()
-        .zip(got.lines())
-        .filter(|(w, g)| w != g)
-        .take(8)
-        .map(|(w, g)| format!("  want {w}\n  got  {g}"))
-        .collect();
-    panic!(
-        "tests/serve_golden/{name} drifted ({} lines pinned, {} now; re-bless with \
-         LTSP_BLESS=1 only if the answer was meant to change):\n{}",
-        want.lines().count(),
-        got.lines().count(),
-        drift.join("\n")
-    );
+/// Compares `got` with the pinned file of that name, or writes it when
+/// blessing.
+fn pin(name: &str, got: &[u8]) {
+    common::pin(&dir().join(name), got);
 }
 
 #[test]
 fn the_script_matches_the_golden_and_the_committed_log_replays() {
-    let bless = std::env::var("LTSP_BLESS").is_ok_and(|v| v == "1");
     let tmp = std::env::temp_dir().join(format!("ltsp-serve-golden-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("mkdir");
     let script = script();
@@ -276,16 +242,11 @@ fn the_script_matches_the_golden_and_the_committed_log_replays() {
         persist_path: Some(fresh_log.clone()),
         ..EngineConfig::default()
     });
-    pin(
-        "metrics_fresh.prom",
-        engine.render_prometheus().as_bytes(),
-        bless,
-    );
+    pin("metrics_fresh.prom", engine.render_prometheus().as_bytes());
     let fresh = run(&engine, &script);
     pin(
         "metrics_after.prom",
         without_phase_samples(&engine.render_prometheus()).as_bytes(),
-        bless,
     );
     drop(engine);
     let log_bytes = std::fs::read(&fresh_log).expect("the script left a log");
@@ -293,8 +254,8 @@ fn the_script_matches_the_golden_and_the_committed_log_replays() {
         stat(&fresh.stats, "persist_log_bytes"),
         log_bytes.len() as u64
     );
-    pin("parent.log", &log_bytes, bless);
-    pin("records.tsv", records_table(&fresh_log).as_bytes(), bless);
+    pin("parent.log", &log_bytes);
+    pin("records.tsv", records_table(&fresh_log).as_bytes());
 
     // A new engine on a copy of the committed log: the whole script
     // again, answered from what the log replayed.
@@ -322,7 +283,7 @@ fn the_script_matches_the_golden_and_the_committed_log_replays() {
     for ((req, f), r) in script.iter().zip(&fresh.cells).zip(&replay.cells) {
         let _ = writeln!(table, "{}\t{f}\t{r}", req.id);
     }
-    if !bless {
+    if !common::blessing() {
         // Name the first drifted line in full before the table diff.
         let want = std::fs::read_to_string(dir().join("responses.tsv")).unwrap_or_default();
         for (i, (w, g)) in want.lines().skip(1).zip(table.lines().skip(1)).enumerate() {
@@ -333,11 +294,10 @@ fn the_script_matches_the_golden_and_the_committed_log_replays() {
             );
         }
     }
-    pin("responses.tsv", table.as_bytes(), bless);
+    pin("responses.tsv", table.as_bytes());
     pin(
         "stats.txt",
         format!("{}\n{}\n", fresh.stats, replay.stats).as_bytes(),
-        bless,
     );
     let _ = std::fs::remove_dir_all(&tmp);
 }

@@ -14,6 +14,9 @@
 //! LTSP_BLESS=1 cargo test --test sim_golden
 //! ```
 
+mod common;
+
+use common::Fnv;
 use ltsp::core::{compile_loop_with_profile, CompileConfig, LatencyPolicy};
 use ltsp::ir::{DataClass, LoopBuilder, LoopIr, MemRefId};
 use ltsp::machine::MachineModel;
@@ -34,21 +37,6 @@ const RANDOM_SEEDS: u64 = 40;
 /// Trip estimate the kernels are compiled against (long enough that no
 /// threshold suppresses a policy's boosts).
 const TRIP_ESTIMATE: f64 = 1000.0;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
 
 /// Folds everything the executor reports into the digest.
 fn fold(h: &mut Fnv, ex: &Executor<'_>) {
@@ -75,11 +63,11 @@ fn fold(h: &mut Fnv, ex: &Executor<'_>) {
         c.stores,
         c.ozq_full_cycles,
     ] {
-        h.u64(v);
+        h.word(v);
     }
     for &(accesses, latency) in ex.ref_stats() {
-        h.u64(accesses);
-        h.u64(latency);
+        h.word(accesses);
+        h.word(latency);
     }
     for o in ex.observations() {
         for v in [
@@ -93,7 +81,7 @@ fn fold(h: &mut Fnv, ex: &Executor<'_>) {
             o.prefetches,
             o.redundant_prefetches,
         ] {
-            h.u64(v);
+            h.word(v);
         }
     }
 }
@@ -263,9 +251,9 @@ fn streams_table() -> String {
                     // The way pipeline stages ask: the newest iteration,
                     // a prefetch-style look ahead, then a lagging read of
                     // an older iteration (a later stage's field access).
-                    h.u64(s.address(m, i));
-                    h.u64(s.address_ahead(m, i, 7));
-                    h.u64(s.address(m, i.saturating_sub(5)));
+                    h.word(s.address(m, i));
+                    h.word(s.address_ahead(m, i, 7));
+                    h.word(s.address(m, i.saturating_sub(5)));
                     n += 1;
                 }
             }
@@ -277,21 +265,8 @@ fn streams_table() -> String {
 
 #[test]
 fn simulated_counters_match_the_golden_table() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/sim_golden/counters.tsv");
-    let got = executor_table() + &streams_table();
-    if std::env::var_os("LTSP_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
-        std::fs::write(&path, &got).expect("write golden table");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e} (bless with LTSP_BLESS=1)", path.display()));
-    for (g, w) in got.lines().zip(want.lines()) {
-        assert_eq!(g, w, "simulated result moved (left: now, right: golden)");
-    }
-    assert_eq!(
-        got.lines().count(),
-        want.lines().count(),
-        "case list changed"
+    common::pin(
+        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/sim_golden/counters.tsv"),
+        executor_table() + &streams_table(),
     );
 }

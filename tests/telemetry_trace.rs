@@ -1,11 +1,18 @@
 //! End-to-end smoke test for the telemetry artifacts: run the `ltspc`
-//! binary on a small loop with `--trace-out`/`--metrics-out`, then parse
-//! what it wrote and validate the event schema and the cycle-accounting
-//! partition invariant.
+//! binary on small loops with `--trace-out`/`--metrics-out`/
+//! `--chrome-trace`, then parse what it wrote and validate the event
+//! schema, the per-phase compile spans and the cycle-accounting partition
+//! invariant. Also: the compile phases' spans and the phase timer are one
+//! measurement.
 
+use std::path::Path;
 use std::process::Command;
 
+use ltsp::core::{compile_loop_observed, CompileConfig, LatencyPolicy, RunConfig};
+use ltsp::machine::MachineModel;
 use ltsp::telemetry::json::{parse, JsonValue};
+use ltsp::telemetry::{Observer, Phase, PhaseTimer, Telemetry};
+use ltsp::workloads::kernel_library;
 
 const LOOP_TEXT: &str = r#"loop chase {
   live_in g0
@@ -25,18 +32,36 @@ fn counter(metrics: &JsonValue, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("metrics counter {name} missing"))
 }
 
+/// The compile phases, each of which leaves a `<phase>:<loop>` span.
+const COMPILE_PHASES: [Phase; 5] = [
+    Phase::Hlo,
+    Phase::Ddg,
+    Phase::Mrt,
+    Phase::Sched,
+    Phase::Regalloc,
+];
+
 #[test]
 fn ltspc_emits_parseable_decision_trace_and_metrics() {
     let dir = std::env::temp_dir().join(format!("ltsp-tel-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let loop_path = dir.join("chase.loop");
-    let trace_path = dir.join("trace.jsonl");
-    let metrics_path = dir.join("metrics.json");
-    let chrome_path = dir.join("chrome.json");
-    std::fs::write(&loop_path, LOOP_TEXT).unwrap();
+    let chase = dir.join("chase.loop");
+    std::fs::write(&chase, LOOP_TEXT).unwrap();
+    check_artifacts(&chase, "chase", &dir);
+    let saxpy = Path::new(env!("CARGO_MANIFEST_DIR")).join("loops/saxpy.loop");
+    check_artifacts(&saxpy, "saxpy", &dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `ltspc` on one loop file under `--policy l3` with every telemetry
+/// artifact requested, and checks what it wrote.
+fn check_artifacts(loop_path: &Path, loop_name: &str, dir: &Path) {
+    let trace_path = dir.join(format!("{loop_name}.trace.jsonl"));
+    let metrics_path = dir.join(format!("{loop_name}.metrics.json"));
+    let chrome_path = dir.join(format!("{loop_name}.chrome.json"));
 
     let status = Command::new(env!("CARGO_BIN_EXE_ltspc"))
-        .arg(&loop_path)
+        .arg(loop_path)
         .args(["--policy", "l3", "--trip", "1000", "--simulate", "2000"])
         .arg("--trace-out")
         .arg(&trace_path)
@@ -52,7 +77,7 @@ fn ltspc_emits_parseable_decision_trace_and_metrics() {
     // fields the schema promises.
     let trace = std::fs::read_to_string(&trace_path).unwrap();
     let mut boosts = 0;
-    let mut spans = 0;
+    let mut spans = Vec::new();
     let mut kinds = Vec::new();
     for line in trace.lines() {
         let v = parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
@@ -63,8 +88,11 @@ fn ltspc_emits_parseable_decision_trace_and_metrics() {
         kinds.push(ty.to_string());
         match ty {
             "span" => {
-                spans += 1;
-                assert!(v.get("name").and_then(JsonValue::as_str).is_some());
+                let name = v
+                    .get("name")
+                    .and_then(JsonValue::as_str)
+                    .expect("span name");
+                spans.push(name.to_string());
                 assert!(v.get("dur_us").and_then(JsonValue::as_u64).is_some());
             }
             "boost_assigned" => {
@@ -96,10 +124,17 @@ fn ltspc_emits_parseable_decision_trace_and_metrics() {
         }
     }
     assert!(boosts >= 1, "at least one boosted load traced: {kinds:?}");
-    assert!(
-        spans >= 3,
-        "hlo + pipeline + simulate spans expected: {kinds:?}"
-    );
+    // One span per timed region: every compile phase, then the simulation.
+    for phase in COMPILE_PHASES
+        .map(Phase::name)
+        .into_iter()
+        .chain(["simulate"])
+    {
+        assert!(
+            spans.contains(&format!("{phase}:{loop_name}")),
+            "{phase}:{loop_name} span expected: {spans:?}"
+        );
+    }
     assert!(
         kinds.iter().any(|k| k == "criticality_verdict"),
         "criticality verdicts traced: {kinds:?}"
@@ -132,15 +167,45 @@ fn ltspc_emits_parseable_decision_trace_and_metrics() {
     assert!(events
         .iter()
         .any(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X")));
+}
 
-    std::fs::remove_dir_all(&dir).ok();
+#[test]
+fn compile_phase_spans_sum_to_the_phase_timer() {
+    let m = MachineModel::itanium2();
+    for (_, lp) in kernel_library() {
+        for policy in [
+            LatencyPolicy::Baseline,
+            LatencyPolicy::AllLoadsL3,
+            LatencyPolicy::AllFpLoadsL2,
+            LatencyPolicy::HloHints,
+        ] {
+            let (tel, timer) = (Telemetry::enabled(), PhaseTimer::new());
+            let obs = Observer::new(&tel, Some(&timer));
+            compile_loop_observed(&lp, &m, &CompileConfig::new(policy), 100.0, obs);
+            let spans = tel.spans();
+            let mut covered = 0;
+            for phase in COMPILE_PHASES {
+                let name = format!("{}:{}", phase.name(), lp.name());
+                let of_phase: Vec<u64> = spans
+                    .iter()
+                    .filter(|s| s.name == name)
+                    .map(|s| s.dur_us)
+                    .collect();
+                assert!(!of_phase.is_empty(), "no {name} span under {policy}");
+                assert_eq!(
+                    of_phase.iter().sum::<u64>(),
+                    timer.get_us(phase),
+                    "{name} under {policy}: spans and timer disagree"
+                );
+                covered += of_phase.len();
+            }
+            assert_eq!(covered, spans.len(), "only compile-phase spans");
+        }
+    }
 }
 
 #[test]
 fn disabled_telemetry_is_bit_identical() {
-    use ltsp::core::{CompileConfig, LatencyPolicy, RunConfig};
-    use ltsp::machine::MachineModel;
-    use ltsp::telemetry::Telemetry;
     use ltsp::workloads::find_benchmark;
 
     let m = MachineModel::itanium2();

@@ -22,10 +22,10 @@ mod common;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ltsp::core::{compile_loop_with_profile_traced, CompileConfig, LatencyPolicy};
+use ltsp::core::{compile_loop_observed, CompileConfig, LatencyPolicy};
 use ltsp::ir::{parse_loop, LoopIr};
 use ltsp::machine::MachineModel;
-use ltsp::telemetry::{normalize_trace, JsonValue, Telemetry};
+use ltsp::telemetry::{normalize_trace, JsonValue, Observer, Telemetry};
 use ltsp::workloads::{kernel_library, scheduling_heavy};
 
 const POLICIES: [LatencyPolicy; 4] = [
@@ -75,7 +75,7 @@ fn cases() -> Vec<(String, LoopIr, CompileConfig)> {
 
 fn compile_traced(lp: &LoopIr, machine: &MachineModel, cfg: &CompileConfig) -> Telemetry {
     let tel = Telemetry::enabled();
-    compile_loop_with_profile_traced(lp, machine, cfg, TRIP, &tel);
+    compile_loop_observed(lp, machine, cfg, TRIP, Observer::new(&tel, None));
     tel
 }
 
