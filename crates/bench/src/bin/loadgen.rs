@@ -1,4 +1,6 @@
-//! `loadgen` — closed-loop load generator for the `ltspd` daemon.
+//! `loadgen` — closed-loop load generator for the `ltspd` daemon
+//! (`ltspc serve`) or a cluster router, talking to it through
+//! `ltsp_server::client`.
 //!
 //! ```text
 //! loadgen [--addr HOST:PORT] [--conns N] [--requests N] [--mix C:V:O]
@@ -72,15 +74,17 @@
 //! handler p99. The `--metrics-out` cross-check sums shard-labeled
 //! samples so the same invariants hold against a router.
 
-use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::TcpStream;
-use std::time::Instant;
-
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 use ltsp_ir::SplitMix64;
+use ltsp_server::client::Client;
 use ltsp_telemetry::prom::PromSnapshot;
 use ltsp_telemetry::{json, Histogram};
+
+/// The bound on a connect and on each response wherever loadgen waits
+/// with a deadline: fault mode, the upgrade poll, scrapes and shutdown.
+const DEADLINE: Duration = Duration::from_secs(30);
 
 struct Options {
     addr: String,
@@ -269,7 +273,7 @@ fn build_request(
     };
     // deadline_ms:0 keeps oracle work node-budget-bound (deterministic).
     format!(
-        "{{\"op\":\"{op}\",\"id\":\"{conn}-{i}-{name}\",\"loop\":\"{text}\"{backend}{mode},\"deadline_ms\":0{flags}}}\n"
+        "{{\"op\":\"{op}\",\"id\":\"{conn}-{i}-{name}\",\"loop\":\"{text}\"{backend}{mode},\"deadline_ms\":0{flags}}}"
     )
 }
 
@@ -302,36 +306,20 @@ fn run_conn(
     corpus: &[(String, String)],
     conn: usize,
 ) -> std::io::Result<(Vec<Sample>, FaultStats, BTreeMap<String, Histogram>)> {
-    let connect = || -> std::io::Result<(TcpStream, BufReader<TcpStream>)> {
-        let stream = TcpStream::connect(&o.addr)?;
-        stream.set_nodelay(true)?;
-        if o.fault_mode {
-            // The wedge detector: under faults, a response that never
-            // arrives must fail the run loudly, not hang it.
-            stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
-        }
-        let writer = stream.try_clone()?;
-        Ok((writer, BufReader::new(stream)))
-    };
-    let (mut writer, mut reader) = connect()?;
+    // The wedge detector: under faults, a response that never arrives
+    // must fail the run loudly, not hang it.
+    let connect = || Client::connect(&o.addr, o.fault_mode.then_some(DEADLINE));
+    let mut client = connect()?;
     let mut stats = FaultStats::default();
     let mut phases: BTreeMap<String, Histogram> = BTreeMap::new();
     let mut rng = SplitMix64::new(o.seed ^ (conn as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut samples = Vec::with_capacity(o.burst + o.requests);
-    let mut line = String::new();
-    let read_sample = |reader: &mut BufReader<TcpStream>,
-                       line: &mut String,
+    let read_sample = |client: &mut Client,
                        phases: &mut BTreeMap<String, Histogram>,
                        micros: u64|
      -> std::io::Result<Sample> {
-        line.clear();
-        if reader.read_line(line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed mid-workload",
-            ));
-        }
-        let v = json::parse(line).map_err(std::io::Error::other)?;
+        let line = client.recv()?;
+        let v = json::parse(&line).map_err(std::io::Error::other)?;
         // Opt-in server-side phase breakdown: fold each `<phase>_us`
         // field into the client's own histograms. Zero spans are skipped
         // — a request that never touched a phase is not a 0us sample of
@@ -367,11 +355,10 @@ fn run_conn(
     // here — recorded as 0 and excluded from percentiles).
     if o.burst > 0 {
         for i in 0..o.burst {
-            writer.write_all(build_request(&mut rng, o, corpus, conn, i).as_bytes())?;
+            client.send(&build_request(&mut rng, o, corpus, conn, i))?;
         }
-        writer.flush()?;
         for got in 0..o.burst {
-            match read_sample(&mut reader, &mut line, &mut phases, 0) {
+            match read_sample(&mut client, &mut phases, 0) {
                 Ok(mut s) => {
                     s.micros = 0;
                     samples.push(s);
@@ -381,7 +368,7 @@ fn run_conn(
                     // queued behind it on this connection.
                     stats.lost += (o.burst - got) as u64;
                     stats.reconnects += 1;
-                    (writer, reader) = connect()?;
+                    client = connect()?;
                     break;
                 }
                 Err(e) => return Err(e),
@@ -393,10 +380,9 @@ fn run_conn(
     for i in 0..o.requests {
         let req = build_request(&mut rng, o, corpus, conn, o.burst + i);
         let t0 = Instant::now();
-        let sent = writer
-            .write_all(req.as_bytes())
-            .and_then(|()| writer.flush());
-        let outcome = sent.and_then(|()| read_sample(&mut reader, &mut line, &mut phases, 0));
+        let outcome = client
+            .send(&req)
+            .and_then(|()| read_sample(&mut client, &mut phases, 0));
         match outcome {
             Ok(mut s) => {
                 s.micros = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -409,7 +395,7 @@ fn run_conn(
                 // just fire again).
                 stats.lost += 1;
                 stats.reconnects += 1;
-                (writer, reader) = connect()?;
+                client = connect()?;
             }
             Err(e) => return Err(e),
         }
@@ -428,28 +414,14 @@ fn poll_for_upgrades(
     stamp: &str,
     max_rounds: usize,
 ) -> std::io::Result<(usize, usize)> {
-    let stream = TcpStream::connect(&o.addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut client = Client::connect(&o.addr, Some(DEADLINE))?;
     for round in 1..=max_rounds {
         let mut seen = 0usize;
         for (name, text) in corpus {
-            let req = format!(
+            let line = client.request(&format!(
                 "{{\"op\":\"compile\",\"id\":\"upgrade-poll-{round}-{name}\",\"loop\":\"{text}\",\
-                 {stamp},\"deadline_ms\":0}}\n"
-            );
-            writer.write_all(req.as_bytes())?;
-            writer.flush()?;
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed during upgrade poll",
-                ));
-            }
+                 {stamp},\"deadline_ms\":0}}"
+            ))?;
             if line.contains("\"cache\":\"upgraded\"") {
                 seen += 1;
             }
@@ -457,51 +429,21 @@ fn poll_for_upgrades(
         if seen > 0 {
             return Ok((seen, round));
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
     }
     Ok((0, max_rounds))
 }
 
 /// One metrics-op round trip: returns the Prometheus text snapshot.
 fn scrape_metrics(addr: &str) -> std::io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    writer.write_all(b"{\"op\":\"metrics\",\"id\":\"loadgen-metrics\"}\n")?;
-    writer.flush()?;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed before answering metrics",
-        ));
-    }
-    let v = json::parse(&line).map_err(std::io::Error::other)?;
-    v.get("metrics")
-        .and_then(|m| m.as_str())
-        .map(ToString::to_string)
-        .ok_or_else(|| std::io::Error::other("metrics response carries no \"metrics\" field"))
+    Client::connect(addr, Some(DEADLINE))?.metrics_text("loadgen-metrics")
 }
 
-/// Shard indices present in an aggregated (router) metrics snapshot —
-/// empty against a plain single-process daemon. Presence of the
-/// `ltsp_shard_up` family is how loadgen detects it talked to `ltspr`.
+/// Shard indices of an aggregated (router) metrics snapshot, as label
+/// values — empty against a plain single-process daemon, which is how
+/// loadgen detects it talked to `ltspr`.
 fn shard_ids(snap: &PromSnapshot) -> Vec<String> {
-    let mut ids: Vec<u64> = snap
-        .samples
-        .iter()
-        .filter(|s| s.name == "ltsp_shard_up")
-        .filter_map(|s| {
-            s.labels
-                .iter()
-                .find(|(k, _)| k == "shard")
-                .and_then(|(_, v)| v.parse().ok())
-        })
-        .collect();
-    ids.sort_unstable();
-    ids.into_iter().map(|i| i.to_string()).collect()
+    snap.shard_ids().iter().map(u64::to_string).collect()
 }
 
 /// The report's `"cluster"` block: router routing/failover counters
@@ -972,10 +914,8 @@ fn main() {
     }
 
     if o.shutdown {
-        if let Ok(mut s) = TcpStream::connect(&o.addr) {
-            let _ = s.write_all(b"{\"op\":\"shutdown\",\"id\":\"loadgen-shutdown\"}\n");
-            let mut line = String::new();
-            let _ = BufReader::new(s).read_line(&mut line);
+        if let Ok(mut c) = Client::connect(&o.addr, Some(DEADLINE)) {
+            let _ = c.shutdown("loadgen-shutdown");
         }
     }
 

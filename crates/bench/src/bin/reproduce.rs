@@ -60,18 +60,14 @@ fn emit(text: &str) {
     }
 }
 
-/// Writes one telemetry artifact, reporting failures on stderr.
+/// Writes one telemetry artifact; a failure is fatal.
 fn write_artifact(
     path: Option<&str>,
     what: &str,
     f: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
 ) {
-    let Some(path) = path else { return };
-    let res = std::fs::File::create(path)
-        .map(std::io::BufWriter::new)
-        .and_then(|mut w| f(&mut w));
-    if let Err(e) = res {
-        eprintln!("reproduce: cannot write {what} {path}: {e}");
+    if let Err(e) = ltsp_telemetry::write_artifact(path, what, f) {
+        eprintln!("reproduce: {e}");
         std::process::exit(1);
     }
 }

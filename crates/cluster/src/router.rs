@@ -26,22 +26,32 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ltsp_cache::Fingerprint;
+use ltsp_server::client::Client;
+use ltsp_server::framing::{discard_input, Framer};
 use ltsp_server::proto::{push_str_field, push_u64_field};
+use ltsp_server::signal::drain_on_signal;
 use ltsp_server::{parse_request, ReqOp, Response};
 use ltsp_telemetry::prom::{self, PromSnapshot};
-use ltsp_telemetry::{json, Event, Telemetry};
+use ltsp_telemetry::{Event, Telemetry};
 
 use crate::ring::{Ring, DEFAULT_VNODES};
 
 /// Drain-flag / accept poll cadence (mirrors the daemon's).
 const POLL: Duration = Duration::from_millis(25);
+
+/// How long a write to a client may block, and how long a refused
+/// client's excess input is swallowed before the connection closes.
+const CLIENT_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Deadline on the shard side of a `metrics` scrape or a drain broadcast.
+const SHARD_CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -227,74 +237,6 @@ fn response_status(line: &str) -> &str {
     }
 }
 
-/// One upstream shard connection owned by a client thread: raw stream
-/// plus read-ahead buffer for line framing.
-struct Upstream {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Upstream {
-    fn connect(addr: &str, connect_timeout: Duration) -> std::io::Result<Upstream> {
-        let sa = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::other(format!("unresolvable shard addr {addr}")))?;
-        let stream = TcpStream::connect_timeout(&sa, connect_timeout)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(POLL))?;
-        stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-        Ok(Upstream {
-            stream,
-            buf: Vec::new(),
-        })
-    }
-
-    fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")
-    }
-
-    /// Reads one `\n`-terminated line (returned **with** its newline,
-    /// byte-exact) within `deadline`.
-    fn read_line(&mut self, deadline: Duration) -> std::io::Result<String> {
-        let t0 = Instant::now();
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                return String::from_utf8(line).map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "non-UTF-8 response from shard",
-                    )
-                });
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "shard closed mid-response",
-                    ))
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if t0.elapsed() >= deadline {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "shard response deadline exceeded",
-                        ));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
 /// Binds and routes in a background thread; returns once the listener
 /// is accepting. Used by in-process tests and the cluster supervisor.
 ///
@@ -332,7 +274,23 @@ pub fn spawn_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
         cfg,
     });
     if state.cfg.handle_signals {
-        install_signal_drain(&state);
+        // Drain propagates: the shards are told to shut down too, because
+        // a signaled `ltspc serve --cluster` owns the whole cluster's
+        // lifecycle.
+        let (done, drain) = (Arc::downgrade(&state), Arc::downgrade(&state));
+        drain_on_signal(
+            "ltspr-signal",
+            move || {
+                done.upgrade()
+                    .is_none_or(|s| s.draining.load(Ordering::SeqCst))
+            },
+            move || {
+                if let Some(s) = drain.upgrade() {
+                    broadcast_shutdown(&s);
+                    s.start_drain("signal");
+                }
+            },
+        );
     }
     let st = Arc::clone(&state);
     let join = thread::Builder::new()
@@ -341,51 +299,6 @@ pub fn spawn_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
         .expect("spawn ltspr accept thread");
     Ok(RouterHandle { addr, state, join })
 }
-
-/// Installs a SIGTERM/SIGINT hook that drains this router. Drain
-/// propagates: the shards are told to shut down too, because a signaled
-/// `ltspc serve --cluster` owns the whole cluster's lifecycle.
-#[cfg(unix)]
-fn install_signal_drain(state: &Arc<RouterState>) {
-    use std::sync::OnceLock;
-    static TERM_FLAG: OnceLock<&'static AtomicBool> = OnceLock::new();
-    extern "C" fn on_term(_sig: i32) {
-        if let Some(flag) = TERM_FLAG.get() {
-            flag.store(true, Ordering::SeqCst);
-        }
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let flag: &'static AtomicBool =
-        TERM_FLAG.get_or_init(|| Box::leak(Box::new(AtomicBool::new(false))));
-    let handler = on_term as extern "C" fn(i32) as *const () as usize;
-    unsafe {
-        signal(SIGTERM, handler);
-        signal(SIGINT, handler);
-    }
-    let st = Arc::downgrade(state);
-    thread::Builder::new()
-        .name("ltspr-signal".to_string())
-        .spawn(move || loop {
-            thread::sleep(POLL);
-            let Some(state) = st.upgrade() else { return };
-            if flag.load(Ordering::SeqCst) {
-                broadcast_shutdown(&state);
-                state.start_drain("signal");
-                return;
-            }
-            if state.draining.load(Ordering::SeqCst) {
-                return;
-            }
-        })
-        .ok();
-}
-
-#[cfg(not(unix))]
-fn install_signal_drain(_state: &Arc<RouterState>) {}
 
 fn run(listener: TcpListener, state: Arc<RouterState>) {
     let tel = state.cfg.telemetry.clone();
@@ -434,20 +347,22 @@ fn run(listener: TcpListener, state: Arc<RouterState>) {
 
 /// One client connection: read a line, answer it (proxy or local), write
 /// the response, in order. A stalled client stalls only its own thread.
+/// Lines are framed and capped exactly as the daemon frames them, and an
+/// oversized one is refused with the daemon's own answer.
 fn conn_loop(mut stream: TcpStream, state: &Arc<RouterState>) {
     if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+    let _ = stream.set_write_timeout(Some(CLIENT_WRITE_TIMEOUT));
     state.connections.fetch_add(1, Ordering::Relaxed);
-    let mut upstreams: HashMap<usize, Upstream> = HashMap::new();
-    let mut buf: Vec<u8> = Vec::new();
+    let mut upstreams: HashMap<usize, Client> = HashMap::new();
+    let mut framer = Framer::default();
     let mut chunk = [0u8; 16 * 1024];
     'outer: loop {
         match stream.read(&mut chunk) {
             Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => framer.push(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -459,9 +374,8 @@ fn conn_loop(mut stream: TcpStream, state: &Arc<RouterState>) {
             }
             Err(_) => break,
         }
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes);
+        while let Some(line) = framer.next_line() {
+            let line = String::from_utf8_lossy(line);
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -476,6 +390,17 @@ fn conn_loop(mut stream: TcpStream, state: &Arc<RouterState>) {
                 break 'outer;
             }
         }
+        framer.compact();
+        if let Some(refusal) = framer.refuse_oversized() {
+            state.requests.fetch_add(1, Ordering::Relaxed);
+            state.local.fetch_add(1, Ordering::Relaxed);
+            if stream.write_all(render_line(&refusal).as_bytes()).is_ok() {
+                discard_input(&mut stream, Instant::now() + CLIENT_WRITE_TIMEOUT, || {
+                    state.draining.load(Ordering::SeqCst)
+                });
+            }
+            break;
+        }
     }
     state.connections.fetch_sub(1, Ordering::Relaxed);
 }
@@ -485,7 +410,7 @@ fn conn_loop(mut stream: TcpStream, state: &Arc<RouterState>) {
 /// which the caller drains.
 fn handle_line(
     state: &Arc<RouterState>,
-    upstreams: &mut HashMap<usize, Upstream>,
+    upstreams: &mut HashMap<usize, Client>,
     line: &str,
 ) -> (String, bool) {
     match parse_request(line) {
@@ -498,13 +423,7 @@ fn handle_line(
             ReqOp::Shutdown => {
                 state.local.fetch_add(1, Ordering::Relaxed);
                 broadcast_shutdown(state);
-                let ack = Response {
-                    id: req.id.clone(),
-                    status: "draining",
-                    cache: "-",
-                    body: ",\"op\":\"shutdown\"".into(),
-                    timings: None,
-                };
+                let ack = Response::new(&req.id, "draining", "-", ",\"op\":\"shutdown\"");
                 (render_line(&ack), true)
             }
             ReqOp::Stats => {
@@ -549,7 +468,7 @@ fn render_line(resp: &Response) -> String {
 /// router's `error` once every candidate failed.
 fn proxy(
     state: &Arc<RouterState>,
-    upstreams: &mut HashMap<usize, Upstream>,
+    upstreams: &mut HashMap<usize, Client>,
     line: &str,
     id: &str,
     key: Fingerprint,
@@ -614,28 +533,31 @@ fn proxy(
 /// response line within the deadline.
 fn try_shard(
     state: &Arc<RouterState>,
-    upstreams: &mut HashMap<usize, Upstream>,
+    upstreams: &mut HashMap<usize, Client>,
     shard: usize,
     line: &str,
 ) -> std::io::Result<String> {
     if let std::collections::hash_map::Entry::Vacant(e) = upstreams.entry(shard) {
-        e.insert(Upstream::connect(
-            &state.shards[shard].addr,
-            state.cfg.connect_timeout,
-        )?);
+        e.insert(connect_shard(state, shard, state.cfg.read_timeout)?);
     }
     let up = upstreams.get_mut(&shard).expect("just inserted");
-    up.send_line(line)?;
-    up.read_line(state.cfg.read_timeout)
+    up.request(line)
+}
+
+/// A fresh connection to one shard: connected under the connect timeout,
+/// then every write and each response bounded by `deadline`.
+fn connect_shard(state: &RouterState, shard: usize, deadline: Duration) -> std::io::Result<Client> {
+    let mut client = Client::connect(&state.shards[shard].addr, Some(state.cfg.connect_timeout))?;
+    client.set_timeout(Some(deadline))?;
+    Ok(client)
 }
 
 /// Best-effort `shutdown` to every shard (drain propagation). Dead
 /// shards are skipped silently; the supervisor reaps processes anyway.
 fn broadcast_shutdown(state: &RouterState) {
-    for s in &state.shards {
-        if let Ok(mut up) = Upstream::connect(&s.addr, state.cfg.connect_timeout) {
-            let _ = up.send_line("{\"op\":\"shutdown\",\"id\":\"ltspr-drain\"}");
-            let _ = up.read_line(Duration::from_secs(5));
+    for shard in 0..state.shards.len() {
+        if let Ok(mut c) = connect_shard(state, shard, SHARD_CONTROL_TIMEOUT) {
+            let _ = c.shutdown("ltspr-drain");
         }
     }
 }
@@ -656,24 +578,14 @@ fn stats_response(state: &RouterState, id: &str) -> Response {
         push_u64_field(&mut body, key, v.load(Ordering::Relaxed));
     }
     push_u64_field(&mut body, "router_shards", state.shards.len() as u64);
-    Response {
-        id: id.to_string(),
-        status: "ok",
-        cache: "-",
-        body: body.into(),
-        timings: None,
-    }
+    Response::new(id, "ok", "-", body)
 }
 
 /// Scrapes one shard's `{"op":"metrics"}` snapshot.
 fn scrape_shard(state: &RouterState, shard: usize) -> Option<PromSnapshot> {
-    let mut up = Upstream::connect(&state.shards[shard].addr, state.cfg.connect_timeout).ok()?;
-    up.send_line("{\"op\":\"metrics\",\"id\":\"ltspr-scrape\"}")
-        .ok()?;
-    let line = up.read_line(Duration::from_secs(5)).ok()?;
-    let v = json::parse(line.trim()).ok()?;
-    let text = v.get("metrics")?.as_str()?.to_string();
-    PromSnapshot::parse(&text).ok()
+    connect_shard(state, shard, SHARD_CONTROL_TIMEOUT)
+        .and_then(|mut c| c.metrics("ltspr-scrape"))
+        .ok()
 }
 
 /// The aggregated cluster snapshot: router families first, then every
@@ -755,13 +667,7 @@ fn metrics_response(state: &RouterState, id: &str) -> Response {
     let mut body = String::new();
     push_str_field(&mut body, "op", "metrics");
     push_str_field(&mut body, "metrics", &render_cluster_prometheus(state));
-    Response {
-        id: id.to_string(),
-        status: "ok",
-        cache: "-",
-        body: body.into(),
-        timings: None,
-    }
+    Response::new(id, "ok", "-", body)
 }
 
 #[cfg(test)]

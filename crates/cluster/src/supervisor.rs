@@ -17,7 +17,6 @@
 //!   waits for the children, escalating to `kill()` only past a
 //!   generous deadline.
 
-use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -25,6 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+use ltsp_server::client::Client;
 
 use crate::router::{spawn_router, RouterConfig};
 
@@ -110,20 +111,6 @@ fn wait_for_listener(addr: &str, timeout: Duration) -> bool {
         thread::sleep(Duration::from_millis(50));
     }
     false
-}
-
-/// Best-effort `shutdown` to one shard address.
-fn send_shutdown(addr: &str) {
-    let Some(sa) = addr.to_socket_addrs().ok().and_then(|mut it| it.next()) else {
-        return;
-    };
-    let Ok(mut stream) = TcpStream::connect_timeout(&sa, Duration::from_secs(1)) else {
-        return;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.write_all(b"{\"op\":\"shutdown\",\"id\":\"ltspc-cluster-drain\"}\n");
-    let mut sink = [0u8; 1024];
-    let _ = stream.read(&mut sink);
 }
 
 /// Runs a full cluster in the foreground: spawns the shards, runs the
@@ -219,7 +206,9 @@ pub fn run_cluster(mut cfg: ClusterConfig) -> std::io::Result<()> {
     // router already broadcast on the shutdown/signal path; this covers
     // handle-initiated drains and races), then reap with a deadline.
     for addr in &shard_addrs {
-        send_shutdown(addr);
+        if let Ok(mut c) = Client::connect(addr, Some(Duration::from_secs(2))) {
+            let _ = c.shutdown("ltspc-cluster-drain");
+        }
     }
     let deadline = Instant::now() + Duration::from_secs(30);
     for (i, slot) in children.iter_mut().enumerate() {

@@ -88,8 +88,9 @@
 //!   every queued request is answered `error` — nothing is admitted
 //!   into a queue nobody drains.
 //! - **An endless request line** is refused: a connection that sends
-//!   `MAX_REQUEST_BYTES` without a newline is answered `error` and
-//!   closed, so a client cannot make the daemon buffer without bound.
+//!   [`crate::framing::MAX_REQUEST_BYTES`] without a newline is answered
+//!   `error` and closed, so a client cannot make the daemon buffer
+//!   without bound.
 //! - **Injected faults** ([`FaultPlan`], `LTSP_FAULT`) exercise all of
 //!   the above deterministically: handler panics and delays key on the
 //!   request id, connection drops and torn writes on the response id —
@@ -134,22 +135,13 @@ use crate::counters::Counter;
 use crate::engine::{CacheHit, Engine, EngineConfig, Route};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::flight::FlightRecord;
+use crate::framing::{discard_input, timed_out, Framer, BUFFER_KEEP_BYTES};
 use crate::proto::{parse_request, ReqOp, Request, Response};
+use crate::signal::drain_on_signal;
 
 /// How often blocked loops (accept, idle reads, stalled writes) re-check
 /// the drain flag.
 const POLL: Duration = Duration::from_millis(25);
-
-/// The longest request line the daemon buffers. A client that sends more
-/// without a newline is answered `status:"error"` and disconnected; the
-/// largest kernels the repository serves are three orders of magnitude
-/// below this.
-const MAX_REQUEST_BYTES: usize = 8 << 20;
-
-/// Per-connection buffers (inbound bytes, the inline response line) are
-/// reused from request to request and trimmed back to this once an
-/// unusually large line has passed through.
-const BUFFER_KEEP_BYTES: usize = 64 << 10;
 
 /// Exit code of a process killed by the injected `shardkill` fault, so
 /// supervisors and chaos tests can tell an injected kill from a crash.
@@ -499,7 +491,19 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         cfg,
     });
     if state.cfg.handle_signals {
-        install_signal_drain(&state);
+        let (done, drain) = (Arc::downgrade(&state), Arc::downgrade(&state));
+        drain_on_signal(
+            "ltspd-signal",
+            move || {
+                done.upgrade()
+                    .is_none_or(|s| s.draining.load(Ordering::SeqCst))
+            },
+            move || {
+                if let Some(s) = drain.upgrade() {
+                    s.start_drain("signal", &s.cfg.telemetry);
+                }
+            },
+        );
     }
     let st = Arc::clone(&state);
     let join = thread::Builder::new()
@@ -519,53 +523,6 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
     spawn(cfg)?.wait();
     Ok(())
 }
-
-/// Installs a SIGTERM/SIGINT hook that drains this server (Unix only;
-/// signal handlers are process-global, hence the [`ServerConfig`] gate).
-#[cfg(unix)]
-fn install_signal_drain(state: &Arc<State>) {
-    use std::sync::OnceLock;
-    static TERM_FLAG: OnceLock<&'static AtomicBool> = OnceLock::new();
-    // The handler only flips an atomic — async-signal-safe. A watcher
-    // thread folds it into the server's drain state (the handler itself
-    // cannot lock).
-    extern "C" fn on_term(_sig: i32) {
-        if let Some(flag) = TERM_FLAG.get() {
-            flag.store(true, Ordering::SeqCst);
-        }
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let flag: &'static AtomicBool =
-        TERM_FLAG.get_or_init(|| Box::leak(Box::new(AtomicBool::new(false))));
-    let handler = on_term as extern "C" fn(i32) as *const () as usize;
-    unsafe {
-        signal(SIGTERM, handler);
-        signal(SIGINT, handler);
-    }
-    let st = Arc::downgrade(state);
-    thread::Builder::new()
-        .name("ltspd-signal".to_string())
-        .spawn(move || loop {
-            thread::sleep(POLL);
-            let Some(state) = st.upgrade() else { return };
-            if flag.load(Ordering::SeqCst) {
-                let tel = state.cfg.telemetry.clone();
-                state.start_drain("signal", &tel);
-                return;
-            }
-            if state.draining.load(Ordering::SeqCst) {
-                return;
-            }
-        })
-        .ok();
-}
-
-#[cfg(not(unix))]
-fn install_signal_drain(_state: &Arc<State>) {}
 
 fn run(listener: TcpListener, state: Arc<State>) {
     let tel = state.cfg.telemetry.clone();
@@ -793,13 +750,9 @@ fn handle_forked(
     resp
 }
 
-/// Per-connection reader: frame lines, answer protocol errors, `shutdown`
-/// and result-cache hits on an idle connection itself, admit the rest.
-///
-/// Framing is done by hand on a byte buffer rather than
-/// `BufReader::read_line` because reads run under a poll timeout, and
-/// `read_line` discards partially read bytes when it returns an error —
-/// a request split across TCP segments would be corrupted.
+/// Per-connection reader: frame lines ([`Framer`]), answer protocol
+/// errors, `shutdown` and result-cache hits on an idle connection itself,
+/// admit the rest.
 fn reader_loop(mut stream: TcpStream, state: &Arc<State>, tel: &Telemetry) {
     // Accepted sockets may inherit the listener's non-blocking mode on
     // some platforms; normalize to blocking-with-timeout. The write
@@ -836,51 +789,6 @@ fn reader_loop(mut stream: TcpStream, state: &Arc<State>, tel: &Telemetry) {
     state.engine.counters().sub(Counter::Connections, 1);
 }
 
-/// Newline framing over one connection's inbound bytes: every byte is
-/// searched for the newline once, a line is parsed from the slice it
-/// arrived in, and consumed bytes are dropped once per read rather than
-/// once per line.
-#[derive(Default)]
-struct Framer {
-    buf: Vec<u8>,
-    /// Where the first unconsumed line starts.
-    start: usize,
-    /// Bytes before this hold no newline at or after `start`.
-    scanned: usize,
-}
-
-impl Framer {
-    /// The next complete line (without its newline) as a range of
-    /// `buf`, valid until the next [`Framer::compact`].
-    fn next_line(&mut self) -> Option<std::ops::Range<usize>> {
-        match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
-            Some(off) => {
-                let end = self.scanned + off;
-                let line = self.start..end;
-                self.start = end + 1;
-                self.scanned = end + 1;
-                Some(line)
-            }
-            None => {
-                self.scanned = self.buf.len();
-                None
-            }
-        }
-    }
-
-    /// Drops the consumed lines and returns how many bytes of an
-    /// unfinished line remain.
-    fn compact(&mut self) -> usize {
-        self.buf.drain(..self.start);
-        self.scanned -= self.start;
-        self.start = 0;
-        if self.buf.is_empty() {
-            self.buf.shrink_to(BUFFER_KEEP_BYTES);
-        }
-        self.buf.len()
-    }
-}
-
 /// The reader's framing/admission loop (split out so [`reader_loop`]
 /// can run cleanup — close + join the writer — on every exit path).
 fn read_requests(stream: &mut TcpStream, conn: &Arc<Conn>, state: &Arc<State>, tel: &Telemetry) {
@@ -891,7 +799,7 @@ fn read_requests(stream: &mut TcpStream, conn: &Arc<Conn>, state: &Arc<State>, t
     loop {
         match stream.read(&mut chunk) {
             Ok(0) => return, // EOF
-            Ok(n) => framer.buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => framer.push(&chunk[..n]),
             Err(e) if timed_out(&e) => {
                 // Idle: close once the server is draining, else keep
                 // waiting for the next request.
@@ -908,17 +816,19 @@ fn read_requests(stream: &mut TcpStream, conn: &Arc<Conn>, state: &Arc<State>, t
             return;
         }
         while let Some(line) = framer.next_line() {
-            let line = String::from_utf8_lossy(&framer.buf[line]);
+            let line = String::from_utf8_lossy(line);
             let line = line.trim();
             if !line.is_empty() && !serve_line(line, stream, conn, &mut out, state, tel) {
                 return;
             }
         }
-        if framer.compact() > MAX_REQUEST_BYTES {
-            // Keep what the derived id needs, free the rest now.
-            framer.buf.truncate(256);
-            framer.buf.shrink_to_fit();
-            refuse_oversized(&framer.buf, stream, conn, state, tel);
+        framer.compact();
+        if let Some(refusal) = framer.refuse_oversized() {
+            let id = refusal.id.clone();
+            conn.answer(&state.engine.finish_admission(&id, "proto", refusal, tel));
+            discard_input(stream, Instant::now() + state.cfg.write_deadline, || {
+                state.draining.load(Ordering::SeqCst)
+            });
             return;
         }
     }
@@ -984,38 +894,6 @@ fn serve_inline(
     resp.render_into(out);
     out.push('\n');
     write_line(conn, stream, &resp.id, out, state, tel)
-}
-
-/// A request line grew past [`MAX_REQUEST_BYTES`] without a newline:
-/// answer with a typed error, then swallow (without keeping) what the
-/// client is still sending until it stops or the write deadline has
-/// passed — closing a socket with unread input resets it, which could
-/// destroy the answer before the client reads it.
-fn refuse_oversized(
-    head: &[u8],
-    stream: &mut TcpStream,
-    conn: &Conn,
-    state: &State,
-    tel: &Telemetry,
-) {
-    // A content-derived id like a parse failure's, from the line's head.
-    let id = format!("q{}", Fingerprint::of_bytes(head).short_hex());
-    let resp = Response::error(
-        &id,
-        "error",
-        &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
-    );
-    conn.answer(&state.engine.finish_admission(&id, "proto", resp, tel));
-    let until = Instant::now() + state.cfg.write_deadline;
-    let mut sink = [0u8; 16 * 1024];
-    while Instant::now() < until && !state.draining.load(Ordering::SeqCst) {
-        match stream.read(&mut sink) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if timed_out(&e) => {}
-            Err(_) => return,
-        }
-    }
 }
 
 /// Per-connection writer: drains the bounded outbound queue onto the
@@ -1092,15 +970,6 @@ fn write_line(
             false
         }
     }
-}
-
-/// True for what a socket read or write under the [`POLL`] timeout
-/// returns when it merely ran out of time.
-fn timed_out(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
 }
 
 /// Declares a connection dead: discards its outbound queue, shuts the
@@ -1317,27 +1186,5 @@ mod tests {
             conn.next_line().is_none(),
             "a dead connection yields no line"
         );
-    }
-
-    /// The framer finds exactly the lines a whole-buffer split finds,
-    /// wherever the reads happened to cut the stream.
-    #[test]
-    fn framing_is_independent_of_read_boundaries() {
-        let stream = b"first\n\nsecond line\r\n{\"third\":1}\nunfinished";
-        let want: Vec<&[u8]> = vec![b"first", b"", b"second line\r", b"{\"third\":1}"];
-        for cut in 1..=stream.len() {
-            let mut framer = Framer::default();
-            let mut got: Vec<Vec<u8>> = Vec::new();
-            for piece in stream.chunks(cut) {
-                framer.buf.extend_from_slice(piece);
-                while let Some(line) = framer.next_line() {
-                    got.push(framer.buf[line].to_vec());
-                }
-                let pending = framer.compact();
-                assert_eq!(pending, framer.buf.len());
-            }
-            assert_eq!(got, want, "reads of {cut} bytes");
-            assert_eq!(framer.buf, b"unfinished", "reads of {cut} bytes");
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! `ltspd` — the pipelining compiler as a service.
+//! `ltspd` — the pipelining compiler as a service, run by `ltspc serve`.
 //!
 //! A dependency-free (std-only) threaded TCP daemon that exposes the
 //! full pipeline — parse → HLO hints → DDG → modulo schedule → register
@@ -15,15 +15,20 @@
 //! returns exactly the bytes the cold path produced. See [`proto`] for
 //! the wire grammar, [`engine`] for cache key derivation, and
 //! [`daemon`] for the backpressure state machine and drain semantics
-//! (also DESIGN.md §12).
+//! (also DESIGN.md §12). [`framing`] frames lines for every reader of
+//! the protocol, [`client`] is its one client, and [`signal`] drains
+//! servers on SIGTERM/SIGINT.
 
+pub mod client;
 mod counters;
 pub mod daemon;
 pub mod engine;
 pub mod fault;
 pub mod flight;
+pub mod framing;
 pub mod proto;
 mod report;
+pub mod signal;
 
 pub use daemon::{serve, spawn, ServerConfig, ServerHandle, SHARD_KILL_EXIT_CODE};
 pub use engine::{Engine, EngineConfig};

@@ -479,6 +479,27 @@ pub fn normalize_trace(jsonl: &str) -> String {
     out
 }
 
+/// Writes one artifact file (`--trace-out`, `--metrics-out`, ...) through
+/// `write`, buffered and flushed; `None` writes nothing.
+///
+/// # Errors
+///
+/// One line naming the artifact, the path and the cause.
+pub fn write_artifact(
+    path: Option<&str>,
+    what: &str,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), String> {
+    let Some(path) = path else { return Ok(()) };
+    std::fs::File::create(path)
+        .map(io::BufWriter::new)
+        .and_then(|mut w| {
+            write(&mut w)?;
+            w.flush()
+        })
+        .map_err(|e| format!("cannot write {what} {path}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

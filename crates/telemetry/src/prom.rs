@@ -247,6 +247,19 @@ impl PromSnapshot {
             .map(|s| s.value)
     }
 
+    /// The shard indices of a router's aggregated snapshot (its
+    /// `ltsp_shard_up` rows), ascending — empty for a single daemon's.
+    pub fn shard_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .samples
+            .iter()
+            .filter(|s| s.name == "ltsp_shard_up")
+            .filter_map(|s| s.label("shard")?.parse().ok())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// A histogram instance's sample count (`<name>_count`).
     pub fn histogram_count(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         self.value(&format!("{name}_count"), labels)
@@ -327,6 +340,19 @@ mod tests {
         let snap = PromSnapshot::parse(&out).expect("parses");
         assert_eq!(snap.histogram_count("x_us", &[]), Some(0.0));
         assert_eq!(snap.histogram_quantile("x_us", &[], 0.5), None);
+    }
+
+    #[test]
+    fn shard_ids_come_from_the_shard_up_rows() {
+        let mut out = String::new();
+        push_sample(&mut out, "ltsp_requests_total", &[("shard", "7")], 1.0);
+        for shard in ["10", "2", "0"] {
+            push_sample(&mut out, "ltsp_shard_up", &[("shard", shard)], 1.0);
+        }
+        let snap = PromSnapshot::parse(&out).expect("parses");
+        assert_eq!(snap.shard_ids(), vec![0, 2, 10]);
+        let single = PromSnapshot::parse("ltsp_requests_total 3\n").expect("parses");
+        assert!(single.shard_ids().is_empty());
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //!       [--trace-out FILE] [--metrics-out FILE] [--chrome-trace FILE] [-v]
 //! ltspc verify <file.loop | -> ... [--jobs N]   # certify heuristic schedules
 //! ltspc oracle <file.loop | -> ... [--budget N] [--jobs N]  # prove minimal IIs
-//! ltspc serve [--addr HOST:PORT] [--jobs N] [--persist FILE] ...  # ltspd daemon
+//! ltspc serve [--addr HOST:PORT] [--jobs N] [--batch N] [--queue N]
+//!       [--outbound N] [--write-deadline-ms MS]
+//!       [--cache-bytes N] [--result-cache-bytes N]
+//!       [--oracle-budget NODES] [--oracle-deadline-ms MS]
+//!       [--flight-dir DIR] [--flight-len N] [--persist FILE]
+//!       [--persist-warn-mb N] [--trace-out FILE] [--metrics-out FILE] [-v]
 //! ltspc serve --cluster N [--persist-dir DIR] ...  # router + N shard processes
 //! ltspc remote <addr> <file.loop>... [--op compile|verify|oracle]
 //!       [--backend heuristic|exact|tiered]
@@ -52,18 +57,26 @@
 //! requests — there, the first response is the fast static schedule and
 //! a resend after refinement observes `cache:"upgraded"`.
 //!
-//! `serve` runs the compilation daemon in-process (same flags as
-//! `ltspd`); `--persist FILE` adds the append-only warm-start cache log
-//! (`ltsp_cache::persist`), and `--persist-warn-mb N` logs a loud
-//! warning (once) when that log grows past N MiB — the size is also
-//! exported as the `ltsp_persist_log_bytes` gauge. `serve --cluster N`
-//! instead supervises a whole cluster: N `ltspc serve` shard processes
-//! on consecutive ports
-//! plus the consistent-hash router (`ltsp_cluster`) on `--addr`, with
-//! `--persist-dir DIR` giving every shard its own warm-start log.
-//! Crashed shards are respawned (warm, from their log) and a client
-//! `shutdown` or SIGTERM drains the whole tree. `remote` ships loop
-//! files to a running daemon over the
+//! `serve` runs the compilation daemon (`ltsp_server`) in-process until a
+//! client sends `shutdown` or SIGTERM/SIGINT arrives, then drains and
+//! exits 0. `--write-deadline-ms` bounds one stalled response write,
+//! `--outbound` each connection's unsent responses; these, `--batch`,
+//! `--queue`, `--flight-len` and `--persist-warn-mb` must be at least 1
+//! (exit 2). `--oracle-deadline-ms 0` lifts the oracle's wall-clock
+//! budget. `--persist FILE` adds the warm-start cache log
+//! (`ltsp_cache::persist`); `--persist-warn-mb N` warns once past N MiB.
+//! `--flight-dir` dumps the last `--flight-len` request lifecycles on a
+//! contained failure (`ltsp_server::flight`); `--trace-out` and
+//! `--metrics-out` are written at drain; `LTSP_FAULT` injects faults
+//! (`ltsp_server::fault`). `serve --cluster N` supervises N such shards on
+//! consecutive ports behind the consistent-hash router (`ltsp_cluster`)
+//! on `--addr`, handing each shard every other flag verbatim;
+//! `--persist-dir DIR` gives each its own log, and the per-process files
+//! (`--persist`, `--flight-dir`, `--trace-out`, `--metrics-out`) are
+//! refused. Crashed shards respawn warm; `shutdown` or SIGTERM drains the
+//! whole tree.
+//!
+//! `remote` ships loop files to a running daemon over the
 //! line-delimited JSON protocol and prints each response's report —
 //! byte-identical to what the local compile path prints, which CI
 //! checks. `--shutdown` drains the server after the last file.
@@ -82,10 +95,10 @@
 //!
 //! `remote` never hangs on a stalled or wedged server: `--timeout SECS`
 //! (default 30, `0` disables) bounds the connect, every request write,
-//! and every response read. `--retries N` (default 4) bounds two retry
-//! classes sharing one capped exponential backoff schedule (100ms ·
-//! 2^attempt, at most 2s): an `overloaded` response is re-sent after a
-//! breather, and a *dead connection* (connect refused, reset, broken
+//! and every response as a whole (`ltsp_server::client`). `--retries N`
+//! (default 4) bounds two retry classes sharing one capped exponential
+//! backoff schedule (100ms · 2^attempt, at most 2s): an `overloaded`
+//! response is re-sent after a breather, and a *dead connection* (connect refused, reset, broken
 //! pipe, server EOF — a crashed or restarting server) is retried by
 //! reconnecting and re-sending, which is safe because responses are
 //! pure functions of requests. Exhausted retries exit 6 (overloaded) or
@@ -130,7 +143,8 @@ use ltsp::machine::MachineModel;
 use ltsp::memsim::{Executor, ExecutorConfig, StreamMode};
 use ltsp::oracle::OracleOptions;
 use ltsp::pipeliner::{assign_registers, emit_kernel, form_bundles};
-use ltsp::telemetry::{Observer, Telemetry};
+use ltsp::server::client::Client;
+use ltsp::telemetry::{write_artifact, Observer, Telemetry};
 
 struct Options {
     input: String,
@@ -159,6 +173,13 @@ const EXIT_SYNTAX: u8 = 4;
 const EXIT_INVALID: u8 = 5;
 const EXIT_BUSY: u8 = 6;
 
+/// A flag's value, parsed; a missing or malformed one is a usage error.
+fn flag_value<T: std::str::FromStr>(value: Option<impl AsRef<str>>) -> T {
+    value
+        .and_then(|v| v.as_ref().parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: ltspc <file.loop | -> [--policy baseline|l3|fpl2|hlo] [--trip N]\n\
@@ -169,9 +190,13 @@ fn usage() -> ! {
          \x20             [--chrome-trace FILE] [-v|--verbose]\n\
          \x20      ltspc verify <file.loop | -> ... [--jobs N]\n\
          \x20      ltspc oracle <file.loop | -> ... [--budget NODES] [--jobs N]\n\
-         \x20      ltspc serve [--addr HOST:PORT] [--jobs N] [--queue N] [--batch N]\n\
-         \x20            [--cluster N] [--persist FILE] [--persist-dir DIR]\n\
-         \x20            [--persist-warn-mb N] [-v]\n\
+         \x20      ltspc serve [--addr HOST:PORT] [--jobs N] [--batch N] [--queue N]\n\
+         \x20            [--outbound N] [--write-deadline-ms MS]\n\
+         \x20            [--cache-bytes N] [--result-cache-bytes N]\n\
+         \x20            [--oracle-budget NODES] [--oracle-deadline-ms MS]\n\
+         \x20            [--flight-dir DIR] [--flight-len N] [--persist FILE]\n\
+         \x20            [--persist-warn-mb N] [--trace-out FILE] [--metrics-out FILE]\n\
+         \x20            [--cluster N] [--persist-dir DIR] [-v|--verbose]\n\
          \x20      ltspc remote <addr> <file.loop>... [--op compile|verify|oracle]\n\
          \x20            [--backend heuristic|exact|tiered] [--mode static|adaptive]\n\
          \x20            [--adaptive] [--policy P] [--trip N]\n\
@@ -384,36 +409,15 @@ fn parse_args() -> Options {
                     _ => usage(),
                 }
             }
-            "--budget" => {
-                o.budget = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--trip" => {
-                o.trip = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threshold" => {
-                o.threshold = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--budget" => o.budget = flag_value(args.next()),
+            "--trip" => o.trip = flag_value(args.next()),
+            "--threshold" => o.threshold = flag_value(args.next()),
             "--adaptive" => o.adaptive = true,
             "--no-prefetch" => o.prefetch = false,
             "--balanced" => o.balanced = true,
             "--speculate" => o.speculate = true,
             "--asm" => o.asm = true,
-            "--simulate" => {
-                o.simulate = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--simulate" => o.simulate = Some(flag_value(args.next())),
             "--trace-out" => o.trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--metrics-out" => o.metrics_out = Some(args.next().unwrap_or_else(|| usage())),
             "--chrome-trace" => o.chrome_trace = Some(args.next().unwrap_or_else(|| usage())),
@@ -427,71 +431,136 @@ fn parse_args() -> Options {
     o
 }
 
-/// `ltspc serve`: run the `ltspd` daemon in-process until drained —
-/// or, with `--cluster N`, supervise a router plus N shard processes.
-fn run_serve(argv: &[String]) -> ExitCode {
-    let mut cfg = ltsp::server::ServerConfig {
-        jobs: ltsp::par::default_parallelism(),
-        handle_signals: true,
-        ..ltsp::server::ServerConfig::default()
+/// `ltspc serve`'s flags, parsed.
+struct Serve {
+    /// The daemon's configuration; with `--cluster`, `addr` is the
+    /// router's.
+    cfg: ltsp::server::ServerConfig,
+    /// `--cluster N`: supervise a router plus N shard processes.
+    cluster: Option<usize>,
+    /// `--persist-dir DIR` (cluster only): one warm-start log per shard.
+    persist_dir: Option<String>,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    verbose: bool,
+    /// Every flag but `--addr`, `--cluster` and `--persist-dir`, verbatim:
+    /// what each shard of a cluster is started with.
+    shard_args: Vec<String>,
+}
+
+/// A serve flag's number; `min` is 1 where 0 would mean nothing.
+fn serve_num<T>(flag: &str, value: Option<&str>, min: u8) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    match v.parse::<T>() {
+        Ok(n) if n >= T::from(min) => Ok(n),
+        Ok(_) => Err(format!("{flag} must be at least {min}, got {v}")),
+        Err(_) => Err(format!("{flag} wants a number, got {v:?}")),
+    }
+}
+
+/// The one parser of the daemon's flags, for one process and for a
+/// cluster alike.
+fn parse_serve(argv: &[String]) -> Result<Serve, String> {
+    let mut s = Serve {
+        cfg: ltsp::server::ServerConfig {
+            jobs: ltsp::par::default_parallelism(),
+            handle_signals: true,
+            ..ltsp::server::ServerConfig::default()
+        },
+        cluster: None,
+        persist_dir: None,
+        trace_out: None,
+        metrics_out: None,
+        verbose: false,
+        shard_args: Vec::new(),
     };
-    let mut verbose = false;
-    let mut cluster: Option<usize> = None;
-    let mut persist: Option<String> = None;
-    let mut persist_dir: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--jobs" => {
-                let v = it.next().cloned().unwrap_or_default();
-                cfg.jobs = ltsp::par::parse_jobs(&v).unwrap_or_else(|e| {
-                    eprintln!("ltspc: {e}");
-                    std::process::exit(i32::from(EXIT_USAGE));
-                })
-            }
-            "--queue" => {
-                cfg.queue_high_water = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--batch" => {
-                cfg.batch_max = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
+    let mut it = argv.iter().map(String::as_str);
+    while let Some(flag) = it.next() {
+        if matches!(flag, "-v" | "--verbose") {
+            s.verbose = true;
+            s.shard_args.push(flag.to_string());
+            continue;
+        }
+        let value = it.next();
+        let text = || value.ok_or_else(|| format!("{flag} needs a value"));
+        let engine = &mut s.cfg.engine;
+        match flag {
+            "--addr" => {
+                s.cfg.addr = text()?.to_string();
+                continue;
             }
             "--cluster" => {
-                cluster = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage()),
-                )
+                s.cluster = Some(serve_num(flag, value, 1)?);
+                continue;
             }
-            "--persist" => persist = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--persist-dir" => persist_dir = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--persist-dir" => {
+                s.persist_dir = Some(text()?.to_string());
+                continue;
+            }
+            "--jobs" => s.cfg.jobs = ltsp::par::parse_jobs(text()?)?,
+            "--batch" => s.cfg.batch_max = serve_num(flag, value, 1)?,
+            "--queue" => s.cfg.queue_high_water = serve_num(flag, value, 1)?,
+            "--outbound" => s.cfg.outbound_max = serve_num(flag, value, 1)?,
+            "--write-deadline-ms" => {
+                s.cfg.write_deadline = std::time::Duration::from_millis(serve_num(flag, value, 1)?)
+            }
+            "--cache-bytes" => engine.compile_cache_bytes = serve_num(flag, value, 0)?,
+            "--result-cache-bytes" => engine.result_cache_bytes = serve_num(flag, value, 0)?,
+            "--oracle-budget" => engine.oracle_node_budget = serve_num(flag, value, 0)?,
+            // 0 lifts the per-request oracle wall-clock budget.
+            "--oracle-deadline-ms" => {
+                engine.oracle_deadline_ms = Some(serve_num(flag, value, 0)?).filter(|&ms| ms > 0)
+            }
+            "--flight-dir" => engine.flight_dir = Some(text()?.into()),
+            "--flight-len" => engine.flight_len = serve_num(flag, value, 1)?,
+            "--persist" => engine.persist_path = Some(text()?.into()),
             "--persist-warn-mb" => {
-                let mb: u64 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-                cfg.engine.persist_warn_bytes = Some(mb << 20);
+                engine.persist_warn_bytes = Some(serve_num::<u64>(flag, value, 1)? << 20)
             }
-            "-v" | "--verbose" => verbose = true,
-            _ => usage(),
+            "--trace-out" => s.trace_out = Some(text()?.to_string()),
+            "--metrics-out" => s.metrics_out = Some(text()?.to_string()),
+            _ => return Err(format!("unknown flag {flag}")),
         }
+        s.shard_args.extend([flag, text()?].map(String::from));
     }
-
-    if let Some(shards) = cluster {
-        if persist.is_some() {
-            eprintln!("ltspc: --persist is per-shard; use --persist-dir with --cluster");
-            return ExitCode::from(EXIT_USAGE);
+    if s.cluster.is_some() {
+        if s.cfg.engine.persist_path.is_some() {
+            return Err("--persist is per-shard; use --persist-dir with --cluster".to_string());
         }
+        for (flag, set) in [
+            ("--trace-out", s.trace_out.is_some()),
+            ("--metrics-out", s.metrics_out.is_some()),
+            ("--flight-dir", s.cfg.engine.flight_dir.is_some()),
+        ] {
+            if set {
+                return Err(format!(
+                    "{flag} names a per-process file; not with --cluster"
+                ));
+            }
+        }
+    } else if s.persist_dir.is_some() {
+        return Err("--persist-dir needs --cluster N; use --persist FILE for one process".into());
+    }
+    Ok(s)
+}
+
+/// `ltspc serve`: run the daemon in-process until drained — or, with
+/// `--cluster N`, supervise a router plus N shard processes.
+fn run_serve(argv: &[String]) -> ExitCode {
+    let s = parse_serve(argv).unwrap_or_else(|e| {
+        eprintln!("ltspc: serve: {e}");
+        usage()
+    });
+    let tel = if s.trace_out.is_some() || s.metrics_out.is_some() || s.verbose {
+        Telemetry::enabled_with(s.verbose)
+    } else {
+        Telemetry::disabled()
+    };
+
+    if let Some(shards) = s.cluster {
         let exe = match std::env::current_exe() {
             Ok(p) => p,
             Err(e) => {
@@ -499,39 +568,21 @@ fn run_serve(argv: &[String]) -> ExitCode {
                 return ExitCode::from(EXIT_IO);
             }
         };
-        // Shards inherit the serving knobs; the supervisor appends each
-        // shard's --addr (router port + 1 + i) and --persist log path.
-        let mut worker_args = vec![
-            "serve".to_string(),
-            "--jobs".to_string(),
-            cfg.jobs.to_string(),
-            "--queue".to_string(),
-            cfg.queue_high_water.to_string(),
-            "--batch".to_string(),
-            cfg.batch_max.to_string(),
-        ];
-        if let Some(bytes) = cfg.engine.persist_warn_bytes {
-            worker_args.push("--persist-warn-mb".to_string());
-            worker_args.push((bytes >> 20).max(1).to_string());
-        }
-        if verbose {
-            worker_args.push("--verbose".to_string());
-        }
+        // The supervisor appends each shard's --addr (router port + 1 + i)
+        // and --persist log path.
         let ccfg = ltsp::cluster::ClusterConfig {
             router: ltsp::cluster::RouterConfig {
-                addr: cfg.addr.clone(),
+                addr: s.cfg.addr,
                 handle_signals: true,
-                telemetry: if verbose {
-                    Telemetry::enabled_with(true)
-                } else {
-                    Telemetry::disabled()
-                },
+                telemetry: tel,
                 ..ltsp::cluster::RouterConfig::default()
             },
             shards,
             worker_exe: exe,
-            worker_args,
-            persist_dir: persist_dir.map(Into::into),
+            worker_args: std::iter::once("serve".to_string())
+                .chain(s.shard_args)
+                .collect(),
+            persist_dir: s.persist_dir.map(Into::into),
             ..ltsp::cluster::ClusterConfig::default()
         };
         return match ltsp::cluster::run_cluster(ccfg) {
@@ -542,12 +593,8 @@ fn run_serve(argv: &[String]) -> ExitCode {
             }
         };
     }
-    if persist_dir.is_some() {
-        eprintln!("ltspc: --persist-dir needs --cluster N; use --persist FILE for one process");
-        return ExitCode::from(EXIT_USAGE);
-    }
 
-    cfg.engine.persist_path = persist.map(Into::into);
+    let mut cfg = s.cfg;
     cfg.fault = ltsp::server::FaultPlan::from_env().unwrap_or_else(|e| {
         eprintln!("ltspc: {e}");
         std::process::exit(i32::from(EXIT_USAGE));
@@ -555,45 +602,35 @@ fn run_serve(argv: &[String]) -> ExitCode {
     if cfg.fault.is_active() {
         eprintln!("ltspc: LTSP_FAULT active — injecting deterministic faults");
     }
-    cfg.telemetry = if verbose {
-        Telemetry::enabled_with(true)
-    } else {
-        Telemetry::disabled()
-    };
+    cfg.telemetry = tel.clone();
     eprintln!("ltspc: serving on {} (jobs={})", cfg.addr, cfg.jobs);
-    match ltsp::server::serve(cfg) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("ltspc: serve: {e}");
-            ExitCode::from(EXIT_IO)
-        }
+    if let Err(e) = ltsp::server::serve(cfg) {
+        eprintln!("ltspc: serve: {e}");
+        return ExitCode::from(EXIT_IO);
     }
+    // Request trace and cache counters are written at drain.
+    write_telemetry(&tel, s.trace_out.as_deref(), s.metrics_out.as_deref(), None)
 }
 
-/// Connects under a deadline. `TcpStream::connect` alone can hang for
-/// minutes on an unresponsive host; with a timeout every resolved
-/// address gets at most `t` before the next is tried.
-fn connect_with_timeout(
-    addr: &str,
-    timeout: Option<std::time::Duration>,
-) -> std::io::Result<std::net::TcpStream> {
-    use std::net::ToSocketAddrs as _;
-    let Some(t) = timeout else {
-        return std::net::TcpStream::connect(addr);
-    };
-    let mut last: Option<std::io::Error> = None;
-    for a in addr.to_socket_addrs()? {
-        match std::net::TcpStream::connect_timeout(&a, t) {
-            Ok(s) => return Ok(s),
-            Err(e) => last = Some(e),
-        }
+/// Writes the telemetry artifacts the flags asked for; a failure is
+/// reported and makes the run fail.
+fn write_telemetry(
+    tel: &Telemetry,
+    trace_out: Option<&str>,
+    metrics_out: Option<&str>,
+    chrome_trace: Option<&str>,
+) -> ExitCode {
+    let written = [
+        write_artifact(trace_out, "trace", |w| tel.write_events_jsonl(w)),
+        write_artifact(metrics_out, "metrics", |w| tel.write_metrics_json(w)),
+        write_artifact(chrome_trace, "chrome trace", |w| tel.write_chrome_trace(w)),
+    ];
+    let mut code = ExitCode::SUCCESS;
+    for e in written.into_iter().filter_map(Result::err) {
+        eprintln!("ltspc: {e}");
+        code = ExitCode::FAILURE;
     }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "address resolved to nothing",
-        )
-    }))
+    code
 }
 
 /// Backoff before retry number `attempt` (0-based): 100ms · 2^attempt,
@@ -620,19 +657,6 @@ fn is_reconnectable(kind: std::io::ErrorKind) -> bool {
     )
 }
 
-/// Opens the remote connection with every deadline applied.
-fn open_conn(
-    addr: &str,
-    timeout: Option<std::time::Duration>,
-) -> std::io::Result<(std::net::TcpStream, std::io::BufReader<std::net::TcpStream>)> {
-    let stream = connect_with_timeout(addr, timeout)?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(timeout);
-    let _ = stream.set_write_timeout(timeout);
-    let writer = stream.try_clone()?;
-    Ok((writer, std::io::BufReader::new(stream)))
-}
-
 /// Tells a deadline expiry ("the server is wedged or slow — see
 /// `--timeout`") apart from a genuinely lost connection.
 fn report_net_error(doing: &str, what: &str, addr: &str, e: &std::io::Error, timeout_secs: u64) {
@@ -649,8 +673,6 @@ fn report_net_error(doing: &str, what: &str, addr: &str, e: &std::io::Error, tim
 /// `ltspc remote`: ship loop files to a running daemon, print each
 /// response's report, map statuses back onto the local exit codes.
 fn run_remote(argv: &[String]) -> ExitCode {
-    use std::io::{BufRead as _, Write as _};
-
     let mut addr: Option<String> = None;
     let mut files: Vec<String> = Vec::new();
     let mut op = "compile".to_string();
@@ -705,38 +727,11 @@ fn run_remote(argv: &[String]) -> ExitCode {
                 }
             }
             "--adaptive" => mode = Some("adaptive".to_string()),
-            "--trip" => {
-                trip = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--budget" => {
-                budget = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--timeout" => {
-                timeout_secs = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--retries" => {
-                retries = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--trip" => trip = flag_value(it.next()),
+            "--budget" => budget = Some(flag_value(it.next())),
+            "--deadline-ms" => deadline_ms = Some(flag_value(it.next())),
+            "--timeout" => timeout_secs = flag_value(it.next()),
+            "--retries" => retries = flag_value(it.next()),
             "--shutdown" => shutdown = true,
             flag if flag.starts_with("--") => usage(),
             other if addr.is_none() => addr = Some(other.to_string()),
@@ -764,8 +759,8 @@ fn run_remote(argv: &[String]) -> ExitCode {
     // overloaded response: a restarting (or respawning) server is a
     // transient, not a verdict.
     let mut connect_attempt: u32 = 0;
-    let (mut writer, mut reader) = loop {
-        match open_conn(&addr, timeout) {
+    let mut client = loop {
+        match Client::connect(&addr, timeout) {
             Ok(c) => break c,
             Err(e) if is_reconnectable(e.kind()) && connect_attempt < retries => {
                 let wait = backoff_delay(connect_attempt);
@@ -792,34 +787,31 @@ fn run_remote(argv: &[String]) -> ExitCode {
     }
 
     if fileless_op {
-        let req = format!("{{\"op\":\"{op}\",\"id\":\"ltspc-{op}\"}}\n");
-        let mut line = String::new();
-        if let Err(e) = writer
-            .write_all(req.as_bytes())
-            .and_then(|()| writer.flush())
-            .and_then(|()| reader.read_line(&mut line).map(drop))
-        {
-            report_net_error("requesting", &op, &addr, &e, timeout_secs);
-            return ExitCode::from(EXIT_IO);
-        }
-        let v = match ltsp::telemetry::json::parse(&line) {
-            Ok(v) => v,
-            Err(e) => {
+        let id = format!("ltspc-{op}");
+        let answer = if op == "stats" {
+            client
+                .request(&format!("{{\"op\":\"stats\",\"id\":\"{id}\"}}"))
+                .and_then(|line| match ltsp::telemetry::json::parse(&line) {
+                    Ok(_) => Ok(line),
+                    Err(e) => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
+                })
+        } else {
+            client.metrics_text(&id)
+        };
+        let text = match answer {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 eprintln!("ltspc: bad {op} response: {e}");
                 return ExitCode::from(EXIT_IO);
             }
-        };
-        if op == "stats" {
-            print!("{line}");
-            return ExitCode::SUCCESS;
-        }
-        let Some(text) = v.get("metrics").and_then(|m| m.as_str()) else {
-            eprintln!("ltspc: metrics response carries no \"metrics\" field");
-            return ExitCode::from(EXIT_IO);
+            Err(e) => {
+                report_net_error("requesting", &op, &addr, &e, timeout_secs);
+                return ExitCode::from(EXIT_IO);
+            }
         };
         print!("{text}");
         if !check_phases.is_empty() {
-            let snap = match ltsp::telemetry::prom::PromSnapshot::parse(text) {
+            let snap = match ltsp::telemetry::prom::PromSnapshot::parse(&text) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("ltspc: metrics snapshot malformed: {e}");
@@ -883,50 +875,39 @@ fn run_remote(argv: &[String]) -> ExitCode {
         if timings {
             req.push_str(",\"timings\":true");
         }
-        req.push_str("}\n");
+        req.push('}');
 
         let mut attempt: u32 = 0;
         let (v, status) = loop {
-            let mut line = String::new();
-            let io_err: Option<std::io::Error> = match writer
-                .write_all(req.as_bytes())
-                .and_then(|()| writer.flush())
-                .and_then(|()| reader.read_line(&mut line))
-            {
-                Ok(0) => Some(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )),
-                Ok(_) => None,
-                Err(e) => Some(e),
-            };
-            if let Some(e) = io_err {
-                // A dead connection (refused/reset/EOF — the server
-                // crashed or is restarting) is retried by reconnecting
-                // and re-sending: requests are idempotent (responses
-                // are pure functions of requests), so a resend at worst
-                // recomputes. Stalls are not retried — see --timeout.
-                if is_reconnectable(e.kind()) && attempt < retries {
-                    let wait = backoff_delay(attempt);
-                    attempt += 1;
-                    eprintln!(
-                        "ltspc: connection to {addr} lost at {file} ({e}), \
+            let line = match client.request(&req) {
+                Ok(line) => line,
+                Err(e) => {
+                    // A dead connection (refused/reset/EOF — the server
+                    // crashed or is restarting) is retried by reconnecting
+                    // and re-sending: requests are idempotent (responses
+                    // are pure functions of requests), so a resend at worst
+                    // recomputes. Stalls are not retried — see --timeout.
+                    if is_reconnectable(e.kind()) && attempt < retries {
+                        let wait = backoff_delay(attempt);
+                        attempt += 1;
+                        eprintln!(
+                            "ltspc: connection to {addr} lost at {file} ({e}), \
                          reconnecting in {}ms (attempt {attempt}/{retries})",
-                        wait.as_millis()
-                    );
-                    std::thread::sleep(wait);
-                    if let Ok((w, r)) = open_conn(&addr, timeout) {
-                        writer = w;
-                        reader = r;
+                            wait.as_millis()
+                        );
+                        std::thread::sleep(wait);
+                        if let Ok(c) = Client::connect(&addr, timeout) {
+                            client = c;
+                        }
+                        // A failed reconnect keeps the dead connection: the
+                        // next send fails again and consumes the next attempt.
+                        continue;
                     }
-                    // A failed reconnect keeps the dead pair: the next
-                    // send fails again and consumes the next attempt.
-                    continue;
+                    report_net_error("exchanging", file, &addr, &e, timeout_secs);
+                    set_code(EXIT_IO, &mut code);
+                    break 'files;
                 }
-                report_net_error("exchanging", file, &addr, &e, timeout_secs);
-                set_code(EXIT_IO, &mut code);
-                break 'files;
-            }
+            };
             let v = match ltsp::telemetry::json::parse(&line) {
                 Ok(v) => v,
                 Err(e) => {
@@ -1019,41 +1000,11 @@ fn run_remote(argv: &[String]) -> ExitCode {
         }
     }
 
-    if shutdown && code != EXIT_IO {
-        let mut line = String::new();
-        let sent = writer
-            .write_all(b"{\"op\":\"shutdown\",\"id\":\"ltspc-shutdown\"}\n")
-            .and_then(|()| writer.flush());
-        if sent.is_err() || reader.read_line(&mut line).map_or(true, |n| n == 0) {
-            eprintln!("ltspc: shutdown request to {addr} got no acknowledgment");
-            set_code(EXIT_IO, &mut code);
-        }
+    if shutdown && code != EXIT_IO && client.shutdown("ltspc-shutdown").is_err() {
+        eprintln!("ltspc: shutdown request to {addr} got no acknowledgment");
+        set_code(EXIT_IO, &mut code);
     }
     ExitCode::from(code)
-}
-
-/// One `ltspc top` scrape: pull the metrics op, return the parsed
-/// snapshot. The connection is re-used across ticks.
-fn scrape_metrics(
-    writer: &mut std::net::TcpStream,
-    reader: &mut std::io::BufReader<std::net::TcpStream>,
-) -> Result<ltsp::telemetry::prom::PromSnapshot, String> {
-    use std::io::{BufRead as _, Write as _};
-    let mut line = String::new();
-    writer
-        .write_all(b"{\"op\":\"metrics\",\"id\":\"ltspc-top\"}\n")
-        .and_then(|()| writer.flush())
-        .and_then(|()| reader.read_line(&mut line).map(drop))
-        .map_err(|e| e.to_string())?;
-    if line.is_empty() {
-        return Err("connection closed".to_string());
-    }
-    let v = ltsp::telemetry::json::parse(&line).map_err(|e| e.to_string())?;
-    let text = v
-        .get("metrics")
-        .and_then(|m| m.as_str())
-        .ok_or_else(|| "no \"metrics\" field in response".to_string())?;
-    ltsp::telemetry::prom::PromSnapshot::parse(text)
 }
 
 /// `ltspc top`: a small live dashboard over the metrics op — request
@@ -1071,24 +1022,12 @@ fn run_top(argv: &[String]) -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--interval-ms" => {
-                interval_ms = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
+                interval_ms = Some(flag_value(it.next()))
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage())
             }
-            "--count" => {
-                count = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--timeout" => {
-                timeout_secs = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--count" => count = flag_value(it.next()),
+            "--timeout" => timeout_secs = flag_value(it.next()),
             flag if flag.starts_with("--") => usage(),
             other if addr.is_none() => addr = Some(other.to_string()),
             _ => usage(),
@@ -1096,24 +1035,13 @@ fn run_top(argv: &[String]) -> ExitCode {
     }
     let Some(addr) = addr else { usage() };
     let timeout = (timeout_secs > 0).then(|| std::time::Duration::from_secs(timeout_secs));
-    let stream = match connect_with_timeout(&addr, timeout) {
-        Ok(s) => s,
+    let mut client = match Client::connect(&addr, timeout) {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("ltspc: cannot connect to {addr}: {e}");
             return ExitCode::from(EXIT_IO);
         }
     };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(timeout);
-    let _ = stream.set_write_timeout(timeout);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("ltspc: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
-    };
-    let mut reader = std::io::BufReader::new(stream);
 
     let tty = std::io::stdout().is_terminal();
     let mut prev_total: Option<f64> = None;
@@ -1121,7 +1049,7 @@ fn run_top(argv: &[String]) -> ExitCode {
     let mut prev_when = std::time::Instant::now();
     let mut tick: u64 = 0;
     loop {
-        let snap = match scrape_metrics(&mut writer, &mut reader) {
+        let snap = match client.metrics("ltspc-top") {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("ltspc: top: {e}");
@@ -1131,20 +1059,9 @@ fn run_top(argv: &[String]) -> ExitCode {
         let now = std::time::Instant::now();
         let dt = now.duration_since(prev_when).as_secs_f64();
         let statuses = ["ok", "rejected", "error", "overloaded", "draining"];
-        // A router's aggregated snapshot carries `ltsp_shard_up` rows;
-        // their presence switches the dashboard to cluster mode.
-        let mut shard_ids: Vec<u64> = snap
-            .samples
-            .iter()
-            .filter(|s| s.name == "ltsp_shard_up")
-            .filter_map(|s| {
-                s.labels
-                    .iter()
-                    .find(|(k, _)| k == "shard")
-                    .and_then(|(_, v)| v.parse().ok())
-            })
-            .collect();
-        shard_ids.sort_unstable();
+        // A router's aggregated snapshot switches the dashboard to
+        // cluster mode.
+        let shard_ids = snap.shard_ids();
         let shard_value = |sid: u64, name: &str, extra: &[(&str, &str)]| -> f64 {
             let s = sid.to_string();
             let mut labels: Vec<(&str, &str)> = vec![("shard", &s)];
@@ -1361,12 +1278,7 @@ fn main() -> ExitCode {
         let mut it = argv[1..].iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--budget" if cmd == "oracle" => {
-                    budget = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage())
-                }
+                "--budget" if cmd == "oracle" => budget = flag_value(it.next()),
                 "--jobs" => {
                     let v = it.next().cloned().unwrap_or_default();
                     jobs = ltsp::par::parse_jobs(&v).unwrap_or_else(|e| {
@@ -1481,7 +1393,7 @@ fn main() -> ExitCode {
     };
     let compiled = compile_loop_observed(&lp, &machine, &cfg, o.trip, Observer::new(&tel, None));
 
-    // The canonical report — the exact same renderer backs `ltspd`'s
+    // The canonical report — the exact same renderer backs the daemon's
     // compile responses, so remote and local output are byte-identical.
     print!(
         "{}",
@@ -1535,35 +1447,78 @@ fn main() -> ExitCode {
         );
     }
 
-    let mut ok = true;
-    let mut write_artifact =
-        |path: &Option<String>,
-         what: &str,
-         f: &dyn Fn(&mut dyn std::io::Write) -> std::io::Result<()>| {
-            let Some(path) = path else { return };
-            let res = std::fs::File::create(path)
-                .map(std::io::BufWriter::new)
-                .and_then(|mut w| f(&mut w));
-            if let Err(e) = res {
-                eprintln!("ltspc: cannot write {what} {path}: {e}");
-                ok = false;
-            }
-        };
-    write_artifact(&o.trace_out, "trace", &|w| tel.write_events_jsonl(w));
-    write_artifact(&o.metrics_out, "metrics", &|w| tel.write_metrics_json(w));
-    write_artifact(&o.chrome_trace, "chrome trace", &|w| {
-        tel.write_chrome_trace(w)
-    });
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    write_telemetry(
+        &tel,
+        o.trace_out.as_deref(),
+        o.metrics_out.as_deref(),
+        o.chrome_trace.as_deref(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// Every flag the daemon has ever taken, through the one parser, lands
+    /// in its `ServerConfig` field; all but `--addr` would reach a
+    /// cluster's shards verbatim.
+    #[test]
+    fn serve_parses_every_daemon_flag() {
+        let argv = args(
+            "--addr 127.0.0.1:7000 --jobs 3 --batch 4 --queue 5 --outbound 6 \
+             --write-deadline-ms 700 --cache-bytes 800 --result-cache-bytes 900 \
+             --oracle-budget 1000 --oracle-deadline-ms 1100 --flight-dir fl \
+             --flight-len 12 --persist p.log --persist-warn-mb 13 \
+             --trace-out t.jsonl --metrics-out m.json -v",
+        );
+        let s = parse_serve(&argv).expect("every daemon flag parses");
+        let (c, e) = (&s.cfg, &s.cfg.engine);
+        assert_eq!(c.addr, "127.0.0.1:7000");
+        assert_eq!(c.jobs, 3);
+        assert_eq!(c.batch_max, 4);
+        assert_eq!(c.queue_high_water, 5);
+        assert_eq!(c.outbound_max, 6);
+        assert_eq!(c.write_deadline, std::time::Duration::from_millis(700));
+        assert!(c.handle_signals);
+        assert_eq!(e.compile_cache_bytes, 800);
+        assert_eq!(e.result_cache_bytes, 900);
+        assert_eq!(e.oracle_node_budget, 1000);
+        assert_eq!(e.oracle_deadline_ms, Some(1100));
+        assert_eq!(e.flight_dir, Some("fl".into()));
+        assert_eq!(e.flight_len, 12);
+        assert_eq!(e.persist_path, Some("p.log".into()));
+        assert_eq!(e.persist_warn_bytes, Some(13 << 20));
+        assert_eq!(s.trace_out.as_deref(), Some("t.jsonl"));
+        assert_eq!(s.metrics_out.as_deref(), Some("m.json"));
+        assert!(s.verbose);
+        assert_eq!((s.cluster, s.persist_dir), (None, None));
+        assert_eq!(s.shard_args, argv[2..]);
+
+        let s = parse_serve(&args("--oracle-deadline-ms 0 --verbose")).expect("parses");
+        assert_eq!(s.cfg.engine.oracle_deadline_ms, None, "0 = unlimited");
+        assert!(s.verbose);
+    }
+
+    /// A cluster keeps `--addr`, `--cluster` and `--persist-dir` for
+    /// itself and hands every other flag to its shards as given.
+    #[test]
+    fn serve_cluster_forwards_shard_flags_verbatim() {
+        let s = parse_serve(&args(
+            "--cluster 2 --addr 127.0.0.1:7399 --jobs 2 --write-deadline-ms 50 \
+             --persist-dir d --cache-bytes 1024 -v",
+        ))
+        .expect("parses");
+        assert_eq!(s.cluster, Some(2));
+        assert_eq!(s.persist_dir.as_deref(), Some("d"));
+        assert_eq!(
+            s.shard_args,
+            args("--jobs 2 --write-deadline-ms 50 --cache-bytes 1024 -v")
+        );
+    }
 
     #[test]
     fn backoff_schedule_is_pinned() {

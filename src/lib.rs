@@ -24,8 +24,9 @@
 //!   propagation)
 //! - [`cache`] — content-addressed fingerprints and the sharded
 //!   byte-budget LRU behind the compile/serve caches
-//! - [`server`] — `ltspd`, the compilation-as-a-service daemon
-//!   (line-delimited JSON protocol, batching, backpressure, drain)
+//! - [`server`] — `ltspd`, the compilation-as-a-service daemon behind
+//!   `ltspc serve` (line-delimited JSON protocol, batching, backpressure,
+//!   drain), and the protocol's one client
 //! - [`cluster`] — sharded serving: consistent-hash router (`ltspr`),
 //!   bounded failover, persistent warm-start cache tier, supervised
 //!   cluster lifecycle behind `ltspc serve --cluster N`

@@ -5,8 +5,9 @@
 //! at any `--jobs` level — locally and through the server's
 //! `"mode":"adaptive"` upgrade path.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+mod common;
+
+use common::Client;
 
 use ltsp::adaptive::{compile_loop_adaptive, AdaptiveOptions};
 use ltsp::core::{CompileConfig, LatencyPolicy};
@@ -100,28 +101,6 @@ fn start(jobs: usize) -> ServerHandle {
     .expect("bind ephemeral port")
 }
 
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(handle: &ServerHandle) -> Client {
-        let writer = TcpStream::connect(handle.addr()).expect("connect");
-        writer.set_nodelay(true).expect("nodelay");
-        let reader = BufReader::new(writer.try_clone().expect("clone"));
-        Client { writer, reader }
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
-        let mut out = String::new();
-        self.reader.read_line(&mut out).expect("read response");
-        out
-    }
-}
-
 /// The response body after the envelope (`id`/`status`/`cache` fields),
 /// so bodies compare across differing ids and cache tags.
 fn body_after_cache(line: &str) -> &str {
@@ -140,7 +119,7 @@ fn body_after_cache(line: &str) -> &str {
 fn adaptive_upgrade_bytes_are_jobs_invariant() {
     let run = |jobs: usize| -> (String, String) {
         let handle = start(jobs);
-        let mut c = Client::connect(&handle);
+        let mut c = Client::connect(handle.addr());
         let text = ltsp::workloads::saxpy("s").to_string();
         let line = format!(
             "{{\"op\":\"compile\",\"id\":\"a\",\"loop\":\"{}\",\"mode\":\"adaptive\"}}",

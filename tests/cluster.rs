@@ -3,10 +3,13 @@
 //! failover under dead/draining/killed shards, drain propagation,
 //! aggregated metrics, and the persistent warm-start cache tier.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+mod common;
+
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use common::Client;
 use ltsp::cluster::ring::DEFAULT_VNODES;
 use ltsp::cluster::{routing_key, spawn_router, Ring, RouterConfig, RouterHandle};
 use ltsp::server::{spawn, ServerConfig, ServerHandle};
@@ -35,40 +38,6 @@ fn start_cluster(n: usize) -> (RouterHandle, Vec<ServerHandle>) {
     (router, shards)
 }
 
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect_addr(addr: &str) -> Client {
-        let writer = TcpStream::connect(addr).expect("connect");
-        writer.set_nodelay(true).expect("nodelay");
-        writer
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        let reader = BufReader::new(writer.try_clone().expect("clone"));
-        Client { writer, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        assert!(!line.is_empty(), "connection closed mid-conversation");
-        line
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
-
 fn compile_request(id: &str, loop_text: &str) -> String {
     format!(
         "{{\"op\":\"compile\",\"id\":\"{id}\",\"loop\":\"{}\"}}",
@@ -94,7 +63,7 @@ fn router_responses_are_byte_identical_to_direct() {
     let line = compile_request("bi", &saxpy("bi").to_string());
     let owner = Ring::new(3, DEFAULT_VNODES).owner(routing_key(&line));
 
-    let mut via_router = Client::connect_addr(&router.addr().to_string());
+    let mut via_router = Client::connect(router.addr());
     let cold = via_router.round_trip(&line);
     let warm = via_router.round_trip(&line);
     assert!(cold.contains("\"cache\":\"miss\""), "{cold}");
@@ -107,7 +76,7 @@ fn router_responses_are_byte_identical_to_direct() {
 
     // The same request sent straight to the owning shard must produce
     // the identical bytes the router proxied.
-    let mut direct = Client::connect_addr(&shards[owner].addr().to_string());
+    let mut direct = Client::connect(shards[owner].addr());
     let direct_warm = direct.round_trip(&line);
     assert_eq!(direct_warm, warm, "router added or changed bytes");
 
@@ -116,9 +85,56 @@ fn router_responses_are_byte_identical_to_direct() {
     let bad = "this is not json";
     let via = via_router.round_trip(bad);
     let owner_bad = Ring::new(3, DEFAULT_VNODES).owner(routing_key(bad));
-    let mut direct_bad = Client::connect_addr(&shards[owner_bad].addr().to_string());
+    let mut direct_bad = Client::connect(shards[owner_bad].addr());
     assert_eq!(via, direct_bad.round_trip(bad));
 
+    router.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+}
+
+/// A request line that never ends is refused by the router exactly as a
+/// daemon refuses it — the same error line, then the connection closes —
+/// instead of being buffered, and rescanned, without bound.
+#[test]
+fn an_endless_line_is_refused_through_the_router_as_directly() {
+    const SENT: usize = 16 << 20;
+    let (router, shards) = start_cluster(1);
+    let refusal = |addr: SocketAddr| -> String {
+        let mut c = Client::connect(addr);
+        let mut writer = c.writer();
+        let flood = std::thread::spawn(move || {
+            let block = vec![b'x'; 64 << 10];
+            for _ in 0..SENT / block.len() {
+                if writer.write_all(&block).is_err() {
+                    return; // refused and closed, as promised
+                }
+            }
+            let _ = writer.shutdown(Shutdown::Write);
+        });
+        let answer = c.recv();
+        flood.join().expect("flood thread");
+        assert_eq!(
+            c.0.recv().map_err(|e| e.kind()),
+            Err(ErrorKind::UnexpectedEof),
+            "{addr} closes the connection after the refusal"
+        );
+        answer
+    };
+    let t0 = Instant::now();
+    let via_router = refusal(router.addr());
+    assert!(
+        t0.elapsed() < Duration::from_secs(30),
+        "the router took {:?} to refuse",
+        t0.elapsed()
+    );
+    assert!(via_router.contains("exceeds"), "{via_router}");
+    assert_eq!(
+        via_router,
+        refusal(shards[0].addr()),
+        "the router's refusal differs from the daemon's"
+    );
     router.shutdown();
     for s in shards {
         s.shutdown();
@@ -131,7 +147,7 @@ fn router_responses_are_byte_identical_to_direct() {
 #[test]
 fn routing_is_sticky_per_loop() {
     let (router, shards) = start_cluster(3);
-    let mut c = Client::connect_addr(&router.addr().to_string());
+    let mut c = Client::connect(router.addr());
     let loops: Vec<String> = (0..12).map(|i| random_loop(i).to_string()).collect();
     for round in 0..3 {
         for (i, text) in loops.iter().enumerate() {
@@ -156,7 +172,7 @@ fn routing_is_sticky_per_loop() {
 #[test]
 fn failover_survives_a_dead_shard() {
     let (router, mut shards) = start_cluster(3);
-    let mut c = Client::connect_addr(&router.addr().to_string());
+    let mut c = Client::connect(router.addr());
 
     // Abruptly take shard 0 down (drains and closes its listener).
     shards.remove(0).shutdown();
@@ -218,7 +234,7 @@ fn exhausted_failover_answers_error() {
         ..RouterConfig::default()
     })
     .expect("bind router");
-    let mut c = Client::connect_addr(&router.addr().to_string());
+    let mut c = Client::connect(router.addr());
     let t0 = Instant::now();
     let resp = c.round_trip(&compile_request("dead", &saxpy("d").to_string()));
     assert_eq!(status_of(&resp), "error", "{resp}");
@@ -236,7 +252,7 @@ fn exhausted_failover_answers_error() {
 #[test]
 fn shutdown_propagates_through_the_router() {
     let (router, shards) = start_cluster(2);
-    let mut c = Client::connect_addr(&router.addr().to_string());
+    let mut c = Client::connect(router.addr());
     let ack = c.round_trip("{\"op\":\"shutdown\",\"id\":\"sd\"}");
     assert!(ack.contains("\"status\":\"draining\""), "{ack}");
     assert!(ack.contains("\"op\":\"shutdown\""), "{ack}");
@@ -252,7 +268,7 @@ fn shutdown_propagates_through_the_router() {
 #[test]
 fn metrics_aggregate_per_shard() {
     let (router, shards) = start_cluster(3);
-    let mut c = Client::connect_addr(&router.addr().to_string());
+    let mut c = Client::connect(router.addr());
     for i in 0..6 {
         let resp = c.round_trip(&compile_request(
             &format!("m{i}"),
@@ -317,7 +333,7 @@ fn warm_restart_hits_are_byte_identical() {
         .collect();
 
     let first = spawn(persist_cfg()).expect("bind shard");
-    let mut c = Client::connect_addr(&first.addr().to_string());
+    let mut c = Client::connect(first.addr());
     let mut warm_before = Vec::new();
     for line in &lines {
         let cold = c.round_trip(line);
@@ -327,7 +343,7 @@ fn warm_restart_hits_are_byte_identical() {
     first.shutdown();
 
     let second = spawn(persist_cfg()).expect("rebind shard");
-    let mut c = Client::connect_addr(&second.addr().to_string());
+    let mut c = Client::connect(second.addr());
     for (line, before) in lines.iter().zip(&warm_before) {
         let after = c.round_trip(line);
         assert!(
@@ -391,7 +407,7 @@ fn shardkill_fault_process_failover() {
     })
     .expect("bind router");
 
-    let mut c = Client::connect_addr(&router.addr().to_string());
+    let mut c = Client::connect(router.addr());
     let n = 16;
     for i in 0..n {
         let resp = c.round_trip(&compile_request(
@@ -423,7 +439,7 @@ fn shardkill_fault_process_failover() {
     );
 
     // Drain the healthy worker and the router.
-    let mut drain = Client::connect_addr(&addr_ok);
+    let mut drain = Client::connect(&addr_ok);
     let ack = drain.round_trip("{\"op\":\"shutdown\",\"id\":\"cleanup\"}");
     assert!(ack.contains("\"status\":\"draining\""), "{ack}");
     assert!(healthy.wait().expect("reap healthy shard").success());

@@ -93,3 +93,35 @@ pub fn pin(path: &Path, got: impl AsRef<[u8]>) {
         drift.join("\n")
     );
 }
+
+/// A test's connection to a daemon or router: the library client
+/// (`ltsp::server::client`), with every failure a panic.
+pub struct Client(pub ltsp::server::client::Client);
+
+impl Client {
+    /// Connects with a generous per-response deadline, so a wedged server
+    /// fails the test instead of hanging it.
+    pub fn connect(addr: impl std::fmt::Display) -> Client {
+        let deadline = Some(std::time::Duration::from_secs(120));
+        Client(ltsp::server::client::Client::connect(&addr.to_string(), deadline).expect("connect"))
+    }
+
+    pub fn send(&mut self, line: &str) {
+        self.0.send(line).expect("send request");
+    }
+
+    pub fn recv(&mut self) -> String {
+        self.0.recv().expect("read response")
+    }
+
+    pub fn round_trip(&mut self, line: &str) -> String {
+        self.send(line);
+        self.recv()
+    }
+
+    /// A second handle on the connection, for writing raw bytes while
+    /// this one reads.
+    pub fn writer(&self) -> std::net::TcpStream {
+        self.0.stream().try_clone().expect("clone the connection")
+    }
+}

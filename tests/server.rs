@@ -3,9 +3,12 @@
 //! ordering and line integrity with hits answered on the reader thread,
 //! request framing, backpressure, protocol errors, and drain semantics.
 
-use std::io::{BufRead, BufReader, Write};
+mod common;
+
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 
+use common::Client;
 use ltsp::cache::Fingerprint;
 use ltsp::server::{spawn, ServerConfig, ServerHandle};
 use ltsp::telemetry::json;
@@ -21,36 +24,6 @@ fn start(jobs: usize, queue_high_water: usize) -> ServerHandle {
     .expect("bind ephemeral port")
 }
 
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(handle: &ServerHandle) -> Client {
-        let writer = TcpStream::connect(handle.addr()).expect("connect");
-        writer.set_nodelay(true).expect("nodelay");
-        let reader = BufReader::new(writer.try_clone().expect("clone"));
-        Client { writer, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        line
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
-
 fn compile_request(id: &str, loop_text: &str) -> String {
     format!(
         "{{\"op\":\"compile\",\"id\":\"{id}\",\"loop\":\"{}\"}}",
@@ -61,7 +34,7 @@ fn compile_request(id: &str, loop_text: &str) -> String {
 #[test]
 fn warm_hit_is_byte_identical_to_cold_miss() {
     let handle = start(2, 256);
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
     let line = compile_request("r", &saxpy("s").to_string());
     let cold = c.round_trip(&line);
     let warm = c.round_trip(&line);
@@ -82,7 +55,7 @@ fn warm_hit_is_byte_identical_to_cold_miss() {
 fn responses_are_byte_identical_across_jobs() {
     let run = |jobs: usize| {
         let handle = start(jobs, 1024);
-        let mut c = Client::connect(&handle);
+        let mut c = Client::connect(handle.addr());
         // Pipeline everything first so multi-request batches actually form.
         let mut expected = 0;
         for i in 0..3 {
@@ -115,7 +88,7 @@ fn responses_are_byte_identical_across_jobs() {
 fn pipelined_hits_keep_request_order_and_serial_tags() {
     let run = |jobs: usize| {
         let handle = start(jobs, 1024);
-        let mut c = Client::connect(&handle);
+        let mut c = Client::connect(handle.addr());
         let [a, b, other] = [1, 2, 3].map(|seed| random_loop(seed).to_string());
         let warm = c.round_trip(&compile_request("0-warm-b", &b));
         assert!(warm.contains("\"cache\":\"miss\""), "{warm}");
@@ -167,7 +140,7 @@ fn pipelined_mixed_traffic_never_interleaves_or_reorders() {
     .expect("bind ephemeral port");
     let hot: Vec<String> = (0..4).map(|s| random_loop(100 + s).to_string()).collect();
     {
-        let mut c = Client::connect(&handle);
+        let mut c = Client::connect(handle.addr());
         for (i, text) in hot.iter().enumerate() {
             let warm = c.round_trip(&compile_request(&format!("warm-{i}"), text));
             assert!(warm.contains("\"status\":\"ok\""), "{warm}");
@@ -177,8 +150,8 @@ fn pipelined_mixed_traffic_never_interleaves_or_reorders() {
         for conn in 0..CONNS {
             let (handle, hot) = (&handle, &hot);
             scope.spawn(move || {
-                let mut c = Client::connect(handle);
-                let mut writer = c.writer.try_clone().expect("clone");
+                let mut c = Client::connect(handle.addr());
+                let mut writer = c.writer();
                 let sender = scope.spawn(move || {
                     for k in 0..REQUESTS {
                         let id = format!("c{conn}-{k}");
@@ -225,7 +198,7 @@ fn pipelined_mixed_traffic_never_interleaves_or_reorders() {
         }
     });
     // The reader-thread path was part of what just ran.
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
     c.round_trip(&compile_request("closed-loop-hit", &hot[0]));
     let stats = json::parse(&c.round_trip("{\"op\":\"stats\"}")).expect("stats");
     assert!(stats.get("served_inline").and_then(|n| n.as_u64()) > Some(0));
@@ -239,16 +212,17 @@ fn pipelined_mixed_traffic_never_interleaves_or_reorders() {
 #[test]
 fn a_large_request_survives_segmentation() {
     let handle = start(1, 256);
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
     let line = format!(
         "{{\"op\":\"compile\",\"pad\":\"{}\",\"loop\":\"{}\"}}",
         "x".repeat(1 << 20),
         json::escape(&saxpy("s").to_string())
     );
+    let mut writer = c.writer();
     for segment in line.as_bytes().chunks(1024) {
-        c.writer.write_all(segment).expect("write segment");
+        writer.write_all(segment).expect("write segment");
     }
-    c.writer.write_all(b"\n").expect("write newline");
+    writer.write_all(b"\n").expect("write newline");
     let cold = c.recv();
     let id = format!("q{}", Fingerprint::of_str(&line).short_hex());
     assert!(
@@ -273,9 +247,9 @@ fn a_large_request_survives_segmentation() {
 fn an_endless_request_line_is_refused_with_flat_memory() {
     const SENT: usize = 64 << 20;
     let handle = start(1, 256);
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
     let before = peak_rss_bytes();
-    let mut writer = c.writer.try_clone().expect("clone");
+    let mut writer = c.writer();
     let flood = std::thread::spawn(move || {
         let block = vec![b'x'; 64 << 10];
         for _ in 0..SENT / block.len() {
@@ -288,7 +262,11 @@ fn an_endless_request_line_is_refused_with_flat_memory() {
     assert!(answer.contains("\"status\":\"error\""), "{answer}");
     assert!(answer.contains("exceeds"), "{answer}");
     flood.join().expect("flood thread");
-    assert_eq!(c.recv(), "", "the connection is closed after the error");
+    assert_eq!(
+        c.0.recv().map_err(|e| e.kind()),
+        Err(ErrorKind::UnexpectedEof),
+        "the connection is closed after the error"
+    );
     if let (Some(before), Some(after)) = (before, peak_rss_bytes()) {
         assert!(
             after - before < SENT / 2,
@@ -317,7 +295,7 @@ fn peak_rss_bytes() -> Option<usize> {
 #[test]
 fn overload_answers_instead_of_hanging() {
     let handle = start(1, 2);
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
     let n = 64;
     for i in 0..n {
         c.send(&compile_request(
@@ -346,7 +324,7 @@ fn overload_answers_instead_of_hanging() {
 #[test]
 fn malformed_requests_fail_soft() {
     let handle = start(1, 256);
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
     let bad = c.round_trip("{\"op\":\"compile\",\"id\":\"x\",\"loop\":\"not a loop\"}");
     assert!(bad.contains("\"status\":\"error\""), "{bad}");
     assert!(
@@ -365,7 +343,7 @@ fn malformed_requests_fail_soft() {
 fn shutdown_acknowledges_then_drains() {
     let handle = start(2, 256);
     let addr = handle.addr();
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
     c.send(&compile_request("w", &saxpy("s").to_string()));
     let first = c.recv();
     assert!(first.contains("\"status\":\"ok\""), "{first}");

@@ -4,8 +4,9 @@
 //! restart replays the upgraded entry (last-writer-wins) instead of
 //! resurrecting the heuristic body.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+mod common;
+
+use common::Client;
 use std::sync::Arc;
 
 use ltsp::server::{spawn, Engine, EngineConfig, ServerConfig, ServerHandle};
@@ -20,28 +21,6 @@ fn start(jobs: usize, engine: EngineConfig) -> ServerHandle {
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port")
-}
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(handle: &ServerHandle) -> Client {
-        let writer = TcpStream::connect(handle.addr()).expect("connect");
-        writer.set_nodelay(true).expect("nodelay");
-        let reader = BufReader::new(writer.try_clone().expect("clone"));
-        Client { writer, reader }
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
-        let mut out = String::new();
-        self.reader.read_line(&mut out).expect("read response");
-        out
-    }
 }
 
 fn tiered_request(id: &str, loop_text: &str) -> String {
@@ -109,7 +88,7 @@ fn concurrent_tiered_requests_never_observe_torn_bytes() {
 fn tiered_upgrade_bytes_are_jobs_invariant() {
     let run = |jobs: usize| -> (String, String, String) {
         let handle = start(jobs, EngineConfig::default());
-        let mut c = Client::connect(&handle);
+        let mut c = Client::connect(handle.addr());
         let text = saxpy("s").to_string();
         let line = tiered_request("t", &text);
         let cold = c.round_trip(&line);
@@ -166,7 +145,7 @@ fn post_upgrade_warm_restart_serves_upgraded_bytes() {
 
     let upgraded = {
         let handle = start(2, engine_cfg());
-        let mut c = Client::connect(&handle);
+        let mut c = Client::connect(handle.addr());
         let cold = c.round_trip(&line);
         assert!(cold.contains("\"cache\":\"miss\""), "{cold}");
         let mut upgraded = None;
@@ -183,7 +162,7 @@ fn post_upgrade_warm_restart_serves_upgraded_bytes() {
     };
 
     let handle = start(2, engine_cfg());
-    let mut c = Client::connect(&handle);
+    let mut c = Client::connect(handle.addr());
     let replayed = c.round_trip(&line);
     assert!(
         replayed.contains("\"cache\":\"hit\""),
