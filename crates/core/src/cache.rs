@@ -124,7 +124,6 @@ mod tests {
             base.clone().with_pgo(false).fingerprint(),
             base.clone().with_prefetch(false).fingerprint(),
             base.clone().with_balanced_recurrences(true).fingerprint(),
-            base.clone().with_data_speculation(true).fingerprint(),
             // The adaptive loop's observed-hint overlay is a compile
             // input like any other: a config carrying one must never
             // alias the static config's key.

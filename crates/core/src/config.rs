@@ -127,14 +127,6 @@ impl CompileConfig {
         self.pipeline.balance_cycle_slack = enabled;
         self
     }
-
-    /// Enables data speculation (Sec. 3.3's recurrence reduction):
-    /// memory-flow edges on cycles that force the II above the Resource II
-    /// are broken by advanced loads.
-    pub fn with_data_speculation(mut self, enabled: bool) -> Self {
-        self.pipeline.data_speculation = enabled;
-        self
-    }
 }
 
 #[cfg(test)]

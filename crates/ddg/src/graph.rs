@@ -270,16 +270,6 @@ impl Ddg {
         self.succ.of(node)
     }
 
-    /// Drops every edge for which `keep` returns `false` and rebuilds the
-    /// adjacency indexes. Used by data speculation, which removes
-    /// memory-flow edges on constraining recurrence cycles (the load is
-    /// issued as an advanced load with a check).
-    pub fn retain_edges(&mut self, keep: impl Fn(&DepEdge) -> bool) {
-        self.edges.retain(|e| keep(e));
-        self.succ = Adjacency::new(self.n, &self.edges, |e| e.from);
-        self.pred = Adjacency::new(self.n, &self.edges, |e| e.to);
-    }
-
     /// Is there a schedule with initiation interval `ii`? Holds iff the
     /// graph has no cycle with positive weight under `latency − ii·omega`.
     pub fn feasible_ii(&self, ii: u32) -> bool {
@@ -510,7 +500,7 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_lists_edges_in_edge_order_and_follows_pruning() {
+    fn adjacency_lists_edges_in_edge_order() {
         let edge = |from, to, latency| DepEdge {
             from: InstId(from),
             to: InstId(to),
@@ -524,7 +514,7 @@ mod tests {
             edge(2, 1, 12),
             edge(0, 2, 13),
         ];
-        let mut ddg = Ddg::synthetic(4, edges);
+        let ddg = Ddg::synthetic(4, edges);
         let lat = |es: Vec<&DepEdge>| es.iter().map(|e| e.latency).collect::<Vec<_>>();
         assert_eq!(lat(ddg.succs(InstId(0)).collect()), [11, 13]);
         assert_eq!(lat(ddg.succs(InstId(2)).collect()), [10, 12]);
@@ -533,9 +523,6 @@ mod tests {
             ddg.succs(InstId(3)).count() + ddg.preds(InstId(3)).count(),
             0
         );
-        ddg.retain_edges(|e| e.latency != 11);
-        assert_eq!(lat(ddg.succs(InstId(0)).collect()), [13]);
-        assert_eq!(lat(ddg.preds(InstId(1)).collect()), [12]);
         assert_eq!(ddg.recurrence_sccs(), vec![vec![InstId(0), InstId(2)]]);
     }
 

@@ -29,13 +29,6 @@ pub struct PipelineOptions {
     /// cycle's slack among its loads (partial boosts) instead of marking
     /// them all critical. Off by default (the paper's algorithm).
     pub balance_cycle_slack: bool,
-    /// Enable data speculation (paper Sec. 3.3: one of the optimizations
-    /// "done to reduce the recurrence cycle lengths" when the Recurrence
-    /// II exceeds the Resource II): memory-flow edges on constraining
-    /// cycles are broken by issuing the load as an advanced load
-    /// (`ld.a`/`chk.a`); the recovery check's cost is not modeled (checks
-    /// are cheap A-class ops and mis-speculation is assumed rare).
-    pub data_speculation: bool,
 }
 
 impl Default for PipelineOptions {
@@ -45,7 +38,6 @@ impl Default for PipelineOptions {
             cycle_cap: 10_000,
             max_ii_slack: 16,
             balance_cycle_slack: false,
-            data_speculation: false,
         }
     }
 }
@@ -71,8 +63,6 @@ pub struct PipelineStats {
     pub boosted_loads: usize,
     /// Loads marked critical by the recurrence analysis.
     pub critical_loads: usize,
-    /// Memory-flow dependences broken by data speculation.
-    pub speculated_edges: usize,
 }
 
 /// A successfully pipelined loop.
@@ -260,40 +250,10 @@ pub fn pipeline_loop_observed(
     obs: Observer,
 ) -> Result<PipelinedLoop, PipelineError> {
     let (tel, name) = (obs.tel, lp.name());
-    let (ddg_base, res_mii, rec_mii, speculated) = obs.time(Phase::Ddg, name, || {
-        let mut ddg_base = Ddg::build_with_load_floor(lp, machine, 0);
-        let res_mii = machine.res_mii(lp);
-        let mut rec_mii = ddg_base.rec_mii();
-
-        // Data speculation (Sec. 3.3): when recurrences dominate, break the
-        // memory-flow edges sitting on cycles that force the II above the
-        // Resource II.
-        let mut speculated: Vec<(InstId, InstId, u32)> = Vec::new();
-        if opts.data_speculation && rec_mii > res_mii {
-            for cycle in ddg_base.recurrence_cycles(opts.cycle_cap) {
-                let summary = ddg_base.cycle_summary(&cycle, &|_| None);
-                if summary.implied_ii <= res_mii {
-                    continue;
-                }
-                for &ei in &cycle.edges {
-                    let e = ddg_base.edges()[ei];
-                    if e.kind == ltsp_ddg::DepKind::MemFlow {
-                        let key = (e.from, e.to, e.omega);
-                        if !speculated.contains(&key) {
-                            speculated.push(key);
-                        }
-                    }
-                }
-            }
-            if !speculated.is_empty() {
-                let spec = speculated.clone();
-                ddg_base.retain_edges(|e| {
-                    e.kind != ltsp_ddg::DepKind::MemFlow || !spec.contains(&(e.from, e.to, e.omega))
-                });
-                rec_mii = ddg_base.rec_mii();
-            }
-        }
-        (ddg_base, res_mii, rec_mii, speculated)
+    let (ddg_base, res_mii, rec_mii) = obs.time(Phase::Ddg, name, || {
+        let ddg_base = Ddg::build_with_load_floor(lp, machine, 0);
+        let rec_mii = ddg_base.rec_mii();
+        (ddg_base, machine.res_mii(lp), rec_mii)
     });
     let min_ii = res_mii.max(rec_mii);
 
@@ -320,26 +280,16 @@ pub fn pipeline_loop_observed(
         acyclic_schedule(lp, machine, &ddg_base)
     });
     let max_ii = (min_ii + opts.max_ii_slack).min(acyclic.ii().max(min_ii));
-    // On rejection the caller runs that acyclic schedule. Data speculation
-    // is a pipelining transformation, so when it pruned edges the fallback
-    // is rebuilt on the whole graph.
+    // On rejection the caller runs that acyclic schedule.
     let reject = |attempts: u32| {
         if tel.is_enabled() {
             tel.counter_add("pipeliner.schedule_attempts", u64::from(attempts));
             tel.counter_add("pipeliner.loops_rejected", 1);
         }
-        let fallback = if speculated.is_empty() {
-            acyclic
-        } else {
-            let ddg = obs.time(Phase::Ddg, name, || {
-                Ddg::build_with_load_floor(lp, machine, 0)
-            });
-            obs.time(Phase::Sched, name, || acyclic_schedule(lp, machine, &ddg))
-        };
         PipelineError {
             attempts,
             min_ii,
-            fallback,
+            fallback: acyclic,
         }
     };
 
@@ -371,20 +321,12 @@ pub fn pipeline_loop_observed(
         dropped_boosts: false,
         boosted_loads: cls.boosted_count(),
         critical_loads,
-        speculated_edges: speculated.len(),
     };
 
     let mut base_phase_start = min_ii;
     if cls.boosted_count() > 0 {
         let ddg_boosted = obs.time(Phase::Ddg, name, || {
-            let mut ddg_boosted = build_ddg(lp, machine, |id| cls.query(id));
-            if !speculated.is_empty() {
-                let spec = speculated.clone();
-                ddg_boosted.retain_edges(|e| {
-                    e.kind != ltsp_ddg::DepKind::MemFlow || !spec.contains(&(e.from, e.to, e.omega))
-                });
-            }
-            ddg_boosted
+            build_ddg(lp, machine, |id| cls.query(id))
         });
         let scheduler = ModuloScheduler::new(lp, machine, &ddg_boosted);
         let mut alloc_failed_at: Option<u32> = None;
@@ -839,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn data_speculation_breaks_memory_recurrences() {
+    fn memory_recurrences_bound_the_ii() {
         use ltsp_ir::MemDepKind;
         let m = MachineModel::itanium2();
         // a[i] = c * a[i-1] + b[i], carried through memory.
@@ -859,36 +801,6 @@ mod tests {
         // Cycle: st -> ld (1) + ld data (6) + fma (4) = 11 per iteration.
         assert_eq!(plain.stats.rec_mii, 11);
         assert_eq!(plain.schedule.ii(), 11);
-        assert_eq!(plain.stats.speculated_edges, 0);
-
-        let spec_opts = PipelineOptions {
-            data_speculation: true,
-            ..PipelineOptions::default()
-        };
-        let spec = pipeline_loop(&lp, &m, &|_| None, &spec_opts).unwrap();
-        assert_eq!(spec.stats.speculated_edges, 1);
-        assert!(
-            spec.schedule.ii() < plain.schedule.ii(),
-            "speculation must reduce the II: {} vs {}",
-            spec.schedule.ii(),
-            plain.schedule.ii()
-        );
-        assert_eq!(
-            spec.schedule.ii(),
-            spec.stats.res_mii.max(spec.stats.rec_mii)
-        );
-    }
-
-    #[test]
-    fn speculation_leaves_resource_bound_loops_alone() {
-        let m = MachineModel::itanium2();
-        let lp = running_example();
-        let opts = PipelineOptions {
-            data_speculation: true,
-            ..PipelineOptions::default()
-        };
-        let p = pipeline_loop(&lp, &m, &|_| None, &opts).unwrap();
-        assert_eq!(p.stats.speculated_edges, 0);
     }
 
     #[test]

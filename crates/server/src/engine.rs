@@ -874,8 +874,7 @@ impl Shared {
             cfg: CompileConfig::new(req.policy)
                 .with_threshold(req.threshold)
                 .with_prefetch(req.prefetch)
-                .with_balanced_recurrences(req.balanced)
-                .with_data_speculation(req.speculate),
+                .with_balanced_recurrences(req.balanced),
             deadline_ms: self.effective_deadline_ms(req),
             obs,
             artifact_hit: Cell::new(false),
@@ -1252,9 +1251,10 @@ fn hash_compile_knobs(h: &mut FingerprintHasher, req: &Request) {
     h.write_str(&req.policy.to_string());
     h.write_f64(req.trip);
     h.write_u64(u64::from(req.threshold));
-    h.write_u64(
-        u64::from(req.prefetch) | u64::from(req.balanced) << 1 | u64::from(req.speculate) << 2,
-    );
+    // Bit 2 held the removed data-speculation flag; requests setting it
+    // are refused at parse time, so every key an accepted request ever
+    // had keeps its value.
+    h.write_u64(u64::from(req.prefetch) | u64::from(req.balanced) << 1);
 }
 
 /// The facts every body rendered from a [`CompiledLoop`] opens with.
@@ -1564,6 +1564,15 @@ mod tests {
         let warm = e.handle(&req(&line), &tel);
         assert_eq!(warm.cache, "hit");
         assert_eq!(cold.body, warm.body);
+    }
+
+    #[test]
+    fn speculate_false_keeps_the_request_key() {
+        let e = engine();
+        let plain = req(&request_line("compile", ""));
+        let off = req(&request_line("compile", r#","speculate":false"#));
+        assert!(e.request_key(&plain).is_some());
+        assert_eq!(e.request_key(&plain), e.request_key(&off));
     }
 
     #[test]

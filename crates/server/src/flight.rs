@@ -8,7 +8,8 @@
 //! is exactly when it is needed). When a `request_panic`, an injected
 //! fault, a dispatcher death, or a write-deadline shed fires, the daemon
 //! calls [`FlightRecorder::dump`], which writes the ring as JSONL into
-//! `--flight-dir` under a deterministic sequence-numbered name. With no
+//! `--flight-dir` under a deterministic sequence-numbered name, keeping
+//! only the newest [`MAX_DUMPS`] of its own files. With no
 //! `--flight-dir` configured, dumps are no-ops and the ring still serves
 //! in-process inspection.
 //!
@@ -97,6 +98,11 @@ impl FlightRecord {
     }
 }
 
+/// Dump files a recorder keeps on disk: each dump past this many deletes
+/// the oldest, so a client that keeps tripping a trigger cannot fill the
+/// disk.
+pub const MAX_DUMPS: usize = 64;
+
 /// The bounded ring plus its dump configuration.
 #[derive(Debug)]
 pub struct FlightRecorder {
@@ -104,6 +110,8 @@ pub struct FlightRecorder {
     cap: usize,
     dir: Option<PathBuf>,
     dumps: AtomicU64,
+    /// The dump files on disk, oldest first.
+    kept: Mutex<VecDeque<PathBuf>>,
 }
 
 impl FlightRecorder {
@@ -115,6 +123,7 @@ impl FlightRecorder {
             cap: cap.max(1),
             dir,
             dumps: AtomicU64::new(0),
+            kept: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -154,21 +163,26 @@ impl FlightRecorder {
         out
     }
 
-    /// Writes the ring to `<dir>/flight-<seq>-<reason>.jsonl` and
-    /// returns the path. `None` when no dump directory is configured;
-    /// I/O failures are contained (observability must never take the
-    /// daemon down) and reported as `None` too.
+    /// Writes the ring to `<dir>/flight-<seq>-<reason>.jsonl`, deletes
+    /// the oldest dump past [`MAX_DUMPS`], and returns the path. `None`
+    /// when no dump directory is configured; I/O failures are contained
+    /// (observability must never take the daemon down) and reported as
+    /// `None` too.
     pub fn dump(&self, reason: &str) -> Option<PathBuf> {
         let dir = self.dir.as_ref()?;
+        // Held across the write, so files are kept in sequence order.
+        let mut kept = lock_unpoisoned(&self.kept);
         let seq = self.dumps.fetch_add(1, Ordering::Relaxed) + 1;
         let path = dir.join(format!("flight-{seq:04}-{reason}.jsonl"));
-        if std::fs::create_dir_all(dir).is_err() {
-            return None;
+        std::fs::create_dir_all(dir).ok()?;
+        std::fs::write(&path, self.render_jsonl()).ok()?;
+        kept.push_back(path.clone());
+        if kept.len() > MAX_DUMPS {
+            if let Some(oldest) = kept.pop_front() {
+                let _ = std::fs::remove_file(oldest);
+            }
         }
-        match std::fs::write(&path, self.render_jsonl()) {
-            Ok(()) => Some(path),
-            Err(_) => None,
-        }
+        Some(path)
     }
 }
 
@@ -304,6 +318,29 @@ mod tests {
             json::parse(line).expect("parseable JSONL");
         }
         assert_eq!(fr.dump_count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_the_newest_dumps_stay_on_disk() {
+        let dir = std::env::temp_dir().join(format!("ltsp-flight-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fr = FlightRecorder::new(2, Some(dir.clone()));
+        fr.record(rec(0));
+        let triggers = MAX_DUMPS as u64 + 5;
+        for _ in 0..triggers {
+            fr.dump("write-shed").expect("dump path");
+        }
+        assert_eq!(fr.dump_count(), triggers, "every trigger is counted");
+        let names: Vec<String> = read_dumps(&dir)
+            .expect("readable")
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        let newest: Vec<String> = (6..=triggers)
+            .map(|seq| format!("flight-{seq:04}-write-shed.jsonl"))
+            .collect();
+        assert_eq!(names, newest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
-//! The `ltspd` wire protocol: line-delimited JSON, one request object in,
-//! one response object out.
+//! The daemon's wire protocol (`ltspc serve`): line-delimited JSON, one
+//! request object in, one response object out.
 //!
 //! # Grammar
 //!
@@ -9,11 +9,17 @@
 //! ```text
 //! {"op":"compile","id":"r1","loop":"loop s { ... }",
 //!  "policy":"hlo","trip":100,"threshold":32,
-//!  "prefetch":true,"balanced":false,"speculate":false}
+//!  "prefetch":true,"balanced":false}
 //! {"op":"verify","id":"r2","loop":"..."}
 //! {"op":"oracle","id":"r3","loop":"...","budget":200000,"deadline_ms":1000}
 //! {"op":"ping"}          {"op":"stats"}          {"op":"shutdown"}
 //! ```
+//!
+//! Data speculation was removed (it broke memory-flow edges with no
+//! check or recovery behind them): `"speculate":false` is accepted as a
+//! no-op, and `"speculate":true` is refused with status `error`, so old
+//! clients get an answer instead of a kernel that is wrong on aliasing
+//! input.
 //!
 //! Every response is a single JSON object on one line, always starting
 //! with the same three fields:
@@ -175,8 +181,6 @@ pub struct Request {
     pub prefetch: bool,
     /// Balanced-recurrence extension (compile only; default false).
     pub balanced: bool,
-    /// Data speculation (compile only; default false).
-    pub speculate: bool,
     /// Scheduling backend (compile only; default heuristic).
     pub backend: Backend,
     /// Serving mode (compile only; default static).
@@ -202,7 +206,6 @@ impl Default for Request {
             threshold: 32,
             prefetch: true,
             balanced: false,
-            speculate: false,
             backend: Backend::Heuristic,
             mode: Mode::Static,
             budget: 200_000,
@@ -292,7 +295,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     for (key, slot) in [
         ("prefetch", &mut req.prefetch as &mut bool),
         ("balanced", &mut req.balanced),
-        ("speculate", &mut req.speculate),
         ("timings", &mut req.timings),
     ] {
         if let Some(b) = v.get(key) {
@@ -301,6 +303,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 _ => return Err(fail(format!("{key} must be a boolean"))),
             };
         }
+    }
+    // The removed data-speculation knob (see the module docs).
+    match v.get("speculate") {
+        None | Some(JsonValue::Bool(false)) => {}
+        Some(JsonValue::Bool(true)) => {
+            return Err(fail("data speculation is not supported".to_string()))
+        }
+        Some(_) => return Err(fail("speculate must be a boolean".to_string())),
     }
     if let Some(b) = v.get("backend") {
         req.backend = match b.as_str() {
@@ -438,7 +448,7 @@ mod tests {
     fn parses_a_full_compile_request() {
         let r = parse_request(
             r#"{"op":"compile","id":"a","loop":"loop x {\n}","policy":"l3","trip":12.5,
-               "threshold":0,"prefetch":false,"balanced":true,"speculate":true}"#,
+               "threshold":0,"prefetch":false,"balanced":true,"speculate":false}"#,
         )
         .unwrap();
         assert_eq!(r.id, "a");
@@ -449,7 +459,16 @@ mod tests {
         assert_eq!(r.threshold, 0);
         assert!(!r.prefetch);
         assert!(r.balanced);
-        assert!(r.speculate);
+    }
+
+    #[test]
+    fn speculation_is_refused_with_the_request_id() {
+        let e =
+            parse_request(r#"{"op":"compile","id":"s","loop":"l","speculate":true}"#).unwrap_err();
+        assert_eq!(e.id, "s");
+        assert_eq!(e.message, "data speculation is not supported");
+        let e = parse_request(r#"{"op":"compile","id":"s","loop":"l","speculate":1}"#).unwrap_err();
+        assert_eq!(e.message, "speculate must be a boolean");
     }
 
     #[test]

@@ -34,8 +34,7 @@ pub enum Phase {
     Parse,
     /// High-level optimizations (`run_hlo`).
     Hlo,
-    /// DDG construction, ResMII/RecMII analysis, and data-speculation
-    /// edge pruning.
+    /// DDG construction and ResMII/RecMII analysis.
     Ddg,
     /// Modulo-reservation setup: load criticality classification and the
     /// acyclic profitability ceiling.

@@ -307,9 +307,11 @@ pub fn compute_heavy(name: &str) -> LoopIr {
 
 /// First-order IIR filter through memory: `a[i] = c·a[i-1] + b[i]`,
 /// carried by a store→load memory-flow dependence the front end declares.
-/// Its recurrence (store + FP-load + fma) far exceeds the Resource II —
-/// the case the paper's Sec. 3.3 recurrence reductions (data speculation)
-/// exist for.
+/// Its recurrence (store + FP-load + fma) far exceeds the Resource II, and
+/// the store aliases the next iteration's load every time, so the II
+/// stays at the RecMII (11): breaking the edge, as the paper's Sec. 3.3
+/// data speculation would, needs a check and recovery this compiler does
+/// not emit.
 pub fn memory_recurrence(name: &str) -> LoopIr {
     use ltsp_ir::MemDepKind;
     let mut b = LoopBuilder::new(name);

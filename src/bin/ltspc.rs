@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! ltspc <file.loop | -> [--policy baseline|l3|fpl2|hlo] [--backend heuristic|exact|tiered]
-//!       [--adaptive] [--trip N] [--threshold N] [--no-prefetch] [--balanced] [--speculate]
+//!       [--adaptive] [--trip N] [--threshold N] [--no-prefetch] [--balanced]
 //!       [--budget NODES] [--asm] [--simulate ITERS]
 //!       [--trace-out FILE] [--metrics-out FILE] [--chrome-trace FILE] [-v]
 //! ltspc verify <file.loop | -> ... [--jobs N]   # certify heuristic schedules
@@ -156,7 +156,6 @@ struct Options {
     threshold: u32,
     prefetch: bool,
     balanced: bool,
-    speculate: bool,
     asm: bool,
     simulate: Option<u64>,
     trace_out: Option<String>,
@@ -184,7 +183,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ltspc <file.loop | -> [--policy baseline|l3|fpl2|hlo] [--trip N]\n\
          \x20             [--backend heuristic|exact|tiered] [--adaptive] [--budget NODES]\n\
-         \x20             [--threshold N] [--no-prefetch] [--balanced] [--speculate]\n\
+         \x20             [--threshold N] [--no-prefetch] [--balanced]\n\
          \x20             [--asm] [--simulate ITERS]\n\
          \x20             [--trace-out FILE] [--metrics-out FILE]\n\
          \x20             [--chrome-trace FILE] [-v|--verbose]\n\
@@ -381,7 +380,6 @@ fn parse_args() -> Options {
         threshold: 32,
         prefetch: true,
         balanced: false,
-        speculate: false,
         asm: false,
         simulate: None,
         trace_out: None,
@@ -415,7 +413,6 @@ fn parse_args() -> Options {
             "--adaptive" => o.adaptive = true,
             "--no-prefetch" => o.prefetch = false,
             "--balanced" => o.balanced = true,
-            "--speculate" => o.speculate = true,
             "--asm" => o.asm = true,
             "--simulate" => o.simulate = Some(flag_value(args.next())),
             "--trace-out" => o.trace_out = Some(args.next().unwrap_or_else(|| usage())),
@@ -423,6 +420,7 @@ fn parse_args() -> Options {
             "--chrome-trace" => o.chrome_trace = Some(args.next().unwrap_or_else(|| usage())),
             "-v" | "--verbose" => o.verbose = true,
             "--help" | "-h" => usage(),
+            flag if flag.starts_with("--") => usage(),
             other if input.is_none() => input = Some(other.to_string()),
             _ => usage(),
         }
@@ -1327,8 +1325,7 @@ fn main() -> ExitCode {
         let cfg = CompileConfig::new(o.policy)
             .with_threshold(o.threshold)
             .with_prefetch(o.prefetch)
-            .with_balanced_recurrences(o.balanced)
-            .with_data_speculation(o.speculate);
+            .with_balanced_recurrences(o.balanced);
         let tel = if o.verbose {
             Telemetry::enabled_with(true)
         } else {
@@ -1382,8 +1379,7 @@ fn main() -> ExitCode {
     let cfg = CompileConfig::new(o.policy)
         .with_threshold(o.threshold)
         .with_prefetch(o.prefetch)
-        .with_balanced_recurrences(o.balanced)
-        .with_data_speculation(o.speculate);
+        .with_balanced_recurrences(o.balanced);
     let want_telemetry =
         o.trace_out.is_some() || o.metrics_out.is_some() || o.chrome_trace.is_some() || o.verbose;
     let tel = if want_telemetry {

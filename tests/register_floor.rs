@@ -8,7 +8,7 @@
 //!   reference ladder — written here from the public scheduler and
 //!   allocator, with no floor — answers, apart from the attempt count.
 
-use ltsp::ddg::{Ddg, DepKind};
+use ltsp::ddg::Ddg;
 use ltsp::hlo::{run_hlo, HloConfig};
 use ltsp::ir::{
     AccessPattern, DataClass, Inst, InstId, LatencyHint, LoopBuilder, LoopIr, MemDep, MemDepKind,
@@ -153,19 +153,8 @@ fn reference_ladder(
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     opts: &PipelineOptions,
 ) -> Answer {
-    let whole = Ddg::build_with_load_floor(lp, m, 0);
-    let mut base = whole.clone();
-    let res_mii = m.res_mii(lp);
-    if opts.data_speculation && base.rec_mii() > res_mii {
-        let mut pruned = Vec::new();
-        for cycle in base.recurrence_cycles(opts.cycle_cap) {
-            if base.cycle_summary(&cycle, &|_| None).implied_ii > res_mii {
-                pruned.extend(cycle.edges.iter().map(|&e| base.edges()[e]));
-            }
-        }
-        base.retain_edges(|e| e.kind != DepKind::MemFlow || !pruned.contains(e));
-    }
-    let min_ii = res_mii.max(base.rec_mii());
+    let base = Ddg::build_with_load_floor(lp, m, 0);
+    let min_ii = m.res_mii(lp).max(base.rec_mii());
     let cls = classify_loads_observed(
         lp,
         m,
@@ -180,8 +169,7 @@ fn reference_ladder(
     let base_scheduler = ModuloScheduler::new(lp, m, &base);
     let mut start = min_ii;
     if cls.boosted_count() > 0 {
-        let mut boosted = graph_for(lp, m, &cls);
-        boosted.retain_edges(|e| base.edges().contains(e) || e.kind != DepKind::MemFlow);
+        let boosted = graph_for(lp, m, &cls);
         let scheduler = ModuloScheduler::new(lp, m, &boosted);
         for ii in min_ii..=max_ii {
             match scheduler.schedule_at(ii, opts.budget_factor) {
@@ -217,7 +205,7 @@ fn reference_ladder(
     }
     Answer::Rejected {
         min_ii,
-        fallback: acyclic_schedule(lp, m, &whole),
+        fallback: acyclic_schedule(lp, m, &base),
     }
 }
 
@@ -285,10 +273,6 @@ fn assert_same_answers(lp: &LoopIr, m: &MachineModel, opts: &PipelineOptions) ->
 #[test]
 fn driver_matches_the_unpruned_ladder_on_random_loops() {
     let opts = PipelineOptions::default();
-    let speculating = PipelineOptions {
-        data_speculation: true,
-        ..opts
-    };
     // With 8 rotating FP registers the floor both rejects loops and moves
     // the start of the base phase; with 96 it does neither.
     let machines = [
@@ -300,11 +284,9 @@ fn driver_matches_the_unpruned_ladder_on_random_loops() {
     for seed in 0..120 {
         for m in &machines {
             let lp = after_hlo(&random_loop(seed), m);
-            for opts in [&opts, &speculating] {
-                let (r, s) = assert_same_answers(&lp, m, opts);
-                rejected += r;
-                skipped += s;
-            }
+            let (r, s) = assert_same_answers(&lp, m, &opts);
+            rejected += r;
+            skipped += s;
         }
     }
     assert!(rejected > 0, "no loop exercised the floor rejection");
@@ -342,22 +324,16 @@ fn driver_matches_the_unpruned_ladder_where_boosts_are_dropped() {
     let y = b.affine_ref("y", DataClass::Fp, 9 << 24, 8, 8);
     b.store(y, acc);
     let lp = b.build().expect("well-formed");
-    for data_speculation in [false, true] {
-        let opts = PipelineOptions {
-            data_speculation,
-            ..PipelineOptions::default()
-        };
-        let (rejected, skipped) = assert_same_answers(&lp, &tight_machine(), &opts);
-        assert_eq!((rejected, skipped), (0, POLICIES.len() as u32));
-    }
+    let (rejected, skipped) =
+        assert_same_answers(&lp, &tight_machine(), &PipelineOptions::default());
+    assert_eq!((rejected, skipped), (0, POLICIES.len() as u32));
 }
 
 #[test]
-fn a_speculated_loop_is_rejected_with_the_whole_graph_fallback() {
+fn a_starved_loop_is_rejected_with_the_load_after_the_store() {
     // i1 → i2 → (store-to-load, same iteration) → i3 → (carried) → i1 is a
-    // recurrence through memory. Data speculation prunes the i2 → i3 edge
-    // for pipelining; when a two-register FP file then rejects the loop,
-    // the fallback must still order the load after the store.
+    // recurrence through memory. A two-register FP file rejects the loop,
+    // and the acyclic fallback must order the load after the store.
     let fr = |k| VReg::new(RegClass::Fr, k);
     let stream = |name: &str, base| {
         MemoryRef::new(
@@ -416,14 +392,8 @@ fn a_speculated_loop_is_rejected_with_the_whole_graph_fallback() {
     )
     .expect("well-formed");
 
-    let m = MachineModel::itanium2();
     let starved = machine_with_fr(2);
-    let opts = PipelineOptions {
-        data_speculation: true,
-        ..PipelineOptions::default()
-    };
-    let speculated = ltsp::pipeliner::pipeline_loop(&lp, &m, &|_| None, &opts).expect("pipelines");
-    assert_eq!(speculated.stats.speculated_edges, 1);
+    let opts = PipelineOptions::default();
     let rejected = ltsp::pipeliner::pipeline_loop(&lp, &starved, &|_| None, &opts).unwrap_err();
     assert_eq!(
         rejected.attempts, 0,

@@ -339,6 +339,40 @@ fn malformed_requests_fail_soft() {
     handle.shutdown();
 }
 
+/// Data speculation was removed: `"speculate":true` is refused with the
+/// request's id, and `"speculate":false` is the request without it.
+#[test]
+fn speculation_is_refused_on_the_wire() {
+    let handle = start(1, 256);
+    let mut c = Client::connect(handle.addr());
+    let text = json::escape(&saxpy("s").to_string());
+    let refused = c.round_trip(&format!(
+        "{{\"op\":\"compile\",\"id\":\"x\",\"loop\":\"{text}\",\"speculate\":true}}"
+    ));
+    let v = json::parse(&refused).unwrap();
+    assert_eq!(v.get("id").unwrap().as_str(), Some("x"), "{refused}");
+    assert_eq!(
+        v.get("status").unwrap().as_str(),
+        Some("error"),
+        "{refused}"
+    );
+    assert!(
+        refused.contains("data speculation is not supported"),
+        "{refused}"
+    );
+    let plain = c.round_trip(&compile_request("y", &saxpy("s").to_string()));
+    let off = c.round_trip(&format!(
+        "{{\"op\":\"compile\",\"id\":\"y\",\"loop\":\"{text}\",\"speculate\":false}}"
+    ));
+    assert!(plain.contains("\"cache\":\"miss\""), "{plain}");
+    assert_eq!(
+        plain.replacen("\"cache\":\"miss\"", "\"cache\":\"hit\"", 1),
+        off,
+        "speculate:false must hit the plain request's entry with its bytes"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn shutdown_acknowledges_then_drains() {
     let handle = start(2, 256);

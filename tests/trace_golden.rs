@@ -6,12 +6,11 @@
 //! nothing.
 //!
 //! Cases: the kernel library and the six `scale_golden` shapes under the
-//! four policies, every library kernel with balanced recurrences, and
-//! `loops/memory_recurrence.loop` with data speculation. Each is compiled
-//! on an enabled telemetry sink; a row pins the number and digest of the
-//! normalized JSONL lines that are not spans (wall-clock spans are the
-//! one part of a trace allowed to change shape), and the digest of the
-//! metrics snapshot.
+//! four policies, and every library kernel with balanced recurrences.
+//! Each is compiled on an enabled telemetry sink; a row pins the number
+//! and digest of the normalized JSONL lines that are not spans
+//! (wall-clock spans are the one part of a trace allowed to change
+//! shape), and the digest of the metrics snapshot.
 //!
 //! ```text
 //! LTSP_BLESS=1 cargo test --test trace_golden
@@ -23,7 +22,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ltsp::core::{compile_loop_observed, CompileConfig, LatencyPolicy};
-use ltsp::ir::{parse_loop, LoopIr};
+use ltsp::ir::LoopIr;
 use ltsp::machine::MachineModel;
 use ltsp::telemetry::{normalize_trace, JsonValue, Observer, Telemetry};
 use ltsp::workloads::{kernel_library, scheduling_heavy};
@@ -63,12 +62,6 @@ fn cases() -> Vec<(String, LoopIr, CompileConfig)> {
     for (name, lp) in &library {
         let cfg = CompileConfig::new(LatencyPolicy::AllLoadsL3).with_balanced_recurrences(true);
         out.push((format!("balanced:{name}"), lp.clone(), cfg));
-    }
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("loops/memory_recurrence.loop");
-    let lp = parse_loop(&std::fs::read_to_string(path).expect("corpus loop")).expect("parses");
-    for policy in POLICIES {
-        let cfg = CompileConfig::new(policy).with_data_speculation(true);
-        out.push((format!("speculate:{}/{policy}", lp.name()), lp.clone(), cfg));
     }
     out
 }
