@@ -22,6 +22,8 @@
 //! | [`boost_magnitude_ablation`] | Sec. 2.2 guidance — 20-30 cycle sweet spot |
 //! | [`oracle_gap`] | E-oracle — heuristic II vs exact-oracle minimal II |
 //! | [`adaptive_gap`] | E-adaptive — feedback-directed hints vs static policies |
+//!
+//! [`loadgen`] drives `ltspc serve` for the `loadgen` binary and the daemon tests.
 
 mod adaptive_gap;
 pub mod bench_record;
@@ -29,6 +31,7 @@ pub mod compile_phases;
 mod experiments;
 mod extensions;
 mod fig5;
+pub mod loadgen;
 mod mcf;
 mod oracle_gap;
 mod stats;

@@ -168,7 +168,7 @@ pub struct ServerConfig {
     /// declared dead and closed.
     pub write_deadline: Duration,
     /// Drain gracefully on SIGTERM/SIGINT. Process-global, so off by
-    /// default; the `ltspd` / `ltspc serve` binaries turn it on.
+    /// default; `ltspc serve` turns it on.
     pub handle_signals: bool,
     /// Engine knobs (caches, oracle budgets).
     pub engine: EngineConfig,
@@ -475,7 +475,7 @@ fn release_freed_memory() {
 fn release_freed_memory() {}
 
 /// Binds and serves in a background thread; returns once the listener
-/// is accepting. Used by in-process tests and `ltspc serve`/`ltspd`.
+/// is accepting. Used by in-process tests and by [`serve`].
 ///
 /// # Errors
 ///
@@ -514,7 +514,7 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
 }
 
 /// Binds and serves on the caller's thread until drained. This is the
-/// blocking entry `ltspd` and `ltspc serve` use.
+/// blocking entry `ltspc serve` uses.
 ///
 /// # Errors
 ///

@@ -78,16 +78,18 @@
 //!
 //! `remote` ships loop files to a running daemon over the
 //! line-delimited JSON protocol and prints each response's report —
-//! byte-identical to what the local compile path prints, which CI
-//! checks. `--shutdown` drains the server after the last file.
+//! byte-identical to what the local compile path prints, which
+//! `tests/cli_serve.rs` checks. `--shutdown` drains the server after the
+//! last file.
 //!
 //! `remote --op metrics` needs no files: it prints the daemon's live
 //! Prometheus text snapshot (see `ltsp_server::engine`) to stdout, and
 //! `--check-phases parse,sched,...` additionally fails with exit 1 when
-//! any named per-phase latency histogram has no samples — the CI smoke
-//! check that observability is actually wired. `--op stats` prints the
-//! raw stats response line. `--timings` sets the opt-in request flag so
-//! each response carries its per-phase breakdown, echoed to stderr.
+//! any named per-phase latency histogram has no samples — the mid-load
+//! check in `tests/cli_serve.rs` that observability is actually wired.
+//! `--op stats` prints the raw stats response line. `--timings` sets the
+//! opt-in request flag so each response carries its per-phase breakdown,
+//! echoed to stderr.
 //! `top` polls the metrics op and renders a one-screen dashboard
 //! (request rates, cache hit ratio, queue depth, per-phase p50/p99,
 //! shed/panic counters) every `--interval-ms` (default 1000),

@@ -1,21 +1,24 @@
 //! End-to-end tests of the sharded serving layer (`ltsp_cluster`) over
 //! real TCP: routing determinism, byte-identity through the router,
 //! failover under dead/draining/killed shards, drain propagation,
-//! aggregated metrics, and the persistent warm-start cache tier.
+//! aggregated metrics, and the persistent warm-start cache tier — in
+//! process, and across real `ltspc serve` processes: a worker killed by a
+//! fault, and a `--cluster 3` whose worker is SIGKILLed under load.
 
 mod common;
 
 use std::io::{ErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use common::Client;
+use common::{Client, Serve};
 use ltsp::cluster::ring::DEFAULT_VNODES;
 use ltsp::cluster::{routing_key, spawn_router, Ring, RouterConfig, RouterHandle};
 use ltsp::server::{spawn, ServerConfig, ServerHandle};
 use ltsp::telemetry::json;
 use ltsp::telemetry::prom::PromSnapshot;
 use ltsp::workloads::{random_loop, saxpy};
+use ltsp_bench::loadgen::{self, Plan};
 
 fn start_shard() -> ServerHandle {
     spawn(ServerConfig {
@@ -364,43 +367,18 @@ fn warm_restart_hits_are_byte_identical() {
 /// killed process must have exited with the fault's code.
 #[test]
 fn shardkill_fault_process_failover() {
-    let exe = env!("CARGO_BIN_EXE_ltspc");
-    let pick_port = || {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().to_string()
-    };
-    let (addr_kill, addr_ok) = (pick_port(), pick_port());
-
     // Shard 0 kills itself on the first handled request; shard 1 is
-    // healthy. Ports were just free; the bind race window is tiny.
-    let mut doomed = std::process::Command::new(exe)
-        .args(["serve", "--addr", &addr_kill, "--jobs", "1"])
-        .env("LTSP_FAULT", "shardkill:1.0,seed:7")
-        .stdin(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn doomed shard");
-    let mut healthy = std::process::Command::new(exe)
-        .args(["serve", "--addr", &addr_ok, "--jobs", "1"])
-        .stdin(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn healthy shard");
-
-    let wait_listening = |addr: &str| {
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_secs(20) {
-            if TcpStream::connect(addr).is_ok() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        panic!("shard on {addr} never started listening");
-    };
-    wait_listening(&addr_kill);
-    wait_listening(&addr_ok);
+    // healthy.
+    let mut doomed = Serve::start(
+        1,
+        &["--jobs", "1"],
+        &[("LTSP_FAULT", "shardkill:1.0,seed:7")],
+    );
+    let mut healthy = Serve::start(1, &["--jobs", "1"], &[]);
 
     let router = spawn_router(RouterConfig {
         addr: "127.0.0.1:0".to_string(),
-        shard_addrs: vec![addr_kill.clone(), addr_ok.clone()],
+        shard_addrs: vec![doomed.addr.clone(), healthy.addr.clone()],
         connect_timeout: Duration::from_secs(1),
         cooldown: Duration::from_secs(60), // once dead, stay dead for the test
         ..RouterConfig::default()
@@ -431,7 +409,7 @@ fn shardkill_fault_process_failover() {
         "shard kill produced no failovers: {stats}"
     );
 
-    let killed = doomed.wait().expect("reap doomed shard");
+    let killed = doomed.exit_within(Duration::from_secs(30));
     assert_eq!(
         killed.code(),
         Some(ltsp::server::SHARD_KILL_EXIT_CODE),
@@ -439,9 +417,117 @@ fn shardkill_fault_process_failover() {
     );
 
     // Drain the healthy worker and the router.
-    let mut drain = Client::connect(&addr_ok);
+    let mut drain = Client::connect(&healthy.addr);
     let ack = drain.round_trip("{\"op\":\"shutdown\",\"id\":\"cleanup\"}");
     assert!(ack.contains("\"status\":\"draining\""), "{ack}");
-    assert!(healthy.wait().expect("reap healthy shard").success());
+    assert!(healthy.exit_within(Duration::from_secs(30)).success());
     router.shutdown();
+}
+
+/// SIGKILLs the `ltspc serve` process whose `--addr` is `addr`: a crash,
+/// not a drain.
+#[cfg(target_os = "linux")]
+fn kill_process_serving(addr: &str) {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGKILL: i32 = 9;
+    let serving = |cmdline: &[u8]| {
+        let args: Vec<&[u8]> = cmdline.split(|b| *b == 0).collect();
+        args.windows(2)
+            .any(|w| w[0] == b"--addr" && w[1] == addr.as_bytes())
+    };
+    let pids: Vec<i32> = std::fs::read_dir("/proc")
+        .expect("/proc")
+        .filter_map(|e| e.ok()?.file_name().to_str()?.parse().ok())
+        .filter(|pid| std::fs::read(format!("/proc/{pid}/cmdline")).is_ok_and(|c| serving(&c)))
+        .collect();
+    assert_eq!(pids.len(), 1, "processes serving {addr}: {pids:?}");
+    // SAFETY: `kill` takes a pid and a signal number and touches no
+    // memory of this process.
+    assert_eq!(unsafe { kill(pids[0], SIGKILL) }, 0, "kill {}", pids[0]);
+}
+
+/// `ltspc serve --cluster 3` end to end: a worker SIGKILLed mid-load is
+/// failed over (every request answered, none with an error), respawned
+/// by the supervisor and scrapeable again; after a drain, a restarted
+/// cluster replays the shards' cache logs and answers the same workload
+/// with zero misses.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_killed_shard_fails_over_respawns_and_the_cluster_restarts_warm() {
+    let dir = std::env::temp_dir().join(format!("ltsp-cluster-drill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir = dir.to_string_lossy().into_owned();
+    let args = ["--cluster", "3", "--jobs", "2", "--persist-dir", &dir];
+    let mut cluster = Serve::start(4, &args, &[]);
+    let plan = Plan {
+        addr: cluster.addr.clone(),
+        conns: 4,
+        requests: 1000,
+        synthetic: 4,
+        corpus: format!("{}/loops", env!("CARGO_MANIFEST_DIR")),
+        ..Plan::default()
+    };
+    let (host, port) = cluster.addr.rsplit_once(':').expect("host:port");
+    let victim = format!("{host}:{}", port.parse::<u16>().expect("port") + 1);
+
+    // Kill shard 0 once the load is under way.
+    let killer = {
+        let addr = cluster.addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr);
+            let proxied = |c: &mut Client| {
+                let line = c.round_trip("{\"op\":\"stats\",\"id\":\"k\"}");
+                let v = json::parse(line.trim()).expect("stats json");
+                v.get("router_proxied").and_then(|x| x.as_u64())
+            };
+            while proxied(&mut c) < Some(200) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            kill_process_serving(&victim);
+        })
+    };
+    let r = loadgen::run(&plan).expect("no connection wedges");
+    killer.join().expect("killer thread");
+    let Some(snap) = &r.cluster else {
+        panic!("no router snapshot: {r:?}")
+    };
+    let v = |name: &str, labels: &[(&str, &str)]| snap.value(name, labels).unwrap_or(0.0);
+    assert_eq!(snap.shard_ids(), [0, 1, 2]);
+    assert_eq!(r.responses, 4 * 1000, "{r:?}");
+    assert_eq!(r.status.error, 0, "{r:?}");
+    assert!(v("ltsp_router_failovers_total", &[]) > 0.0, "no failover");
+    assert_eq!(v("ltsp_router_retries_exhausted_total", &[]), 0.0);
+    for shard in ["0", "1", "2"] {
+        let up = v("ltsp_shard_up", &[("shard", shard)]);
+        assert_eq!(up, 1.0, "shard {shard} down");
+    }
+    assert_eq!(v("ltsp_shard_respawns_total", &[("shard", "0")]), 1.0);
+
+    // Requests that failed over while shard 0 was dead were computed and
+    // persisted by a non-owner. One calm pass, once the router's 1 s
+    // dead-mark cooldown has passed, sends every key back to its owner,
+    // which persists what it missed.
+    std::thread::sleep(Duration::from_secs(2));
+    let repair = loadgen::run(&plan).expect("repair pass");
+    assert_eq!(repair.status.error, 0, "{repair:?}");
+    assert!(cluster.drain().success());
+
+    // Fresh processes, same workload and seed: every shard replays its
+    // log, so every request is a hit from request one.
+    let mut cluster = Serve::start(4, &args, &[]);
+    let warm = loadgen::run(&Plan {
+        addr: cluster.addr.clone(),
+        ..plan
+    })
+    .expect("warm restart pass");
+    assert_eq!(warm.misses, 0, "{warm:?}");
+    assert_eq!(warm.hit_rate(), 1.0, "{warm:?}");
+    assert_eq!(warm.status.error, 0, "{warm:?}");
+    let snap = PromSnapshot::parse(&cluster.metrics()).expect("well-formed exposition");
+    if let Err(bad) = loadgen::cross_check(&warm, &snap) {
+        panic!("router metrics disagree with the load generator: {bad:#?}");
+    }
+    assert!(cluster.drain().success());
 }

@@ -1,5 +1,6 @@
-//! What the golden tests share: the FNV-1a digest every pinned table is
-//! written in, and one compare-or-bless routine.
+//! What the integration tests share: the FNV-1a digest every pinned table
+//! is written in, one compare-or-bless routine, a panicking wire client,
+//! and [`Serve`], an `ltspc serve` process for the daemon tests.
 //!
 //! A pinned file is rewritten only under `LTSP_BLESS=1`; any other value
 //! (or none) compares. Re-bless only for a change of *answer*, and review
@@ -9,7 +10,11 @@
 #![allow(dead_code)]
 
 use std::ffi::OsStr;
+use std::net::{TcpListener, TcpStream};
 use std::path::Path;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::{Duration, Instant};
 
 /// FNV-1a, 64-bit, fed incrementally.
 pub struct Fnv(pub u64);
@@ -123,5 +128,116 @@ impl Client {
     /// this one reads.
     pub fn writer(&self) -> std::net::TcpStream {
         self.0.stream().try_clone().expect("clone the connection")
+    }
+}
+
+/// An `ltspc serve` process (or `--cluster` supervisor). Dropped while
+/// running, it is asked to drain (a cluster takes its shards down with
+/// it) and killed if it is still running 10 s later.
+pub struct Serve {
+    child: Child,
+    /// The `--addr` it listens on.
+    pub addr: String,
+}
+
+impl Serve {
+    /// Spawns `ltspc serve --addr 127.0.0.1:P ARGS` with `env` set and
+    /// waits until P accepts connections. P and the `ports - 1` ports
+    /// after it were free at spawn: a cluster's shards listen on P + 1 + i.
+    /// Its stderr (injected panics are loud) goes to a file in the temp
+    /// directory, quoted if it exits before listening.
+    pub fn start(ports: u16, args: &[&str], env: &[(&str, &str)]) -> Serve {
+        let port = free_ports(ports);
+        let addr = format!("127.0.0.1:{port}");
+        let log = std::env::temp_dir().join(format!("ltspc-serve-{port}.stderr"));
+        let child = Command::new(env!("CARGO_BIN_EXE_ltspc"))
+            .args(["serve", "--addr", &addr])
+            .args(args)
+            .envs(env.iter().copied())
+            .stdin(Stdio::null())
+            .stderr(std::fs::File::create(&log).expect("create stderr log"))
+            .spawn()
+            .expect("spawn ltspc serve");
+        let mut serve = Serve { child, addr };
+        let t0 = Instant::now();
+        while TcpStream::connect(&serve.addr).is_err() {
+            if let Some(status) = serve.child.try_wait().expect("poll ltspc serve") {
+                let stderr = std::fs::read_to_string(&log).unwrap_or_default();
+                panic!("ltspc serve {args:?} exited ({status}) before listening:\n{stderr}");
+            }
+            assert!(t0.elapsed().as_secs() < 60, "{} never listened", serve.addr);
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        serve
+    }
+
+    /// Its Prometheus exposition (`{"op":"metrics"}`).
+    pub fn metrics(&self) -> String {
+        let mut c = Client::connect(&self.addr);
+        c.0.metrics_text("test-metrics").expect("metrics op")
+    }
+
+    /// Sends `shutdown` (an injected fault may drop the ack), then waits
+    /// for the process to exit, failing the test past 30 s.
+    pub fn drain(&mut self) -> ExitStatus {
+        self.ask_to_drain();
+        self.exit_within(Duration::from_secs(30))
+    }
+
+    /// Waits for the process to exit by itself, failing the test past
+    /// `limit`.
+    pub fn exit_within(&mut self, limit: Duration) -> ExitStatus {
+        let t0 = Instant::now();
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll ltspc serve") {
+                return status;
+            }
+            assert!(
+                t0.elapsed() < limit,
+                "{} still running after {limit:?}",
+                self.addr
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
+    fn ask_to_drain(&self) {
+        let deadline = Some(Duration::from_secs(5));
+        if let Ok(mut c) = ltsp::server::client::Client::connect(&self.addr, deadline) {
+            let _ = c.shutdown("test-drain");
+        }
+    }
+}
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        if matches!(self.child.try_wait(), Ok(None)) {
+            self.ask_to_drain();
+            let t0 = Instant::now();
+            while matches!(self.child.try_wait(), Ok(None)) && t0.elapsed().as_secs() < 10 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            let _ = self.child.kill();
+        }
+        let _ = self.child.wait();
+    }
+}
+
+/// The first of `n` consecutive ports free on 127.0.0.1. They are drawn
+/// below Linux's ephemeral range (32768 up), so no outgoing connection
+/// takes one between this probe and the bind — nor while a killed shard
+/// is respawned on its old port.
+fn free_ports(n: u16) -> u16 {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let base = std::process::id() % 1000 * 12;
+    loop {
+        let step = NEXT.fetch_add(u32::from(n), Ordering::Relaxed);
+        let port = 20_000 + ((base + step) % 12_000) as u16;
+        let held: Vec<TcpListener> = (port..port + n)
+            .map_while(|p| TcpListener::bind(("127.0.0.1", p)).ok())
+            .collect();
+        if held.len() == usize::from(n) {
+            return port;
+        }
     }
 }
