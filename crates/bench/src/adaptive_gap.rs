@@ -78,12 +78,6 @@ impl AdaptiveRow {
     pub fn ii_recovered(&self) -> u32 {
         self.hlo_ii.saturating_sub(self.adaptive_ii)
     }
-
-    /// Stall cycles the adaptive arm saved versus the static HloHints
-    /// arm (negative when it spent more).
-    pub fn stalls_recovered(&self) -> i64 {
-        self.hlo_stalls as i64 - self.adaptive_stalls as i64
-    }
 }
 
 /// The E-adaptive experiment over the kernel library × kernel classes.

@@ -4,8 +4,8 @@
 //! boost magnitude).
 
 use ltsp_core::{
-    benchmark_gain, compile_loop_with_profile, run_suite, run_suite_sampled, run_suite_versioned,
-    CompileConfig, LatencyPolicy, RunConfig,
+    benchmark_gain, compile_loop_with_profile, run_suite, run_suite_versioned, CompileConfig,
+    LatencyPolicy, RunConfig,
 };
 use ltsp_ir::DataClass;
 use ltsp_machine::{CacheGeometry, MachineModel};
@@ -86,12 +86,11 @@ pub fn miss_sampling_experiment(machine: &MachineModel, scale: f64) -> GainExper
         &RunConfig::new(CompileConfig::new(LatencyPolicy::HloHints).with_pgo(false))
             .with_entry_scale(scale),
     );
-    let sampled = run_suite_sampled(
+    let sampled = run_suite(
         &benchs,
         machine,
         &RunConfig::new(CompileConfig::new(LatencyPolicy::MissSampled).with_pgo(false))
             .with_entry_scale(scale),
-        20,
     );
 
     let rows = benchs

@@ -106,7 +106,7 @@ impl FingerprintHasher {
     }
 
     /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u128::from(b);
             self.state = self.state.wrapping_mul(FNV128_PRIME);
@@ -179,18 +179,6 @@ pub struct CacheStats {
     pub entries: u64,
     /// Live bytes right now (as accounted at insert time).
     pub bytes: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction in [0, 1] (0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 struct Entry<V> {
@@ -378,28 +366,6 @@ impl<V> ShardedLru<V> {
         }
     }
 
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_unpoisoned(s).map.len())
-            .sum()
-    }
-
-    /// True when no entry is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry (counters are retained).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = lock_unpoisoned(s);
-            s.map.clear();
-            s.bytes = 0;
-        }
-    }
-
     /// Publishes the counter snapshot into a telemetry metrics registry
     /// under `prefix` (e.g. `prefix.hits`, `prefix.bytes`). Counters are
     /// cumulative; callers export once per reporting boundary.
@@ -475,7 +441,7 @@ mod tests {
         }
         // 4 × 40 bytes against a 100-byte budget: only the two most
         // recently inserted survive.
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().entries, 2);
         assert!(cache.get(keys[0]).is_none());
         assert!(cache.get(keys[1]).is_none());
         assert_eq!(cache.get(keys[2]).as_deref(), Some(&2));
@@ -524,7 +490,7 @@ mod tests {
         cache.insert(k, 2, 50);
         assert_eq!(cache.get(k).as_deref(), Some(&2));
         assert_eq!(cache.stats().bytes, 50, "old accounting released");
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]
@@ -550,7 +516,7 @@ mod tests {
             cache.insert(k, i as u8, 16);
             assert_eq!(cache.get(k).as_deref(), Some(&(i as u8)));
         }
-        assert_eq!(cache.len(), 64);
+        assert_eq!(cache.stats().entries, 64);
     }
 
     #[test]

@@ -65,15 +65,10 @@ impl Ring {
         Ring { points, shards }
     }
 
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The failover preference order for `key`: the owning shard first,
     /// then each distinct successor around the ring. Every shard appears
     /// exactly once, so walking this list is bounded failover.
-    pub fn preference(&self, key: Fingerprint) -> Vec<usize> {
+    pub(crate) fn preference(&self, key: Fingerprint) -> Vec<usize> {
         let h = mix(key);
         let start = self.points.partition_point(|&(p, _)| p < h);
         let mut order = Vec::with_capacity(self.shards);
@@ -91,7 +86,7 @@ impl Ring {
         order
     }
 
-    /// The shard owning `key` (the head of [`Ring::preference`]).
+    /// The shard owning `key` (the head of `Ring::preference`).
     pub fn owner(&self, key: Fingerprint) -> usize {
         self.preference(key)[0]
     }

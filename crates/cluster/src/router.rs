@@ -6,7 +6,7 @@
 //!    (the loop text's fingerprint for loop-carrying ops; the raw line's
 //!    otherwise, including unparseable lines — the owning shard renders
 //!    the identical protocol error the client would get directly).
-//! 2. Walk the ring's preference order ([`crate::Ring::preference`]),
+//! 2. Walk the ring's preference order (`Ring::preference`),
 //!    live shards first. Forward the client's **raw line** and proxy the
 //!    shard's **raw response line** back byte-for-byte: responses are
 //!    pure functions of requests, so the router adds no bytes and the
@@ -187,13 +187,13 @@ impl RouterHandle {
     }
 
     /// True once the router has fully drained and stopped.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.join.is_finished()
     }
 
     /// True once drain has started (client `shutdown`, signal, or
     /// [`RouterHandle::shutdown`]).
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.state.draining.load(Ordering::SeqCst)
     }
 

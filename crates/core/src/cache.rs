@@ -33,7 +33,7 @@ impl CompileConfig {
     /// and [`ltsp_pipeliner::PipelineOptions`]), is deterministic within
     /// a build, and automatically tracks future field additions — a new
     /// knob can never silently alias two configs onto one key.
-    pub fn fingerprint(&self) -> Fingerprint {
+    pub(crate) fn fingerprint(&self) -> Fingerprint {
         Fingerprint::of_str(&format!("{self:?}"))
     }
 }
@@ -127,22 +127,26 @@ mod tests {
             // The adaptive loop's observed-hint overlay is a compile
             // input like any other: a config carrying one must never
             // alias the static config's key.
-            base.clone()
-                .with_observed_overlay(ltsp_hlo::ObservedOverlay::new(vec![Some(
+            CompileConfig {
+                observed_overlay: Some(ltsp_hlo::ObservedOverlay::new(vec![Some(
                     ltsp_hlo::ObservedVerdict {
                         hint: ltsp_hlo::ObservedHint::Level(ltsp_ir::LatencyHint::L3),
                         drop_prefetch: false,
                     },
-                )]))
-                .fingerprint(),
-            base.clone()
-                .with_observed_overlay(ltsp_hlo::ObservedOverlay::new(vec![Some(
+                )])),
+                ..base.clone()
+            }
+            .fingerprint(),
+            CompileConfig {
+                observed_overlay: Some(ltsp_hlo::ObservedOverlay::new(vec![Some(
                     ltsp_hlo::ObservedVerdict {
                         hint: ltsp_hlo::ObservedHint::Level(ltsp_ir::LatencyHint::L3),
                         drop_prefetch: true,
                     },
-                )]))
-                .fingerprint(),
+                )])),
+                ..base.clone()
+            }
+            .fingerprint(),
         ];
         for i in 0..fps.len() {
             for j in i + 1..fps.len() {

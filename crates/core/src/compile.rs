@@ -37,12 +37,6 @@ pub struct CompiledLoop {
 }
 
 impl CompiledLoop {
-    /// Registers used in one class (0 when the acyclic fallback estimated
-    /// usage is requested per class — use `regs_total` there).
-    pub fn regs_in_class(&self, class: RegClass) -> u32 {
-        self.regs.map_or(0, |r| r.total(class))
-    }
-
     /// The latency the final schedule assumed for a load (`None` for
     /// non-loads): the hint-derived expected latency for boosted loads,
     /// the base latency otherwise (and always for the acyclic fallback).

@@ -65,9 +65,10 @@ pub struct CompileConfig {
     pub miss_profile: Option<Vec<Option<ltsp_ir::LatencyHint>>>,
     /// Observed-hint overlay from the adaptive refinement loop
     /// (crates/adaptive): per-memref measured verdicts merged over the
-    /// static policy per [`ltsp_hlo::ObservedOverlay::merge`]. Covered
-    /// references bypass the trip-count threshold, like a miss profile;
-    /// uncovered references fall back to the static policy unchanged.
+    /// static policy (a `Fast` verdict clears the hint, a `Level` verdict
+    /// replaces it). Covered references bypass the trip-count threshold,
+    /// like a miss profile; uncovered references fall back to the static
+    /// policy unchanged.
     pub observed_overlay: Option<ltsp_hlo::ObservedOverlay>,
 }
 
@@ -86,20 +87,6 @@ impl CompileConfig {
             miss_profile: None,
             observed_overlay: None,
         }
-    }
-
-    /// Attaches a sampled miss profile (enables
-    /// [`LatencyPolicy::MissSampled`]).
-    pub fn with_miss_profile(mut self, profile: Vec<Option<ltsp_ir::LatencyHint>>) -> Self {
-        self.miss_profile = Some(profile);
-        self
-    }
-
-    /// Attaches an observed-hint overlay from the adaptive refinement
-    /// loop; covered references override the static policy.
-    pub fn with_observed_overlay(mut self, overlay: ltsp_hlo::ObservedOverlay) -> Self {
-        self.observed_overlay = Some(overlay);
-        self
     }
 
     /// Sets the trip-count threshold.

@@ -30,7 +30,6 @@ pub use compile::{
 pub use config::{CompileConfig, LatencyPolicy};
 pub use report::{format_cycle_accounting, format_gain_table, geomean_gain};
 pub use runner::{
-    benchmark_gain, default_jobs, run_benchmark, run_benchmark_sampled, run_benchmark_versioned,
-    run_suite, run_suite_sampled, run_suite_versioned, set_default_jobs, suite_cycle_accounting,
-    BenchRun, LoopRun, RunConfig, SuiteRun,
+    benchmark_gain, default_jobs, run_benchmark, run_suite, run_suite_versioned, set_default_jobs,
+    suite_cycle_accounting, BenchRun, LoopRun, RunConfig, SuiteRun,
 };

@@ -10,7 +10,7 @@ use ltsp_telemetry::{Observer, Telemetry};
 use ltsp_workloads::{Benchmark, LoopSpec};
 
 use crate::compile::{compile_loop_observed, compile_loop_with_profile};
-use crate::config::CompileConfig;
+use crate::config::{CompileConfig, LatencyPolicy};
 
 /// Process-wide default worker count picked up by [`RunConfig::new`]
 /// (0 = not yet initialised).
@@ -68,10 +68,11 @@ pub struct RunConfig {
     /// Telemetry sink receiving compiler decision traces, phase spans and
     /// simulator metrics. Disabled by default (zero overhead).
     pub telemetry: Telemetry,
-    /// Worker threads for batch layers ([`run_suite`] & friends). Results
-    /// and telemetry are merged in input-index order, so any value ≥ 1
-    /// produces byte-identical artifacts (see `DESIGN.md`, "Parallel
-    /// execution & determinism contract").
+    /// Worker threads for batch layers ([`run_suite`] and
+    /// [`run_suite_versioned`]). Results and telemetry are merged in
+    /// input-index order, so any value ≥ 1 produces byte-identical
+    /// artifacts (see `DESIGN.md`, "Parallel execution & determinism
+    /// contract").
     pub jobs: usize,
 }
 
@@ -244,7 +245,7 @@ fn run_loop_versioned(
     // compiled with the threshold disabled (dispatch happens at run time
     // on the *actual* trip count).
     let base_cfg = CompileConfig {
-        policy: crate::LatencyPolicy::Baseline,
+        policy: LatencyPolicy::Baseline,
         ..rc.compile.clone()
     };
     let boost_cfg = rc.compile.clone().with_threshold(0);
@@ -335,23 +336,11 @@ where
     SuiteRun { runs }
 }
 
-/// Runs one benchmark with **trip-count versioning** (the paper's Sec. 6
+/// Runs a whole suite with **trip-count versioning** (the paper's Sec. 6
 /// outlook): each loop keeps a baseline kernel and the policy's boosted
 /// kernel, and every entry dispatches on its *actual* trip count against
 /// [`CompileConfig::trip_threshold`]. Low-trip executions take the cheap
 /// kernel, long ones the latency-tolerant kernel — no profile needed.
-pub fn run_benchmark_versioned(
-    bench: &Benchmark,
-    machine: &MachineModel,
-    rc: &RunConfig,
-) -> BenchRun {
-    run_suite_versioned(std::slice::from_ref(bench), machine, rc)
-        .runs
-        .pop()
-        .expect("one benchmark in, one run out")
-}
-
-/// Runs a whole suite with trip-count versioning.
 pub fn run_suite_versioned(
     benchs: &[Benchmark],
     machine: &MachineModel,
@@ -366,53 +355,9 @@ pub fn run_suite_versioned(
     })
 }
 
-/// Runs one benchmark with **dynamic cache-miss sampling** (the paper's
-/// Sec. 6 outlook): each loop is first executed briefly under the baseline
-/// compiler while recording per-reference average latencies
-/// ([`crate::sample_miss_hints`]); the measured profile then drives the
-/// [`crate::LatencyPolicy::MissSampled`] policy. References that actually
-/// hit close caches get no hint — removing the static-information failure
-/// modes — while genuinely delinquent references are boosted.
-pub fn run_benchmark_sampled(
-    bench: &Benchmark,
-    machine: &MachineModel,
-    rc: &RunConfig,
-    sample_entries: u32,
-) -> BenchRun {
-    run_suite_sampled(std::slice::from_ref(bench), machine, rc, sample_entries)
-        .runs
-        .pop()
-        .expect("one benchmark in, one run out")
-}
-
-/// Runs a whole suite with dynamic cache-miss sampling.
-pub fn run_suite_sampled(
-    benchs: &[Benchmark],
-    machine: &MachineModel,
-    rc: &RunConfig,
-    sample_entries: u32,
-) -> SuiteRun {
-    pooled_suite("suite-sampled", benchs, rc, |tel, bench, spec| {
-        let loop_seed = rc.seed ^ fnv(bench.name) ^ fnv(&spec.name);
-        let sample_trip = spec.ref_trips.mean().round().max(1.0) as u64;
-        let profile = crate::sample_miss_hints(
-            &spec.loop_ir,
-            machine,
-            sample_trip,
-            sample_entries,
-            spec.stream_mode,
-            loop_seed ^ 0x5A3,
-        );
-        let mut rc2 = rc.clone();
-        rc2.telemetry = tel.clone();
-        rc2.compile = CompileConfig {
-            policy: crate::LatencyPolicy::MissSampled,
-            miss_profile: Some(profile),
-            ..rc.compile.clone()
-        };
-        run_loop(bench.name, spec, machine, &rc2)
-    })
-}
+/// Entries each loop runs under the baseline compiler to measure its miss
+/// profile before a [`LatencyPolicy::MissSampled`] compile.
+const SAMPLE_ENTRIES: u32 = 20;
 
 /// Runs one benchmark under the configuration.
 pub fn run_benchmark(bench: &Benchmark, machine: &MachineModel, rc: &RunConfig) -> BenchRun {
@@ -423,12 +368,35 @@ pub fn run_benchmark(bench: &Benchmark, machine: &MachineModel, rc: &RunConfig) 
 }
 
 /// Runs every benchmark of a suite.
+///
+/// Under [`LatencyPolicy::MissSampled`] with no `miss_profile` this is
+/// **dynamic cache-miss sampling** (the paper's Sec. 6 outlook): each loop
+/// is first executed briefly under the baseline compiler while recording
+/// per-reference average latencies ([`crate::sample_miss_hints`]), and the
+/// measured profile then drives the compile. References that actually hit
+/// close caches get no hint — removing the static-information failure
+/// modes — while genuinely delinquent references are boosted.
 pub fn run_suite(benchs: &[Benchmark], machine: &MachineModel, rc: &RunConfig) -> SuiteRun {
-    pooled_suite("suite", benchs, rc, |tel, bench, spec| {
-        let rc2 = RunConfig {
+    let sampled =
+        rc.compile.policy == LatencyPolicy::MissSampled && rc.compile.miss_profile.is_none();
+    let label = if sampled { "suite-sampled" } else { "suite" };
+    pooled_suite(label, benchs, rc, |tel, bench, spec| {
+        let mut rc2 = RunConfig {
             telemetry: tel.clone(),
             ..rc.clone()
         };
+        if sampled {
+            let loop_seed = rc.seed ^ fnv(bench.name) ^ fnv(&spec.name);
+            let sample_trip = spec.ref_trips.mean().round().max(1.0) as u64;
+            rc2.compile.miss_profile = Some(crate::sample_miss_hints(
+                &spec.loop_ir,
+                machine,
+                sample_trip,
+                SAMPLE_ENTRIES,
+                spec.stream_mode,
+                loop_seed ^ 0x5A3,
+            ));
+        }
         run_loop(bench.name, spec, machine, &rc2)
     })
 }

@@ -215,20 +215,6 @@ impl Ddg {
         })
     }
 
-    /// Builds a graph directly from raw edges, bypassing IR construction.
-    ///
-    /// For differential and property tests that need arbitrary dependence
-    /// shapes (random latencies, omegas, cycles) without inventing a loop
-    /// body that produces them. Not used by the production pipeline.
-    #[doc(hidden)]
-    pub fn synthetic(n: usize, edges: Vec<DepEdge>) -> Ddg {
-        assert!(
-            edges.iter().all(|e| e.from.index() < n && e.to.index() < n),
-            "edge endpoints must be < n"
-        );
-        Ddg::from_parts(n, edges, vec![false; n])
-    }
-
     /// Number of instructions (nodes).
     pub fn len(&self) -> usize {
         self.n
@@ -324,7 +310,7 @@ impl Ddg {
     /// Strongly connected components with more than one node or a
     /// self-loop — i.e. the subgraphs that can contain recurrence cycles.
     /// Returned as sorted node lists.
-    pub fn recurrence_sccs(&self) -> Vec<Vec<InstId>> {
+    pub(crate) fn recurrence_sccs(&self) -> Vec<Vec<InstId>> {
         let sccs = self.tarjan();
         sccs.into_iter()
             .filter(|scc| scc.len() > 1 || self.succs(scc[0]).any(|e| e.to == scc[0]))
@@ -398,6 +384,21 @@ mod tests {
     use super::*;
     use ltsp_ir::{DataClass, LoopBuilder};
     use ltsp_machine::{LatencyQuery, MachineModel};
+
+    impl Ddg {
+        /// Builds a graph directly from raw edges, bypassing IR construction.
+        ///
+        /// For differential and property tests that need arbitrary dependence
+        /// shapes (random latencies, omegas, cycles) without inventing a loop
+        /// body that produces them. Not used by the production pipeline.
+        pub(crate) fn synthetic(n: usize, edges: Vec<DepEdge>) -> Ddg {
+            assert!(
+                edges.iter().all(|e| e.from.index() < n && e.to.index() < n),
+                "edge endpoints must be < n"
+            );
+            Ddg::from_parts(n, edges, vec![false; n])
+        }
+    }
 
     fn base_lat(lp: &LoopIr, m: &MachineModel) -> impl Fn(InstId) -> u32 {
         let lats: Vec<u32> = lp

@@ -35,7 +35,6 @@ use crate::graph::Ddg;
 #[derive(Debug, Clone)]
 pub struct MinDist {
     n: usize,
-    ii: u32,
     dist: Vec<i64>,
 }
 
@@ -80,12 +79,7 @@ impl MinDist {
                 }
             }
         }
-        MinDist { n, ii, dist }
-    }
-
-    /// The II this matrix was computed at.
-    pub fn ii(&self) -> u32 {
-        self.ii
+        MinDist { n, dist }
     }
 
     /// Longest-path distance, or `None` if no path exists.
@@ -107,7 +101,7 @@ impl MinDist {
     /// Height-based scheduling priority: the longest path from the node to
     /// any other node (at least 0). Ops that feed long chains schedule
     /// first.
-    pub fn height(&self, node: InstId) -> i64 {
+    pub(crate) fn height(&self, node: InstId) -> i64 {
         let row = &self.dist[node.index() * self.n..(node.index() + 1) * self.n];
         row.iter()
             .copied()
@@ -136,8 +130,8 @@ struct Carried {
 
 /// Incremental [`MinDist`] solver for II escalation: pays the O(n³)
 /// Floyd-Warshall once (over the II-independent `omega = 0` subgraph),
-/// then re-derives heights or the full matrix at each II from the small
-/// set of carried edges. Falls back to [`MinDist::compute`] whenever the
+/// then re-derives heights at each II from the small set of carried
+/// edges. Falls back to [`MinDist::compute`] whenever the
 /// decomposition would be unsound, so results are always byte-identical
 /// to the reference.
 #[derive(Debug, Clone)]
@@ -146,19 +140,15 @@ pub struct MinDistSolver {
     /// Decomposition disabled (omega-0 cycle, or `c` not small): every
     /// query runs the reference Floyd-Warshall.
     always_exact: bool,
-    /// `n × n` longest ≥1-edge paths over `omega = 0` edges only.
-    d0: Vec<i64>,
-    /// Per-node `max_j d0[i][j]` (the II-independent part of `height`).
+    /// Per-node longest ≥1-edge path over `omega = 0` edges only (the
+    /// II-independent part of `height`).
     h0: Vec<i64>,
     carried: Vec<Carried>,
     /// `n × c`: longest empty-or-`omega0` path from node `i` to
     /// `carried[s].from`.
     entry: Vec<i64>,
-    /// `c × n`: longest empty-or-`omega0` path from `carried[t].to` to
-    /// node `j`.
-    exitv: Vec<i64>,
-    /// Per carried edge `t`: `max_j exitv[t][j]` (always ≥ 0: the empty
-    /// path to `carried[t].to` itself).
+    /// Per carried edge `t`: the longest empty-or-`omega0` path from
+    /// `carried[t].to` to any node (always ≥ 0: the empty path).
     maxexit: Vec<i64>,
     /// `c × c`: longest empty-or-`omega0` path from `carried[s].to` to
     /// `carried[t].from`.
@@ -300,11 +290,9 @@ impl MinDistSolver {
         MinDistSolver {
             n,
             always_exact: false,
-            d0,
             h0,
             carried,
             entry,
-            exitv,
             maxexit,
             a,
             q: vec![0; c * c],
@@ -318,11 +306,9 @@ impl MinDistSolver {
         MinDistSolver {
             n,
             always_exact: true,
-            d0: Vec::new(),
             h0: Vec::new(),
             carried,
             entry: Vec::new(),
-            exitv: Vec::new(),
             maxexit: Vec::new(),
             a: Vec::new(),
             q: Vec::new(),
@@ -330,11 +316,6 @@ impl MinDistSolver {
             cw: Vec::new(),
             fallback_dist: Vec::new(),
         }
-    }
-
-    /// Number of carried edges in the decomposition.
-    pub fn carried_edges(&self) -> usize {
-        self.carried.len()
     }
 
     /// Closes the carried-edge transition graph at `ii` into the scratch
@@ -426,67 +407,6 @@ impl MinDistSolver {
             out.push(if h > INVALID { h.max(0) } else { 0 });
         }
     }
-
-    /// The full [`MinDist`] matrix at `ii`, materialized from the
-    /// decomposition (or the reference when unsound). Byte-identical to
-    /// [`MinDist::compute`]. O(n²·c) when incremental.
-    pub fn matrix(&mut self, ddg: &Ddg, ii: u32) -> MinDist {
-        let n = self.n;
-        if self.always_exact || !self.close_transitions(ii) {
-            return MinDist::compute(ddg, ii);
-        }
-        let c = self.carried.len();
-        let mut dist = self.d0.clone();
-        // w[i][t] = best "from i, reach and take a first carried edge,
-        // then zero or more transitions ending just after edge t".
-        let mut w = vec![NEG_INF; n * c];
-        for i in 0..n {
-            for s in 0..c {
-                let e = self.entry[i * c + s];
-                if e <= INVALID {
-                    continue;
-                }
-                let first = e + self.cw[s];
-                // Zero further transitions: end at s itself.
-                if first > w[i * c + s] {
-                    w[i * c + s] = first;
-                }
-                for t in 0..c {
-                    let q = self.q[s * c + t];
-                    if q > INVALID {
-                        let cand = first + q;
-                        if cand > w[i * c + t] {
-                            w[i * c + t] = cand;
-                        }
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            for t in 0..c {
-                let wit = w[i * c + t];
-                if wit <= INVALID {
-                    continue;
-                }
-                for j in 0..n {
-                    let x = self.exitv[t * n + j];
-                    if x > INVALID {
-                        let cand = wit + x;
-                        if cand > dist[i * n + j] {
-                            dist[i * n + j] = cand;
-                        }
-                    }
-                }
-            }
-        }
-        // Normalize missing paths to the reference sentinel.
-        for d in &mut dist {
-            if *d <= INVALID {
-                *d = NEG_INF;
-            }
-        }
-        MinDist { n, ii, dist }
-    }
 }
 
 #[cfg(test)]
@@ -575,10 +495,6 @@ mod tests {
         let mut heights = Vec::new();
         for ii in 1..=ii_hi {
             let reference = MinDist::compute(ddg, ii);
-            let fast = solver.matrix(ddg, ii);
-            assert_eq!(fast.n, reference.n, "{ctx} ii={ii}");
-            assert_eq!(fast.ii, reference.ii, "{ctx} ii={ii}");
-            assert_eq!(fast.dist, reference.dist, "{ctx} ii={ii}: matrix diverged");
             solver.heights_into(ddg, ii, &mut heights);
             let ref_heights: Vec<i64> = (0..ddg.len())
                 .map(|i| reference.height(InstId(i as u32)))
@@ -652,7 +568,6 @@ mod tests {
         let mut h = vec![42];
         solver.heights_into(&ddg, 1, &mut h);
         assert!(h.is_empty());
-        assert!(!solver.matrix(&ddg, 1).has_positive_self_cycle());
 
         let one = crate::Ddg::synthetic(1, vec![]);
         let mut solver = MinDistSolver::new(&one);

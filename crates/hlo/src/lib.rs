@@ -22,5 +22,5 @@
 mod overlay;
 mod prefetch;
 
-pub use overlay::{HintSource, ObservedHint, ObservedOverlay, ObservedVerdict};
+pub use overlay::{ObservedHint, ObservedOverlay, ObservedVerdict};
 pub use prefetch::{run_hlo, run_hlo_observed, HintReason, HloConfig, HloReport, RefDecision};

@@ -28,15 +28,6 @@
 
 use ltsp_ir::{LatencyHint, MemRefId};
 
-/// Where an effective latency hint came from after the merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HintSource {
-    /// The static HLO prefetch analysis (or policy default) decided.
-    Static,
-    /// A runtime observation overrode the static analysis.
-    Observed,
-}
-
 /// The observed service level for a memory reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObservedHint {
@@ -79,7 +70,7 @@ impl ObservedOverlay {
 
     /// True when the observation says the static prefetch for `memref`
     /// is redundant and should be omitted.
-    pub fn drop_prefetch(&self, memref: MemRefId) -> bool {
+    pub(crate) fn drop_prefetch(&self, memref: MemRefId) -> bool {
         self.get(memref).is_some_and(|v| v.drop_prefetch)
     }
 
@@ -94,25 +85,6 @@ impl ObservedOverlay {
             .iter()
             .filter(|v| v.is_some_and(|v| v.drop_prefetch))
             .count()
-    }
-
-    /// The raw per-memref verdict table.
-    pub fn verdicts(&self) -> &[Option<ObservedVerdict>] {
-        &self.verdicts
-    }
-
-    /// Applies the merge rule: the effective hint for `memref` given the
-    /// `static_hint` the policy would assign, plus where it came from.
-    pub fn merge(
-        &self,
-        memref: MemRefId,
-        static_hint: Option<LatencyHint>,
-    ) -> (Option<LatencyHint>, HintSource) {
-        match self.get(memref).map(|v| v.hint) {
-            None => (static_hint, HintSource::Static),
-            Some(ObservedHint::Fast) => (None, HintSource::Observed),
-            Some(ObservedHint::Level(h)) => (Some(h), HintSource::Observed),
-        }
     }
 
     /// Number of references whose verdict differs from `prev` — the
@@ -149,20 +121,14 @@ mod tests {
             keep(ObservedHint::Fast),
             keep(ObservedHint::Level(LatencyHint::L3)),
         ]);
+        assert_eq!(ov.get(r(0)), None);
+        assert_eq!(ov.get(r(1)).map(|v| v.hint), Some(ObservedHint::Fast));
         assert_eq!(
-            ov.merge(r(0), Some(LatencyHint::L2)),
-            (Some(LatencyHint::L2), HintSource::Static)
+            ov.get(r(2)).map(|v| v.hint),
+            Some(ObservedHint::Level(LatencyHint::L3))
         );
-        assert_eq!(
-            ov.merge(r(1), Some(LatencyHint::L2)),
-            (None, HintSource::Observed)
-        );
-        assert_eq!(
-            ov.merge(r(2), None),
-            (Some(LatencyHint::L3), HintSource::Observed)
-        );
-        // Past-the-end references fall back to the static hint.
-        assert_eq!(ov.merge(r(9), None), (None, HintSource::Static));
+        // Past-the-end references have no coverage: the static hint stands.
+        assert_eq!(ov.get(r(9)), None);
         assert_eq!(ov.covered(), 2);
     }
 

@@ -140,7 +140,7 @@ impl LoopBuilder {
     }
 
     /// Allocates a fresh virtual register of the given class.
-    pub fn fresh(&mut self, class: RegClass) -> VReg {
+    pub(crate) fn fresh(&mut self, class: RegClass) -> VReg {
         let n = self.next_reg.entry(class).or_insert(0);
         let r = VReg::new(class, *n);
         *n += 1;
@@ -386,11 +386,6 @@ impl LoopBuilder {
         self.alu(Opcode::And, RegClass::Gr, vec![a.into(), b.into()])
     }
 
-    /// Bitwise or.
-    pub fn or(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Or, RegClass::Gr, vec![a.into(), b.into()])
-    }
-
     /// Bitwise xor.
     pub fn xor(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
         self.alu(Opcode::Xor, RegClass::Gr, vec![a.into(), b.into()])
@@ -401,11 +396,6 @@ impl LoopBuilder {
         self.alu(Opcode::Shl, RegClass::Gr, vec![a.into(), b.into()])
     }
 
-    /// Shift right.
-    pub fn shr(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Shr, RegClass::Gr, vec![a.into(), b.into()])
-    }
-
     /// Integer multiply.
     pub fn mul(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
         self.alu(Opcode::Mul, RegClass::Gr, vec![a.into(), b.into()])
@@ -414,11 +404,6 @@ impl LoopBuilder {
     /// Integer compare producing a predicate.
     pub fn cmp(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
         self.alu(Opcode::Cmp, RegClass::Pr, vec![a.into(), b.into()])
-    }
-
-    /// Register move.
-    pub fn mov(&mut self, a: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Mov, RegClass::Gr, vec![a.into()])
     }
 
     /// Integer reduction step: `acc = acc[-1] + v`.
@@ -438,11 +423,6 @@ impl LoopBuilder {
     /// FP add.
     pub fn fadd(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
         self.alu(Opcode::Fadd, RegClass::Fr, vec![a.into(), b.into()])
-    }
-
-    /// FP subtract.
-    pub fn fsub(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Fsub, RegClass::Fr, vec![a.into(), b.into()])
     }
 
     /// FP multiply.
@@ -492,21 +472,6 @@ impl LoopBuilder {
         dst
     }
 
-    /// FP compare producing a predicate.
-    pub fn fcmp(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Fcmp, RegClass::Pr, vec![a.into(), b.into()])
-    }
-
-    /// FP/integer conversion.
-    pub fn fcvt(&mut self, a: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Fcvt, RegClass::Fr, vec![a.into()])
-    }
-
-    /// A generic unary I-class op (extension etc.).
-    pub fn ext(&mut self, a: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Ext, RegClass::Gr, vec![a.into()])
-    }
-
     /// Adds an explicit memory dependence edge.
     pub fn mem_dep(&mut self, from: InstId, to: InstId, kind: MemDepKind, omega: u32) {
         self.mem_deps.push(MemDep {
@@ -515,16 +480,6 @@ impl LoopBuilder {
             kind,
             omega,
         });
-    }
-
-    /// Number of instructions emitted so far.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// True if no instructions have been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
     }
 
     /// Finishes and validates the loop.

@@ -112,7 +112,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// The functional-unit class the opcode executes on.
-    pub fn unit_class(self) -> UnitClass {
+    pub(crate) fn unit_class(self) -> UnitClass {
         match self {
             Opcode::Load(_) | Opcode::Store(_) | Opcode::Prefetch(_) => UnitClass::M,
             Opcode::Add
@@ -136,7 +136,7 @@ impl Opcode {
     }
 
     /// True for loads, stores and prefetches.
-    pub fn is_memory(self) -> bool {
+    pub(crate) fn is_memory(self) -> bool {
         matches!(
             self,
             Opcode::Load(_) | Opcode::Store(_) | Opcode::Prefetch(_)
@@ -146,11 +146,6 @@ impl Opcode {
     /// True for loads only.
     pub fn is_load(self) -> bool {
         matches!(self, Opcode::Load(_))
-    }
-
-    /// True for stores only.
-    pub fn is_store(self) -> bool {
-        matches!(self, Opcode::Store(_))
     }
 
     /// True for prefetches only.
@@ -273,7 +268,7 @@ impl Inst {
     /// where the qualifying predicate (a [`crate::RegClass::Pr`] value,
     /// usually from a `cmp`) is true — or false, when `negated` — the
     /// result of if-conversion.
-    pub fn new_predicated(
+    pub(crate) fn new_predicated(
         id: InstId,
         op: Opcode,
         dst: Option<VReg>,
@@ -383,7 +378,6 @@ mod tests {
     #[test]
     fn memory_predicates() {
         assert!(Opcode::Load(DataClass::Fp).is_load());
-        assert!(!Opcode::Load(DataClass::Fp).is_store());
         assert!(Opcode::Store(DataClass::Int).is_memory());
         assert!(Opcode::Prefetch(CacheLevel::L3).is_prefetch());
         assert!(!Opcode::Add.is_memory());

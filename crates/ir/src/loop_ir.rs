@@ -156,14 +156,6 @@ impl LoopIr {
         id
     }
 
-    /// Appends a memory reference, returning its id (used by the HLO for
-    /// prefetch streams).
-    pub fn push_memref(&mut self, memref: MemoryRef) -> MemRefId {
-        let id = MemRefId(self.memrefs.len() as u32);
-        self.memrefs.push(memref);
-        id
-    }
-
     /// The instruction defining `reg`, if any (a constant-time lookup).
     pub fn def_of(&self, reg: VReg) -> Option<InstId> {
         self.defs.get(&reg).copied()

@@ -178,20 +178,8 @@ pub enum AccessPattern {
 }
 
 impl AccessPattern {
-    /// Returns `true` if the address stream depends on a value loaded by
-    /// another (or the same) reference, i.e. address generation is data
-    /// dependent.
-    pub fn is_data_dependent(&self) -> bool {
-        matches!(
-            self,
-            AccessPattern::Gather { .. }
-                | AccessPattern::Deref { .. }
-                | AccessPattern::PointerChase { .. }
-        )
-    }
-
     /// The reference this pattern's addresses are computed from, if any.
-    pub fn address_source(&self) -> Option<MemRefId> {
+    pub(crate) fn address_source(&self) -> Option<MemRefId> {
         match self {
             AccessPattern::Gather { index, .. } => Some(*index),
             AccessPattern::Deref { pointer, .. } => Some(*pointer),
@@ -270,11 +258,6 @@ impl MemoryRef {
     /// The access pattern.
     pub fn pattern(&self) -> &AccessPattern {
         &self.pattern
-    }
-
-    /// Width of each access in bytes.
-    pub fn access_bytes(&self) -> u32 {
-        self.access_bytes
     }
 
     /// The expected-latency hint, if the HLO set one.
@@ -366,7 +349,6 @@ mod tests {
     #[test]
     fn data_dependence_classification() {
         let affine = AccessPattern::Affine { base: 0, stride: 8 };
-        assert!(!affine.is_data_dependent());
         assert_eq!(affine.address_source(), None);
 
         let gather = AccessPattern::Gather {
@@ -375,7 +357,6 @@ mod tests {
             elem_bytes: 8,
             region_bytes: 1 << 20,
         };
-        assert!(gather.is_data_dependent());
         assert_eq!(gather.address_source(), Some(MemRefId(0)));
 
         let chase = AccessPattern::PointerChase {
@@ -384,7 +365,6 @@ mod tests {
             region_bytes: 1 << 22,
             locality: 0.1,
         };
-        assert!(chase.is_data_dependent());
         assert_eq!(chase.address_source(), None, "chase feeds itself");
     }
 

@@ -24,7 +24,7 @@ impl RegClass {
     pub const ALL: [RegClass; 3] = [RegClass::Gr, RegClass::Fr, RegClass::Pr];
 
     /// Single-letter prefix used in textual dumps (`g12`, `f3`, `p0`).
-    pub fn prefix(self) -> char {
+    pub(crate) fn prefix(self) -> char {
         match self {
             RegClass::Gr => 'g',
             RegClass::Fr => 'f',
@@ -66,11 +66,6 @@ impl VReg {
     /// The register class.
     pub fn class(self) -> RegClass {
         self.class
-    }
-
-    /// The dense per-loop index within the class.
-    pub fn index(self) -> u32 {
-        self.index
     }
 }
 

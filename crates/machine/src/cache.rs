@@ -73,32 +73,8 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
-    /// Parameters for a given level.
-    ///
-    /// # Panics
-    ///
-    /// Panics when asked for [`CacheLevel::Memory`], which has no geometry.
-    pub fn level(&self, level: CacheLevel) -> &CacheParams {
-        match level {
-            CacheLevel::L1 => &self.l1,
-            CacheLevel::L2 => &self.l2,
-            CacheLevel::L3 => &self.l3,
-            CacheLevel::Memory => panic!("main memory has no cache geometry"),
-        }
-    }
-
-    /// Best-case service latency of a level (memory included).
-    pub fn best_latency(&self, level: CacheLevel) -> u32 {
-        match level {
-            CacheLevel::L1 => self.l1.best_latency,
-            CacheLevel::L2 => self.l2.best_latency,
-            CacheLevel::L3 => self.l3.best_latency,
-            CacheLevel::Memory => self.memory_latency,
-        }
-    }
-
     /// Typical service latency of a level (memory included).
-    pub fn typical_latency(&self, level: CacheLevel) -> u32 {
+    pub(crate) fn typical_latency(&self, level: CacheLevel) -> u32 {
         match level {
             CacheLevel::L1 => self.l1.typical_latency,
             CacheLevel::L2 => self.l2.typical_latency,

@@ -1,11 +1,11 @@
 //! Issue-width resources and the Resource II bound.
 
-use ltsp_ir::{LoopIr, UnitClass};
+use ltsp_ir::LoopIr;
 
 /// Number of issue slots available per cycle, by functional-unit class.
 ///
 /// A-class (simple ALU) instructions may issue on either an M or an I slot,
-/// which [`IssueResources::res_mii`] accounts for.
+/// which [`crate::MachineModel::res_mii`] accounts for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssueResources {
     /// Memory slots per cycle.
@@ -19,28 +19,17 @@ pub struct IssueResources {
 }
 
 impl IssueResources {
-    /// Slots for a unit class; `A` returns the M+I total it can draw from.
-    pub fn slots(&self, class: UnitClass) -> u32 {
-        match class {
-            UnitClass::M => self.m,
-            UnitClass::I => self.i,
-            UnitClass::F => self.f,
-            UnitClass::B => self.b,
-            UnitClass::A => self.m + self.i,
-        }
-    }
-
     /// The Resource II lower bound for a loop body (Sec. 1.1 of the paper):
     /// the minimum number of cycles needed to issue every instruction of one
     /// source iteration given the per-cycle slot counts, with A-class ops
     /// free to use M or I slots.
-    pub fn res_mii(&self, lp: &LoopIr) -> u32 {
+    pub(crate) fn res_mii(&self, lp: &LoopIr) -> u32 {
         let c = lp.unit_counts();
         self.res_mii_counts(c.m, c.i, c.f, c.b, c.a)
     }
 
     /// [`IssueResources::res_mii`] from raw per-class instruction counts.
-    pub fn res_mii_counts(&self, m: u32, i: u32, f: u32, b: u32, a: u32) -> u32 {
+    pub(crate) fn res_mii_counts(&self, m: u32, i: u32, f: u32, b: u32, a: u32) -> u32 {
         let mut ii = 1u32;
         ii = ii.max(div_ceil(m, self.m));
         ii = ii.max(div_ceil(i, self.i));
@@ -63,95 +52,6 @@ fn div_ceil(num: u32, den: u32) -> u32 {
         return u32::MAX / 2;
     }
     num.div_ceil(den)
-}
-
-/// A per-cycle tally of consumed issue slots, used by the modulo
-/// reservation table and the simulator issue stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResourceUsage {
-    /// M slots consumed.
-    pub m: u32,
-    /// I slots consumed.
-    pub i: u32,
-    /// F slots consumed.
-    pub f: u32,
-    /// B slots consumed.
-    pub b: u32,
-}
-
-impl ResourceUsage {
-    /// Tries to place an instruction of `class` in this cycle's remaining
-    /// slots. Returns `true` (and records the slot) on success.
-    ///
-    /// A-class ops prefer an I slot (keeping M slots free for memory ops)
-    /// and fall back to an M slot.
-    pub fn try_take(&mut self, class: UnitClass, res: &IssueResources) -> bool {
-        match class {
-            UnitClass::M => {
-                if self.m < res.m {
-                    self.m += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            UnitClass::I => {
-                if self.i < res.i {
-                    self.i += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            UnitClass::F => {
-                if self.f < res.f {
-                    self.f += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            UnitClass::B => {
-                if self.b < res.b {
-                    self.b += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            UnitClass::A => {
-                if self.i < res.i {
-                    self.i += 1;
-                    true
-                } else if self.m < res.m {
-                    self.m += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Releases a previously taken slot (used when the scheduler evicts an
-    /// instruction during backtracking).
-    ///
-    /// `took_m` reports whether an A-class op had been placed on an M slot.
-    pub fn release(&mut self, class: UnitClass, took_m: bool) {
-        match class {
-            UnitClass::M => self.m -= 1,
-            UnitClass::I => self.i -= 1,
-            UnitClass::F => self.f -= 1,
-            UnitClass::B => self.b -= 1,
-            UnitClass::A => {
-                if took_m {
-                    self.m -= 1;
-                } else {
-                    self.i -= 1;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,33 +104,5 @@ mod tests {
     #[test]
     fn res_mii_is_at_least_one() {
         assert_eq!(res().res_mii_counts(0, 0, 0, 0, 0), 1);
-    }
-
-    #[test]
-    fn usage_take_and_release() {
-        let r = res();
-        let mut u = ResourceUsage::default();
-        assert!(u.try_take(UnitClass::M, &r));
-        assert!(u.try_take(UnitClass::M, &r));
-        assert!(!u.try_take(UnitClass::M, &r), "only 2 M slots");
-        // A prefers I, then falls back to M (here M is full, I is free).
-        assert!(u.try_take(UnitClass::A, &r));
-        assert_eq!(u.i, 1);
-        u.release(UnitClass::A, false);
-        assert_eq!(u.i, 0);
-        u.release(UnitClass::M, false);
-        assert_eq!(u.m, 1);
-    }
-
-    #[test]
-    fn a_falls_back_to_m_when_i_full() {
-        let r = res();
-        let mut u = ResourceUsage::default();
-        assert!(u.try_take(UnitClass::I, &r));
-        assert!(u.try_take(UnitClass::I, &r));
-        assert!(u.try_take(UnitClass::A, &r));
-        assert_eq!(u.m, 1, "A took an M slot");
-        assert!(u.try_take(UnitClass::A, &r));
-        assert!(!u.try_take(UnitClass::A, &r), "all four M/I slots full");
     }
 }

@@ -40,7 +40,7 @@ pub struct LatencyTable {
 
 impl LatencyTable {
     /// Latency of a non-load opcode. Loads go through
-    /// [`LatencyTable::load_latency`]; stores and prefetches produce no
+    /// `LatencyTable::load_latency`; stores and prefetches produce no
     /// value, their "latency" for dependence purposes is 1 cycle.
     pub fn op_latency(&self, op: Opcode) -> u32 {
         match op {
@@ -72,7 +72,12 @@ impl LatencyTable {
     /// With [`LatencyQuery::Hinted`], returns the *typical* latency of the
     /// hinted cache level (11 / 21 rather than 5 / 14 on the modeled
     /// machine), again plus the FP extra cycle for FP loads.
-    pub fn load_latency(&self, geo: &CacheGeometry, data: DataClass, q: LatencyQuery) -> u32 {
+    pub(crate) fn load_latency(
+        &self,
+        geo: &CacheGeometry,
+        data: DataClass,
+        q: LatencyQuery,
+    ) -> u32 {
         let extra = match data {
             DataClass::Int => 0,
             DataClass::Fp => self.fp_load_extra,

@@ -28,7 +28,7 @@ mod model;
 mod regfile;
 
 pub use cache::{CacheGeometry, CacheParams, TlbParams};
-pub use issue::{IssueResources, ResourceUsage};
+pub use issue::IssueResources;
 pub use latency::{LatencyQuery, LatencyTable};
 pub use model::MachineModel;
 pub use regfile::RegisterFiles;

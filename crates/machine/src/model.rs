@@ -1,6 +1,6 @@
 //! The assembled machine model.
 
-use ltsp_ir::{DataClass, Inst, LoopIr};
+use ltsp_ir::{DataClass, LoopIr};
 
 use crate::cache::{CacheGeometry, CacheParams, TlbParams};
 use crate::issue::IssueResources;
@@ -162,15 +162,6 @@ impl MachineModel {
         self.latencies.load_latency(&self.caches, data, q)
     }
 
-    /// Latency of an arbitrary instruction under a query policy for loads.
-    pub fn inst_latency(&self, inst: &Inst, load_query: LatencyQuery) -> u32 {
-        if let ltsp_ir::Opcode::Load(dc) = inst.op() {
-            self.load_latency(dc, load_query)
-        } else {
-            self.latencies.op_latency(inst.op())
-        }
-    }
-
     /// Resource II for a loop on this machine (Sec. 1.1).
     pub fn res_mii(&self, lp: &LoopIr) -> u32 {
         self.issue.res_mii(lp)
@@ -180,7 +171,7 @@ impl MachineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltsp_ir::{LatencyHint, LoopBuilder};
+    use ltsp_ir::LoopBuilder;
 
     #[test]
     fn default_model_is_consistent() {
@@ -202,27 +193,5 @@ mod tests {
         assert_eq!(MachineModel::narrow().res_mii(&lp), 4);
         assert_eq!(MachineModel::itanium2().res_mii(&lp), 2);
         assert_eq!(MachineModel::wide().res_mii(&lp), 1);
-    }
-
-    #[test]
-    fn inst_latency_dispatches_on_loads() {
-        let m = MachineModel::itanium2();
-        let mut b = LoopBuilder::new("t");
-        let r = b.affine_ref("a", DataClass::Int, 0, 4, 4);
-        let v = b.load(r);
-        let _ = b.add(v, v);
-        let lp = b.build().unwrap();
-        let ld = &lp.insts()[0];
-        let add = &lp.insts()[1];
-        assert_eq!(m.inst_latency(ld, LatencyQuery::Base), 1);
-        assert_eq!(
-            m.inst_latency(ld, LatencyQuery::Hinted(LatencyHint::L3)),
-            21
-        );
-        // Non-loads ignore the query.
-        assert_eq!(
-            m.inst_latency(add, LatencyQuery::Hinted(LatencyHint::L3)),
-            1
-        );
     }
 }

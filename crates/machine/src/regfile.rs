@@ -33,15 +33,6 @@ impl RegisterFiles {
             RegClass::Pr => self.rotating_pr,
         }
     }
-
-    /// Total architected supply for a class.
-    pub fn total(&self, class: RegClass) -> u32 {
-        match class {
-            RegClass::Gr => self.total_gr,
-            RegClass::Fr => self.total_fr,
-            RegClass::Pr => self.total_pr,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -56,6 +47,6 @@ mod tests {
         assert_eq!(r.rotating(RegClass::Gr), 96);
         assert_eq!(r.rotating(RegClass::Fr), 96);
         assert_eq!(r.rotating(RegClass::Pr), 48);
-        assert!(r.total(RegClass::Gr) >= r.rotating(RegClass::Gr));
+        assert!(r.total_gr >= r.rotating(RegClass::Gr));
     }
 }

@@ -331,11 +331,6 @@ impl MemorySystem {
             redundant,
         }
     }
-
-    /// Empties all caches, the TLB and in-flight state.
-    pub fn clear(&mut self) {
-        *self = MemorySystem::new(self.geo);
-    }
 }
 
 #[cfg(test)]
@@ -424,15 +419,5 @@ mod tests {
         assert!(a.tlb_miss);
         let b = s.demand_access(0x50_0040, DataClass::Int, 1000, false);
         assert!(!b.tlb_miss, "same 16K page is cached in the TLB");
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut s = sys();
-        s.demand_access(0x1_0000, DataClass::Int, 0, false);
-        s.clear();
-        let again = s.demand_access(0x1_0000, DataClass::Int, 10_000, false);
-        assert_eq!(again.level, CacheLevel::Memory);
-        assert!(again.tlb_miss);
     }
 }

@@ -83,7 +83,7 @@ impl CycleCounters {
     /// (`total == unstalled + the five stall buckets`, mirroring
     /// [`CycleCounters::is_consistent`]) and the event counts as
     /// `{prefix}.events.*`. No-op on a disabled sink.
-    pub fn export(&self, tel: &ltsp_telemetry::Telemetry, prefix: &str) {
+    pub(crate) fn export(&self, tel: &ltsp_telemetry::Telemetry, prefix: &str) {
         if !tel.is_enabled() {
             return;
         }

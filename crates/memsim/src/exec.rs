@@ -360,7 +360,7 @@ impl<'a> Executor<'a> {
     /// Exports the accumulated [`CycleCounters`] into the attached
     /// telemetry sink's metrics registry under `prefix` (e.g.
     /// `"sim.cycles.total"`, the five stall buckets, and the event
-    /// counters — see [`CycleCounters::export`]).
+    /// counters — see `CycleCounters::export`).
     pub fn export_metrics(&self, prefix: &str) {
         self.counters.export(&self.telemetry, prefix);
     }

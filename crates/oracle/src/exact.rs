@@ -100,7 +100,7 @@ pub enum IiVerdict {
 
 impl IiVerdict {
     /// Short tag for telemetry and tables.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             IiVerdict::Exact { .. } => "exact",
             IiVerdict::BoundedUnknown { .. } => "bounded-unknown",

@@ -81,16 +81,6 @@ impl Pool {
         }
     }
 
-    /// A pool sized to [`default_parallelism`].
-    pub fn with_default_parallelism() -> Self {
-        Pool::new(default_parallelism())
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Applies `f` to every item and returns the results **in input
     /// order**, regardless of which worker computed what. `f` receives the
     /// item's index so callers can split per-item PRNG streams from a
@@ -313,7 +303,7 @@ mod tests {
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        assert_eq!(Pool::new(0).workers(), 1);
+        assert_eq!(Pool::new(0).workers, 1);
         assert!(default_parallelism() >= 1);
     }
 

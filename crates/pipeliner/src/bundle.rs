@@ -33,24 +33,13 @@ pub enum BundleTemplate {
 
 impl BundleTemplate {
     /// The slot unit types of this template.
-    pub fn slots(self) -> [UnitClass; 3] {
+    pub(crate) fn slots(self) -> [UnitClass; 3] {
         match self {
             BundleTemplate::Mii => [UnitClass::M, UnitClass::I, UnitClass::I],
             BundleTemplate::Mmi => [UnitClass::M, UnitClass::M, UnitClass::I],
             BundleTemplate::Mfi => [UnitClass::M, UnitClass::F, UnitClass::I],
             BundleTemplate::Mmf => [UnitClass::M, UnitClass::M, UnitClass::F],
             BundleTemplate::Mib => [UnitClass::M, UnitClass::I, UnitClass::B],
-        }
-    }
-
-    /// Template mnemonic (`.mii`, `.mmi`, …).
-    pub fn name(self) -> &'static str {
-        match self {
-            BundleTemplate::Mii => ".mii",
-            BundleTemplate::Mmi => ".mmi",
-            BundleTemplate::Mfi => ".mfi",
-            BundleTemplate::Mmf => ".mmf",
-            BundleTemplate::Mib => ".mib",
         }
     }
 }
@@ -239,7 +228,7 @@ mod tests {
     mod ltsp_workloads_free {
         use ltsp_ir::{DataClass, LoopBuilder, LoopIr};
 
-        pub fn mixed() -> LoopIr {
+        pub(crate) fn mixed() -> LoopIr {
             let mut b = LoopBuilder::new("mixed");
             let x = b.affine_ref("x", DataClass::Fp, 0, 8, 8);
             let y = b.affine_ref("y", DataClass::Fp, 1 << 22, 8, 8);

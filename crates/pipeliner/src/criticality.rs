@@ -26,13 +26,8 @@ pub struct LoadClassification {
 
 impl LoadClassification {
     /// The class of a load; `None` for non-loads.
-    pub fn class(&self, inst: InstId) -> Option<LoadClass> {
+    pub(crate) fn class(&self, inst: InstId) -> Option<LoadClass> {
         self.class[inst.index()]
-    }
-
-    /// True when the instruction is a load marked critical.
-    pub fn is_critical(&self, inst: InstId) -> bool {
-        self.class[inst.index()] == Some(LoadClass::Critical)
     }
 
     /// The latency query the scheduler should issue for this load: the
@@ -50,7 +45,7 @@ impl LoadClassification {
 
     /// A classification that boosts nothing (baseline compilation, or the
     /// register-allocation fallback that drops all boosts).
-    pub fn all_base(lp: &LoopIr) -> Self {
+    pub(crate) fn all_base(lp: &LoopIr) -> Self {
         let class = lp
             .insts()
             .iter()
@@ -404,7 +399,7 @@ mod tests {
     mod ltsp_workloads_free {
         use ltsp_ir::{DataClass, LoopBuilder, LoopIr};
 
-        pub fn loops_with_cycles() -> Vec<LoopIr> {
+        pub(crate) fn loops_with_cycles() -> Vec<LoopIr> {
             let mut out = Vec::new();
             // Chase with varying amounts of surrounding work.
             for extra in 0..4u64 {

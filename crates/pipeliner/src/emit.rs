@@ -55,24 +55,13 @@ fn rotating_base(class: RegClass) -> u32 {
 }
 
 impl RegisterAssignment {
-    /// The rotating range assigned to a value, if it is loop-defined.
-    pub fn range(&self, reg: VReg) -> Option<RotatingRange> {
-        self.ranges.get(&reg).copied()
-    }
-
-    /// The architectural register a loop-invariant (live-in) value lives
-    /// in (static, non-rotating).
-    pub fn static_reg(&self, reg: VReg) -> Option<u32> {
-        self.statics.get(&reg).copied()
-    }
-
     /// Pipeline stages (and stage predicates `p16 .. p16+stages-1`).
-    pub fn stages(&self) -> u32 {
+    pub(crate) fn stages(&self) -> u32 {
         self.stages
     }
 
     /// Rotating registers used in a class.
-    pub fn rotating_used(&self, class: RegClass) -> u32 {
+    pub(crate) fn rotating_used(&self, class: RegClass) -> u32 {
         match class {
             RegClass::Gr => self.used[0],
             RegClass::Fr => self.used[1],
@@ -81,14 +70,14 @@ impl RegisterAssignment {
     }
 
     /// The architectural name an instruction *writes* for its destination.
-    pub fn def_name(&self, reg: VReg) -> Option<String> {
+    pub(crate) fn def_name(&self, reg: VReg) -> Option<String> {
         let r = self.ranges.get(&reg)?;
         Some(arch_name(r.class, rotating_base(r.class) + r.offset))
     }
 
     /// The architectural name a *use* reads: the write register shifted by
     /// the back-edges crossed between definition and use.
-    pub fn use_name(
+    pub(crate) fn use_name(
         &self,
         reg: VReg,
         def_stage: u32,
@@ -407,8 +396,8 @@ mod tests {
 
         let v = lp.insts()[0].dst().unwrap(); // load value
         let s = lp.insts()[1].dst().unwrap(); // add value
-        let rv = a.range(v).unwrap();
-        let rs = a.range(s).unwrap();
+        let rv = a.ranges[&v];
+        let rs = a.ranges[&s];
         // Load def at stage 0, read by add at stage 1 -> delta 1, span 2.
         assert_eq!(rv.span, 2);
         assert_eq!(rs.span, 2);
@@ -454,7 +443,7 @@ mod tests {
         let mut seen: Vec<(RegClass, u32)> = Vec::new();
         for inst in lp.insts() {
             if let Some(d) = inst.dst() {
-                let r = a.range(d).unwrap();
+                let r = a.ranges[&d];
                 for off in r.offset..r.offset + r.span {
                     assert!(
                         !seen.contains(&(r.class, off)),
@@ -471,7 +460,7 @@ mod tests {
     mod ltsp_workloads_free {
         use ltsp_ir::{DataClass, LoopBuilder, LoopIr};
 
-        pub fn mcfish() -> LoopIr {
+        pub(crate) fn mcfish() -> LoopIr {
             let mut b = LoopBuilder::new("mcfish");
             let node = b.chase_ref("node", 0, 64, 1 << 22, 0.1);
             let fld = b.deref_ref("node->f", DataClass::Int, node, 128, 1 << 22, 8);

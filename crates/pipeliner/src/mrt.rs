@@ -62,7 +62,7 @@ impl Mrt {
     /// # Panics
     ///
     /// Panics if `ii == 0`.
-    pub fn new(ii: u32, res: IssueResources) -> Self {
+    pub(crate) fn new(ii: u32, res: IssueResources) -> Self {
         assert!(ii > 0, "II must be positive");
         Mrt {
             ii,
@@ -79,7 +79,7 @@ impl Mrt {
     /// # Panics
     ///
     /// Panics if `ii == 0`.
-    pub fn reset(&mut self, ii: u32, res: IssueResources) {
+    pub(crate) fn reset(&mut self, ii: u32, res: IssueResources) {
         assert!(ii > 0, "II must be positive");
         self.ii = ii;
         self.res = res;
@@ -89,11 +89,6 @@ impl Mrt {
         self.rows.resize_with(ii as usize, Vec::new);
         self.counts.clear();
         self.counts.resize(ii as usize, [0; 4]);
-    }
-
-    /// The table's II.
-    pub fn ii(&self) -> u32 {
-        self.ii
     }
 
     fn row_of(&self, time: i64) -> usize {
@@ -120,7 +115,7 @@ impl Mrt {
     }
 
     /// True if an instruction of `class` fits at `time` without eviction.
-    pub fn fits(&self, time: i64, class: UnitClass) -> bool {
+    pub(crate) fn fits(&self, time: i64, class: UnitClass) -> bool {
         self.free_in_row(self.row_of(time), class).is_some()
     }
 
@@ -128,7 +123,7 @@ impl Mrt {
     ///
     /// Returns `true` on success; `false` if the row has no free compatible
     /// slot (use [`Mrt::place_forced`] to evict).
-    pub fn place(&mut self, inst: InstId, time: i64, class: UnitClass) -> bool {
+    pub(crate) fn place(&mut self, inst: InstId, time: i64, class: UnitClass) -> bool {
         let row = self.row_of(time);
         match self.free_in_row(row, class) {
             Some(slot) => {
@@ -157,7 +152,12 @@ impl Mrt {
     /// to the I slots (then M). Among candidates, the *most recently
     /// placed* occupant is evicted, which in the iterative scheduler
     /// corresponds to the lowest-priority one placed so far.
-    pub fn place_forced(&mut self, inst: InstId, time: i64, class: UnitClass) -> Option<InstId> {
+    pub(crate) fn place_forced(
+        &mut self,
+        inst: InstId,
+        time: i64,
+        class: UnitClass,
+    ) -> Option<InstId> {
         if self.place(inst, time, class) {
             return None;
         }
@@ -194,7 +194,7 @@ impl Mrt {
     /// # Panics
     ///
     /// Panics if the instruction is not in that row.
-    pub fn remove(&mut self, inst: InstId, time: i64) {
+    pub(crate) fn remove(&mut self, inst: InstId, time: i64) {
         let row = self.row_of(time);
         let pos = self.rows[row]
             .iter()
@@ -203,16 +203,18 @@ impl Mrt {
         let occ = self.rows[row].remove(pos);
         self.counts[row][occ.slot.idx()] -= 1;
     }
-
-    /// Total occupied slots (for tests/statistics).
-    pub fn occupancy(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Mrt {
+        /// Total occupied slots.
+        fn occupancy(&self) -> usize {
+            self.rows.iter().map(Vec::len).sum()
+        }
+    }
 
     fn res() -> IssueResources {
         IssueResources {
@@ -310,13 +312,13 @@ mod tests {
         assert!(mrt.place(InstId(0), 0, UnitClass::M));
         assert!(mrt.place(InstId(1), 2, UnitClass::F));
         mrt.reset(5, res());
-        assert_eq!(mrt.ii(), 5);
+        assert_eq!(mrt.ii, 5);
         assert_eq!(mrt.occupancy(), 0);
         for t in 0..5 {
             assert!(mrt.fits(t, UnitClass::M));
         }
         mrt.reset(2, res());
-        assert_eq!(mrt.ii(), 2);
+        assert_eq!(mrt.ii, 2);
         assert!(mrt.place(InstId(0), 1, UnitClass::B));
         assert!(!mrt.fits(1, UnitClass::B));
     }

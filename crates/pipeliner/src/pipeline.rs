@@ -78,22 +78,6 @@ pub struct PipelinedLoop {
     pub stats: PipelineStats,
 }
 
-impl PipelinedLoop {
-    /// The scheduling latency the kernel assumed for each load —
-    /// `None` for non-loads. Useful for analysis and tests.
-    pub fn scheduled_load_latency(
-        &self,
-        lp: &LoopIr,
-        machine: &MachineModel,
-        inst: InstId,
-    ) -> Option<u32> {
-        match lp.inst(inst).op() {
-            Opcode::Load(dc) => Some(machine.load_latency(dc, self.classification.query(inst))),
-            _ => None,
-        }
-    }
-}
-
 /// Pipelining was rejected; the caller should fall back to the acyclic
 /// schedule, which the driver already built for its profitability ceiling
 /// and hands over here.
@@ -551,6 +535,14 @@ mod tests {
     use ltsp_ir::{DataClass, LoopBuilder};
     use ltsp_telemetry::Telemetry;
 
+    /// The latency the kernel assumed for load `inst`.
+    fn load_latency_of(p: &PipelinedLoop, lp: &LoopIr, m: &MachineModel, inst: InstId) -> u32 {
+        let Opcode::Load(dc) = lp.inst(inst).op() else {
+            panic!("{inst:?} is not a load");
+        };
+        m.load_latency(dc, p.classification.query(inst))
+    }
+
     fn running_example() -> LoopIr {
         let mut b = LoopBuilder::new("ex");
         let s = b.affine_ref("s", DataClass::Int, 0, 4, 4);
@@ -589,8 +581,8 @@ mod tests {
         assert!(boosted.schedule.stage_count() > base.schedule.stage_count());
         assert_eq!(boosted.stats.boosted_loads, 1);
         // The load is scheduled at the typical L3 latency.
-        assert_eq!(boosted.scheduled_load_latency(&lp, &m, InstId(0)), Some(21));
-        assert_eq!(base.scheduled_load_latency(&lp, &m, InstId(0)), Some(1));
+        assert_eq!(load_latency_of(&boosted, &lp, &m, InstId(0)), 21);
+        assert_eq!(load_latency_of(&base, &lp, &m, InstId(0)), 1);
     }
 
     #[test]
@@ -612,8 +604,8 @@ mod tests {
         .unwrap();
         assert_eq!(p.stats.critical_loads, 1);
         assert_eq!(p.stats.boosted_loads, 1);
-        assert_eq!(p.scheduled_load_latency(&lp, &m, InstId(0)), Some(1));
-        assert_eq!(p.scheduled_load_latency(&lp, &m, InstId(1)), Some(21));
+        assert_eq!(load_latency_of(&p, &lp, &m, InstId(0)), 1);
+        assert_eq!(load_latency_of(&p, &lp, &m, InstId(1)), 21);
         assert_eq!(p.schedule.ii(), 1, "II survives the boost");
     }
 

@@ -48,11 +48,6 @@ impl ModuloSchedule {
         self.times[inst.index()]
     }
 
-    /// Kernel cycle (`time % II`) of an instruction.
-    pub fn cycle(&self, inst: InstId) -> u32 {
-        (self.time(inst) % i64::from(self.ii)) as u32
-    }
-
     /// Stage (`time / II`) of an instruction.
     pub fn stage(&self, inst: InstId) -> u32 {
         (self.time(inst) / i64::from(self.ii)) as u32
@@ -129,11 +124,8 @@ mod tests {
     #[test]
     fn cycle_stage_decomposition() {
         let s = ModuloSchedule::new(3, vec![0, 4, 7]);
-        assert_eq!(s.cycle(InstId(0)), 0);
         assert_eq!(s.stage(InstId(0)), 0);
-        assert_eq!(s.cycle(InstId(1)), 1);
         assert_eq!(s.stage(InstId(1)), 1);
-        assert_eq!(s.cycle(InstId(2)), 1);
         assert_eq!(s.stage(InstId(2)), 2);
         assert_eq!(s.stage_count(), 3);
     }

@@ -82,7 +82,7 @@ impl<'a> ModuloScheduler<'a> {
     /// there are probed in the reservation table; if none fits, the
     /// operation is placed by force (evicting the most recently placed
     /// conflicting occupant, preferring a relocatable A-class one — see
-    /// [`Mrt::place_forced`]) at `max(estart, previous placement + 1)` to
+    /// `Mrt::place_forced`) at `max(estart, previous placement + 1)` to
     /// guarantee progress. Dependence-violated successors are
     /// unscheduled. The total number of placements is bounded by
     /// `budget_factor × n`; an empty loop body yields an empty schedule

@@ -113,7 +113,7 @@ pub(crate) enum Route {
 
 impl Route {
     /// The request's first-level cache key, where the route carries it.
-    pub fn key(&self) -> Option<Fingerprint> {
+    pub(crate) fn key(&self) -> Option<Fingerprint> {
         match self {
             Route::Direct => None,
             Route::Queued(key) => *key,
@@ -702,14 +702,14 @@ impl Engine {
 
     /// Tallies and traces a response (also used by the daemon for
     /// admission-path responses: overloaded / draining / parse errors).
-    pub fn finish(&self, req: &Request, resp: Response, tel: &Telemetry) -> Response {
+    pub(crate) fn finish(&self, req: &Request, resp: Response, tel: &Telemetry) -> Response {
         self.tally(&req.id, req.op.tag(), &req.loop_text, resp, tel)
     }
 
     /// Like [`Engine::finish`] for responses produced before a
     /// [`Request`] exists (protocol parse failures): tallies the status
     /// and traces under the given op tag.
-    pub fn finish_admission(
+    pub(crate) fn finish_admission(
         &self,
         trace_id: &str,
         op: &'static str,
@@ -753,7 +753,7 @@ impl Engine {
 
     /// Exports both caches' counters and the request tallies into
     /// `tel`'s metrics registry.
-    pub fn export_metrics(&self, tel: &Telemetry) {
+    pub(crate) fn export_metrics(&self, tel: &Telemetry) {
         let sh = &self.core;
         sh.compile_cache.export_metrics(tel, "serve.compile_cache");
         sh.result_cache.export_metrics(tel, "serve.result_cache");

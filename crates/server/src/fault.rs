@@ -65,7 +65,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// The site's spec/telemetry tag.
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             FaultSite::Panic => "panic",
             FaultSite::Slow => "slow",

@@ -7,7 +7,7 @@
 //! the recorder must keep working after a contained handler panic, which
 //! is exactly when it is needed). When a `request_panic`, an injected
 //! fault, a dispatcher death, or a write-deadline shed fires, the daemon
-//! calls [`FlightRecorder::dump`], which writes the ring as JSONL into
+//! calls `FlightRecorder::dump`, which writes the ring as JSONL into
 //! `--flight-dir` under a deterministic sequence-numbered name, keeping
 //! only the newest [`MAX_DUMPS`] of its own files. With no
 //! `--flight-dir` configured, dumps are no-ops and the ring still serves
@@ -55,7 +55,7 @@ pub struct FlightRecord {
 
 impl FlightRecord {
     /// Builds a record from a request's outcome and its phase timer.
-    pub fn capture(
+    pub(crate) fn capture(
         req: &Request,
         key: Option<Fingerprint>,
         status: &'static str,
@@ -77,7 +77,7 @@ impl FlightRecord {
     }
 
     /// The record as one JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         let mut out = format!(
             "{{\"id\":\"{}\",\"op\":\"{}\",\"fingerprint\":\"{}\",\"status\":\"{}\",\"cache\":\"{}\",\"phases\":{{",
             json::escape(&self.id),
@@ -117,7 +117,7 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder keeping the last `cap` request lifecycles, dumping
     /// into `dir` when triggered (`None` disables dumping).
-    pub fn new(cap: usize, dir: Option<PathBuf>) -> FlightRecorder {
+    pub(crate) fn new(cap: usize, dir: Option<PathBuf>) -> FlightRecorder {
         FlightRecorder {
             ring: Mutex::new(VecDeque::with_capacity(cap.min(1024))),
             cap: cap.max(1),
@@ -128,7 +128,7 @@ impl FlightRecorder {
     }
 
     /// Appends one lifecycle, evicting the oldest past capacity.
-    pub fn record(&self, rec: FlightRecord) {
+    pub(crate) fn record(&self, rec: FlightRecord) {
         let mut ring = lock_unpoisoned(&self.ring);
         if ring.len() == self.cap {
             ring.pop_front();
@@ -137,23 +137,18 @@ impl FlightRecorder {
     }
 
     /// Records recorded and retained so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         lock_unpoisoned(&self.ring).len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Dumps taken so far (attempted; a missing `--flight-dir` means
     /// triggers fire without producing files).
-    pub fn dump_count(&self) -> u64 {
+    pub(crate) fn dump_count(&self) -> u64 {
         self.dumps.load(Ordering::Relaxed)
     }
 
     /// The current ring contents, oldest first, as JSONL.
-    pub fn render_jsonl(&self) -> String {
+    pub(crate) fn render_jsonl(&self) -> String {
         let ring = lock_unpoisoned(&self.ring);
         let mut out = String::new();
         for rec in ring.iter() {
@@ -168,7 +163,7 @@ impl FlightRecorder {
     /// when no dump directory is configured; I/O failures are contained
     /// (observability must never take the daemon down) and reported as
     /// `None` too.
-    pub fn dump(&self, reason: &str) -> Option<PathBuf> {
+    pub(crate) fn dump(&self, reason: &str) -> Option<PathBuf> {
         let dir = self.dir.as_ref()?;
         // Held across the write, so files are kept in sequence order.
         let mut kept = lock_unpoisoned(&self.kept);

@@ -97,7 +97,7 @@ pub enum ReqOp {
 
 impl ReqOp {
     /// The wire tag, also used for telemetry.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             ReqOp::Compile => "compile",
             ReqOp::Verify => "verify",
@@ -129,7 +129,7 @@ pub enum Backend {
 
 impl Backend {
     /// The wire tag, also used in cache keys and telemetry.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             Backend::Heuristic => "heuristic",
             Backend::Exact => "exact",
@@ -153,7 +153,7 @@ pub enum Mode {
 
 impl Mode {
     /// The wire tag, also used in cache keys and telemetry.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             Mode::Static => "static",
             Mode::Adaptive => "adaptive",
@@ -404,7 +404,7 @@ impl Response {
 
     /// Appends the response line (no trailing newline) to `out`, which
     /// a connection reuses from one response to the next.
-    pub fn render_into(&self, out: &mut String) {
+    pub(crate) fn render_into(&self, out: &mut String) {
         out.reserve(self.id.len() + self.body.len() + 64);
         out.push_str("{\"id\":\"");
         out.push_str(&escape(&self.id));
@@ -435,7 +435,7 @@ pub fn push_u64_field(body: &mut String, key: &str, value: u64) {
 }
 
 /// Appends a `"key":true|false` pair to a body fragment.
-pub fn push_bool_field(body: &mut String, key: &str, value: bool) {
+pub(crate) fn push_bool_field(body: &mut String, key: &str, value: bool) {
     use std::fmt::Write as _;
     let _ = write!(body, ",\"{}\":{}", escape(key), value);
 }

@@ -285,31 +285,8 @@ impl Event {
         }
     }
 
-    /// The loop this event concerns, when it has one.
-    pub fn loop_name(&self) -> Option<&str> {
-        match self {
-            Event::HloDecision { loop_name, .. }
-            | Event::CriticalityVerdict { loop_name, .. }
-            | Event::BoostAssigned { loop_name, .. }
-            | Event::ScheduleAttempt { loop_name, .. }
-            | Event::IiEscalation { loop_name, .. }
-            | Event::RegallocFallback { loop_name, .. }
-            | Event::AcyclicFallback { loop_name, .. }
-            | Event::OracleVerdict { loop_name, .. }
-            | Event::AdaptiveRound { loop_name, .. } => Some(loop_name),
-            Event::ServerRequest { loop_name, .. } if !loop_name.is_empty() => Some(loop_name),
-            Event::CycleEnumeration { .. }
-            | Event::WorkerSpan { .. }
-            | Event::ServerRequest { .. }
-            | Event::ServerLifecycle { .. }
-            | Event::RequestPanic { .. }
-            | Event::FaultInjected { .. }
-            | Event::Diagnostic { .. } => None,
-        }
-    }
-
     /// The event's payload as `(key, value)` pairs, in a stable order.
-    pub fn fields(&self) -> Vec<(&'static str, Scalar)> {
+    pub(crate) fn fields(&self) -> Vec<(&'static str, Scalar)> {
         match self {
             Event::HloDecision {
                 loop_name,
@@ -678,7 +655,6 @@ mod tests {
             slack: 0,
         };
         assert_eq!(e.kind(), "boost_assigned");
-        assert_eq!(e.loop_name(), Some("ex"));
         let f = e.fields();
         assert!(f.iter().any(|(k, v)| *k == "k" && *v == Scalar::U64(21)));
         assert!(e.render_human().contains("heuristic 2b"));
@@ -690,7 +666,6 @@ mod tests {
             level: "info",
             message: "hello".into(),
         };
-        assert_eq!(e.loop_name(), None);
         assert_eq!(e.render_human(), "info: hello");
     }
 }

@@ -41,7 +41,7 @@ pub enum Scalar {
 
 impl Scalar {
     /// Writes the value as a JSON token.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Scalar::Str(s) => {
                 out.push('"');
@@ -117,7 +117,7 @@ impl From<bool> for Scalar {
 }
 
 /// Writes `{"k":v,...}` from field pairs.
-pub fn write_object(out: &mut String, fields: &[(&str, Scalar)]) {
+pub(crate) fn write_object(out: &mut String, fields: &[(&str, Scalar)]) {
     out.push('{');
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {

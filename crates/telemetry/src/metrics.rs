@@ -103,7 +103,7 @@ impl Histogram {
     }
 
     /// The mean sample, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -152,7 +152,7 @@ impl Histogram {
 
     /// Non-empty power-of-two buckets as `(lower_bound, count)` pairs —
     /// the stable octave view ([`Histogram::to_json`] via
-    /// [`Metrics::to_json`] renders exactly this, unchanged by the fine
+    /// `Metrics::to_json` renders exactly this, unchanged by the fine
     /// sub-bucketing).
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
@@ -195,12 +195,12 @@ pub struct Metrics {
 
 impl Metrics {
     /// Adds to a monotonic counter (creating it at 0).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Records a histogram sample (creating the histogram).
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
+    pub(crate) fn histogram_record(&mut self, name: &str, value: u64) {
         self.histograms
             .entry(name.to_string())
             .or_default()
@@ -217,15 +217,10 @@ impl Metrics {
         self.histograms.get(name)
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
     /// Merges another registry into this one: counters add, histograms
     /// merge bucket-wise. Commutative, so splicing per-worker registries
     /// yields the same totals as a serial run.
-    pub fn merge(&mut self, other: &Metrics) {
+    pub(crate) fn merge(&mut self, other: &Metrics) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
         }
@@ -237,7 +232,7 @@ impl Metrics {
     /// The snapshot as one pretty-printed JSON document:
     /// `{"counters": {...}, "histograms": {name: {count, sum, min, max,
     /// mean, buckets: [[lo, n], ...]}}}`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -293,6 +288,13 @@ impl Metrics {
 mod tests {
     use super::*;
     use crate::json::parse;
+
+    impl Metrics {
+        /// True when nothing has been recorded.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.counters.is_empty() && self.histograms.is_empty()
+        }
+    }
 
     #[test]
     fn counters_accumulate() {

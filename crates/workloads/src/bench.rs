@@ -46,7 +46,7 @@ pub struct LoopSpec {
 impl LoopSpec {
     /// Convenience constructor with training = reference trips and a
     /// static estimate equal to the reference mean.
-    pub fn simple(
+    pub(crate) fn simple(
         name: impl Into<String>,
         loop_ir: LoopIr,
         trips: TripDistribution,
@@ -66,13 +66,13 @@ impl LoopSpec {
     }
 
     /// Overrides the training distribution (PGO mismatch modelling).
-    pub fn with_train(mut self, train: TripDistribution) -> Self {
+    pub(crate) fn with_train(mut self, train: TripDistribution) -> Self {
         self.train_trips = train;
         self
     }
 
     /// Overrides the static estimate (no-PGO modelling).
-    pub fn with_static_estimate(mut self, estimate: f64) -> Self {
+    pub(crate) fn with_static_estimate(mut self, estimate: f64) -> Self {
         self.static_trip_estimate = estimate;
         self
     }
@@ -95,7 +95,7 @@ pub struct Benchmark {
 
 impl Benchmark {
     /// A benchmark with no hot pipelined loops (policy-invariant).
-    pub fn flat(name: &'static str, suite: Suite) -> Self {
+    pub(crate) fn flat(name: &'static str, suite: Suite) -> Self {
         Benchmark {
             name,
             suite,

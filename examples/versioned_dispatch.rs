@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example versioned_dispatch`
 
 use ltsp::core::{
-    benchmark_gain, run_benchmark, run_benchmark_sampled, run_benchmark_versioned,
-    sample_miss_hints, CompileConfig, LatencyPolicy, RunConfig,
+    benchmark_gain, run_benchmark, run_suite_versioned, sample_miss_hints, CompileConfig,
+    LatencyPolicy, RunConfig,
 };
 use ltsp::machine::MachineModel;
 use ltsp::memsim::StreamMode;
@@ -58,14 +58,13 @@ fn main() {
             &machine,
             &RunConfig::new(CompileConfig::new(LatencyPolicy::HloHints).with_pgo(false)),
         );
-        let sampled = run_benchmark_sampled(
+        let sampled = run_benchmark(
             &bench,
             &machine,
             &RunConfig::new(CompileConfig::new(LatencyPolicy::MissSampled).with_pgo(false)),
-            20,
         );
-        let versioned = run_benchmark_versioned(
-            &bench,
+        let versioned = run_suite_versioned(
+            std::slice::from_ref(&bench),
             &machine,
             &RunConfig::new(CompileConfig::new(LatencyPolicy::AllLoadsL3).with_pgo(false)),
         );
@@ -73,7 +72,7 @@ fn main() {
             "  {name:<14} HLO {:+6.2}%   sampled {:+6.2}%   versioned {:+6.2}%",
             benchmark_gain(&bench, &base, &hlo),
             benchmark_gain(&bench, &base, &sampled),
-            benchmark_gain(&bench, &base, &versioned),
+            benchmark_gain(&bench, &base, &versioned.runs[0]),
         );
     }
     println!(
