@@ -33,7 +33,7 @@
 use ltsp_ddg::Ddg;
 use ltsp_ir::{LoopIr, RegClass, UnitClass};
 use ltsp_machine::MachineModel;
-use ltsp_pipeliner::ModuloSchedule;
+use ltsp_pipeliner::{allocate_rotating, register_floor, ModuloSchedule};
 
 /// Tunables for the oracle search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,9 +234,10 @@ struct Search<'a> {
     /// Per-row `[m, i, f, b, a]` occupancy.
     rows: Vec<[u32; 5]>,
     slots: [u32; 4], // machine M, I, F, B
-    /// Rotating-register caps `[GR, FR, PR]` when the search must emit a
-    /// register-allocatable witness; `None` for the register-free proof.
-    reg_caps: Option<[u32; 3]>,
+    /// The machine whose rotating files a witness must fit when the
+    /// search must emit a register-allocatable witness; `None` for the
+    /// register-free proof.
+    registers: Option<&'a MachineModel>,
     residue: Vec<u32>,
     assigned: Vec<usize>,
     /// One longest-path matrix per search depth (copy-down on descent).
@@ -286,9 +287,9 @@ pub fn search_at_bounded(
 
 /// [`search_at_bounded`] with rotating-register feasibility enforced
 /// inside the search: every candidate leaf's minimal-level realization is
-/// checked against the machine's rotating files (the same accounting the
-/// validator and `allocate_rotating` use), and register-starved leaves
-/// are rejected so the search keeps walking siblings.
+/// handed to `allocate_rotating`, the allocator the pipeliner's ladder
+/// uses, and register-starved leaves are rejected so the search keeps
+/// walking siblings.
 ///
 /// This is the emission-grade search the exact scheduling backend runs: a
 /// `Feasible` witness is guaranteed to register-allocate. The flip side
@@ -308,54 +309,18 @@ pub fn search_at_registered(
     deadline: Option<std::time::Instant>,
     nodes_out: &mut u64,
 ) -> Feasibility {
-    // Sound residue-independent precheck: a defined value read through a
-    // flow edge of latency L needs at least floor(L/II)+1 rotating
-    // registers at this II (the dependence inequality forces the lifetime
-    // to at least L), and every stage predicate costs a rotating PR. If
-    // even those floors overflow a register file, no schedule at this II
-    // can allocate — registered or not.
-    if !register_floor_fits(lp, machine, ddg, ii) {
+    // Sound residue-independent precheck: if even the register floor of
+    // the dependence graph overflows a rotating file, no schedule at this
+    // II can allocate — registered or not.
+    let floor = register_floor(lp, ddg, ii);
+    if RegClass::ALL
+        .into_iter()
+        .zip(floor)
+        .any(|(class, needed)| needed > machine.registers().rotating(class))
+    {
         return Feasibility::Infeasible;
     }
     search_at_impl(lp, machine, ddg, ii, node_budget, deadline, nodes_out, true)
-}
-
-/// Per-II lower bound on rotating-register demand vs. the machine's
-/// supply. For each definition, the lifetime is at least the largest
-/// flow-edge latency `L` into a reader whose operand distance is at
-/// least the edge's omega (then `t_read + II·ω_read − t_def ≥ L`), so the
-/// value occupies at least `floor(L/II) + 1` rotating registers; plus at
-/// least one stage predicate.
-fn register_floor_fits(lp: &LoopIr, machine: &MachineModel, ddg: &Ddg, ii: u32) -> bool {
-    let ii64 = i64::from(ii);
-    let mut demand = [0u32; 3]; // GR, FR, PR
-    for inst in lp.insts() {
-        let Some(def_reg) = inst.dst() else { continue };
-        let mut span = 0i64;
-        for e in ddg.edges() {
-            if e.from != inst.id() {
-                continue;
-            }
-            for s in lp.inst(e.to).reads() {
-                if s.reg == def_reg && s.omega >= e.omega {
-                    span = span.max(i64::from(e.latency) + ii64 * i64::from(s.omega - e.omega));
-                }
-            }
-        }
-        demand[reg_class_slot(def_reg.class())] += (span / ii64) as u32 + 1;
-    }
-    demand[reg_class_slot(RegClass::Pr)] += 1; // at least one stage predicate
-    RegClass::ALL
-        .iter()
-        .all(|&class| demand[reg_class_slot(class)] <= machine.registers().rotating(class))
-}
-
-fn reg_class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gr => 0,
-        RegClass::Fr => 1,
-        RegClass::Pr => 2,
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -397,13 +362,7 @@ fn search_at_impl(
         order,
         rows: vec![[0u32; 5]; ii as usize],
         slots: [res.m, res.i, res.f, res.b],
-        reg_caps: check_registers.then(|| {
-            [
-                machine.registers().rotating(RegClass::Gr),
-                machine.registers().rotating(RegClass::Fr),
-                machine.registers().rotating(RegClass::Pr),
-            ]
-        }),
+        registers: check_registers.then_some(machine),
         residue: vec![0; n],
         assigned: Vec::with_capacity(n),
         dist: vec![vec![NEG_INF; n * n]; n + 1],
@@ -415,7 +374,7 @@ fn search_at_impl(
     let found = s.dfs(0);
     *nodes_out += s.nodes;
     match found {
-        Some(times) => Feasibility::Feasible(ModuloSchedule::new(ii, times)),
+        Some(sched) => Feasibility::Feasible(sched),
         None if s.exhausted => Feasibility::Unknown,
         None => Feasibility::Infeasible,
     }
@@ -432,19 +391,22 @@ impl Search<'_> {
         }
     }
 
-    fn dfs(&mut self, depth: usize) -> Option<Vec<i64>> {
+    fn dfs(&mut self, depth: usize) -> Option<ModuloSchedule> {
         let n = self.order.len();
         if depth == n {
-            let times = self.realize();
+            let sched = ModuloSchedule::new(self.ii, self.realize());
             // Register-checked mode: a leaf whose minimal-level
-            // realization overflows a rotating file is rejected, and the
+            // realization the allocator rejects is dropped, and the
             // parent keeps walking sibling residues. `None` here means
             // "no emittable schedule in this subtree", not infeasibility
             // of the II (see `search_at_registered`).
-            if !self.registers_fit(&times) {
+            if self
+                .registers
+                .is_some_and(|m| allocate_rotating(self.lp, &sched, m).is_err())
+            {
                 return None;
             }
-            return Some(times);
+            return Some(sched);
         }
         let op = self.order[depth];
         // Rotation symmetry: the first assignment's residue is free.
@@ -464,8 +426,8 @@ impl Search<'_> {
             self.assigned.push(op);
             let consistent = self.extend_matrix(depth, op);
             if consistent {
-                if let Some(times) = self.dfs(depth + 1) {
-                    return Some(times);
+                if let Some(sched) = self.dfs(depth + 1) {
+                    return Some(sched);
                 }
             }
             self.assigned.pop();
@@ -574,37 +536,6 @@ impl Search<'_> {
         let ok = self.assigned.iter().all(|&x| d[x * n + x] <= 0);
         self.dist[depth + 1] = d;
         ok
-    }
-
-    /// True when a realized schedule's rotating-register demand fits the
-    /// caps (always true in register-free mode). Same accounting as the
-    /// allocator and the validator: a value defined at `t` and last read
-    /// (through an omega-distance operand) at `t_last` needs
-    /// `floor((t_last − t)/II) + 1` consecutive rotating registers; stage
-    /// predicates claim one rotating PR per stage.
-    fn registers_fit(&self, times: &[i64]) -> bool {
-        let Some(caps) = self.reg_caps else {
-            return true;
-        };
-        let ii = i64::from(self.ii);
-        let mut used = [0u32; 3]; // GR, FR, PR
-        let mut stages = 1u32;
-        for inst in self.lp.insts() {
-            stages = stages.max((times[inst.id().index()] / ii) as u32 + 1);
-            let Some(def_reg) = inst.dst() else { continue };
-            let t_def = times[inst.id().index()];
-            let mut t_last = t_def;
-            for reader in self.lp.insts() {
-                for s in reader.reads() {
-                    if s.reg == def_reg {
-                        t_last = t_last.max(times[reader.id().index()] + ii * i64::from(s.omega));
-                    }
-                }
-            }
-            used[reg_class_slot(def_reg.class())] += ((t_last - t_def) / ii) as u32 + 1;
-        }
-        used[reg_class_slot(RegClass::Pr)] += stages;
-        used[0] <= caps[0] && used[1] <= caps[1] && used[2] <= caps[2]
     }
 
     /// Turns a consistent full residue assignment into issue times:

@@ -20,14 +20,22 @@
 //!    slots. A-class instructions may draw from M or I slots; by Hall's
 //!    theorem the assignment exists iff `m <= M`, `i <= I` and
 //!    `m + i + a <= M + I` per row (plus the fixed F/B checks).
-//! 4. **Register lifetimes** — every value's rotating-register demand
-//!    (`floor(lifetime/II) + 1` per value, one predicate per stage) fits
-//!    the machine's rotating files.
+//! 4. **Register names** — the rotating names
+//!    [`assign_registers`] hands the emitter never put two live value
+//!    instances in one register in one cycle. From its own lifetime
+//!    arithmetic the validator maps each value to its arc of (register,
+//!    cycle) slots on the `count·II` circle: name `X` at kernel cycle `c`
+//!    is slot `X·II + c`, and a value defined at `t` with name `X` and
+//!    last read (through an omega-distance operand) at `t_last` covers
+//!    `X·II + t mod II` through `t_last − t` slots further on, every
+//!    iteration the same arc. Stage predicates cover names `0 .. stages`.
+//!    Arcs of one class must be disjoint and lie inside the count, and
+//!    the count must fit the machine's rotating file.
 
 use ltsp_ddg::Ddg;
 use ltsp_ir::{InstId, LoopIr, RegClass, UnitClass, VReg};
 use ltsp_machine::MachineModel;
-use ltsp_pipeliner::ModuloSchedule;
+use ltsp_pipeliner::{assign_registers, ModuloSchedule};
 
 /// One constraint violation found by [`validate_schedule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,14 +80,24 @@ pub enum Violation {
         /// Slots available.
         available: u32,
     },
-    /// Rotating-register demand exceeds a register file.
+    /// Rotating registers needed exceed those available.
     RegisterOverflow {
         /// The class that overflowed.
         class: RegClass,
-        /// Registers the schedule's lifetimes demand.
+        /// Registers the schedule's values need.
         needed: u32,
-        /// Rotating registers the machine has.
+        /// Rotating registers the machine has or, for names that run
+        /// past their class's count, that count.
         available: u32,
+    },
+    /// Two live value instances share a rotating register in a cycle.
+    RegisterClash {
+        /// The register's class.
+        class: RegClass,
+        /// Offset of the register within the class's rotating area.
+        register: u32,
+        /// Kernel cycle of the clash.
+        cycle: u32,
     },
 }
 
@@ -92,6 +110,7 @@ impl Violation {
             Violation::Dependence { .. } => "dependence",
             Violation::Resource { .. } => "resource",
             Violation::RegisterOverflow { .. } => "register-overflow",
+            Violation::RegisterClash { .. } => "register-clash",
         }
     }
 }
@@ -140,6 +159,14 @@ impl std::fmt::Display for Violation {
                 f,
                 "rotating {class} demand {needed} exceeds supply {available}"
             ),
+            Violation::RegisterClash {
+                class,
+                register,
+                cycle,
+            } => write!(
+                f,
+                "rotating {class} register {register} holds two live values in kernel cycle {cycle}"
+            ),
         }
     }
 }
@@ -155,8 +182,6 @@ pub struct Certificate {
     pub edges_checked: usize,
     /// Kernel rows checked against issue resources.
     pub rows_checked: u32,
-    /// Rotating registers the lifetimes demand, summed over classes.
-    pub rotating_regs: u32,
 }
 
 /// Validates `sched` against every constraint re-derived from `lp`, the
@@ -263,36 +288,23 @@ pub fn validate_schedule(
         }
     }
 
-    // 4. Register lifetimes: a value defined at t and last read (through
-    // an omega-distance operand) at t_last occupies
-    // floor((t_last - t)/II) + 1 consecutive rotating registers; stage
-    // predicates claim one rotating PR per stage.
-    let mut rotating = [0u32; 3]; // GR, FR, PR
-    for inst in lp.insts() {
-        let Some(def_reg) = inst.dst() else { continue };
-        let t_def = sched.time(inst.id());
-        let mut t_last = t_def;
-        for reader in lp.insts() {
-            for s in reader.reads() {
-                if s.reg == def_reg {
-                    let t = sched.time(reader.id()) + ii * i64::from(s.omega);
-                    t_last = t_last.max(t);
-                }
-            }
-        }
-        let slot = class_index(def_reg);
-        rotating[slot] += ((t_last - t_def) / ii) as u32 + 1;
-    }
-    rotating[class_index(VReg::new(RegClass::Pr, 0))] += derived_stages;
-    for class in RegClass::ALL {
-        let needed = rotating[class_index(VReg::new(class, 0))];
-        let available = machine.registers().rotating(class);
-        if needed > available {
-            violations.push(Violation::RegisterOverflow {
-                class,
-                needed,
-                available,
-            });
+    // 4. Register names, checked against this module's own lifetimes.
+    match assign_registers(lp, sched, machine) {
+        Err(e) => violations.push(Violation::RegisterOverflow {
+            class: e.class,
+            needed: e.needed,
+            available: e.available,
+        }),
+        Ok(names) => {
+            let count = RegClass::ALL.map(|class| names.rotating_used(class));
+            violations.extend(check_names(
+                lp,
+                sched,
+                derived_stages,
+                &|reg| names.name(reg),
+                count,
+                machine,
+            ));
         }
     }
 
@@ -302,19 +314,76 @@ pub fn validate_schedule(
             stages: derived_stages,
             edges_checked: ddg.edges().len(),
             rows_checked: sched.ii(),
-            rotating_regs: rotating.iter().sum(),
         })
     } else {
         Err(violations)
     }
 }
 
-fn class_index(reg: VReg) -> usize {
-    match reg.class() {
-        RegClass::Gr => 0,
-        RegClass::Fr => 1,
-        RegClass::Pr => 2,
+/// Checks rotating names on the space-time line: `name_of` gives each
+/// loop-defined value's register offset, `count` each class's reported
+/// count (see the module docs).
+fn check_names(
+    lp: &LoopIr,
+    sched: &ModuloSchedule,
+    stages: u32,
+    name_of: &dyn Fn(VReg) -> Option<u32>,
+    count: [u32; 3],
+    machine: &MachineModel,
+) -> Vec<Violation> {
+    let ii = i64::from(sched.ii());
+    // Inclusive slot arcs per class (GR, FR, PR); the stage predicates
+    // come first in the predicate file.
+    let mut arcs: [Vec<(i64, i64)>; 3] = Default::default();
+    arcs[2].push((0, i64::from(stages) * ii - 1));
+    for inst in lp.insts() {
+        let Some(def_reg) = inst.dst() else { continue };
+        let t_def = sched.time(inst.id());
+        let mut t_last = t_def;
+        for reader in lp.insts() {
+            for s in reader.reads() {
+                if s.reg == def_reg {
+                    t_last = t_last.max(sched.time(reader.id()) + ii * i64::from(s.omega));
+                }
+            }
+        }
+        // An unnamed value fits inside no count.
+        let name = name_of(def_reg).map_or(i64::MAX, i64::from);
+        let first = name.saturating_mul(ii).saturating_add(t_def % ii);
+        arcs[def_reg.class() as usize].push((first, first.saturating_add(t_last - t_def)));
     }
+
+    let mut violations = Vec::new();
+    for (k, class) in RegClass::ALL.into_iter().enumerate() {
+        let available = machine.registers().rotating(class);
+        if count[k] > available {
+            violations.push(Violation::RegisterOverflow {
+                class,
+                needed: count[k],
+                available,
+            });
+        }
+        arcs[k].sort_unstable();
+        let mut reach = -1;
+        for &(first, last) in &arcs[k] {
+            if first <= reach {
+                violations.push(Violation::RegisterClash {
+                    class,
+                    register: u32::try_from(first / ii).unwrap_or(u32::MAX),
+                    cycle: (first % ii) as u32,
+                });
+            }
+            reach = reach.max(last);
+        }
+        if reach >= i64::from(count[k]) * ii {
+            violations.push(Violation::RegisterOverflow {
+                class,
+                needed: u32::try_from(reach / ii + 1).unwrap_or(u32::MAX),
+                available: count[k],
+            });
+        }
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -416,6 +485,57 @@ mod tests {
                 }
             )),
             "{v:?}"
+        );
+    }
+
+    /// The running example at II 1 with the allocator's names: the load's
+    /// value is named 0 and lives through slot 1, the sum is named 2.
+    fn named_example() -> (LoopIr, ModuloSchedule, ltsp_pipeliner::RegisterAssignment) {
+        let m = MachineModel::itanium2();
+        let lp = running_example();
+        let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
+        let sched = ModuloScheduler::new(&lp, &m, &ddg)
+            .schedule_at(1, 8)
+            .unwrap();
+        let names = assign_registers(&lp, &sched, &m).unwrap();
+        (lp, sched, names)
+    }
+
+    #[test]
+    fn rejects_names_that_share_a_cycle() {
+        let m = MachineModel::itanium2();
+        let (lp, sched, names) = named_example();
+        let count = RegClass::ALL.map(|c| names.rotating_used(c));
+        assert!(check_names(&lp, &sched, 3, &|r| names.name(r), count, &m).is_empty());
+        // Name 1 puts the sum in register 1 while the load's value is
+        // still there, at kernel cycle 0.
+        let sum = lp.insts()[1].dst().unwrap();
+        let forged = |r| if r == sum { Some(1) } else { names.name(r) };
+        let v = check_names(&lp, &sched, 3, &forged, count, &m);
+        assert_eq!(
+            v,
+            [Violation::RegisterClash {
+                class: RegClass::Gr,
+                register: 1,
+                cycle: 0
+            }]
+        );
+    }
+
+    #[test]
+    fn rejects_names_past_the_count() {
+        let m = MachineModel::itanium2();
+        let (lp, sched, names) = named_example();
+        let mut count = RegClass::ALL.map(|c| names.rotating_used(c));
+        count[0] -= 1;
+        let v = check_names(&lp, &sched, 3, &|r| names.name(r), count, &m);
+        assert_eq!(
+            v,
+            [Violation::RegisterOverflow {
+                class: RegClass::Gr,
+                needed: 4,
+                available: 3
+            }]
         );
     }
 

@@ -5,10 +5,10 @@
 //! suite — a checker that certifies everything is worse than no checker.
 
 use ltsp_ddg::Ddg;
-use ltsp_ir::{DataClass, InstId, LoopBuilder, LoopIr};
+use ltsp_ir::{DataClass, InstId, LoopBuilder, LoopIr, RegClass};
 use ltsp_machine::MachineModel;
 use ltsp_oracle::validate_schedule;
-use ltsp_pipeliner::{ModuloSchedule, ModuloScheduler};
+use ltsp_pipeliner::{assign_registers, pipeline_loop, ModuloSchedule, ModuloScheduler};
 
 fn running_example() -> LoopIr {
     let mut b = LoopBuilder::new("ex");
@@ -175,7 +175,7 @@ fn systematic_single_op_shifts_never_falsely_certify() {
     for seed in 0..20u64 {
         let lp = ltsp_workloads::random_loop(seed);
         let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
-        let Ok(p) = ltsp_pipeliner::pipeline_loop(&lp, &m, &|_| None, &Default::default()) else {
+        let Ok(p) = pipeline_loop(&lp, &m, &|_| None, &Default::default()) else {
             continue;
         };
         let sched = p.schedule;
@@ -205,4 +205,66 @@ fn systematic_single_op_shifts_never_falsely_certify() {
             }
         }
     }
+}
+
+// Name mutants. The allocator's names cannot be forged from outside the
+// pipeliner (the validator's unit tests feed it forged ones), so these
+// tests pin kernels on which each allocator mutant shows: the validator
+// must certify the real names, and would reject the mutant's.
+
+/// The sweep starts each value one slot past the previous value's last
+/// read. In the running example at II 1 the load's value holds name 0
+/// through the add's read, so the sum is named 2 (Fig. 3's `r34`); a
+/// sweep that let the two share that cycle would name it 1, a clash.
+#[test]
+fn mutant_names_sharing_a_cycle_are_rejected() {
+    let m = MachineModel::itanium2();
+    let lp = running_example();
+    let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
+    let sched = certified_schedule(&lp, &m, &ddg, 1);
+    let names = assign_registers(&lp, &sched, &m).unwrap();
+    let sum = lp.insts()[1].dst().unwrap();
+    assert_eq!(names.name(sum), Some(2));
+}
+
+/// A count covers every name. `random_loop(15)`'s names span one
+/// rotating predicate more than the paper's `⌊L/II⌋ + 1` sum charges, so
+/// a count one below the names' extent leaves a value outside it.
+#[test]
+fn mutant_count_below_the_names_is_rejected() {
+    let m = MachineModel::itanium2();
+    let lp = ltsp_workloads::random_loop(15);
+    let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
+    let p = pipeline_loop(&lp, &m, &|_| None, &Default::default()).unwrap();
+    validate_schedule(&lp, &ddg, &p.schedule, &m)
+        .unwrap_or_else(|v| panic!("real names must certify: {v:?}"));
+    assert_eq!(p.regs.rotating(RegClass::Pr), 4);
+}
+
+/// The emitted names are the counted ones: a packer of its own behind
+/// `assign_registers` (say `δ + 1` registers per value, δ the stage
+/// crossings) states counts the report does not.
+#[test]
+fn mutant_packer_apart_from_the_counts_is_rejected() {
+    let m = MachineModel::itanium2();
+    let mut checked = 0;
+    for seed in 0..40u64 {
+        let lp = ltsp_workloads::random_loop(seed);
+        let Ok(p) = pipeline_loop(&lp, &m, &|_| None, &Default::default()) else {
+            continue;
+        };
+        let ddg = Ddg::build_with_load_floor(&lp, &m, 0);
+        validate_schedule(&lp, &ddg, &p.schedule, &m)
+            .unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
+        let names = assign_registers(&lp, &p.schedule, &m).unwrap();
+        for class in RegClass::ALL {
+            assert_eq!(
+                names.rotating_used(class),
+                p.regs.rotating(class),
+                "seed {seed} {class}"
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked > 30, "only {checked} kernels checked");
 }

@@ -1,17 +1,16 @@
 //! Concrete rotating-register assignment and kernel assembly emission.
 //!
-//! [`allocate_rotating`](crate::allocate_rotating) only *counts* registers;
-//! this module assigns concrete architectural register numbers the way the
-//! paper's code listings do (Figs. 3 and 6) and renders the kernel as
-//! Itanium-style assembly with stage predicates and a `br.ctop` back edge.
+//! [`assign_registers`] hands out the names the rotating allocator
+//! ([`crate::allocate_rotating`]) derives its counts from, so the kernel
+//! header states exactly what the report does; this module renders them
+//! the way the paper's code listings do (Figs. 3 and 6), as Itanium-style
+//! assembly with stage predicates and a `br.ctop` back edge.
 //!
 //! Register rotation semantics: a value written to rotating register `X`
 //! appears in `X + k` after `k` kernel back-edges. A definition at stage
 //! `s_d` read by a use at stage `s_u` with loop-carried distance `omega`
 //! crosses `s_u + omega − s_d` back-edges, so the use names
-//! `X + s_u + omega − s_d`. Each value therefore occupies a *range* of
-//! consecutive rotating registers, one per kernel iteration it stays live
-//! — exactly the counting rule of Sec. 1.1.
+//! `X + s_u + omega − s_d`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -19,29 +18,15 @@ use std::fmt::Write as _;
 use ltsp_ir::{LoopIr, Opcode, RegClass, VReg};
 use ltsp_machine::MachineModel;
 
-use crate::regalloc::RegAllocError;
+use crate::regalloc::{allocate_names, RegAllocError, RegAllocation};
 use crate::schedule::ModuloSchedule;
-
-/// Concrete placement of one value in a rotating register file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RotatingRange {
-    /// Register class.
-    pub class: RegClass,
-    /// Offset of the *write* register within the rotating area (the
-    /// architectural number is `base_of(class) + offset`).
-    pub offset: u32,
-    /// Number of consecutive rotating registers the value's live
-    /// instances occupy.
-    pub span: u32,
-}
 
 /// A complete concrete register assignment for a scheduled kernel.
 #[derive(Debug, Clone)]
 pub struct RegisterAssignment {
-    ranges: HashMap<VReg, RotatingRange>,
+    names: HashMap<VReg, u32>,
     statics: HashMap<VReg, u32>,
-    stages: u32,
-    used: [u32; 3],
+    alloc: RegAllocation,
 }
 
 /// First architectural register of each rotating area (Itanium: `r32`,
@@ -55,40 +40,32 @@ fn rotating_base(class: RegClass) -> u32 {
 }
 
 impl RegisterAssignment {
-    /// Pipeline stages (and stage predicates `p16 .. p16+stages-1`).
-    pub(crate) fn stages(&self) -> u32 {
-        self.stages
+    /// Rotating registers used in a class: the count
+    /// [`crate::allocate_rotating`] reports.
+    pub fn rotating_used(&self, class: RegClass) -> u32 {
+        self.alloc.rotating(class)
     }
 
-    /// Rotating registers used in a class.
-    pub(crate) fn rotating_used(&self, class: RegClass) -> u32 {
-        match class {
-            RegClass::Gr => self.used[0],
-            RegClass::Fr => self.used[1],
-            RegClass::Pr => self.used[2],
-        }
+    /// The offset, within its class's rotating area, of the register a
+    /// loop-defined value's definition writes; `None` for live-ins.
+    pub fn name(&self, reg: VReg) -> Option<u32> {
+        self.names.get(&reg).copied()
     }
 
     /// The architectural name an instruction *writes* for its destination.
-    pub(crate) fn def_name(&self, reg: VReg) -> Option<String> {
-        let r = self.ranges.get(&reg)?;
-        Some(arch_name(r.class, rotating_base(r.class) + r.offset))
+    fn def_name(&self, reg: VReg) -> Option<String> {
+        let n = self.name(reg)?;
+        Some(arch_name(reg.class(), rotating_base(reg.class()) + n))
     }
 
     /// The architectural name a *use* reads: the write register shifted by
     /// the back-edges crossed between definition and use.
-    pub(crate) fn use_name(
-        &self,
-        reg: VReg,
-        def_stage: u32,
-        use_stage: u32,
-        omega: u32,
-    ) -> Option<String> {
-        if let Some(r) = self.ranges.get(&reg) {
+    fn use_name(&self, reg: VReg, def_stage: u32, use_stage: u32, omega: u32) -> Option<String> {
+        if let Some(n) = self.name(reg) {
             let delta = use_stage + omega - def_stage.min(use_stage + omega);
             Some(arch_name(
-                r.class,
-                rotating_base(r.class) + r.offset + delta,
+                reg.class(),
+                rotating_base(reg.class()) + n + delta,
             ))
         } else {
             let n = self.statics.get(&reg)?;
@@ -108,101 +85,40 @@ fn arch_name(class: RegClass, number: u32) -> String {
 /// Assigns concrete rotating registers to every loop-defined value and
 /// static registers to live-ins.
 ///
-/// Values are packed first-fit in definition-time order; each value's
-/// range length is `1 + max(use back-edge distance)`. Stage predicates
-/// claim the first `stages` rotating predicates.
+/// The rotating names are the allocator's: stage predicates claim the
+/// first `stages` rotating predicates, and the per-class counts are
+/// exactly those [`crate::allocate_rotating`] reports.
 ///
 /// # Errors
 ///
-/// Returns [`RegAllocError`] when a class's packed ranges exceed the
-/// machine's rotating supply — the same condition
-/// [`crate::allocate_rotating`] reports. Totals may differ by a register
-/// or two: the counter measures lifetimes in cycles, the packer in
-/// whole stage crossings.
+/// Returns [`RegAllocError`] when a class's count exceeds the machine's
+/// rotating supply — the same error [`crate::allocate_rotating`] returns.
 pub fn assign_registers(
     lp: &LoopIr,
     sched: &ModuloSchedule,
     machine: &MachineModel,
 ) -> Result<RegisterAssignment, RegAllocError> {
-    let stages = sched.stage_count();
-    // Max back-edge distance per defined value.
-    let mut def_stage: HashMap<VReg, u32> = HashMap::new();
-    for inst in lp.insts() {
-        if let Some(d) = inst.dst() {
-            def_stage.insert(d, sched.stage(inst.id()));
-        }
-    }
-    let mut max_delta: HashMap<VReg, u32> = HashMap::new();
-    for inst in lp.insts() {
-        let s_u = sched.stage(inst.id());
-        for s in inst.reads() {
-            if let Some(&s_d) = def_stage.get(&s.reg) {
-                let delta = (s_u + s.omega).saturating_sub(s_d);
-                let e = max_delta.entry(s.reg).or_insert(0);
-                *e = (*e).max(delta);
-            }
-        }
-    }
-
-    // Pack per class, in definition order (deterministic).
-    let mut cursors = [0u32; 3]; // GR, FR, PR value areas
-    cursors[2] = stages; // stage predicates come first in the PR area
-    let mut ranges = HashMap::new();
-    for inst in lp.insts() {
-        let Some(d) = inst.dst() else { continue };
-        let span = max_delta.get(&d).copied().unwrap_or(0) + 1;
-        let slot = match d.class() {
-            RegClass::Gr => 0,
-            RegClass::Fr => 1,
-            RegClass::Pr => 2,
-        };
-        ranges.insert(
-            d,
-            RotatingRange {
-                class: d.class(),
-                offset: cursors[slot],
-                span,
-            },
-        );
-        cursors[slot] += span;
-    }
-
-    for class in RegClass::ALL {
-        let slot = match class {
-            RegClass::Gr => 0,
-            RegClass::Fr => 1,
-            RegClass::Pr => 2,
-        };
-        let needed = cursors[slot];
-        let available = machine.registers().rotating(class);
-        if needed > available {
-            return Err(RegAllocError {
-                class,
-                needed,
-                available,
-            });
-        }
-    }
+    let (alloc, by_inst) = allocate_names(lp, sched, machine)?;
+    let names = lp
+        .insts()
+        .iter()
+        .filter_map(|inst| Some((inst.dst()?, by_inst[inst.id().index()])))
+        .collect();
 
     // Live-ins go to static registers r8.., f8.. (outside the rotating
     // area, caller-visible).
     let mut statics = HashMap::new();
     let mut next_static = [8u32, 8, 6];
     for &r in lp.live_in() {
-        let slot = match r.class() {
-            RegClass::Gr => 0,
-            RegClass::Fr => 1,
-            RegClass::Pr => 2,
-        };
-        statics.insert(r, next_static[slot]);
-        next_static[slot] += 1;
+        let next = &mut next_static[r.class() as usize];
+        statics.insert(r, *next);
+        *next += 1;
     }
 
     Ok(RegisterAssignment {
-        ranges,
+        names,
         statics,
-        stages,
-        used: cursors,
+        alloc,
     })
 }
 
@@ -225,7 +141,7 @@ pub fn emit_setup(assign: &RegisterAssignment, trip_reg: &str) -> String {
     let _ = writeln!(
         out,
         "  mov      ar.ec = {}                     // epilog stages",
-        assign.stages()
+        assign.alloc.stages
     );
     let _ = writeln!(
         out,
@@ -241,18 +157,12 @@ pub fn emit_setup(assign: &RegisterAssignment, trip_reg: &str) -> String {
 /// instances have distinct architectural names, i.e. the maximum number
 /// of kernel iterations any value stays live.
 pub fn mve_unroll_factor(lp: &LoopIr, sched: &ModuloSchedule) -> u32 {
-    let mut def_stage: HashMap<VReg, u32> = HashMap::new();
-    for inst in lp.insts() {
-        if let Some(d) = inst.dst() {
-            def_stage.insert(d, sched.stage(inst.id()));
-        }
-    }
     let mut factor = 1u32;
     for inst in lp.insts() {
         let s_u = sched.stage(inst.id());
-        for s in inst.srcs() {
-            if let Some(&s_d) = def_stage.get(&s.reg) {
-                factor = factor.max((s_u + s.omega).saturating_sub(s_d) + 1);
+        for s in inst.reads() {
+            if let Some(def) = lp.def_of(s.reg) {
+                factor = factor.max((s_u + s.omega).saturating_sub(sched.stage(def)) + 1);
             }
         }
     }
@@ -304,13 +214,7 @@ pub fn emit_kernel(lp: &LoopIr, sched: &ModuloSchedule, assign: &RegisterAssignm
         assign.rotating_used(RegClass::Pr),
     );
     let _ = writeln!(out, "L_kernel:");
-
-    let mut def_stage: HashMap<VReg, u32> = HashMap::new();
-    for inst in lp.insts() {
-        if let Some(d) = inst.dst() {
-            def_stage.insert(d, sched.stage(inst.id()));
-        }
-    }
+    let def_stage = |reg| lp.def_of(reg).map(|d| sched.stage(d));
 
     for (cycle, row) in sched.rows().iter().enumerate() {
         for slot in row {
@@ -320,7 +224,7 @@ pub fn emit_kernel(lp: &LoopIr, sched: &ModuloSchedule, assign: &RegisterAssignm
                 Some((q, neg)) => {
                     // The stage predicate is ANDed with the qualifying
                     // predicate (compilers materialize the conjunction).
-                    let d_stage = def_stage.get(&q.reg).copied().unwrap_or(slot.stage);
+                    let d_stage = def_stage(q.reg).unwrap_or(slot.stage);
                     let name = assign
                         .use_name(q.reg, d_stage, slot.stage, q.omega)
                         .unwrap_or_else(|| q.reg.to_string());
@@ -340,7 +244,7 @@ pub fn emit_kernel(lp: &LoopIr, sched: &ModuloSchedule, assign: &RegisterAssignm
                 .srcs()
                 .iter()
                 .map(|s| {
-                    let d_stage = def_stage.get(&s.reg).copied().unwrap_or(slot.stage);
+                    let d_stage = def_stage(s.reg).unwrap_or(slot.stage);
                     assign
                         .use_name(s.reg, d_stage, slot.stage, s.omega)
                         .unwrap_or_else(|| format!("{}", s.reg))
@@ -396,11 +300,6 @@ mod tests {
 
         let v = lp.insts()[0].dst().unwrap(); // load value
         let s = lp.insts()[1].dst().unwrap(); // add value
-        let rv = a.ranges[&v];
-        let rs = a.ranges[&s];
-        // Load def at stage 0, read by add at stage 1 -> delta 1, span 2.
-        assert_eq!(rv.span, 2);
-        assert_eq!(rs.span, 2);
         assert_eq!(a.def_name(v).unwrap(), "r32");
         assert_eq!(a.use_name(v, 0, 1, 0).unwrap(), "r33");
         assert_eq!(a.def_name(s).unwrap(), "r34");
@@ -409,7 +308,7 @@ mod tests {
 
     #[test]
     fn assignment_matches_counting_allocator() {
-        // The packed totals equal allocate_rotating's per-class sums.
+        // The assigned counts are allocate_rotating's, class by class.
         let m = MachineModel::itanium2();
         let lp = running_example();
         let p = pipeline_loop(
@@ -421,55 +320,12 @@ mod tests {
         .unwrap();
         let counted = crate::allocate_rotating(&lp, &p.schedule, &m).unwrap();
         let assigned = assign_registers(&lp, &p.schedule, &m).unwrap();
-        let close = |a: u32, b: u32| a.abs_diff(b) <= 2;
-        assert!(
-            close(assigned.rotating_used(RegClass::Gr), counted.rotating_gr),
-            "{} vs {}",
-            assigned.rotating_used(RegClass::Gr),
-            counted.rotating_gr
-        );
-        assert!(close(
-            assigned.rotating_used(RegClass::Pr),
-            counted.rotating_pr
-        ));
-    }
-
-    #[test]
-    fn ranges_are_disjoint() {
-        let m = MachineModel::itanium2();
-        let lp = ltsp_workloads_free::mcfish();
-        let p = pipeline_loop(&lp, &m, &|_| None, &PipelineOptions::default()).unwrap();
-        let a = assign_registers(&lp, &p.schedule, &m).unwrap();
-        let mut seen: Vec<(RegClass, u32)> = Vec::new();
-        for inst in lp.insts() {
-            if let Some(d) = inst.dst() {
-                let r = a.ranges[&d];
-                for off in r.offset..r.offset + r.span {
-                    assert!(
-                        !seen.contains(&(r.class, off)),
-                        "overlap at {:?} {off}",
-                        r.class
-                    );
-                    seen.push((r.class, off));
-                }
-            }
-        }
-    }
-
-    // A tiny local stand-in to avoid a dev-dependency cycle in unit tests.
-    mod ltsp_workloads_free {
-        use ltsp_ir::{DataClass, LoopBuilder, LoopIr};
-
-        pub(crate) fn mcfish() -> LoopIr {
-            let mut b = LoopBuilder::new("mcfish");
-            let node = b.chase_ref("node", 0, 64, 1 << 22, 0.1);
-            let fld = b.deref_ref("node->f", DataClass::Int, node, 128, 1 << 22, 8);
-            let _n = b.load(node);
-            let f = b.load(fld);
-            let acc = b.add_reduce(f);
-            let pot = b.deref_ref("node->p", DataClass::Int, node, 16, 1 << 22, 8);
-            b.store(pot, acc);
-            b.build().unwrap()
+        for class in RegClass::ALL {
+            assert_eq!(
+                assigned.rotating_used(class),
+                counted.rotating(class),
+                "{class}"
+            );
         }
     }
 

@@ -13,9 +13,12 @@
 //! 3. **iterative modulo scheduling** (Rau) with height-based priority,
 //!    a modulo reservation table and bounded eviction/backtracking
 //!    ([`ModuloScheduler`]);
-//! 4. **rotating register allocation** in the style the paper describes
-//!    (a lifetime spanning *x* kernel iterations occupies *x* consecutive
-//!    rotating registers) with per-class accounting ([`allocate_rotating`]);
+//! 4. **rotating register allocation**: one end-fit sweep names every
+//!    value on the space-time line of its rotating file, and a class's
+//!    count is the larger of the paper's charge (a lifetime spanning *x*
+//!    kernel iterations occupies *x* consecutive rotating registers) and
+//!    the registers the names span ([`allocate_rotating`],
+//!    [`assign_registers`]);
 //! 5. the **fallback ladder**: if register allocation fails, first drop the
 //!    non-critical latency boosts at the same II, then escalate the II,
 //!    until the loop either fits or pipelining is judged unprofitable
@@ -34,9 +37,7 @@ mod scheduler;
 
 pub use bundle::{form_bundles, Bundle, BundleTemplate, BundledKernel};
 pub use criticality::{classify_loads, classify_loads_observed, LoadClass, LoadClassification};
-pub use emit::{
-    assign_registers, emit_kernel, emit_setup, mve_unroll_factor, RegisterAssignment, RotatingRange,
-};
+pub use emit::{assign_registers, emit_kernel, emit_setup, mve_unroll_factor, RegisterAssignment};
 pub use mrt::Mrt;
 pub use pipeline::{
     pipeline_loop, pipeline_loop_observed, PipelineError, PipelineOptions, PipelineStats,

@@ -10,7 +10,7 @@ use ltsp_machine::{LatencyQuery, MachineModel};
 use ltsp_telemetry::{Event, Observer, Phase};
 
 use crate::criticality::{classify_loads_observed, LoadClass, LoadClassification};
-use crate::regalloc::{allocate_rotating, register_floor, RegAllocError, RegAllocation};
+use crate::regalloc::{allocate_rotating, overflow, register_floor, RegAllocError, RegAllocation};
 use crate::schedule::ModuloSchedule;
 use crate::scheduler::{acyclic_schedule, ModuloScheduler};
 
@@ -202,18 +202,7 @@ fn floor_overflow(
     ddg_base: &Ddg,
     ii: u32,
 ) -> Option<RegAllocError> {
-    let floor = register_floor(lp, ddg_base, ii);
-    RegClass::ALL
-        .into_iter()
-        .zip(floor)
-        .find_map(|(class, needed)| {
-            let available = machine.registers().rotating(class);
-            (needed > available).then_some(RegAllocError {
-                class,
-                needed,
-                available,
-            })
-        })
+    overflow(register_floor(lp, ddg_base, ii), machine)
 }
 
 /// [`pipeline_loop`] reporting to an [`Observer`]. The sink gets the

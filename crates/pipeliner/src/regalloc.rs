@@ -1,10 +1,21 @@
 //! Rotating register allocation for pipelined loops.
 //!
-//! Follows the accounting the paper describes (Sec. 1.1/2.2): a value whose
-//! lifetime spans `x` kernel iterations occupies a range of `x` consecutive
-//! rotating registers, because a new instance is produced every II cycles
-//! and all still-live instances need distinct registers. Stage predicates
-//! claim one rotating predicate register per pipeline stage.
+//! One sweep names every loop-defined value, and every count comes from
+//! it. Rotation makes a rotating file a *space-time* line (Rau, Lee,
+//! Tirumalai & Schlansker, PLDI 1992): name `X` at kernel cycle `c` is
+//! slot `X·II + c`, and every iteration's instance of a value defined at
+//! `t_def` and last read at `t_last` covers the same run of slots,
+//! `X·II + (t_def mod II)` through `t_last − t_def` slots further on. An
+//! unread value holds its name only at its issue cycle, which is what the
+//! paper's sum already charges it. The sweep lays these runs end to end,
+//! values after the stage predicates (one per stage, names
+//! `0 .. stages`), so no two instances ever share a register in a cycle.
+//!
+//! The count of a class is the larger of the paper's charge (Sec. 1.1:
+//! `⌊lifetime/II⌋ + 1` consecutive registers per value) and the registers
+//! the names span. The paper's sum stays the count's floor, so the
+//! fallback ladder decides as the paper does, and what it accepts can
+//! always be named.
 
 use std::error::Error;
 use std::fmt;
@@ -106,19 +117,35 @@ pub fn register_floor(lp: &LoopIr, ddg: &Ddg, ii: u32) -> [u32; 3] {
     floor
 }
 
+/// The first class whose `demand` (in [`RegClass::ALL`] order) exceeds
+/// the machine's rotating supply.
+pub(crate) fn overflow(demand: [u32; 3], machine: &MachineModel) -> Option<RegAllocError> {
+    RegClass::ALL
+        .into_iter()
+        .zip(demand)
+        .find_map(|(class, needed)| {
+            let available = machine.registers().rotating(class);
+            (needed > available).then_some(RegAllocError {
+                class,
+                needed,
+                available,
+            })
+        })
+}
+
 /// Allocates rotating registers for a scheduled loop.
 ///
 /// For every value defined in the loop, the lifetime runs from its
 /// definition's issue time to the latest read, where a read through a
 /// loop-carried operand of distance `omega` happens `omega · II` cycles
-/// later in absolute time. The value then needs
-/// `floor(lifetime / II) + 1` consecutive rotating registers. Per-class
-/// demand is the sum over values (plus one predicate per stage), checked
-/// against the machine's rotating supply.
+/// later in absolute time. The paper charges each value
+/// `floor(lifetime / II) + 1` consecutive rotating registers, and each
+/// stage one predicate. A class is allocated the larger of that sum and
+/// the registers its names span (see the module docs).
 ///
 /// # Errors
 ///
-/// Returns [`RegAllocError`] for the first class whose demand exceeds the
+/// Returns [`RegAllocError`] for the first class whose count exceeds the
 /// rotating supply; the pipeliner then walks its fallback ladder (drop
 /// latency boosts, then raise the II — both shrink lifetimes).
 pub fn allocate_rotating(
@@ -126,62 +153,130 @@ pub fn allocate_rotating(
     sched: &ModuloSchedule,
     machine: &MachineModel,
 ) -> Result<RegAllocation, RegAllocError> {
+    allocate_names(lp, sched, machine).map(|(alloc, _)| alloc)
+}
+
+/// [`allocate_rotating`] with the names: entry `i` is the offset, within
+/// its class's rotating area, of the register instruction `i` writes
+/// (meaningless for instructions without a destination).
+pub(crate) fn allocate_names(
+    lp: &LoopIr,
+    sched: &ModuloSchedule,
+    machine: &MachineModel,
+) -> Result<(RegAllocation, Vec<u32>), RegAllocError> {
     let ii = i64::from(sched.ii());
-    // Last absolute read time of the value each instruction defines,
-    // indexed by the defining instruction; an unread value dies at its
-    // definition.
-    let mut last_read: Vec<i64> = lp.insts().iter().map(|i| sched.time(i.id())).collect();
+    // Lifetime of the value each instruction defines, indexed by the
+    // defining instruction: last absolute read time minus definition
+    // time; an unread value dies at its definition.
+    let mut lifetime = vec![0i64; lp.insts().len()];
     for inst in lp.insts() {
         let t_use = sched.time(inst.id());
         for s in inst.reads() {
             // No definition in the loop: a live-in, in a static register.
             if let Some(def) = lp.def_of(s.reg) {
-                let abs = t_use + ii * i64::from(s.omega);
-                let last = &mut last_read[def.index()];
-                *last = (*last).max(abs);
+                let span = t_use + ii * i64::from(s.omega) - sched.time(def);
+                let l = &mut lifetime[def.index()];
+                *l = (*l).max(span);
             }
         }
     }
 
-    let mut used = [0u32; 3]; // in `RegClass::ALL` order
+    let stages = sched.stage_count();
+    let mut used = [0, 0, stages]; // in `RegClass::ALL` order
     for inst in lp.insts() {
         if let Some(d) = inst.dst() {
-            let span = last_read[inst.id().index()] - sched.time(inst.id());
-            used[d.class() as usize] += (span / ii) as u32 + 1;
+            used[d.class() as usize] += (lifetime[inst.id().index()] / ii) as u32 + 1;
         }
     }
-    let stages = sched.stage_count();
-    used[2] += stages; // stage predicates
+    // Fail fast: a rung the paper's sum rejects costs no naming.
+    if let Some(e) = overflow(used, machine) {
+        return Err(e);
+    }
+    let (names, extent) = name_values(lp, sched, stages, &lifetime);
+    for (u, e) in used.iter_mut().zip(extent) {
+        *u = (*u).max(e);
+    }
+    if let Some(e) = overflow(used, machine) {
+        return Err(e);
+    }
 
+    let statics = |class| lp.live_in().iter().filter(|r| r.class() == class).count() as u32;
     let alloc = RegAllocation {
         rotating_gr: used[0],
         rotating_fr: used[1],
         rotating_pr: used[2],
-        static_gr: lp
-            .live_in()
-            .iter()
-            .filter(|r| r.class() == RegClass::Gr)
-            .count() as u32,
-        static_fr: lp
-            .live_in()
-            .iter()
-            .filter(|r| r.class() == RegClass::Fr)
-            .count() as u32,
+        static_gr: statics(RegClass::Gr),
+        static_fr: statics(RegClass::Fr),
         stages,
     };
+    Ok((alloc, names))
+}
 
-    for class in RegClass::ALL {
-        let needed = alloc.rotating(class);
-        let available = machine.registers().rotating(class);
-        if needed > available {
-            return Err(RegAllocError {
-                class,
-                needed,
-                available,
-            });
+/// The end-fit sweep along each class's space-time line. Values are
+/// bucketed by `t_def mod II`; the sweep repeatedly places the value
+/// whose residue comes soonest after the frontier (definition order
+/// within a residue), at the first slot of that residue at or past the
+/// frontier, and moves the frontier one slot past the value's last read.
+/// Returns each defining instruction's name and, per class, the
+/// registers the names span.
+fn name_values(
+    lp: &LoopIr,
+    sched: &ModuloSchedule,
+    stages: u32,
+    lifetime: &[i64],
+) -> (Vec<u32>, [u32; 3]) {
+    let ii = sched.ii() as usize;
+    // Counting sort of the defined values into buckets by class, then
+    // residue; a bucket keeps definition order. Flat arrays rather than a
+    // queue per bucket: this runs on every rung the ladder accepts.
+    let bucket: Vec<Option<usize>> = lp
+        .insts()
+        .iter()
+        .map(|inst| Some(inst.dst()?.class() as usize * ii + sched.time(inst.id()) as usize % ii))
+        .collect();
+    let mut start = vec![0; 3 * ii + 1];
+    for &b in bucket.iter().flatten() {
+        start[b + 1] += 1;
+    }
+    for b in 0..3 * ii {
+        start[b + 1] += start[b];
+    }
+    // Filled back to front, `next[b]` ends at `start[b]`: bucket `b`'s
+    // unplaced values are `order[next[b]..start[b + 1]]`.
+    let mut next = start[1..].to_vec();
+    let mut order = vec![0; start[3 * ii]];
+    for (inst, b) in bucket.iter().enumerate().rev() {
+        if let Some(b) = *b {
+            next[b] -= 1;
+            order[next[b]] = inst;
         }
     }
-    Ok(alloc)
+
+    let mut names = vec![0; lp.insts().len()];
+    let mut extent = [0; 3];
+    for class in RegClass::ALL {
+        let base = class as usize * ii;
+        // The frontier, as register `reg` at kernel cycle `col`.
+        let (mut reg, mut col) = match class {
+            RegClass::Pr => (stages, 0),
+            _ => (0, 0),
+        };
+        for _ in start[base]..start[base + ii] {
+            let r = (col..ii)
+                .chain(0..col)
+                .find(|&r| next[base + r] < start[base + r + 1])
+                .expect("an unplaced value remains");
+            let inst = order[next[base + r]];
+            next[base + r] += 1;
+            let name = reg + u32::from(r < col);
+            names[inst] = name;
+            let end = r + lifetime[inst] as usize + 1;
+            reg = name + (end / ii) as u32;
+            col = end % ii;
+        }
+        extent[class as usize] = reg + u32::from(col > 0);
+    }
+    (names, extent)
 }
 
 #[cfg(test)]

@@ -1398,11 +1398,17 @@ fn main() -> ExitCode {
         ltsp::server::render_compile_report(&compiled, o.policy, o.trip)
     );
 
+    // A rejected loop's acyclic fallback can still need more registers
+    // than exist; its kernel then cannot be emitted.
+    let mut unnamed = false;
     if o.asm {
         println!();
         match assign_registers(&compiled.lp, &compiled.kernel, &machine) {
             Ok(assign) => print!("{}", emit_kernel(&compiled.lp, &compiled.kernel, &assign)),
-            Err(e) => eprintln!("ltspc: register assignment failed: {e}"),
+            Err(e) => {
+                eprintln!("ltspc: register assignment failed: {e}");
+                unnamed = true;
+            }
         }
         let bundled = form_bundles(&compiled.lp, &compiled.kernel);
         println!(
@@ -1445,12 +1451,17 @@ fn main() -> ExitCode {
         );
     }
 
-    write_telemetry(
+    let code = write_telemetry(
         &tel,
         o.trace_out.as_deref(),
         o.metrics_out.as_deref(),
         o.chrome_trace.as_deref(),
-    )
+    );
+    if unnamed {
+        ExitCode::from(EXIT_REJECTED)
+    } else {
+        code
+    }
 }
 
 #[cfg(test)]

@@ -60,3 +60,69 @@ fn invalid_jobs_is_a_clear_one_line_error() {
         assert!(diag[0].contains(bad), "names the offending value: {stderr}");
     }
 }
+
+/// Runs `ltspc - --asm` on `scheduling_heavy(streams, depth)`.
+fn asm_of_heavy(streams: usize, depth: usize) -> std::process::Output {
+    use std::io::Write as _;
+    let lp = ltsp::workloads::scheduling_heavy(&format!("heavy{streams}x{depth}"), streams, depth);
+    let mut child = ltspc()
+        .args(["-", "--asm"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run ltspc");
+    let mut stdin = child.stdin.take().expect("stdin");
+    stdin
+        .write_all(lp.to_string().as_bytes())
+        .expect("write loop");
+    drop(stdin);
+    child.wait_with_output().expect("ltspc output")
+}
+
+#[test]
+fn asm_of_an_unnameable_fallback_is_rejected() {
+    // 102 GR values do not fit 96 rotating GRs even in the acyclic
+    // fallback of the rejected loop.
+    let out = asm_of_heavy(3, 16);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "register assignment failed: rotating GR allocation failed: need 102, have 96"
+        ),
+        "{stderr}"
+    );
+    assert_eq!(out.status.code(), Some(1), "stderr={stderr}");
+}
+
+#[test]
+fn asm_header_states_the_reported_registers() {
+    // At the register line: 96 GR and 96 FR, every one of them named.
+    let out = asm_of_heavy(3, 15);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let field = |line: &str, key: &str| -> u32 {
+        let at = line.find(key).expect(key) + key.len();
+        let digits: String = line[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("count")
+    };
+    let report = stdout
+        .lines()
+        .find(|l| l.starts_with("registers:"))
+        .expect("registers line");
+    let header = stdout
+        .lines()
+        .find(|l| l.starts_with("// kernel:"))
+        .expect("kernel header");
+    for class in ["GR", "FR", "PR"] {
+        assert_eq!(
+            field(report, &format!("{class} ")),
+            field(header, &format!("{class}=")),
+            "{class}: {report} vs {header}"
+        );
+    }
+    assert_eq!(field(report, "GR "), 96, "{report}");
+}

@@ -7,7 +7,11 @@
 //! - Differential: `pipeline_loop` answers exactly what an unpruned
 //!   reference ladder — written here from the public scheduler and
 //!   allocator, with no floor — answers, apart from the attempt count.
+//! - Emission: what the ladder accepts can be named; every pipelined
+//!   compile of the grid emits a kernel whose header states the reported
+//!   counts, and the validator certifies its names.
 
+use ltsp::core::{compile_loop, CompileConfig, LatencyPolicy};
 use ltsp::ddg::Ddg;
 use ltsp::hlo::{run_hlo, HloConfig};
 use ltsp::ir::{
@@ -15,13 +19,14 @@ use ltsp::ir::{
     MemRefId, MemoryRef, Opcode, RegClass, SrcOperand, VReg,
 };
 use ltsp::machine::{MachineModel, RegisterFiles};
+use ltsp::oracle::validate_schedule;
 use ltsp::pipeliner::{
-    acyclic_schedule, allocate_rotating, classify_loads, classify_loads_observed,
-    pipeline_loop_observed, register_floor, LoadClassification, ModuloSchedule, ModuloScheduler,
-    PipelineOptions, RegAllocation,
+    acyclic_schedule, allocate_rotating, assign_registers, classify_loads, classify_loads_observed,
+    emit_kernel, pipeline_loop_observed, register_floor, LoadClassification, ModuloSchedule,
+    ModuloScheduler, PipelineOptions, RegAllocation,
 };
 use ltsp::telemetry::{Event, Observer, Telemetry};
-use ltsp::workloads::{random_loop, scheduling_heavy};
+use ltsp::workloads::{kernel_library, random_loop, scheduling_heavy};
 
 /// Itanium 2 with a smaller rotating FP file.
 fn machine_with_fr(rotating_fr: u32) -> MachineModel {
@@ -404,4 +409,54 @@ fn a_starved_loop_is_rejected_with_the_load_after_the_store() {
         assert_same_answers(&lp, &starved, &opts).0,
         POLICIES.len() as u32
     );
+}
+
+#[test]
+fn every_pipelined_compile_of_the_grid_emits_what_it_reports() {
+    // The kernel library, the `scheduling_heavy` shapes on both sides of
+    // the 96-register line, and 470 drawn loops, under every policy.
+    let m = MachineModel::itanium2();
+    let mut loops: Vec<LoopIr> = kernel_library().into_iter().map(|(_, lp)| lp).collect();
+    for streams in 3..=5 {
+        for depth in 9..=20 {
+            loops.push(scheduling_heavy(
+                &format!("heavy{streams}x{depth}"),
+                streams,
+                depth,
+            ));
+        }
+    }
+    loops.extend((0..470).map(random_loop));
+    let policies = [
+        LatencyPolicy::Baseline,
+        LatencyPolicy::AllLoadsL3,
+        LatencyPolicy::AllFpLoadsL2,
+        LatencyPolicy::HloHints,
+    ];
+    let mut pipelined = 0;
+    for lp in &loops {
+        for policy in policies {
+            let c = compile_loop(lp, &m, &CompileConfig::new(policy));
+            let Some(regs) = c.regs else { continue };
+            pipelined += 1;
+            let at = format!("{} under {policy:?}", lp.name());
+            let names = assign_registers(&c.lp, &c.kernel, &m)
+                .unwrap_or_else(|e| panic!("{at}: pipelined but unnameable: {e}"));
+            let asm = emit_kernel(&c.lp, &c.kernel, &names);
+            let header = format!(
+                "// kernel: II={}, stages={}, rotating GR={} FR={} PR={}",
+                c.kernel.ii(),
+                c.kernel.stage_count(),
+                regs.rotating_gr,
+                regs.rotating_fr,
+                regs.rotating_pr
+            );
+            assert_eq!(asm.lines().next(), Some(header.as_str()), "{at}");
+            let ddg = Ddg::build(&c.lp, &m, &|id| {
+                c.scheduled_load_latency_of(&m, id).unwrap_or(0)
+            });
+            validate_schedule(&c.lp, &ddg, &c.kernel, &m).unwrap_or_else(|v| panic!("{at}: {v:?}"));
+        }
+    }
+    assert_eq!((loops.len() * policies.len(), pipelined), (2_092, 1_988));
 }
