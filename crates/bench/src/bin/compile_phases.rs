@@ -17,6 +17,19 @@ use std::process::ExitCode;
 use ltsp_bench::compile_phases::{compare_counts, compare_to_baseline, compile_phases};
 use ltsp_machine::MachineModel;
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: compile_phases [--out FILE] [--repeat N] [--scale N] \
+         [--baseline FILE] [--max-regression F] [--floor-us F]"
+    );
+    std::process::exit(2);
+}
+
+/// A flag's value, parsed; a missing or malformed one is a usage error.
+fn value<T: std::str::FromStr>(v: Option<String>) -> T {
+    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+}
+
 fn main() -> ExitCode {
     let mut out = String::from("BENCH_compile_phases.json");
     let mut baseline: Option<String> = None;
@@ -27,32 +40,14 @@ fn main() -> ExitCode {
 
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        let mut val = |name: &str| {
-            argv.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
         match arg.as_str() {
-            "--out" => out = val("--out"),
-            "--baseline" => baseline = Some(val("--baseline")),
-            "--repeat" => repeat = val("--repeat").parse().expect("--repeat: integer"),
-            "--scale" => scale = val("--scale").parse().expect("--scale: integer"),
-            "--max-regression" => {
-                max_regression = val("--max-regression")
-                    .parse()
-                    .expect("--max-regression: float")
-            }
-            "--floor-us" => floor_us = val("--floor-us").parse().expect("--floor-us: float"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: compile_phases [--out FILE] [--repeat N] [--scale N] \
-                     [--baseline FILE] [--max-regression F] [--floor-us F]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(2);
-            }
+            "--out" => out = value(argv.next()),
+            "--baseline" => baseline = Some(value(argv.next())),
+            "--repeat" => repeat = value(argv.next()),
+            "--scale" => scale = value(argv.next()),
+            "--max-regression" => max_regression = value(argv.next()),
+            "--floor-us" => floor_us = value(argv.next()),
+            _ => usage(),
         }
     }
 

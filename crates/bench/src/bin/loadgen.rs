@@ -37,6 +37,11 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// A flag's value, parsed; a missing or malformed one is a usage error.
+fn value<T: std::str::FromStr>(v: Option<String>) -> T {
+    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+}
+
 /// The plan plus what the binary does around it: the report path, the
 /// metrics path and the final drain.
 fn parse_args() -> (Plan, String, Option<String>, bool) {
@@ -44,13 +49,11 @@ fn parse_args() -> (Plan, String, Option<String>, bool) {
     let (mut out, mut metrics_out, mut shutdown) =
         ("results/BENCH_serve.json".to_string(), None, false);
     let mut args = std::env::args().skip(1);
-    let num =
-        |v: Option<String>| -> u64 { v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()) };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => p.addr = args.next().unwrap_or_else(|| usage()),
-            "--conns" => p.conns = num(args.next()).max(1) as usize,
-            "--requests" => p.requests = num(args.next()) as usize,
+            "--conns" => p.conns = value::<usize>(args.next()).max(1),
+            "--requests" => p.requests = value(args.next()),
             "--mix" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 let parts: Vec<u64> = v.split(':').filter_map(|p| p.parse().ok()).collect();
@@ -59,22 +62,12 @@ fn parse_args() -> (Plan, String, Option<String>, bool) {
                 }
                 p.mix = (parts[0], parts[1], parts[2]);
             }
-            "--backend" => {
-                p.backend = match args.next().as_deref() {
-                    Some(b @ ("heuristic" | "exact" | "tiered")) => Some(b.to_string()),
-                    _ => usage(),
-                }
-            }
-            "--mode" => {
-                p.mode = match args.next().as_deref() {
-                    Some(m @ ("static" | "adaptive")) => Some(m.to_string()),
-                    _ => usage(),
-                }
-            }
+            "--backend" => p.backend = Some(value(args.next())),
+            "--mode" => p.mode = Some(value(args.next())),
             "--corpus" => p.corpus = args.next().unwrap_or_else(|| usage()),
-            "--burst" => p.burst = num(args.next()) as usize,
-            "--synthetic" => p.synthetic = num(args.next()) as usize,
-            "--seed" => p.seed = num(args.next()),
+            "--burst" => p.burst = value(args.next()),
+            "--synthetic" => p.synthetic = value(args.next()),
+            "--seed" => p.seed = value(args.next()),
             "--out" => out = args.next().unwrap_or_else(|| usage()),
             "--timings" => p.timings = true,
             "--metrics-out" => metrics_out = Some(args.next().unwrap_or_else(|| usage())),
@@ -83,10 +76,12 @@ fn parse_args() -> (Plan, String, Option<String>, bool) {
             _ => usage(),
         }
     }
-    if p.mode.as_deref() == Some("adaptive")
-        && !matches!(p.backend.as_deref(), None | Some("heuristic"))
+    if let Err(e) = p
+        .mode
+        .unwrap_or_default()
+        .check(p.backend.unwrap_or_default())
     {
-        eprintln!("loadgen: --mode adaptive refines the heuristic backend only");
+        eprintln!("loadgen: {e}");
         exit(2);
     }
     (p, out, metrics_out, shutdown)

@@ -42,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use ltsp_ir::SplitMix64;
 use ltsp_server::client::Client;
+use ltsp_server::{Backend, Mode, ReqOp, Request};
 use ltsp_telemetry::prom::PromSnapshot;
 use ltsp_telemetry::{json, Histogram};
 
@@ -61,9 +62,9 @@ pub struct Plan {
     /// `compile:verify:oracle` weights.
     pub mix: (u64, u64, u64),
     /// Scheduling backend stamped on compile requests.
-    pub backend: Option<String>,
+    pub backend: Option<Backend>,
     /// Compilation mode stamped on compile requests.
-    pub mode: Option<String>,
+    pub mode: Option<Mode>,
     /// Directory of `.loop` files; empty for none (with `synthetic`, a
     /// purely scheduling-heavy workload).
     pub corpus: String,
@@ -164,7 +165,7 @@ struct Sample {
     micros: u64,
 }
 
-/// The sorted `.loop` corpus: (name, JSON-escaped text).
+/// The sorted `.loop` corpus: (name, text).
 fn load_corpus(dir: &str) -> io::Result<Vec<(String, String)>> {
     if dir.is_empty() {
         return Ok(Vec::new());
@@ -181,7 +182,7 @@ fn load_corpus(dir: &str) -> io::Result<Vec<(String, String)>> {
         .filter_map(|p| {
             let name = p.file_stem()?.to_string_lossy().into_owned();
             let text = std::fs::read_to_string(&p).ok()?;
-            Some((name, json::escape(&text)))
+            Some((name, text))
         })
         .collect())
 }
@@ -197,32 +198,28 @@ fn build_request(
     let (c, v, z) = plan.mix;
     let pick = rng.next_u64() % (c + v + z);
     let op = if pick < c {
-        "compile"
+        ReqOp::Compile
     } else if pick < c + v {
-        "verify"
+        ReqOp::Verify
     } else {
-        "oracle"
+        ReqOp::Oracle
     };
     let (name, text) = &corpus[(rng.next_u64() % corpus.len() as u64) as usize];
-    let flags = if plan.timings {
-        ",\"timings\":true"
-    } else {
-        ""
-    };
     // The scheduling backend and compilation mode are compile-time
     // concepts; verify/oracle requests stay unstamped.
-    let backend = match (&plan.backend, op) {
-        (Some(b), "compile") => format!(",\"backend\":\"{b}\""),
-        _ => String::new(),
-    };
-    let mode = match (&plan.mode, op) {
-        (Some(m), "compile") => format!(",\"mode\":\"{m}\""),
-        _ => String::new(),
-    };
-    // deadline_ms:0 keeps oracle work node-budget-bound (deterministic).
-    format!(
-        "{{\"op\":\"{op}\",\"id\":\"{conn}-{i}-{name}\",\"loop\":\"{text}\"{backend}{mode},\"deadline_ms\":0{flags}}}"
-    )
+    let compile = op == ReqOp::Compile;
+    Request {
+        id: format!("{conn}-{i}-{name}"),
+        op,
+        loop_text: text.clone(),
+        backend: plan.backend.filter(|_| compile).unwrap_or_default(),
+        mode: plan.mode.filter(|_| compile).unwrap_or_default(),
+        // 0 keeps oracle work node-budget-bound (deterministic).
+        deadline_ms: Some(0),
+        timings: plan.timings,
+        ..Request::default()
+    }
+    .to_line()
 }
 
 /// True for the error kinds an injected connection drop produces at the
@@ -325,20 +322,32 @@ fn run_conn(plan: &Plan, corpus: &[(String, String)], conn: usize) -> ConnResult
     Ok((samples, stats, phases))
 }
 
-/// Re-sends compile requests (stamped with `stamp` — the tiered backend
-/// or the adaptive mode) for every corpus entry until at least one
-/// response carries `cache:"upgraded"`, up to `max_rounds` sweeps with a
-/// 10ms breather between them.
-fn poll_for_upgrades(plan: &Plan, corpus: &[(String, String)], stamp: &str) -> io::Result<Poll> {
+/// Re-sends compile requests under `backend` and `mode` (the tiered
+/// backend or the adaptive mode) for every corpus entry until at least
+/// one response carries `cache:"upgraded"`, up to `max_rounds` sweeps
+/// with a 10ms breather between them.
+fn poll_for_upgrades(
+    plan: &Plan,
+    corpus: &[(String, String)],
+    (backend, mode): (Backend, Mode),
+) -> io::Result<Poll> {
     const MAX_ROUNDS: usize = 400;
     let mut client = Client::connect(&plan.addr, Some(DEADLINE))?;
     for rounds in 1.. {
         let mut seen = 0usize;
         for (name, text) in corpus {
-            let line = client.request(&format!(
-                "{{\"op\":\"compile\",\"id\":\"upgrade-poll-{rounds}-{name}\",\"loop\":\"{text}\",\
-                 {stamp},\"deadline_ms\":0}}"
-            ))?;
+            let line = client.request(
+                &Request {
+                    id: format!("upgrade-poll-{rounds}-{name}"),
+                    op: ReqOp::Compile,
+                    loop_text: text.clone(),
+                    backend,
+                    mode,
+                    deadline_ms: Some(0),
+                    ..Request::default()
+                }
+                .to_line(),
+            )?;
             if line.contains("\"cache\":\"upgraded\"") {
                 seen += 1;
             }
@@ -369,7 +378,7 @@ pub fn run(plan: &Plan) -> io::Result<Report> {
     // the workload class where a schedule cache actually pays.
     for i in 0..plan.synthetic {
         let lp = ltsp_workloads::scheduling_heavy(&format!("syn{i}"), 3, 9 + i % 5);
-        corpus.push((lp.name().to_string(), json::escape(&lp.to_string())));
+        corpus.push((lp.name().to_string(), lp.to_string()));
     }
     if corpus.is_empty() {
         return Err(io::Error::other(format!("no .loop files in {dir}")));
@@ -436,11 +445,13 @@ pub fn run(plan: &Plan) -> io::Result<Report> {
     // refinement is asynchronous, so the main run may finish before any
     // refined body lands — but landing at all is the contract, so re-poll
     // the corpus (bounded rounds, fresh connection) until one does.
-    if plan.backend.as_deref() == Some("tiered") {
-        r.tiered = Some(poll_for_upgrades(plan, &corpus, "\"backend\":\"tiered\"")?);
+    if plan.backend == Some(Backend::Tiered) {
+        let tiered = (Backend::Tiered, Mode::Static);
+        r.tiered = Some(poll_for_upgrades(plan, &corpus, tiered)?);
     }
-    if plan.mode.as_deref() == Some("adaptive") {
-        r.adaptive = Some(poll_for_upgrades(plan, &corpus, "\"mode\":\"adaptive\"")?);
+    if plan.mode == Some(Mode::Adaptive) {
+        let adaptive = (Backend::Heuristic, Mode::Adaptive);
+        r.adaptive = Some(poll_for_upgrades(plan, &corpus, adaptive)?);
     }
 
     // Against a router the snapshot carries `ltsp_shard_up` samples,
@@ -613,11 +624,11 @@ impl Report {
         field("cache_upgraded", &self.upgraded);
         field("cache_hit_rate", &format!("{:.4}", self.hit_rate()));
         field("served_inline", &self.served_inline);
-        if let Some(b) = &p.backend {
-            field("backend", &format!("\"{b}\""));
+        if let Some(b) = p.backend {
+            field("backend", &format!("\"{}\"", b.tag()));
         }
-        if let Some(m) = &p.mode {
-            field("mode", &format!("\"{m}\""));
+        if let Some(m) = p.mode {
+            field("mode", &format!("\"{}\"", m.tag()));
         }
         for (key, poll) in [("tiered", self.tiered), ("adaptive", self.adaptive)] {
             if let Some(poll) = poll {
@@ -776,8 +787,8 @@ mod tests {
             plan: Plan {
                 timings: true,
                 fault_mode: extra,
-                backend: extra.then(|| "tiered".to_string()),
-                mode: extra.then(|| "adaptive".to_string()),
+                backend: extra.then_some(Backend::Tiered),
+                mode: extra.then_some(Mode::Adaptive),
                 ..Plan::default()
             },
             tiered: extra.then_some(poll),

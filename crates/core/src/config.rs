@@ -39,6 +39,34 @@ impl std::fmt::Display for LatencyPolicy {
     }
 }
 
+impl LatencyPolicy {
+    /// The short name `--policy` and the wire's `"policy"` take, which
+    /// [`LatencyPolicy::from_str`](std::str::FromStr) inverts.
+    /// [`LatencyPolicy::MissSampled`] needs a measured profile no request
+    /// carries, so it has no short name and this returns its long one.
+    pub fn tag(self) -> &'static str {
+        match self {
+            LatencyPolicy::Baseline => "baseline",
+            LatencyPolicy::AllLoadsL3 => "l3",
+            LatencyPolicy::AllFpLoadsL2 => "fpl2",
+            LatencyPolicy::HloHints => "hlo",
+            LatencyPolicy::MissSampled => "miss-sampled",
+        }
+    }
+}
+
+impl std::str::FromStr for LatencyPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        use LatencyPolicy::*;
+        [Baseline, AllLoadsL3, AllFpLoadsL2, HloHints]
+            .into_iter()
+            .find(|p| p.tag() == s)
+            .ok_or_else(|| "policy must be baseline|l3|fpl2|hlo".to_string())
+    }
+}
+
 /// Full compile-time configuration for one experimental arm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileConfig {

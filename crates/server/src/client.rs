@@ -18,6 +18,7 @@ use ltsp_telemetry::json;
 use ltsp_telemetry::prom::PromSnapshot;
 
 use crate::framing::{timed_out, Framer};
+use crate::proto::{ReqOp, Request};
 
 /// One connection to a daemon or router.
 pub struct Client {
@@ -113,7 +114,7 @@ impl Client {
     /// The server's Prometheus text exposition: the `metrics` op, sent
     /// under request id `id`.
     pub fn metrics_text(&mut self, id: &str) -> io::Result<String> {
-        let line = self.request(&op_line("metrics", id))?;
+        let line = self.request(&op_line(ReqOp::Metrics, id))?;
         let v = json::parse(&line).map_err(invalid)?;
         v.get("metrics")
             .and_then(|m| m.as_str())
@@ -129,7 +130,7 @@ impl Client {
     /// Asks the server to drain (the `shutdown` op, under request id
     /// `id`) and returns its acknowledgement line.
     pub fn shutdown(&mut self, id: &str) -> io::Result<String> {
-        self.request(&op_line("shutdown", id))
+        self.request(&op_line(ReqOp::Shutdown, id))
     }
 }
 
@@ -149,8 +150,13 @@ fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error 
 }
 
 /// A request line carrying only an op and an id.
-fn op_line(op: &str, id: &str) -> String {
-    format!("{{\"op\":\"{op}\",\"id\":\"{}\"}}", json::escape(id))
+fn op_line(op: ReqOp, id: &str) -> String {
+    Request {
+        op,
+        id: id.to_string(),
+        ..Request::default()
+    }
+    .to_line()
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //! binary on small loops with `--trace-out`/`--metrics-out`/
 //! `--chrome-trace`, then parse what it wrote and validate the event
 //! schema, the per-phase compile spans and the cycle-accounting partition
-//! invariant. Also: the compile phases' spans and the phase timer are one
+//! invariant; every backend and mode writes every requested artifact.
+//! Also: the compile phases' spans and the phase timer are one
 //! measurement.
 
 use std::path::Path;
@@ -167,6 +168,61 @@ fn check_artifacts(loop_path: &Path, loop_name: &str, dir: &Path) {
     assert!(events
         .iter()
         .any(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X")));
+}
+
+/// Every backend and mode answers through the same path, so each one
+/// writes every artifact it was asked for, and each artifact parses.
+#[test]
+fn every_backend_writes_every_requested_artifact() {
+    let dir = std::env::temp_dir().join(format!("ltsp-tel-backends-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let saxpy = Path::new(env!("CARGO_MANIFEST_DIR")).join("loops/saxpy.loop");
+    for (name, flags) in [
+        ("heuristic", &[][..]),
+        ("exact", &["--backend", "exact"]),
+        ("tiered", &["--backend", "tiered"]),
+        ("adaptive", &["--adaptive"]),
+    ] {
+        let [trace, metrics, chrome] =
+            ["trace.jsonl", "metrics.json", "chrome.json"].map(|f| dir.join(format!("{name}.{f}")));
+        let out = Command::new(env!("CARGO_BIN_EXE_ltspc"))
+            .arg(&saxpy)
+            .args(flags)
+            .arg("--trace-out")
+            .arg(&trace)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .arg("--chrome-trace")
+            .arg(&chrome)
+            .output()
+            .expect("ltspc runs");
+        assert!(out.status.success(), "{name}: {out:?}");
+        let read = |p: &Path| {
+            std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{name}: {p:?} not written: {e}"))
+        };
+        let events: Vec<JsonValue> = read(&trace)
+            .lines()
+            .map(|l| parse(l).unwrap_or_else(|e| panic!("{name}: bad JSONL line {l:?}: {e}")))
+            .collect();
+        let answered = events
+            .iter()
+            .any(|e| e.get("type").and_then(JsonValue::as_str) == Some("server_request"));
+        assert!(answered, "{name}: no server_request event traced");
+        let metrics = parse(&read(&metrics)).unwrap_or_else(|e| panic!("{name}: metrics: {e}"));
+        assert!(
+            metrics.get("counters").is_some(),
+            "{name}: metrics without counters"
+        );
+        let chrome = parse(&read(&chrome)).unwrap_or_else(|e| panic!("{name}: chrome: {e}"));
+        assert!(
+            chrome
+                .get("traceEvents")
+                .and_then(JsonValue::as_array)
+                .is_some(),
+            "{name}: chrome trace without traceEvents"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
