@@ -35,4 +35,4 @@ pub use engine::{Engine, EngineConfig};
 pub use fault::{FaultPlan, FaultSite};
 pub use flight::{normalize_flight_dump, read_dumps, FlightRecord, FlightRecorder};
 pub use proto::{parse_request, Backend, Mode, ProtoError, ReqOp, Request, Response};
-pub use report::{render_adaptive_report, render_compile_report, render_exact_report};
+pub use report::{render_adaptive_report, render_compile_report};

@@ -1,10 +1,5 @@
-//! The canonical human-readable compile report.
-//!
-//! This is the exact text `ltspc <file.loop>` prints for a compile (sans
-//! `--asm`/`--simulate` extras), factored out so the daemon's `compile`
-//! responses and the local CLI render through one function. Remote and
-//! local output being byte-identical is then true *by construction*, and
-//! CI diffs the two directly.
+//! The human-readable compile reports the engine's compile bodies carry:
+//! what `ltspc` prints for a compile, local or remote.
 
 use std::fmt::Write as _;
 
@@ -65,10 +60,8 @@ pub fn render_compile_report(compiled: &CompiledLoop, policy: LatencyPolicy, tri
 }
 
 /// Renders the exact backend's compile report: the optimality header,
-/// the schedule/register summary, a blank separator and the kernel dump
-/// — same shape as [`render_compile_report`], so `ltspc` and the daemon
-/// print exact results through one function too.
-pub fn render_exact_report(lp: &LoopIr, case: &ExactCase) -> String {
+/// the schedule/register summary, a blank separator and the kernel dump.
+pub(crate) fn render_exact_report(lp: &LoopIr, case: &ExactCase) -> String {
     let mut out = String::new();
     let r = &case.result;
     let _ = writeln!(
@@ -103,10 +96,7 @@ pub fn render_exact_report(lp: &LoopIr, case: &ExactCase) -> String {
 
 /// Renders the adaptive compile report: the convergence header, one
 /// line per refinement round (fixpoint trace), the chosen schedule's
-/// summary and register lines, a blank separator and the kernel dump —
-/// same shape as [`render_compile_report`], so `ltspc --adaptive` and
-/// the daemon's refine worker print converged results through one
-/// function, byte for byte.
+/// summary and register lines, a blank separator and the kernel dump.
 pub fn render_adaptive_report(res: &AdaptiveResult, policy: LatencyPolicy, trip: f64) -> String {
     let mut out = String::new();
     let c = &res.compiled;

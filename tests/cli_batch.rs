@@ -63,10 +63,16 @@ fn invalid_jobs_is_a_clear_one_line_error() {
 
 /// Runs `ltspc - --asm` on `scheduling_heavy(streams, depth)`.
 fn asm_of_heavy(streams: usize, depth: usize) -> std::process::Output {
+    heavy(streams, depth, &["--asm"])
+}
+
+/// Runs `ltspc - ARGS` on `scheduling_heavy(streams, depth)`.
+fn heavy(streams: usize, depth: usize, args: &[&str]) -> std::process::Output {
     use std::io::Write as _;
     let lp = ltsp::workloads::scheduling_heavy(&format!("heavy{streams}x{depth}"), streams, depth);
     let mut child = ltspc()
-        .args(["-", "--asm"])
+        .arg("-")
+        .args(args)
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -93,6 +99,29 @@ fn asm_of_an_unnameable_fallback_is_rejected() {
         "{stderr}"
     );
     assert_eq!(out.status.code(), Some(1), "stderr={stderr}");
+}
+
+/// A refinement that does not land says why. The exact backend cannot
+/// name the 102 GR values of `scheduling_heavy(3,16)`'s acyclic fallback,
+/// so tiered prints the exact backend's own answer, its violation
+/// included; adaptive mode's fixpoint is uncertified, so it prints the
+/// static answer and one line. Both exit 1.
+#[test]
+fn a_refinement_that_does_not_land_says_why() {
+    let printed = |args: &[&str]| {
+        let out = heavy(3, 16, args);
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (text(&out.stdout), text(&out.stderr), out.status.code())
+    };
+    let exact = printed(&["--backend", "exact"]);
+    assert_eq!(exact.2, Some(1), "{exact:?}");
+    assert!(exact.1.contains("[register-overflow]"), "{exact:?}");
+    assert_eq!(printed(&["--backend", "tiered"]), exact);
+
+    let (out, err, code) = printed(&["--adaptive"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert_eq!(out, printed(&[]).0, "the static answer");
+    assert_eq!(err, "ltspc: <stdin>: the refinement did not land\n");
 }
 
 #[test]
