@@ -126,23 +126,21 @@ impl Ddg {
         let is_load: Vec<bool> = lp.insts().iter().map(|i| i.op().is_load()).collect();
 
         // Register flow edges (qualifying predicates included).
-        for inst in lp.insts() {
-            for s in inst.reads() {
-                if let Some(def) = lp.def_of(s.reg) {
-                    let producer = lp.inst(def);
-                    let lat = if producer.op().is_load() {
-                        load_latency(def)
-                    } else {
-                        machine.latencies().op_latency(producer.op())
-                    };
-                    edges.push(DepEdge {
-                        from: def,
-                        to: inst.id(),
-                        kind: DepKind::Flow,
-                        latency: lat,
-                        omega: s.omega,
-                    });
-                }
+        for (to, s, def) in lp.resolved_reads() {
+            if let Some(def) = def {
+                let producer = lp.inst(def);
+                let lat = if producer.op().is_load() {
+                    load_latency(def)
+                } else {
+                    machine.latencies().op_latency(producer.op())
+                };
+                edges.push(DepEdge {
+                    from: def,
+                    to,
+                    kind: DepKind::Flow,
+                    latency: lat,
+                    omega: s.omega,
+                });
             }
         }
 

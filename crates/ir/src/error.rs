@@ -59,6 +59,12 @@ pub enum IrError {
     },
     /// The loop body is empty.
     EmptyLoop,
+    /// A load without a destination register, or a store or prefetch
+    /// with one.
+    DestinationMismatch {
+        /// The offending instruction.
+        inst: InstId,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -98,6 +104,10 @@ impl fmt::Display for IrError {
                 )
             }
             IrError::EmptyLoop => write!(f, "loop body is empty"),
+            IrError::DestinationMismatch { inst } => write!(
+                f,
+                "instruction {inst}: a load must define a register, a store or prefetch must not"
+            ),
         }
     }
 }

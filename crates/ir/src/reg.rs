@@ -67,6 +67,11 @@ impl VReg {
     pub fn class(self) -> RegClass {
         self.class
     }
+
+    /// The register as one integer that sorts like the register.
+    pub(crate) fn key(self) -> u64 {
+        (self.class as u64) << 32 | u64::from(self.index)
+    }
 }
 
 impl fmt::Display for VReg {

@@ -129,8 +129,6 @@ pub struct EngineConfig {
     pub compile_cache_bytes: usize,
     /// Byte budget for the verify/oracle response cache.
     pub result_cache_bytes: usize,
-    /// Default oracle node budget when a request names none.
-    pub oracle_node_budget: u64,
     /// Default oracle wall-clock budget when a request names none
     /// (`None` = unlimited).
     pub oracle_deadline_ms: Option<u64>,
@@ -154,7 +152,6 @@ impl Default for EngineConfig {
         EngineConfig {
             compile_cache_bytes: 64 << 20,
             result_cache_bytes: 16 << 20,
-            oracle_node_budget: 200_000,
             oracle_deadline_ms: Some(10_000),
             flight_dir: None,
             flight_len: 256,
