@@ -4,8 +4,13 @@
 //! over the recurrence cycles of the loop and asks, per cycle, whether
 //! raising the contained loads to their hinted latencies would push the
 //! cycle's implied II above the Resource II. This module enumerates simple
-//! cycles per strongly connected component (Johnson-style DFS with
-//! blocking), capped to keep pathological graphs tractable.
+//! cycles per strongly connected component by plain depth-first search:
+//! from each start node, every simple path through larger nodes of the
+//! component is walked, and a path that returns to the start is a cycle.
+//! There is no Johnson-style blocking, so a start node re-walks every
+//! simple path out of it, and in a dense component the walk is
+//! exponential; the only bound is the caller's `cap` on cycles found.
+//! Real loop bodies have few cycles, mostly post-increment self-loops.
 
 use ltsp_ir::InstId;
 
@@ -33,56 +38,49 @@ pub struct CycleSummary {
 }
 
 impl Ddg {
-    /// Enumerates simple cycles, visiting at most `cap` cycles (a safety
-    /// valve; real loop bodies have few). Cycles are found per recurrence
-    /// SCC.
+    /// Enumerates simple cycles, stopping after `cap` of them (a safety
+    /// valve; real loop bodies have few). Components come in Tarjan's
+    /// completion order; within one, each cycle is found from its
+    /// smallest node, start nodes ascending, successors in edge order.
     pub fn recurrence_cycles(&self, cap: usize) -> Vec<RecurrenceCycle> {
+        let sccs = self.recurrence_sccs();
         let mut out = Vec::new();
-        for scc in self.recurrence_sccs() {
-            if out.len() >= cap {
-                break;
-            }
-            self.cycles_in_scc(&scc, cap, &mut out);
-        }
-        out
-    }
-
-    fn cycles_in_scc(&self, scc: &[InstId], cap: usize, out: &mut Vec<RecurrenceCycle>) {
-        let in_scc: std::collections::HashSet<usize> = scc.iter().map(|id| id.index()).collect();
-        // Johnson-style: for each start node (ascending), find simple
-        // cycles whose minimum node is the start; avoids duplicates.
-        for &start in scc {
-            if out.len() >= cap {
-                return;
-            }
-            let s = start.index();
-            let mut path_nodes: Vec<usize> = vec![s];
-            let mut path_edges: Vec<usize> = Vec::new();
-            let mut on_path = vec![false; self.len()];
-            on_path[s] = true;
-            // Each stack frame tracks the next succ-edge offset to try.
-            let mut frame: Vec<usize> = vec![0];
-            while let Some(ei) = frame.last_mut() {
-                let v = *path_nodes.last().expect("path tracks frames");
-                let succs = self.succ_indices(v);
-                if *ei < succs.len() {
-                    let edge_idx = succs[*ei];
+        // One path for every start node: the walk pops all of it again.
+        let mut on_path = vec![false; self.len()];
+        let mut path_nodes: Vec<usize> = Vec::new();
+        let mut path_edges: Vec<usize> = Vec::new();
+        // Per path node, the next successor offset to try.
+        let mut frame: Vec<usize> = Vec::new();
+        for k in 0..sccs.len() {
+            for &s in sccs.members(k) {
+                if out.len() >= cap {
+                    return out;
+                }
+                let s = s as usize;
+                path_nodes.push(s);
+                on_path[s] = true;
+                frame.push(0);
+                while let Some(ei) = frame.last_mut() {
+                    let v = *path_nodes.last().expect("path tracks frames");
+                    let Some(&edge_idx) = self.succ_raw(v).get(*ei) else {
+                        frame.pop();
+                        path_nodes.pop();
+                        on_path[v] = false;
+                        path_edges.pop();
+                        continue;
+                    };
                     *ei += 1;
                     let w = self.edges()[edge_idx].to.index();
-                    if !in_scc.contains(&w) || w < s {
+                    if sccs.comp[w] != k as u32 || w < s {
                         continue;
                     }
                     if w == s {
                         out.push(RecurrenceCycle {
                             nodes: path_nodes.iter().map(|&x| InstId(x as u32)).collect(),
-                            edges: {
-                                let mut e = path_edges.clone();
-                                e.push(edge_idx);
-                                e
-                            },
+                            edges: path_edges.iter().copied().chain([edge_idx]).collect(),
                         });
                         if out.len() >= cap {
-                            return;
+                            return out;
                         }
                     } else if !on_path[w] {
                         on_path[w] = true;
@@ -90,18 +88,10 @@ impl Ddg {
                         path_edges.push(edge_idx);
                         frame.push(0);
                     }
-                } else {
-                    frame.pop();
-                    let done = path_nodes.pop().expect("path tracks frames");
-                    on_path[done] = false;
-                    path_edges.pop();
                 }
             }
         }
-    }
-
-    fn succ_indices(&self, node: usize) -> &[usize] {
-        self.succ_raw(node)
+        out
     }
 
     /// Summarizes a cycle, optionally overriding the latency of load-data
@@ -229,10 +219,14 @@ mod tests {
 
     #[test]
     fn cap_limits_enumeration() {
+        let cycles = dense(6).recurrence_cycles(10);
+        assert_eq!(cycles.len(), 10);
+    }
+
+    /// Dense: every node reads every other node carried, so each of the
+    /// `n` nodes sits in one component with many cycles.
+    fn dense(n: u32) -> crate::Ddg {
         use ltsp_ir::{Inst, InstId, LoopIr, Opcode, RegClass, SrcOperand, VReg};
-        let m = MachineModel::itanium2();
-        // Dense graph: every node reads every other node carried -> many cycles.
-        let n = 6u32;
         let regs: Vec<VReg> = (0..n).map(|i| VReg::new(RegClass::Gr, i)).collect();
         let insts: Vec<Inst> = (0..n)
             .map(|i| {
@@ -244,8 +238,188 @@ mod tests {
             })
             .collect();
         let lp = LoopIr::new("dense", insts, vec![], vec![], vec![]).unwrap();
-        let ddg = crate::Ddg::build(&lp, &m, &|_| 0);
-        let cycles = ddg.recurrence_cycles(10);
-        assert_eq!(cycles.len(), 10);
+        crate::Ddg::build(&lp, &MachineModel::itanium2(), &|_| 0)
+    }
+
+    fn assert_matches_reference(ddg: &crate::Ddg, cap: usize, ctx: &str) {
+        let expected = super::reference::recurrence_cycles(ddg, cap);
+        assert_eq!(ddg.recurrence_cycles(cap), expected, "{ctx} cap {cap}");
+    }
+
+    #[test]
+    fn cycles_match_the_per_component_reference() {
+        use ltsp_ir::{InstId, SplitMix64};
+        use ltsp_workloads::{kernel_library, random_loop, scheduling_heavy};
+        let m = MachineModel::itanium2();
+        let mut loops: Vec<ltsp_ir::LoopIr> =
+            kernel_library().into_iter().map(|(_, lp)| lp).collect();
+        loops.extend((0..470).map(random_loop));
+        for s in 3..=5 {
+            loops.extend((9..=20).map(|d| scheduling_heavy(&format!("heavy{s}x{d}"), s, d)));
+        }
+        for lp in &loops {
+            let ddg = crate::Ddg::build_with_load_floor(lp, &m, 0);
+            for cap in [0, 1, 3, 10_000] {
+                assert_matches_reference(&ddg, cap, lp.name());
+            }
+        }
+        // Random graphs with several components, edges in any direction.
+        let mut rng = SplitMix64::new(0xC1C1E5);
+        for case in 0..200 {
+            use crate::graph::{DepEdge, DepKind};
+            let n = 1 + rng.next_below(12) as u32;
+            let edges = (0..rng.next_below(3 * u64::from(n)))
+                .map(|_| DepEdge {
+                    from: InstId(rng.next_below(u64::from(n)) as u32),
+                    to: InstId(rng.next_below(u64::from(n)) as u32),
+                    kind: DepKind::Flow,
+                    latency: 1,
+                    omega: rng.next_below(2) as u32,
+                })
+                .collect();
+            let ddg = crate::Ddg::synthetic(n as usize, edges);
+            for cap in [1, 7, 10_000] {
+                assert_matches_reference(&ddg, cap, &format!("random case {case}"));
+            }
+        }
+        // A dense component truncated at every cap up to past its total.
+        let ddg = dense(5);
+        let all = ddg.recurrence_cycles(usize::MAX).len();
+        for cap in 0..=all + 1 {
+            assert_matches_reference(&ddg, cap, "dense 5");
+        }
+        assert_matches_reference(&dense(7), 1000, "dense 7");
+    }
+}
+
+/// The per-component `HashSet` enumeration `recurrence_cycles` replaced,
+/// kept as its referee: a `Vec` per Tarjan component, a `HashSet` per
+/// recurrence component and an n-byte on-path array per start node.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashSet;
+
+    use ltsp_ir::InstId;
+
+    use super::RecurrenceCycle;
+    use crate::graph::Ddg;
+
+    fn tarjan(ddg: &Ddg) -> Vec<Vec<InstId>> {
+        let n = ddg.len();
+        let mut index = vec![usize::MAX; n];
+        let mut low = vec![0usize; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<usize> = Vec::new();
+        let mut next_index = 0usize;
+        let mut result: Vec<Vec<InstId>> = Vec::new();
+        let mut call: Vec<(usize, usize)> = Vec::new();
+        for start in 0..n {
+            if index[start] != usize::MAX {
+                continue;
+            }
+            call.push((start, 0));
+            index[start] = next_index;
+            low[start] = next_index;
+            next_index += 1;
+            stack.push(start);
+            on_stack[start] = true;
+            while let Some(&mut (v, ref mut ei)) = call.last_mut() {
+                if let Some(&edge) = ddg.succ_raw(v).get(*ei) {
+                    *ei += 1;
+                    let w = ddg.edges()[edge].to.index();
+                    if index[w] == usize::MAX {
+                        index[w] = next_index;
+                        low[w] = next_index;
+                        next_index += 1;
+                        stack.push(w);
+                        on_stack[w] = true;
+                        call.push((w, 0));
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
+                    }
+                } else {
+                    call.pop();
+                    if let Some(&(parent, _)) = call.last() {
+                        low[parent] = low[parent].min(low[v]);
+                    }
+                    if low[v] == index[v] {
+                        let mut scc = Vec::new();
+                        loop {
+                            let w = stack.pop().expect("scc stack underflow");
+                            on_stack[w] = false;
+                            scc.push(InstId(w as u32));
+                            if w == v {
+                                break;
+                            }
+                        }
+                        scc.sort();
+                        result.push(scc);
+                    }
+                }
+            }
+        }
+        result
+    }
+
+    pub(super) fn recurrence_cycles(ddg: &Ddg, cap: usize) -> Vec<RecurrenceCycle> {
+        let mut out = Vec::new();
+        let sccs = tarjan(ddg)
+            .into_iter()
+            .filter(|scc| scc.len() > 1 || ddg.succs(scc[0]).any(|e| e.to == scc[0]));
+        for scc in sccs {
+            if out.len() >= cap {
+                break;
+            }
+            cycles_in_scc(ddg, &scc, cap, &mut out);
+        }
+        out
+    }
+
+    fn cycles_in_scc(ddg: &Ddg, scc: &[InstId], cap: usize, out: &mut Vec<RecurrenceCycle>) {
+        let in_scc: HashSet<usize> = scc.iter().map(|id| id.index()).collect();
+        for &start in scc {
+            if out.len() >= cap {
+                return;
+            }
+            let s = start.index();
+            let mut path_nodes: Vec<usize> = vec![s];
+            let mut path_edges: Vec<usize> = Vec::new();
+            let mut on_path = vec![false; ddg.len()];
+            on_path[s] = true;
+            let mut frame: Vec<usize> = vec![0];
+            while let Some(ei) = frame.last_mut() {
+                let v = *path_nodes.last().expect("path tracks frames");
+                let succs = ddg.succ_raw(v);
+                if *ei < succs.len() {
+                    let edge_idx = succs[*ei];
+                    *ei += 1;
+                    let w = ddg.edges()[edge_idx].to.index();
+                    if !in_scc.contains(&w) || w < s {
+                        continue;
+                    }
+                    if w == s {
+                        let mut edges = path_edges.clone();
+                        edges.push(edge_idx);
+                        out.push(RecurrenceCycle {
+                            nodes: path_nodes.iter().map(|&x| InstId(x as u32)).collect(),
+                            edges,
+                        });
+                        if out.len() >= cap {
+                            return;
+                        }
+                    } else if !on_path[w] {
+                        on_path[w] = true;
+                        path_nodes.push(w);
+                        path_edges.push(edge_idx);
+                        frame.push(0);
+                    }
+                } else {
+                    frame.pop();
+                    let done = path_nodes.pop().expect("path tracks frames");
+                    on_path[done] = false;
+                    path_edges.pop();
+                }
+            }
+        }
     }
 }

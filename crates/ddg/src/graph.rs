@@ -306,24 +306,22 @@ impl Ddg {
     }
 
     /// Strongly connected components with more than one node or a
-    /// self-loop — i.e. the subgraphs that can contain recurrence cycles.
-    /// Returned as sorted node lists.
-    pub(crate) fn recurrence_sccs(&self) -> Vec<Vec<InstId>> {
-        let sccs = self.tarjan();
-        sccs.into_iter()
-            .filter(|scc| scc.len() > 1 || self.succs(scc[0]).any(|e| e.to == scc[0]))
-            .collect()
-    }
-
-    fn tarjan(&self) -> Vec<Vec<InstId>> {
-        // Iterative Tarjan SCC.
+    /// self-loop — i.e. the subgraphs that can contain recurrence cycles —
+    /// in Tarjan's completion order, each as a sorted run of nodes.
+    pub(crate) fn recurrence_sccs(&self) -> RecurrenceSccs {
+        // Iterative Tarjan; every component lands in `members`, and the
+        // ones that cannot hold a cycle are truncated away again.
         let n = self.n;
         let mut index = vec![usize::MAX; n];
         let mut low = vec![0usize; n];
         let mut on_stack = vec![false; n];
         let mut stack: Vec<usize> = Vec::new();
         let mut next_index = 0usize;
-        let mut result: Vec<Vec<InstId>> = Vec::new();
+        let mut sccs = RecurrenceSccs {
+            members: Vec::new(),
+            bounds: vec![0],
+            comp: vec![u32::MAX; n],
+        };
         let mut call: Vec<(usize, usize)> = Vec::new();
 
         for start in 0..n {
@@ -358,22 +356,56 @@ impl Ddg {
                         low[parent] = low[parent].min(low[v]);
                     }
                     if low[v] == index[v] {
-                        let mut scc = Vec::new();
+                        let from = sccs.members.len();
                         loop {
                             let w = stack.pop().expect("scc stack underflow");
                             on_stack[w] = false;
-                            scc.push(InstId(w as u32));
+                            sccs.members.push(w as u32);
                             if w == v {
                                 break;
                             }
                         }
-                        scc.sort();
-                        result.push(scc);
+                        let scc = &mut sccs.members[from..];
+                        if scc.len() == 1
+                            && !self.succs(InstId(v as u32)).any(|e| e.to.index() == v)
+                        {
+                            sccs.members.truncate(from);
+                            continue;
+                        }
+                        scc.sort_unstable();
+                        let id = (sccs.bounds.len() - 1) as u32;
+                        for &w in scc.iter() {
+                            sccs.comp[w as usize] = id;
+                        }
+                        sccs.bounds.push(sccs.members.len());
                     }
                 }
             }
         }
-        result
+        sccs
+    }
+}
+
+/// The recurrence SCCs of a graph as flat arrays.
+#[derive(Debug)]
+pub(crate) struct RecurrenceSccs {
+    /// Every component's nodes, one sorted run per component.
+    members: Vec<u32>,
+    /// Component `k` is `members[bounds[k]..bounds[k + 1]]`.
+    bounds: Vec<usize>,
+    /// Per node: its component, or `u32::MAX` on none.
+    pub(crate) comp: Vec<u32>,
+}
+
+impl RecurrenceSccs {
+    /// Number of components.
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// The sorted nodes of component `k`.
+    pub(crate) fn members(&self, k: usize) -> &[u32] {
+        &self.members[self.bounds[k]..self.bounds[k + 1]]
     }
 }
 
@@ -496,6 +528,9 @@ mod tests {
         let ddg = Ddg::build(&lp, &m, &f);
         let sccs = ddg.recurrence_sccs();
         assert_eq!(sccs.len(), 2);
+        // The fadd completes first: the load's DFS reaches it.
+        assert_eq!((sccs.members(0), sccs.members(1)), (&[1][..], &[0][..]));
+        assert_eq!(sccs.comp, vec![1, 0]);
     }
 
     #[test]
@@ -522,7 +557,9 @@ mod tests {
             ddg.succs(InstId(3)).count() + ddg.preds(InstId(3)).count(),
             0
         );
-        assert_eq!(ddg.recurrence_sccs(), vec![vec![InstId(0), InstId(2)]]);
+        let sccs = ddg.recurrence_sccs();
+        assert_eq!((sccs.len(), sccs.members(0)), (1, &[0, 2][..]));
+        assert_eq!(sccs.comp, vec![0, u32::MAX, 0, u32::MAX]);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! - [`Ddg::rec_mii`] — the Recurrence II lower bound, found by binary
 //!   search over the feasibility predicate "no positive-weight cycle under
 //!   edge weight `delay − II·omega`" (Bellman-Ford);
-//! - [`MinDist`] — the all-pairs longest-path matrix at a fixed II, used by
-//!   the scheduler for precedence windows and height-based priority;
-//! - [`MinDistSolver`] — the incremental form behind II escalation: one
-//!   topological-order longest-path pass over the `omega = 0` subgraph at
-//!   construction, then O(c³ + n·c) per II through the `c` carried edges,
-//!   falling back to a full recompute whenever the decomposition is unsound;
+//! - [`MinDist`] — the all-pairs longest-path matrix at a fixed II
+//!   (Floyd-Warshall, O(n³)): the reference for precedence windows and
+//!   height-based priority;
+//! - [`MinDistSolver`] — the scheduler's heights at each II of the
+//!   escalation ladder, longest paths to a virtual sink by Bellman-Ford
+//!   rounds in reverse topological order of the `omega = 0` subgraph: O(E)
+//!   per round, O(n) memory, falling back to [`MinDist`] at an infeasible
+//!   II;
 //! - [`Ddg::recurrence_cycles`] — bounded enumeration of the simple cycles
 //!   with a loop-carried dependence, used by the criticality analysis of
 //!   the reproduced paper (Sec. 3.3): a load is *critical* if raising the

@@ -168,14 +168,14 @@ pub fn classify_loads_observed(
     }
     for cycle in cycles {
         let summary = ddg_base.cycle_summary(&cycle, &raised);
-        for load in ddg_base.cycle_loads(&cycle) {
+        let loads = ddg_base.cycle_loads(&cycle);
+        for load in &loads {
             let w = &mut worst_ii[load.index()];
             *w = (*w).max(summary.implied_ii);
         }
         if summary.implied_ii <= threshold {
             continue;
         }
-        let loads = ddg_base.cycle_loads(&cycle);
         if !balance_cycles {
             for load in loads {
                 class[load.index()] = Some(LoadClass::Critical);

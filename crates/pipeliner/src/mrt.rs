@@ -15,7 +15,7 @@ use ltsp_machine::IssueResources;
 /// Which physical slot class an instruction actually occupies in its row
 /// (A-class ops land on either an I or an M slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TakenSlot {
+pub(crate) enum TakenSlot {
     M,
     I,
     F,
@@ -23,7 +23,7 @@ enum TakenSlot {
 }
 
 impl TakenSlot {
-    fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         match self {
             TakenSlot::M => 0,
             TakenSlot::I => 1,
@@ -41,6 +41,33 @@ struct Occupant {
     inst: InstId,
     slot: TakenSlot,
     declared: UnitClass,
+}
+
+/// The slot rule of one issue cycle, shared by [`Mrt`] and the acyclic
+/// schedule: the slot an instruction of `class` takes in a row whose
+/// taken slots are `counts` (`[M, I, F, B]`), or `None` when it does not
+/// fit. An A-class op takes an I slot, else an M slot.
+pub(crate) fn free_slot(
+    counts: [u32; 4],
+    res: &IssueResources,
+    class: UnitClass,
+) -> Option<TakenSlot> {
+    let [m, i, f, b] = counts;
+    match class {
+        UnitClass::M => (m < res.m).then_some(TakenSlot::M),
+        UnitClass::I => (i < res.i).then_some(TakenSlot::I),
+        UnitClass::F => (f < res.f).then_some(TakenSlot::F),
+        UnitClass::B => (b < res.b).then_some(TakenSlot::B),
+        UnitClass::A => {
+            if i < res.i {
+                Some(TakenSlot::I)
+            } else if m < res.m {
+                Some(TakenSlot::M)
+            } else {
+                None
+            }
+        }
+    }
 }
 
 /// Modulo reservation table: tracks, for each of the II rows, which
@@ -96,22 +123,7 @@ impl Mrt {
     }
 
     fn free_in_row(&self, row: usize, class: UnitClass) -> Option<TakenSlot> {
-        let [m, i, f, b] = self.counts[row];
-        match class {
-            UnitClass::M => (m < self.res.m).then_some(TakenSlot::M),
-            UnitClass::I => (i < self.res.i).then_some(TakenSlot::I),
-            UnitClass::F => (f < self.res.f).then_some(TakenSlot::F),
-            UnitClass::B => (b < self.res.b).then_some(TakenSlot::B),
-            UnitClass::A => {
-                if i < self.res.i {
-                    Some(TakenSlot::I)
-                } else if m < self.res.m {
-                    Some(TakenSlot::M)
-                } else {
-                    None
-                }
-            }
-        }
+        free_slot(self.counts[row], &self.res, class)
     }
 
     /// True if an instruction of `class` fits at `time` without eviction.

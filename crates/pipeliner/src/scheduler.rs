@@ -6,7 +6,7 @@ use ltsp_ddg::{Ddg, MinDistSolver};
 use ltsp_ir::{InstId, LoopIr};
 use ltsp_machine::MachineModel;
 
-use crate::mrt::Mrt;
+use crate::mrt::{free_slot, Mrt};
 use crate::schedule::ModuloSchedule;
 
 /// Why an attempt to schedule at a particular II failed.
@@ -39,16 +39,16 @@ pub struct ModuloScheduler<'a> {
     lp: &'a LoopIr,
     machine: &'a MachineModel,
     ddg: &'a Ddg,
-    /// Buffers and the incremental MinDist solver, reused across every
+    /// Buffers and the heights solver, reused across every
     /// `schedule_at` call (the II escalation ladder calls it many times
     /// per loop). Interior mutability keeps `schedule_at(&self)` — the
     /// scratch never leaks into results.
     scratch: RefCell<SchedScratch>,
 }
 
-/// Reusable per-scheduler working state: the O(n³) part of MinDist is
-/// paid once (on the first attempt), and the per-attempt vectors and MRT
-/// keep their allocations across II escalation.
+/// Reusable per-scheduler working state: the heights solver's topological
+/// order is built once (on the first attempt), and the per-attempt vectors
+/// and MRT keep their allocations across II escalation.
 #[derive(Debug, Default)]
 struct SchedScratch {
     solver: Option<MinDistSolver>,
@@ -226,15 +226,10 @@ impl<'a> ModuloScheduler<'a> {
 /// the simulator executes as an ordinary, non-pipelined loop.
 pub fn acyclic_schedule(lp: &LoopIr, machine: &MachineModel, ddg: &Ddg) -> ModuloSchedule {
     let n = lp.insts().len();
-    // Horizon: generous upper bound on the schedule length.
-    let horizon: i64 = ddg
-        .edges()
-        .iter()
-        .map(|e| i64::from(e.latency))
-        .sum::<i64>()
-        + n as i64
-        + 1;
-    let mut mrt = Mrt::new(horizon as u32, *machine.issue());
+    let res = machine.issue();
+    // Taken slots per cycle (`[M, I, F, B]`), grown as placement reaches
+    // later cycles: at most one row per cycle of the schedule.
+    let mut rows: Vec<[u32; 4]> = Vec::new();
     let mut time: Vec<Option<i64>> = vec![None; n];
 
     // Repeatedly place any op whose same-iteration predecessors are done
@@ -247,26 +242,28 @@ pub fn acyclic_schedule(lp: &LoopIr, machine: &MachineModel, ddg: &Ddg) -> Modul
                 continue;
             }
             let op = InstId(idx as u32);
-            let ready = ddg
+            // Earliest start, or `None` while a predecessor is unplaced.
+            let estart = ddg
                 .preds(op)
                 .filter(|e| e.omega == 0 && e.from != op)
-                .all(|e| time[e.from.index()].is_some());
-            if !ready {
+                .try_fold(0i64, |t, e| {
+                    time[e.from.index()].map(|tp| t.max(tp + i64::from(e.latency)))
+                });
+            let Some(mut t) = estart else {
                 continue;
-            }
-            let mut estart: i64 = 0;
-            for e in ddg.preds(op) {
-                if e.omega == 0 && e.from != op {
-                    let tp = time[e.from.index()].expect("checked ready");
-                    estart = estart.max(tp + i64::from(e.latency));
-                }
-            }
+            };
             let class = lp.inst(op).unit_class();
-            let mut t = estart;
-            while !mrt.fits(t, class) {
+            let slot = loop {
+                let row = t as usize;
+                if row >= rows.len() {
+                    rows.resize(row + 1, [0; 4]);
+                }
+                if let Some(slot) = free_slot(rows[row], res, class) {
+                    break slot;
+                }
                 t += 1;
-            }
-            assert!(mrt.place(op, t, class), "fits() said the slot was free");
+            };
+            rows[t as usize][slot.idx()] += 1;
             time[idx] = Some(t);
             remaining -= 1;
             progressed = true;
@@ -472,5 +469,141 @@ mod tests {
         assert!(s.time(InstId(1)) > s.time(InstId(0)));
         assert!(s.time(InstId(2)) > s.time(InstId(1)));
         assert!(s.ii() >= 3);
+    }
+
+    /// The list schedule `acyclic_schedule` replaced, kept as its referee:
+    /// a modulo table whose II is a horizon no schedule reaches (the sum
+    /// of all edge latencies plus one cycle per op), so it never wraps.
+    fn acyclic_schedule_on_horizon_mrt(
+        lp: &LoopIr,
+        machine: &MachineModel,
+        ddg: &Ddg,
+    ) -> ModuloSchedule {
+        let n = lp.insts().len();
+        // Horizon: generous upper bound on the schedule length.
+        let horizon: i64 = ddg
+            .edges()
+            .iter()
+            .map(|e| i64::from(e.latency))
+            .sum::<i64>()
+            + n as i64
+            + 1;
+        let mut mrt = Mrt::new(horizon as u32, *machine.issue());
+        let mut time: Vec<Option<i64>> = vec![None; n];
+
+        // Repeatedly place any op whose same-iteration predecessors are done
+        // (the IR validator guarantees omega-0 acyclicity).
+        let mut remaining = n;
+        while remaining > 0 {
+            let mut progressed = false;
+            for idx in 0..n {
+                if time[idx].is_some() {
+                    continue;
+                }
+                let op = InstId(idx as u32);
+                let ready = ddg
+                    .preds(op)
+                    .filter(|e| e.omega == 0 && e.from != op)
+                    .all(|e| time[e.from.index()].is_some());
+                if !ready {
+                    continue;
+                }
+                let mut estart: i64 = 0;
+                for e in ddg.preds(op) {
+                    if e.omega == 0 && e.from != op {
+                        let tp = time[e.from.index()].expect("checked ready");
+                        estart = estart.max(tp + i64::from(e.latency));
+                    }
+                }
+                let class = lp.inst(op).unit_class();
+                let mut t = estart;
+                while !mrt.fits(t, class) {
+                    t += 1;
+                }
+                assert!(mrt.place(op, t, class), "fits() said the slot was free");
+                time[idx] = Some(t);
+                remaining -= 1;
+                progressed = true;
+            }
+            assert!(progressed, "omega-0 dependences are acyclic by validation");
+        }
+
+        let times: Vec<i64> = time.into_iter().map(|t| t.expect("all placed")).collect();
+        let len = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                // Include the producing latency so the loop "length" covers
+                // in-flight results (coarse; the simulator measures reality).
+                let lat: i64 = ddg
+                    .succs(InstId(i as u32))
+                    .filter(|e| e.omega == 0)
+                    .map(|e| i64::from(e.latency))
+                    .max()
+                    .unwrap_or(1);
+                t + lat.max(1)
+            })
+            .max()
+            .unwrap_or(1);
+        ModuloSchedule::new(len.max(1) as u32, times)
+    }
+
+    /// `n` stores of one live-in value to one stride-0 reference.
+    fn store_fan(n: usize) -> LoopIr {
+        let mut b = LoopBuilder::new(format!("fan{n}"));
+        let v = b.live_in_fr("v");
+        let x = b.affine_ref("x", DataClass::Fp, 0x1000, 0, 8);
+        for _ in 0..n {
+            b.store(x, v);
+        }
+        b.build().unwrap()
+    }
+
+    /// Same-iteration reads of values defined later in the body: `i0`
+    /// reads `i3` (which reads `i2`) and `i1` reads `i0`, so the list
+    /// schedule needs a second sweep to place them.
+    fn backward_reads() -> LoopIr {
+        use ltsp_ir::{Inst, Opcode, RegClass, VReg};
+        let g = |r| VReg::new(RegClass::Gr, r);
+        let add = |id, dst, src: VReg| {
+            Inst::new(
+                InstId(id),
+                Opcode::Add,
+                Some(g(dst)),
+                vec![src.into()],
+                None,
+            )
+        };
+        let insts = vec![
+            add(0, 1, g(4)),
+            add(1, 2, g(1)),
+            add(2, 3, g(0)),
+            add(3, 4, g(3)),
+        ];
+        LoopIr::new("backward", insts, vec![], vec![], vec![g(0)]).unwrap()
+    }
+
+    #[test]
+    fn acyclic_schedule_matches_the_horizon_table() {
+        use ltsp_workloads::{kernel_library, random_loop, scheduling_heavy};
+        let m = MachineModel::itanium2();
+        let mut loops: Vec<LoopIr> = kernel_library().into_iter().map(|(_, lp)| lp).collect();
+        loops.extend((0..470).map(random_loop));
+        for s in 3..=5 {
+            loops.extend((9..=20).map(|d| scheduling_heavy(&format!("heavy{s}x{d}"), s, d)));
+        }
+        loops.extend([1, 2, 3, 64, 1000].map(store_fan));
+        loops.push(backward_reads());
+        for lp in &loops {
+            for boost in [0, 21] {
+                let ddg = ddg_with(lp, &m, boost);
+                assert_eq!(
+                    acyclic_schedule(lp, &m, &ddg),
+                    acyclic_schedule_on_horizon_mrt(lp, &m, &ddg),
+                    "{} boost {boost}",
+                    lp.name()
+                );
+            }
+        }
     }
 }
