@@ -11,8 +11,8 @@
 //!   shard's compile/result caches stay hot for its slice of the key
 //!   space and the cluster-wide hit rate matches a single process's.
 //! - [`router`] — `ltspr`, a line-JSON proxy speaking the exact
-//!   `ltspd` wire protocol, framing client lines with the daemon's own
-//!   framer and cap and reaching its shards through
+//!   `ltspd` wire protocol, accepting and framing client lines with the
+//!   daemon's own loops and cap and reaching its shards through
 //!   `ltsp_server::client`. It forwards the client's raw request line
 //!   and the shard's raw response line **byte-for-byte** (responses are
 //!   pure functions of requests, so the determinism contract survives

@@ -25,7 +25,7 @@
 //! `draining` ack, then the router itself drains.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use ltsp_cache::Fingerprint;
 use ltsp_server::client::Client;
-use ltsp_server::framing::{discard_input, Framer};
+use ltsp_server::framing::{read_lines, serve_connections, wake, Lines};
 use ltsp_server::proto::{push_str_field, push_u64_field};
 use ltsp_server::signal::drain_on_signal;
 use ltsp_server::{parse_request, ReqOp, Response};
@@ -42,9 +42,6 @@ use ltsp_telemetry::prom::{self, PromSnapshot};
 use ltsp_telemetry::{Event, Telemetry};
 
 use crate::ring::{Ring, DEFAULT_VNODES};
-
-/// Drain-flag / accept poll cadence (mirrors the daemon's).
-const POLL: Duration = Duration::from_millis(25);
 
 /// How long a write to a client may block, and how long a refused
 /// client's excess input is swallowed before the connection closes.
@@ -113,6 +110,8 @@ struct ShardState {
 
 /// Shared router state.
 struct RouterState {
+    /// The listener's bound address, which drain connects to.
+    addr: SocketAddr,
     cfg: RouterConfig,
     ring: Ring,
     shards: Vec<ShardState>,
@@ -154,7 +153,11 @@ impl RouterState {
     }
 
     fn start_drain(&self, why: &str) {
-        if !self.draining.swap(true, Ordering::SeqCst) && self.cfg.telemetry.is_enabled() {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        wake(self.addr);
+        if self.cfg.telemetry.is_enabled() {
             self.cfg.telemetry.emit(Event::ServerLifecycle {
                 phase: "drain",
                 detail: format!("router: {why}"),
@@ -175,7 +178,6 @@ impl RouterState {
 
 /// A running router: bound address plus lifecycle control.
 pub struct RouterHandle {
-    addr: SocketAddr,
     state: Arc<RouterState>,
     join: thread::JoinHandle<()>,
 }
@@ -183,7 +185,7 @@ pub struct RouterHandle {
 impl RouterHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// True once the router has fully drained and stopped.
@@ -248,7 +250,6 @@ pub fn spawn_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
         return Err(std::io::Error::other("router needs at least one shard"));
     }
     let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
     let ring = Ring::new(cfg.shard_addrs.len(), cfg.vnodes);
     let shards = cfg
         .shard_addrs
@@ -261,6 +262,7 @@ pub fn spawn_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
         })
         .collect();
     let state = Arc::new(RouterState {
+        addr: listener.local_addr()?,
         ring,
         shards,
         started: Instant::now(),
@@ -295,9 +297,8 @@ pub fn spawn_router(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
     let st = Arc::clone(&state);
     let join = thread::Builder::new()
         .name("ltspr-accept".to_string())
-        .spawn(move || run(listener, st))
-        .expect("spawn ltspr accept thread");
-    Ok(RouterHandle { addr, state, join })
+        .spawn(move || run(listener, st))?;
+    Ok(RouterHandle { state, join })
 }
 
 fn run(listener: TcpListener, state: Arc<RouterState>) {
@@ -305,38 +306,25 @@ fn run(listener: TcpListener, state: Arc<RouterState>) {
     if tel.is_enabled() {
         tel.emit(Event::ServerLifecycle {
             phase: "listen",
-            detail: format!(
-                "router {} over {} shard(s)",
-                listener
-                    .local_addr()
-                    .map_or_else(|_| state.cfg.addr.clone(), |a| a.to_string()),
-                state.shards.len()
-            ),
+            detail: format!("router {} over {} shard(s)", state.addr, state.shards.len()),
         });
     }
-    listener
-        .set_nonblocking(true)
-        .expect("set_nonblocking on router listener");
-    let mut readers = Vec::new();
-    while !state.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let state = Arc::clone(&state);
-                readers.push(
-                    thread::Builder::new()
-                        .name("ltspr-conn".to_string())
-                        .spawn(move || conn_loop(stream, &state))
-                        .expect("spawn ltspr conn thread"),
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => break,
-        }
-    }
+    serve_connections(
+        &listener,
+        "ltspr-conn",
+        &state.draining,
+        CLIENT_WRITE_TIMEOUT,
+        |mut stream| {
+            state.connections.fetch_add(1, Ordering::Relaxed);
+            let client = &mut ClientLines {
+                state: &state,
+                upstreams: HashMap::new(),
+            };
+            read_lines(&mut stream, &state.draining, client);
+            state.connections.fetch_sub(1, Ordering::Relaxed);
+        },
+    );
     drop(listener);
-    for r in readers {
-        let _ = r.join();
-    }
     if tel.is_enabled() {
         tel.emit(Event::ServerLifecycle {
             phase: "stopped",
@@ -345,71 +333,41 @@ fn run(listener: TcpListener, state: Arc<RouterState>) {
     }
 }
 
-/// One client connection: read a line, answer it (proxy or local), write
-/// the response, in order. A stalled client stalls only its own thread.
-/// Lines are framed and capped exactly as the daemon frames them, and an
-/// oversized one is refused with the daemon's own answer.
-fn conn_loop(mut stream: TcpStream, state: &Arc<RouterState>) {
-    if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
+/// A client connection's side of [`read_lines`], with its own connection
+/// to each shard it has reached: each line is answered (proxied or
+/// locally) and the answer written before the next is served. A stalled
+/// client stalls only its own thread.
+struct ClientLines<'a> {
+    state: &'a RouterState,
+    upstreams: HashMap<usize, Client>,
+}
+
+impl Lines for ClientLines<'_> {
+    fn line(&mut self, stream: &mut TcpStream, line: &str) -> bool {
+        self.state.requests.fetch_add(1, Ordering::Relaxed);
+        let (reply, is_shutdown) = handle_line(self.state, &mut self.upstreams, line);
+        if stream.write_all(reply.as_bytes()).is_err() {
+            return false;
+        }
+        if is_shutdown {
+            self.state.start_drain("shutdown request");
+            return false;
+        }
+        true
     }
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(CLIENT_WRITE_TIMEOUT));
-    state.connections.fetch_add(1, Ordering::Relaxed);
-    let mut upstreams: HashMap<usize, Client> = HashMap::new();
-    let mut framer = Framer::default();
-    let mut chunk = [0u8; 16 * 1024];
-    'outer: loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => framer.push(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if state.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break,
-        }
-        while let Some(line) = framer.next_line() {
-            let line = String::from_utf8_lossy(line);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            state.requests.fetch_add(1, Ordering::Relaxed);
-            let (reply, is_shutdown) = handle_line(state, &mut upstreams, line);
-            if stream.write_all(reply.as_bytes()).is_err() {
-                break 'outer;
-            }
-            if is_shutdown {
-                state.start_drain("shutdown request");
-                break 'outer;
-            }
-        }
-        framer.compact();
-        if let Some(refusal) = framer.refuse_oversized() {
-            state.requests.fetch_add(1, Ordering::Relaxed);
-            state.local.fetch_add(1, Ordering::Relaxed);
-            if stream.write_all(render_line(&refusal).as_bytes()).is_ok() {
-                discard_input(&mut stream, Instant::now() + CLIENT_WRITE_TIMEOUT, || {
-                    state.draining.load(Ordering::SeqCst)
-                });
-            }
-            break;
-        }
+
+    fn refuse(&mut self, stream: &mut TcpStream, refusal: Response) -> bool {
+        self.state.requests.fetch_add(1, Ordering::Relaxed);
+        self.state.local.fetch_add(1, Ordering::Relaxed);
+        stream.write_all(render_line(&refusal).as_bytes()).is_ok()
     }
-    state.connections.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// Classifies one raw line and produces the full reply line (with
 /// trailing newline). The bool is true for a `shutdown` ack, after
 /// which the caller drains.
 fn handle_line(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     line: &str,
 ) -> (String, bool) {
@@ -467,7 +425,7 @@ fn render_line(resp: &Response) -> String {
 /// reply line (with newline) — a shard's response byte-for-byte, or the
 /// router's `error` once every candidate failed.
 fn proxy(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     line: &str,
     id: &str,
@@ -532,7 +490,7 @@ fn proxy(
 /// One attempt against one shard: connect (or reuse), send, read the
 /// response line within the deadline.
 fn try_shard(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     shard: usize,
     line: &str,

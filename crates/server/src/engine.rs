@@ -436,15 +436,6 @@ impl Engine {
         &self.core.counters
     }
 
-    /// Test hook: while the returned guard is held, the refine worker
-    /// stalls before popping its next batch, so further requests with
-    /// the same refinement inputs deterministically coalesce onto the
-    /// queued leader.
-    #[cfg(test)]
-    fn refine_pause(&self) -> std::sync::MutexGuard<'_, ()> {
-        lock_unpoisoned(&self.core.refine_gate)
-    }
-
     /// Blocks until every scheduled refinement has completed (tests and
     /// drain use this to make upgrade effects observable deterministically).
     pub fn refine_wait_idle(&self) {
@@ -1310,6 +1301,14 @@ mod tests {
     use crate::proto::parse_request;
     use ltsp_telemetry::json;
 
+    /// While the returned guard is held, the refine worker stalls before
+    /// popping its next batch, so further requests with the same
+    /// refinement inputs deterministically coalesce onto the queued
+    /// leader.
+    fn refine_pause(e: &Engine) -> std::sync::MutexGuard<'_, ()> {
+        lock_unpoisoned(&e.core.refine_gate)
+    }
+
     fn req(line: &str) -> Request {
         parse_request(line).unwrap()
     }
@@ -1799,7 +1798,7 @@ mod tests {
                     e.core.persist_warned.load(Ordering::Relaxed),
                 )
             };
-            let gate = e.refine_pause();
+            let gate = refine_pause(&e);
             e.handle(&req(&line), &tel);
             let answered = look(&e);
             drop(gate);
@@ -1822,7 +1821,7 @@ mod tests {
         let a = request_line("compile", r#","id":"c1","backend":"tiered","trip":100"#);
         let b = request_line("compile", r#","id":"c2","backend":"tiered","trip":200"#);
         {
-            let _gate = e.refine_pause();
+            let _gate = refine_pause(&e);
             assert_eq!(e.handle(&req(&a), &tel).cache, "miss");
             assert_eq!(e.handle(&req(&b), &tel).cache, "miss");
         }

@@ -15,9 +15,10 @@
 //! returns exactly the bytes the cold path produced. See [`proto`] for
 //! the wire grammar, [`engine`] for cache key derivation, and
 //! [`daemon`] for the backpressure state machine and drain semantics
-//! (also DESIGN.md §12). [`framing`] frames lines for every reader of
-//! the protocol, [`client`] is its one client, and [`signal`] drains
-//! servers on SIGTERM/SIGINT.
+//! (also DESIGN.md §12). [`framing`] is the accept-and-read loop of
+//! every server of the protocol and frames lines for every reader of it,
+//! [`client`] is its one client, and [`signal`] drains servers on
+//! SIGTERM/SIGINT.
 
 pub mod client;
 mod counters;
