@@ -201,10 +201,10 @@ mod tests {
             InstId(0),
             Opcode::Add,
             Some(a),
-            vec![SrcOperand::carried(b_, 1)],
+            &[SrcOperand::carried(b_, 1)],
             None,
         );
-        let i1 = Inst::new(InstId(1), Opcode::Add, Some(b_), vec![a.into()], None);
+        let i1 = Inst::new(InstId(1), Opcode::Add, Some(b_), &[a.into()], None);
         let lp = LoopIr::new("two", vec![i0, i1], vec![], vec![], vec![]).unwrap();
         let ddg = crate::Ddg::build(&lp, &m, &|_| 0);
         let cycles = ddg.recurrence_cycles(100);
@@ -230,11 +230,11 @@ mod tests {
         let regs: Vec<VReg> = (0..n).map(|i| VReg::new(RegClass::Gr, i)).collect();
         let insts: Vec<Inst> = (0..n)
             .map(|i| {
-                let srcs = (0..n)
+                let srcs: Vec<SrcOperand> = (0..n)
                     .filter(|&j| j != i)
                     .map(|j| SrcOperand::carried(regs[j as usize], 1))
                     .collect();
-                Inst::new(InstId(i), Opcode::Add, Some(regs[i as usize]), srcs, None)
+                Inst::new(InstId(i), Opcode::Add, Some(regs[i as usize]), &srcs, None)
             })
             .collect();
         let lp = LoopIr::new("dense", insts, vec![], vec![], vec![]).unwrap();

@@ -573,7 +573,7 @@ mod tests {
             InstId(0),
             Opcode::Fadd,
             Some(acc),
-            vec![SrcOperand::carried(acc, 2)],
+            &[SrcOperand::carried(acc, 2)],
             None,
         );
         let lp = LoopIr::new("r2", vec![i0], vec![], vec![], vec![]).unwrap();

@@ -357,7 +357,7 @@ pub fn run_hlo(
                     id,
                     Opcode::Prefetch(plan.target),
                     None,
-                    vec![],
+                    &[],
                     Some(d.memref),
                 ));
                 inserted += 1;

@@ -111,32 +111,26 @@ impl LoopBuilder {
             "sel operands must share a register class"
         );
         let dst = self.fresh(a.reg.class());
-        let id = InstId(self.insts.len() as u32);
         // sel reads the predicate as an ordinary operand (both values are
         // consumed regardless), so it is NOT itself predicated.
-        self.insts.push(Inst::new(
-            id,
-            Opcode::Sel,
-            Some(dst),
-            vec![pred.into(), a, b2],
-            None,
-        ));
+        self.push(Opcode::Sel, Some(dst), &[pred.into(), a, b2], None, None);
         dst
     }
 
-    fn apply_qp(&self, inst: Inst) -> Inst {
-        match self.if_ctx {
-            None => inst,
-            Some((qp, neg)) => Inst::new_predicated(
-                inst.id(),
-                inst.op(),
-                inst.dst(),
-                inst.srcs().to_vec(),
-                inst.mem(),
-                qp,
-                neg,
-            ),
-        }
+    /// Appends an instruction under the qualifying predicate `qp`.
+    fn push(
+        &mut self,
+        op: Opcode,
+        dst: Option<VReg>,
+        srcs: &[SrcOperand],
+        mem: Option<MemRefId>,
+        qp: Option<(SrcOperand, bool)>,
+    ) -> InstId {
+        let id = InstId(self.insts.len() as u32);
+        let mut inst = Inst::new(id, op, dst, srcs, mem);
+        inst.qp = qp;
+        self.insts.push(inst);
+        id
     }
 
     /// Allocates a fresh virtual register of the given class.
@@ -312,13 +306,13 @@ impl LoopBuilder {
         };
         let dst = self.fresh(class);
         let pattern = self.memrefs[memref.index()].pattern().clone();
-        let srcs = match pattern {
+        let src = match pattern {
             AccessPattern::Gather { index, .. } => {
                 let idx_reg = *self
                     .load_of_ref
                     .get(&index)
                     .expect("gather index must be loaded before the gather");
-                vec![SrcOperand::now(idx_reg)]
+                Some(SrcOperand::now(idx_reg))
             }
             AccessPattern::Deref { pointer, .. } => {
                 let ptr_reg = *self
@@ -330,20 +324,13 @@ impl LoopBuilder {
                     AccessPattern::PointerChase { .. }
                 );
                 let omega = if ptr_is_chase { 1 } else { 0 };
-                vec![SrcOperand::carried(ptr_reg, omega)]
+                Some(SrcOperand::carried(ptr_reg, omega))
             }
-            AccessPattern::PointerChase { .. } => vec![SrcOperand::carried(dst, 1)],
-            _ => vec![],
+            AccessPattern::PointerChase { .. } => Some(SrcOperand::carried(dst, 1)),
+            _ => None,
         };
-        let id = InstId(self.insts.len() as u32);
-        let inst = self.apply_qp(Inst::new(
-            id,
-            Opcode::Load(data),
-            Some(dst),
-            srcs,
-            Some(memref),
-        ));
-        self.insts.push(inst);
+        let (srcs, qp) = (src.as_slice(), self.if_ctx);
+        self.push(Opcode::Load(data), Some(dst), srcs, Some(memref), qp);
         self.load_of_ref.insert(memref, dst);
         dst
     }
@@ -351,83 +338,72 @@ impl LoopBuilder {
     /// Emits a store of `value` to `memref`.
     pub fn store(&mut self, memref: MemRefId, value: impl Into<SrcOperand>) -> InstId {
         let data = self.memrefs[memref.index()].data_class();
-        let id = InstId(self.insts.len() as u32);
-        let inst = self.apply_qp(Inst::new(
-            id,
-            Opcode::Store(data),
-            None,
-            vec![value.into()],
-            Some(memref),
-        ));
-        self.insts.push(inst);
-        id
+        let srcs = &[value.into()];
+        self.push(Opcode::Store(data), None, srcs, Some(memref), self.if_ctx)
     }
 
-    fn alu(&mut self, op: Opcode, class: RegClass, srcs: Vec<SrcOperand>) -> VReg {
+    fn alu(&mut self, op: Opcode, class: RegClass, srcs: &[SrcOperand]) -> VReg {
         let dst = self.fresh(class);
-        let id = InstId(self.insts.len() as u32);
-        let inst = self.apply_qp(Inst::new(id, op, Some(dst), srcs, None));
-        self.insts.push(inst);
+        self.push(op, Some(dst), srcs, None, self.if_ctx);
         dst
     }
 
     /// Integer add.
     pub fn add(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Add, RegClass::Gr, vec![a.into(), b.into()])
+        self.alu(Opcode::Add, RegClass::Gr, &[a.into(), b.into()])
     }
 
     /// Integer subtract.
     pub fn sub(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Sub, RegClass::Gr, vec![a.into(), b.into()])
+        self.alu(Opcode::Sub, RegClass::Gr, &[a.into(), b.into()])
     }
 
     /// Bitwise and.
     pub fn and(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::And, RegClass::Gr, vec![a.into(), b.into()])
+        self.alu(Opcode::And, RegClass::Gr, &[a.into(), b.into()])
     }
 
     /// Bitwise xor.
     pub fn xor(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Xor, RegClass::Gr, vec![a.into(), b.into()])
+        self.alu(Opcode::Xor, RegClass::Gr, &[a.into(), b.into()])
     }
 
     /// Shift left.
     pub fn shl(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Shl, RegClass::Gr, vec![a.into(), b.into()])
+        self.alu(Opcode::Shl, RegClass::Gr, &[a.into(), b.into()])
     }
 
     /// Integer multiply.
     pub fn mul(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Mul, RegClass::Gr, vec![a.into(), b.into()])
+        self.alu(Opcode::Mul, RegClass::Gr, &[a.into(), b.into()])
     }
 
     /// Integer compare producing a predicate.
     pub fn cmp(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Cmp, RegClass::Pr, vec![a.into(), b.into()])
+        self.alu(Opcode::Cmp, RegClass::Pr, &[a.into(), b.into()])
     }
 
     /// Integer reduction step: `acc = acc[-1] + v`.
     pub fn add_reduce(&mut self, v: impl Into<SrcOperand>) -> VReg {
         let dst = self.fresh(RegClass::Gr);
-        let id = InstId(self.insts.len() as u32);
-        self.insts.push(Inst::new(
-            id,
+        self.push(
             Opcode::Add,
             Some(dst),
-            vec![SrcOperand::carried(dst, 1), v.into()],
+            &[SrcOperand::carried(dst, 1), v.into()],
             None,
-        ));
+            None,
+        );
         dst
     }
 
     /// FP add.
     pub fn fadd(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Fadd, RegClass::Fr, vec![a.into(), b.into()])
+        self.alu(Opcode::Fadd, RegClass::Fr, &[a.into(), b.into()])
     }
 
     /// FP multiply.
     pub fn fmul(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
-        self.alu(Opcode::Fmul, RegClass::Fr, vec![a.into(), b.into()])
+        self.alu(Opcode::Fmul, RegClass::Fr, &[a.into(), b.into()])
     }
 
     /// Fused multiply-add `a * b + c`.
@@ -437,38 +413,32 @@ impl LoopBuilder {
         b: impl Into<SrcOperand>,
         c: impl Into<SrcOperand>,
     ) -> VReg {
-        self.alu(
-            Opcode::Fma,
-            RegClass::Fr,
-            vec![a.into(), b.into(), c.into()],
-        )
+        self.alu(Opcode::Fma, RegClass::Fr, &[a.into(), b.into(), c.into()])
     }
 
     /// FP reduction step: `acc = acc[-1] + v`.
     pub fn fadd_reduce(&mut self, v: impl Into<SrcOperand>) -> VReg {
         let dst = self.fresh(RegClass::Fr);
-        let id = InstId(self.insts.len() as u32);
-        self.insts.push(Inst::new(
-            id,
+        self.push(
             Opcode::Fadd,
             Some(dst),
-            vec![SrcOperand::carried(dst, 1), v.into()],
+            &[SrcOperand::carried(dst, 1), v.into()],
             None,
-        ));
+            None,
+        );
         dst
     }
 
     /// FP fused multiply-add reduction: `acc = acc[-1] + a * b`.
     pub fn fma_reduce(&mut self, a: impl Into<SrcOperand>, b: impl Into<SrcOperand>) -> VReg {
         let dst = self.fresh(RegClass::Fr);
-        let id = InstId(self.insts.len() as u32);
-        self.insts.push(Inst::new(
-            id,
+        self.push(
             Opcode::Fma,
             Some(dst),
-            vec![a.into(), b.into(), SrcOperand::carried(dst, 1)],
+            &[a.into(), b.into(), SrcOperand::carried(dst, 1)],
             None,
-        ));
+            None,
+        );
         dst
     }
 

@@ -3,11 +3,11 @@
 use std::fmt;
 
 use crate::memref::{CacheLevel, DataClass, MemRefId};
-use crate::reg::VReg;
+use crate::reg::{RegClass, VReg};
 
 /// Identifier of an instruction within one loop body (dense index, program
 /// order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstId(pub u32);
 
 impl InstId {
@@ -233,15 +233,71 @@ impl fmt::Display for SrcOperand {
     }
 }
 
+/// An instruction's source operands: up to three inline, a heap `Vec`
+/// only past three. No loop in the library or the generators reads more
+/// than three, but the grammar allows any number. Compares and prints
+/// (`Debug` too) as the slice, so as a `Vec` did.
+#[derive(Clone)]
+pub(crate) enum Operands {
+    Inline(u8, [SrcOperand; 3]),
+    Heap(Vec<SrcOperand>),
+}
+
+impl Operands {
+    /// Appends a source; the fourth moves them all to the heap.
+    pub(crate) fn push(&mut self, s: SrcOperand) {
+        match self {
+            Operands::Inline(n, a) if usize::from(*n) < a.len() => {
+                a[usize::from(*n)] = s;
+                *n += 1;
+            }
+            Operands::Inline(_, a) => *self = Operands::Heap([&a[..], &[s]].concat()),
+            Operands::Heap(v) => v.push(s),
+        }
+    }
+}
+
+impl Default for Operands {
+    fn default() -> Self {
+        Operands::Inline(0, [SrcOperand::now(VReg::new(RegClass::Gr, 0)); 3])
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [SrcOperand];
+    fn deref(&self) -> &[SrcOperand] {
+        match self {
+            Operands::Inline(n, a) => &a[..usize::from(*n)],
+            Operands::Heap(v) => v,
+        }
+    }
+}
+
+impl PartialEq for Operands {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One instruction of the loop body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inst {
-    id: InstId,
-    op: Opcode,
-    dst: Option<VReg>,
-    srcs: Vec<SrcOperand>,
-    mem: Option<MemRefId>,
-    qp: Option<(SrcOperand, bool)>,
+    pub(crate) id: InstId,
+    pub(crate) op: Opcode,
+    pub(crate) dst: Option<VReg>,
+    pub(crate) srcs: Operands,
+    pub(crate) mem: Option<MemRefId>,
+    /// The qualifying predicate and its negation flag: the instruction
+    /// executes only in iterations where the predicate (a
+    /// [`crate::RegClass::Pr`] value, usually from a `cmp`) is true — or
+    /// false, when negated — the result of if-conversion.
+    pub(crate) qp: Option<(SrcOperand, bool)>,
 }
 
 impl Inst {
@@ -251,39 +307,18 @@ impl Inst {
         id: InstId,
         op: Opcode,
         dst: Option<VReg>,
-        srcs: Vec<SrcOperand>,
+        srcs: &[SrcOperand],
         mem: Option<MemRefId>,
     ) -> Self {
+        let mut ops = Operands::default();
+        srcs.iter().for_each(|&s| ops.push(s));
         Inst {
             id,
             op,
             dst,
-            srcs,
+            srcs: ops,
             mem,
             qp: None,
-        }
-    }
-
-    /// Creates a predicated instruction: it executes only in iterations
-    /// where the qualifying predicate (a [`crate::RegClass::Pr`] value,
-    /// usually from a `cmp`) is true — or false, when `negated` — the
-    /// result of if-conversion.
-    pub(crate) fn new_predicated(
-        id: InstId,
-        op: Opcode,
-        dst: Option<VReg>,
-        srcs: Vec<SrcOperand>,
-        mem: Option<MemRefId>,
-        qp: SrcOperand,
-        negated: bool,
-    ) -> Self {
-        Inst {
-            id,
-            op,
-            dst,
-            srcs,
-            mem,
-            qp: Some((qp, negated)),
         }
     }
 
@@ -347,11 +382,7 @@ impl fmt::Display for Inst {
             write!(f, " {d} =")?;
         }
         for (i, s) in self.srcs.iter().enumerate() {
-            if i == 0 {
-                write!(f, " {s}")?;
-            } else {
-                write!(f, ", {s}")?;
-            }
+            write!(f, "{}{s}", if i == 0 { " " } else { ", " })?;
         }
         if let Some(m) = self.mem {
             write!(f, " @{m}")?;
@@ -363,7 +394,6 @@ impl fmt::Display for Inst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::RegClass;
 
     #[test]
     fn unit_classes() {
@@ -391,7 +421,7 @@ mod tests {
             InstId(2),
             Opcode::Add,
             Some(g1),
-            vec![g0.into(), SrcOperand::carried(g1, 1)],
+            &[g0.into(), SrcOperand::carried(g1, 1)],
             None,
         );
         assert_eq!(i.to_string(), "i2: add g1 = g0, g1[-1]");

@@ -196,13 +196,8 @@ impl LoopIr {
 
     /// Iterates over loads together with their memory references.
     pub fn loads(&self) -> impl Iterator<Item = (&Inst, MemRefId)> + '_ {
-        self.insts.iter().filter_map(|i| {
-            if i.op().is_load() {
-                i.mem().map(|m| (i, m))
-            } else {
-                None
-            }
-        })
+        let loads = self.insts.iter().filter(|i| i.op().is_load());
+        loads.filter_map(|i| i.mem().map(|m| (i, m)))
     }
 
     /// Counts instructions per functional-unit class `(m, i, f, b, a)`.
@@ -275,12 +270,9 @@ impl LoopIr {
             }
         }
         // Mem-dep endpoints exist.
-        for d in &self.mem_deps {
-            if d.from.index() >= self.insts.len() {
-                return Err(IrError::MemRefMismatch { inst: d.from });
-            }
-            if d.to.index() >= self.insts.len() {
-                return Err(IrError::MemRefMismatch { inst: d.to });
+        for inst in self.mem_deps.iter().flat_map(|d| [d.from, d.to]) {
+            if inst.index() >= self.insts.len() {
+                return Err(IrError::MemRefMismatch { inst });
             }
         }
         // No zero-omega cycles (register flow only; explicit mem deps with
@@ -543,8 +535,8 @@ mod tests {
     #[test]
     fn rejects_double_def() {
         let g = VReg::new(RegClass::Gr, 0);
-        let i0 = Inst::new(InstId(0), Opcode::MovImm, Some(g), vec![], None);
-        let i1 = Inst::new(InstId(1), Opcode::MovImm, Some(g), vec![], None);
+        let i0 = Inst::new(InstId(0), Opcode::MovImm, Some(g), &[], None);
+        let i1 = Inst::new(InstId(1), Opcode::MovImm, Some(g), &[], None);
         let err = LoopIr::new("x", vec![i0, i1], vec![], vec![], vec![]).unwrap_err();
         assert!(matches!(err, IrError::MultipleDefs { .. }));
     }
@@ -553,7 +545,7 @@ mod tests {
     fn rejects_undefined_use() {
         let g = VReg::new(RegClass::Gr, 0);
         let ghost = VReg::new(RegClass::Gr, 9);
-        let i0 = Inst::new(InstId(0), Opcode::Mov, Some(g), vec![ghost.into()], None);
+        let i0 = Inst::new(InstId(0), Opcode::Mov, Some(g), &[ghost.into()], None);
         let err = LoopIr::new("x", vec![i0], vec![], vec![], vec![]).unwrap_err();
         assert!(matches!(err, IrError::UndefinedUse { .. }));
     }
@@ -567,7 +559,7 @@ mod tests {
             InstId(0),
             Opcode::Add,
             Some(acc),
-            vec![SrcOperand::carried(acc, 1), c.into()],
+            &[SrcOperand::carried(acc, 1), c.into()],
             None,
         );
         let lp = LoopIr::new("red", vec![i0], vec![], vec![], vec![c]).unwrap();
@@ -578,8 +570,8 @@ mod tests {
     fn rejects_zero_omega_cycle() {
         let a = VReg::new(RegClass::Gr, 0);
         let b = VReg::new(RegClass::Gr, 1);
-        let i0 = Inst::new(InstId(0), Opcode::Add, Some(a), vec![b.into()], None);
-        let i1 = Inst::new(InstId(1), Opcode::Add, Some(b), vec![a.into()], None);
+        let i0 = Inst::new(InstId(0), Opcode::Add, Some(a), &[b.into()], None);
+        let i1 = Inst::new(InstId(1), Opcode::Add, Some(b), &[a.into()], None);
         let err = LoopIr::new("cyc", vec![i0, i1], vec![], vec![], vec![]).unwrap_err();
         assert!(matches!(err, IrError::ZeroOmegaCycle { .. }));
     }
@@ -587,13 +579,7 @@ mod tests {
     #[test]
     fn rejects_load_without_memref() {
         let g = VReg::new(RegClass::Gr, 0);
-        let i0 = Inst::new(
-            InstId(0),
-            Opcode::Load(DataClass::Int),
-            Some(g),
-            vec![],
-            None,
-        );
+        let i0 = Inst::new(InstId(0), Opcode::Load(DataClass::Int), Some(g), &[], None);
         let err = LoopIr::new("x", vec![i0], vec![], vec![], vec![]).unwrap_err();
         assert!(matches!(err, IrError::MemRefMismatch { .. }));
     }
@@ -623,7 +609,7 @@ mod tests {
             InstId(0),
             Opcode::Load(DataClass::Int),
             Some(g),
-            vec![],
+            &[],
             Some(MemRefId(1)),
         );
         let err = LoopIr::new("x", vec![i0], vec![idx_ref, tgt_ref], vec![], vec![]).unwrap_err();
@@ -644,7 +630,7 @@ mod tests {
     fn def_index_is_keyed_by_register_not_sized_by_it() {
         let far = VReg::new(RegClass::Gr, u32::MAX);
         let c = VReg::new(RegClass::Gr, 7);
-        let i0 = Inst::new(InstId(0), Opcode::Mov, Some(far), vec![c.into()], None);
+        let i0 = Inst::new(InstId(0), Opcode::Mov, Some(far), &[c.into()], None);
         let mut lp = LoopIr::new("far", vec![i0], vec![], vec![], vec![c, c]).unwrap();
         assert_eq!(lp.def_of(far), Some(InstId(0)));
         assert_eq!(lp.def_of(c), None);
@@ -652,13 +638,7 @@ mod tests {
         assert_eq!(lp.vreg_count(RegClass::Gr), 2);
         // Appended instructions are indexed too.
         let late = VReg::new(RegClass::Gr, 1 << 31);
-        lp.push_inst(Inst::new(
-            InstId(1),
-            Opcode::MovImm,
-            Some(late),
-            vec![],
-            None,
-        ));
+        lp.push_inst(Inst::new(InstId(1), Opcode::MovImm, Some(late), &[], None));
         assert_eq!(lp.def_of(late), Some(InstId(1)));
         assert_eq!(lp.vreg_count(RegClass::Gr), 3);
     }

@@ -22,13 +22,13 @@
 //!
 //! One pass over borrowed slices, splitting by bytes: no token is copied
 //! and nothing is formatted unless there is an error. An instruction line
-//! allocates its source operands and nothing else.
+//! allocates nothing: its source operands are stored inline, up to three.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::error::IrError;
-use crate::inst::{Inst, InstId, Opcode, SrcOperand};
+use crate::inst::{Inst, InstId, Opcode, Operands, SrcOperand};
 use crate::loop_ir::{LoopIr, MemDep, MemDepKind};
 use crate::memref::{
     AccessPattern, CacheLevel, DataClass, LatencyHint, MemRefId, MemoryRef, PrefetchPlan,
@@ -462,7 +462,7 @@ fn parse_inst_line(
         Some((d, s)) => (Some(parse_vreg(line, d)?), trim(s)),
         None => (None, trim(operands)),
     };
-    let mut srcs = Vec::new();
+    let mut srcs = Operands::default();
     let mut pending = Some(operands).filter(|s| !s.is_empty());
     while let Some(s) = pending {
         let (src, more) = split_byte(s, b',').map_or((s, None), |(a, b)| (a, Some(b)));
@@ -480,9 +480,13 @@ fn parse_inst_line(
         }
         _ => {}
     }
-    Ok(match qp {
-        None => Inst::new(id, op, dst, srcs, mem),
-        Some((q, neg)) => Inst::new_predicated(id, op, dst, srcs, mem, q, neg),
+    Ok(Inst {
+        id,
+        op,
+        dst,
+        srcs,
+        mem,
+        qp,
     })
 }
 

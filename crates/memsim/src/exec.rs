@@ -291,7 +291,7 @@ impl<'a> Executor<'a> {
         let (mut insts, mut srcs) = (Vec::new(), Vec::new());
         for (sched, &regs) in scheds.iter().zip(regs_per_version) {
             let first_row = rows.len() as u32;
-            for row in sched.rows() {
+            for row in sched.rows().iter() {
                 let first_inst = insts.len() as u32;
                 for slot in row {
                     let inst = lp.inst(slot.inst);

@@ -98,12 +98,9 @@ fn fits(class: UnitClass, slot_class: UnitClass) -> bool {
 /// the MVE ablation contrasts with rotation.
 pub fn form_bundles(lp: &LoopIr, sched: &ModuloSchedule) -> BundledKernel {
     let mut cycles = Vec::new();
-    for row in sched.rows() {
-        let mut m: Vec<ltsp_ir::InstId> = Vec::new();
-        let mut i: Vec<ltsp_ir::InstId> = Vec::new();
-        let mut f: Vec<ltsp_ir::InstId> = Vec::new();
-        let mut a: Vec<ltsp_ir::InstId> = Vec::new();
-        for slot in &row {
+    for row in sched.rows().iter() {
+        let (mut m, mut i, mut f, mut a) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for slot in row {
             match lp.inst(slot.inst).unit_class() {
                 UnitClass::M => m.push(slot.inst),
                 UnitClass::I => i.push(slot.inst),

@@ -462,7 +462,7 @@ mod tests {
                 InstId(k),
                 Opcode::Load(DataClass::Int),
                 Some(VReg::new(RegClass::Gr, k)),
-                vec![],
+                &[],
                 Some(MemRefId(k)),
             ));
         }
@@ -471,7 +471,7 @@ mod tests {
             InstId(10),
             Opcode::Add,
             Some(w),
-            vec![
+            &[
                 SrcOperand::now(VReg::new(RegClass::Gr, 0)),
                 SrcOperand::carried(w, 4),
             ],
@@ -518,14 +518,14 @@ mod tests {
             InstId(0),
             Opcode::Load(DataClass::Int),
             Some(v),
-            vec![SrcOperand::carried(w, 1)],
+            &[SrcOperand::carried(w, 1)],
             Some(MemRefId(0)),
         ));
         insts.push(Inst::new(
             InstId(1),
             Opcode::Add,
             Some(w),
-            vec![SrcOperand::now(v)],
+            &[SrcOperand::now(v)],
             None,
         ));
         // The gather pattern's index source must be loaded; point it at

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use ltsp_ir::{LoopIr, Opcode, RegClass, VReg};
+use ltsp_ir::{LoopIr, Opcode, RegClass, SrcOperand, VReg};
 use ltsp_machine::MachineModel;
 
 use crate::regalloc::{allocate_names, RegAllocError, RegAllocation};
@@ -29,15 +29,10 @@ pub struct RegisterAssignment {
     alloc: RegAllocation,
 }
 
-/// First architectural register of each rotating area (Itanium: `r32`,
-/// `f32`, and predicates `p16`, with stage predicates first).
-fn rotating_base(class: RegClass) -> u32 {
-    match class {
-        RegClass::Gr => 32,
-        RegClass::Fr => 32,
-        RegClass::Pr => 16,
-    }
-}
+/// First architectural register of each rotating area, in
+/// [`RegClass::ALL`] order (Itanium: `r32`, `f32`, and predicates `p16`,
+/// with stage predicates first).
+const ROTATING_BASE: [u32; 3] = [32, 32, 16];
 
 impl RegisterAssignment {
     /// Rotating registers used in a class: the count
@@ -55,7 +50,10 @@ impl RegisterAssignment {
     /// The architectural name an instruction *writes* for its destination.
     fn def_name(&self, reg: VReg) -> Option<String> {
         let n = self.name(reg)?;
-        Some(arch_name(reg.class(), rotating_base(reg.class()) + n))
+        Some(arch_name(
+            reg.class(),
+            ROTATING_BASE[reg.class() as usize] + n,
+        ))
     }
 
     /// The architectural name a *use* reads: the write register shifted by
@@ -65,7 +63,7 @@ impl RegisterAssignment {
             let delta = use_stage + omega - def_stage.min(use_stage + omega);
             Some(arch_name(
                 reg.class(),
-                rotating_base(reg.class()) + n + delta,
+                ROTATING_BASE[reg.class() as usize] + n + delta,
             ))
         } else {
             let n = self.statics.get(&reg)?;
@@ -75,11 +73,7 @@ impl RegisterAssignment {
 }
 
 fn arch_name(class: RegClass, number: u32) -> String {
-    match class {
-        RegClass::Gr => format!("r{number}"),
-        RegClass::Fr => format!("f{number}"),
-        RegClass::Pr => format!("p{number}"),
-    }
+    format!("{}{number}", ['r', 'f', 'p'][class as usize])
 }
 
 /// Assigns concrete rotating registers to every loop-defined value and
@@ -169,12 +163,6 @@ pub fn mve_unroll_factor(lp: &LoopIr, sched: &ModuloSchedule) -> u32 {
     factor
 }
 
-fn mem_operand(lp: &LoopIr, inst: &ltsp_ir::Inst) -> String {
-    inst.mem()
-        .map(|m| format!("[{}]", lp.memref(m).name()))
-        .unwrap_or_default()
-}
-
 /// Renders a scheduled kernel as Itanium-style assembly: one issue group
 /// per kernel cycle (terminated by `;;`), stage predicates qualifying
 /// every instruction, concrete rotating register names, and a `br.ctop`
@@ -219,20 +207,18 @@ pub fn emit_kernel(lp: &LoopIr, sched: &ModuloSchedule, assign: &RegisterAssignm
     for (cycle, row) in sched.rows().iter().enumerate() {
         for slot in row {
             let inst = lp.inst(slot.inst);
+            let use_name = |s: SrcOperand| {
+                let d_stage = def_stage(s.reg).unwrap_or(slot.stage);
+                let name = assign.use_name(s.reg, d_stage, slot.stage, s.omega);
+                name.unwrap_or_else(|| s.reg.to_string())
+            };
             let qp = match inst.qp() {
                 None => format!("(p{})", 16 + slot.stage),
+                // The stage predicate is ANDed with the qualifying
+                // predicate (compilers materialize the conjunction).
                 Some((q, neg)) => {
-                    // The stage predicate is ANDed with the qualifying
-                    // predicate (compilers materialize the conjunction).
-                    let d_stage = def_stage(q.reg).unwrap_or(slot.stage);
-                    let name = assign
-                        .use_name(q.reg, d_stage, slot.stage, q.omega)
-                        .unwrap_or_else(|| q.reg.to_string());
-                    format!(
-                        "(p{}&{}{name})",
-                        16 + slot.stage,
-                        if neg { "!" } else { "" }
-                    )
+                    let not = if neg { "!" } else { "" };
+                    format!("(p{}&{not}{})", 16 + slot.stage, use_name(q))
                 }
             };
             let dst = inst
@@ -240,17 +226,9 @@ pub fn emit_kernel(lp: &LoopIr, sched: &ModuloSchedule, assign: &RegisterAssignm
                 .and_then(|d| assign.def_name(d))
                 .map(|n| format!("{n} = "))
                 .unwrap_or_default();
-            let srcs: Vec<String> = inst
-                .srcs()
-                .iter()
-                .map(|s| {
-                    let d_stage = def_stage(s.reg).unwrap_or(slot.stage);
-                    assign
-                        .use_name(s.reg, d_stage, slot.stage, s.omega)
-                        .unwrap_or_else(|| format!("{}", s.reg))
-                })
-                .collect();
-            let mem = mem_operand(lp, inst);
+            let srcs: Vec<String> = inst.srcs().iter().map(|&s| use_name(s)).collect();
+            let mem = inst.mem().map(|m| format!("[{}]", lp.memref(m).name()));
+            let mem = mem.unwrap_or_default();
             let operands = match inst.op() {
                 Opcode::Load(_) => format!("{dst}{mem}"),
                 Opcode::Store(_) => format!("{mem} = {}", srcs.join(", ")),

@@ -44,5 +44,5 @@ pub use pipeline::{
     PipelinedLoop,
 };
 pub use regalloc::{allocate_rotating, register_floor, RegAllocError, RegAllocation};
-pub use schedule::{KernelSlot, ModuloSchedule};
+pub use schedule::{KernelRows, KernelSlot, ModuloSchedule};
 pub use scheduler::{acyclic_schedule, ModuloScheduler, ScheduleFailure};

@@ -2,13 +2,11 @@
 
 use ltsp_ir::{InstId, LoopIr};
 
-/// One instruction's position in the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One instruction's position in its kernel row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelSlot {
     /// The instruction.
     pub inst: InstId,
-    /// Issue cycle within the kernel (`0..II`).
-    pub cycle: u32,
     /// Pipeline stage (`time / II`): which source iteration relative to the
     /// newest one this instruction works on.
     pub stage: u32,
@@ -72,49 +70,77 @@ impl ModuloSchedule {
         self.times.is_empty()
     }
 
-    /// All kernel slots grouped by kernel cycle (row), each row sorted by
-    /// stage. This is the shape the execution simulator consumes.
-    pub fn rows(&self) -> Vec<Vec<KernelSlot>> {
-        let mut rows: Vec<Vec<KernelSlot>> = vec![Vec::new(); self.ii as usize];
-        for (idx, &t) in self.times.iter().enumerate() {
-            let slot = KernelSlot {
+    /// The kernel in row order: every slot grouped by kernel cycle, each
+    /// row sorted by (stage, inst). This is the shape the execution
+    /// simulator, the emitter, the bundler and [`Self::dump`] consume.
+    pub fn rows(&self) -> KernelRows {
+        // A counting sort: row ends by prefix sum, then each slot placed
+        // from the back of its row in reverse id order, which leaves
+        // `starts[c]` at the row's start and ids ascending within it.
+        let ii = i64::from(self.ii);
+        let mut starts = vec![0; self.ii as usize + 1];
+        for &t in &self.times {
+            starts[(t % ii) as usize] += 1;
+        }
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
+        }
+        let mut slots = vec![KernelSlot::default(); self.times.len()];
+        for (idx, &t) in self.times.iter().enumerate().rev() {
+            let start = &mut starts[(t % ii) as usize];
+            *start -= 1;
+            slots[*start] = KernelSlot {
                 inst: InstId(idx as u32),
-                cycle: (t % i64::from(self.ii)) as u32,
-                stage: (t / i64::from(self.ii)) as u32,
+                stage: (t / ii) as u32,
             };
-            rows[slot.cycle as usize].push(slot);
         }
-        for row in &mut rows {
-            row.sort_by_key(|s| (s.stage, s.inst));
+        for w in starts.windows(2) {
+            slots[w[0]..w[1]].sort_unstable_by_key(|s| (s.stage, s.inst));
         }
-        rows
+        KernelRows { slots, starts }
     }
 
     /// Pretty-prints the kernel for debugging, one row per kernel cycle.
     pub fn dump(&self, lp: &LoopIr) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "kernel II={} stages={} ({} insts)",
-            self.ii,
-            self.stage_count(),
-            self.len()
-        );
+        let (ii, stages, n) = (self.ii, self.stage_count(), self.len());
+        let mut s = format!("kernel II={ii} stages={stages} ({n} insts)\n");
         for (c, row) in self.rows().iter().enumerate() {
-            let _ = write!(s, "  cycle {c}:");
+            s.push_str("  cycle ");
+            push_uint(&mut s, c as u32);
+            s.push(':');
             for slot in row {
-                let _ = write!(
-                    s,
-                    "  [s{}] {}",
-                    slot.stage,
-                    lp.inst(slot.inst).op().mnemonic()
-                );
+                s.push_str("  [s");
+                push_uint(&mut s, slot.stage);
+                s.push_str("] ");
+                s.push_str(lp.inst(slot.inst).op().mnemonic());
             }
-            let _ = writeln!(s);
+            s.push('\n');
         }
         s
     }
+}
+
+/// A kernel's slots in row order, in one flat array: row `c` is
+/// `slots[starts[c]..starts[c + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelRows {
+    slots: Vec<KernelSlot>,
+    starts: Vec<usize>,
+}
+
+impl KernelRows {
+    /// The rows, one slice per kernel cycle `0..II`.
+    pub fn iter(&self) -> impl Iterator<Item = &[KernelSlot]> + '_ {
+        self.starts.windows(2).map(|w| &self.slots[w[0]..w[1]])
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_uint(s: &mut String, n: u32) {
+    if n >= 10 {
+        push_uint(s, n / 10);
+    }
+    s.push(char::from(b'0' + (n % 10) as u8));
 }
 
 #[cfg(test)]
@@ -134,6 +160,7 @@ mod tests {
     fn rows_group_by_cycle() {
         let s = ModuloSchedule::new(2, vec![0, 2, 1, 5]);
         let rows = s.rows();
+        let rows: Vec<&[KernelSlot]> = rows.iter().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].len(), 2, "times 0 and 2 share cycle 0");
         assert_eq!(rows[1].len(), 2, "times 1 and 5 share cycle 1");

@@ -566,13 +566,7 @@ mod tests {
         use ltsp_ir::{Inst, Opcode, RegClass, VReg};
         let g = |r| VReg::new(RegClass::Gr, r);
         let add = |id, dst, src: VReg| {
-            Inst::new(
-                InstId(id),
-                Opcode::Add,
-                Some(g(dst)),
-                vec![src.into()],
-                None,
-            )
+            Inst::new(InstId(id), Opcode::Add, Some(g(dst)), &[src.into()], None)
         };
         let insts = vec![
             add(0, 1, g(4)),

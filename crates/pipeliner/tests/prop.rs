@@ -38,11 +38,11 @@ proptest! {
         }
         // Resources: count per row and class.
         let res = m.issue();
-        for row in s.rows() {
+        for row in s.rows().iter() {
             let mut mem = 0u32;
             let mut fp = 0u32;
             let mut alu = 0u32;
-            for slot in &row {
+            for slot in row {
                 match lp.inst(slot.inst).unit_class() {
                     ltsp_ir::UnitClass::M => mem += 1,
                     ltsp_ir::UnitClass::F => fp += 1,

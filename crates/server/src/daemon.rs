@@ -54,7 +54,8 @@
 //! - **draining** — after a `shutdown` request or SIGTERM/SIGINT: no
 //!   new admissions (late requests get `{"status":"draining"}`), queued
 //!   and in-flight work completes, readers close once idle, the
-//!   dispatcher exits when the queue is empty, and [`serve`] returns.
+//!   dispatcher exits when the queue is empty, and
+//!   [`ServerHandle::wait`] returns.
 //!
 //! A hit answered by the reader never enters the queue, so the
 //! high-water mark — which protects the queue — does not apply to it:
@@ -500,7 +501,7 @@ fn release_freed_memory() {
 fn release_freed_memory() {}
 
 /// Binds and serves in a background thread; returns once the listener
-/// is accepting. Used by in-process tests and by [`serve`].
+/// is accepting. `ltspc serve` then blocks in [`ServerHandle::wait`].
 ///
 /// # Errors
 ///
@@ -535,17 +536,6 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         .name("ltspd-accept".to_string())
         .spawn(move || run(listener, st))?;
     Ok(ServerHandle { state, join })
-}
-
-/// Binds and serves on the caller's thread until drained. This is the
-/// blocking entry `ltspc serve` uses.
-///
-/// # Errors
-///
-/// Propagates the bind failure.
-pub fn serve(cfg: ServerConfig) -> std::io::Result<()> {
-    spawn(cfg)?.wait();
-    Ok(())
 }
 
 fn run(listener: TcpListener, state: Arc<State>) {

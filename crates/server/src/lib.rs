@@ -31,7 +31,7 @@ pub mod proto;
 mod report;
 pub mod signal;
 
-pub use daemon::{serve, spawn, ServerConfig, ServerHandle, SHARD_KILL_EXIT_CODE};
+pub use daemon::{spawn, ServerConfig, ServerHandle, SHARD_KILL_EXIT_CODE};
 pub use engine::{Engine, EngineConfig};
 pub use fault::{FaultPlan, FaultSite};
 pub use flight::{normalize_flight_dump, read_dumps, FlightRecord, FlightRecorder};

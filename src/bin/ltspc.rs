@@ -665,11 +665,16 @@ fn run_serve(argv: &[String]) -> ExitCode {
         eprintln!("ltspc: LTSP_FAULT active — injecting deterministic faults");
     }
     cfg.telemetry = tel.clone();
-    eprintln!("ltspc: serving on {} (jobs={})", cfg.addr, cfg.jobs);
-    if let Err(e) = ltsp::server::serve(cfg) {
-        eprintln!("ltspc: serve: {e}");
-        return ExitCode::from(EXIT_IO);
-    }
+    let jobs = cfg.jobs;
+    let server = match ltsp::server::spawn(cfg) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("ltspc: serve: {e}");
+            return ExitCode::from(EXIT_IO);
+        }
+    };
+    eprintln!("ltspc: serving on {} (jobs={jobs})", server.addr());
+    server.wait();
     // Request trace and cache counters are written at drain.
     write_telemetry(&tel, s.trace_out.as_deref(), s.metrics_out.as_deref(), None)
 }

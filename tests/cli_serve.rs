@@ -148,6 +148,39 @@ fn a_cluster_refuses_per_process_files() {
 
 const PING: &str = r#"{"op":"ping","id":"p"}"#;
 
+/// `ltspc serve` announces the address it bound, and only once it bound:
+/// a port that cannot be bound prints no banner and exits 3 (I/O), and
+/// port 0 is announced as the port the system picked.
+#[test]
+fn serve_announces_the_address_it_bound() {
+    let out = ltspc(&["serve", "--addr", "127.0.0.1:234824"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(!stderr.contains("serving on"), "{stderr}");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ltspc"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ltspc serve");
+    let banner = std::io::BufRead::lines(std::io::BufReader::new(
+        child.stderr.take().expect("stderr"),
+    ))
+    .map_while(Result::ok)
+    .find(|l| l.contains("serving on"));
+    let addr: Option<std::net::SocketAddr> = banner
+        .as_deref()
+        .and_then(|l| l.strip_prefix("ltspc: serving on "))
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|a| a.parse().ok());
+    let answered = addr.is_some_and(|a| pinged(&a.to_string(), Duration::from_secs(5)));
+    let _ = child.kill();
+    let _ = child.wait();
+    assert!(addr.is_some_and(|a| a.port() != 0), "{banner:?}");
+    assert!(answered, "no ping answered on {banner:?}");
+}
+
 /// Whether a `ping` on a fresh connection is answered within `wait`.
 fn pinged(addr: &str, wait: Duration) -> bool {
     Client::connect(addr, Some(wait))

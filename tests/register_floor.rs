@@ -353,28 +353,28 @@ fn a_starved_loop_is_rejected_with_the_load_after_the_store() {
             InstId(0),
             Opcode::Load(DataClass::Fp),
             Some(fr(1)),
-            vec![],
+            &[],
             Some(MemRefId(0)),
         ),
         Inst::new(
             InstId(1),
             Opcode::Fma,
             Some(fr(2)),
-            vec![fr(0).into(), fr(1).into(), SrcOperand::carried(fr(3), 1)],
+            &[fr(0).into(), fr(1).into(), SrcOperand::carried(fr(3), 1)],
             None,
         ),
         Inst::new(
             InstId(2),
             Opcode::Store(DataClass::Fp),
             None,
-            vec![fr(2).into()],
+            &[fr(2).into()],
             Some(MemRefId(1)),
         ),
         Inst::new(
             InstId(3),
             Opcode::Load(DataClass::Fp),
             Some(fr(3)),
-            vec![],
+            &[],
             Some(MemRefId(2)),
         ),
     ];
