@@ -275,7 +275,7 @@ fn simulate_round(
     for _ in 0..opts.warmup_entries.max(1) {
         ex.run_entry(opts.trip.max(1));
     }
-    ex.reset_ref_stats();
+    ex.reset_observations();
     let warm = *ex.counters();
     for _ in 0..opts.measure_entries.max(1) {
         ex.run_entry(opts.trip.max(1));

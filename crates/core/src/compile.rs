@@ -151,20 +151,17 @@ pub fn sample_miss_hints(
     for _ in 0..sample_entries.max(1) {
         ex.run_entry(trip.max(1));
     }
-    ex.reset_ref_stats();
+    ex.reset_observations();
     for _ in 0..sample_entries.max(1) {
         ex.run_entry(trip.max(1));
     }
     let l2_floor = f64::from(machine.caches().l2.best_latency) - 1.0;
     let l3_floor = f64::from(machine.caches().l3.best_latency) + 2.0;
-    ex.ref_stats()
+    ex.observations()
         .iter()
         .take(lp.memrefs().len()) // ignore HLO-added refs, none today
-        .map(|&(count, lat_sum)| {
-            if count == 0 {
-                return None;
-            }
-            let avg = lat_sum as f64 / count as f64;
+        .map(|obs| {
+            let avg = obs.avg_latency()?;
             if avg >= l3_floor {
                 Some(LatencyHint::L3)
             } else if avg >= l2_floor {

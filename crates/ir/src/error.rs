@@ -52,6 +52,13 @@ pub enum IrError {
         /// The address source that is never loaded.
         source: MemRefId,
     },
+    /// A gather's element or a pointer chase's node is zero bytes.
+    ZeroSizePattern {
+        /// The pattern's reference.
+        memref: MemRefId,
+        /// The zero field, as the text format spells it (`elem`, `node`).
+        field: &'static str,
+    },
     /// A qualifying predicate is not a predicate-class register.
     NonPredicateQp {
         /// The offending instruction.
@@ -96,6 +103,9 @@ impl fmt::Display for IrError {
                     f,
                     "access pattern of {memref} depends on {source}, which no load reads"
                 )
+            }
+            IrError::ZeroSizePattern { memref, field } => {
+                write!(f, "access pattern of {memref} has {field}=0")
             }
             IrError::NonPredicateQp { inst } => {
                 write!(

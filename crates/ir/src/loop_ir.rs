@@ -255,8 +255,15 @@ impl LoopIr {
                 return Err(IrError::DestinationMismatch { inst: inst.id() });
             }
         }
-        // Pattern address sources exist and are actually loaded.
+        // Patterns have a nonzero size, and their address sources exist
+        // and are actually loaded.
         for (idx, mr) in self.memrefs.iter().enumerate() {
+            if let Some(field) = mr.pattern().zero_size() {
+                return Err(IrError::ZeroSizePattern {
+                    memref: MemRefId(idx as u32),
+                    field,
+                });
+            }
             if let Some(src) = mr.pattern().address_source() {
                 if src.index() >= self.memrefs.len() {
                     return Err(IrError::DanglingMemRef { memref: src });
@@ -614,6 +621,23 @@ mod tests {
         );
         let err = LoopIr::new("x", vec![i0], vec![idx_ref, tgt_ref], vec![], vec![]).unwrap_err();
         assert!(matches!(err, IrError::PatternSourceNotLoaded { .. }));
+    }
+
+    #[test]
+    fn zero_size_patterns_are_refused() {
+        let mut b = LoopBuilder::new("g");
+        let idx = b.affine_ref("b[i]", DataClass::Int, 0, 4, 4);
+        let g = b.gather_ref("a[b[i]]", DataClass::Int, idx, 0x1000, 0, 1 << 16);
+        let _ = b.load(idx);
+        let _ = b.load(g);
+        let err = b.build().unwrap_err();
+        assert_eq!(err.to_string(), "access pattern of m1 has elem=0");
+
+        let mut b = LoopBuilder::new("c");
+        let node = b.chase_ref("p", 0x1000, 0, 1 << 16, 0.5);
+        let _ = b.load(node);
+        let err = b.build().unwrap_err();
+        assert_eq!(err.to_string(), "access pattern of m0 has node=0");
     }
 
     #[test]

@@ -187,6 +187,17 @@ impl AccessPattern {
         }
     }
 
+    /// The size field, as the text format spells it, that is zero where
+    /// the address stream divides by it: a gather's `elem` or a chase's
+    /// `node`.
+    pub(crate) fn zero_size(&self) -> Option<&'static str> {
+        match self {
+            AccessPattern::Gather { elem_bytes: 0, .. } => Some("elem"),
+            AccessPattern::PointerChase { node_bytes: 0, .. } => Some("node"),
+            _ => None,
+        }
+    }
+
     /// Short classification label used in dumps and reports.
     pub fn kind_name(&self) -> &'static str {
         match self {

@@ -260,6 +260,7 @@ fn every_validation_error_keeps_its_bytes() {
     let gather = |index: &str| {
         format!(r#"m1: "g" [int gather(index={index}, base=0x0, elem=4, region=64) 4B]"#)
     };
+    let zero_elem = gather("m0").replace("elem=4", "elem=0");
     let rows = [
         (body(&[]), "invalid loop: loop body is empty"),
         (
@@ -302,6 +303,16 @@ fn every_validation_error_keeps_its_bytes() {
             body(&[M0, &gather("m0"), "i0: ld g0 = @m1"]),
             "invalid loop: access pattern of m1 depends on m0, which no load reads",
         ),
+        // Zero sizes the address stream would divide by (`stride=0`
+        // stays legal).
+        (
+            body(&[M0, &zero_elem, "i0: ld g0 = @m0", "i1: ld g1 = @m1"]),
+            "invalid loop: access pattern of m1 has elem=0",
+        ),
+        (
+            memref("int chase(base=0x0, node=0, region=64, locality=0.5) 8B"),
+            "invalid loop: access pattern of m0 has node=0",
+        ),
         (
             body(&["i0: movl g0 =", "dep i0 -> i4 mem-flow omega=1"]),
             "invalid loop: instruction i4 has a memory-reference mismatch",
@@ -339,6 +350,10 @@ fn every_validation_error_keeps_its_bytes() {
             "invalid loop: same-iteration dependence cycle through instruction i1",
         ),
         // Which error is reported first.
+        (
+            body(&[M0, &zero_elem, "i0: ld g0 = @m1"]),
+            "invalid loop: access pattern of m1 has elem=0",
+        ),
         (
             body(&["i0: add g0 = g9", "i1: movl g0 ="]),
             "invalid loop: register g0 defined by both i0 and i1",

@@ -5,27 +5,9 @@ use ltsp_machine::CacheGeometry;
 
 use crate::ozq::retire;
 
-/// Moves `tag` to the front of an MRU-ordered slice (front = most recent)
-/// and reports whether it was already there. On a miss with `install`, the
-/// last (least recent, or still invalid) slot is overwritten instead.
-/// Tags are stored plus one so that zeroed storage reads as "invalid".
-fn touch_mru(ways: &mut [u64], tag: u64, install: bool) -> bool {
-    let tag = tag + 1;
-    if ways[0] == tag {
-        return true;
-    }
-    let pos = ways.iter().position(|&t| t == tag);
-    if pos.is_none() && !install {
-        return false;
-    }
-    let last = pos.unwrap_or(ways.len() - 1);
-    ways[..=last].rotate_right(1);
-    ways[0] = tag;
-    pos.is_some()
-}
-
 /// One set-associative, LRU cache level: a single flat tag array, each
-/// set's ways contiguous and in MRU order.
+/// set's ways contiguous and in MRU order. Tags are stored plus one so
+/// that zeroed storage reads as "invalid".
 #[derive(Debug, Clone)]
 struct SetAssocCache {
     tags: Vec<u64>,
@@ -53,27 +35,61 @@ impl SetAssocCache {
         }
     }
 
-    fn touch(&mut self, addr: u64, install: bool) -> bool {
+    /// The ways of `addr`'s set, MRU first, and the line's stored tag.
+    fn set_of(&mut self, addr: u64) -> (&mut [u64], u64) {
         let line = addr >> self.line_shift;
         let first = (line & self.set_mask) as usize * self.ways;
-        touch_mru(&mut self.tags[first..first + self.ways], line, install)
+        (&mut self.tags[first..first + self.ways], line + 1)
     }
 
-    /// Probes for the line; on hit, refreshes LRU position.
+    /// Probes for the line; on hit, makes it MRU (a `rotate_right(1)` of
+    /// the prefix up to it, nothing when it already is).
     fn probe(&mut self, addr: u64) -> bool {
-        self.touch(addr, false)
+        let (ways, tag) = self.set_of(addr);
+        if ways[0] == tag {
+            return true;
+        }
+        let Some(pos) = ways.iter().position(|&t| t == tag) else {
+            return false;
+        };
+        ways[..=pos].rotate_right(1);
+        ways[0] = tag;
+        true
     }
 
-    /// Inserts the line as MRU, evicting the LRU way if needed.
-    fn insert(&mut self, addr: u64) {
-        self.touch(addr, true);
+    /// Installs, as MRU, a line that [`SetAssocCache::probe`] just missed:
+    /// the LRU (or a still-invalid) way drops off the end of the set, with
+    /// no second search.
+    fn fill(&mut self, addr: u64) {
+        let (ways, tag) = self.set_of(addr);
+        debug_assert!(!ways.contains(&tag), "fill of a resident line");
+        ways.rotate_right(1);
+        ways[0] = tag;
     }
 }
 
-/// Fully-associative LRU TLB over pages (one MRU-ordered set).
+/// One TLB entry on the recency list.
+#[derive(Debug, Clone, Copy)]
+struct TlbEntry {
+    /// Page number plus one; 0 is an invalid entry (or the sentinel).
+    key: u64,
+    /// Neighbours toward the MRU and the LRU end.
+    newer: u32,
+    older: u32,
+}
+
+/// Fully-associative, exactly-LRU TLB over pages. Entry 0 is the sentinel
+/// of a circular recency list (its `older` is the MRU entry, its `newer`
+/// the LRU one), and an open-addressed index maps a page to its entry, so
+/// a hit anywhere in the list and a replacement are both O(1). Invalid
+/// entries start at the LRU end, so they are taken before a valid one.
 #[derive(Debug, Clone)]
 struct Tlb {
-    entries: Vec<u64>,
+    entries: Vec<TlbEntry>,
+    /// Linear-probing table of entry numbers (0 = empty), at most a
+    /// quarter full; its length is `1 << (64 - index_shift)`.
+    index: Vec<u32>,
+    index_shift: u32,
     page_shift: u32,
 }
 
@@ -85,15 +101,84 @@ impl Tlb {
             page_bytes,
             "page size must be a power of two"
         );
+        let buckets = (4 * entries as usize).next_power_of_two();
+        let ring = entries + 1;
         Tlb {
-            entries: vec![0; entries as usize],
+            entries: (0..ring)
+                .map(|e| TlbEntry {
+                    key: 0,
+                    newer: (e + entries) % ring,
+                    older: (e + 1) % ring,
+                })
+                .collect(),
+            index: vec![0; buckets],
+            index_shift: 64 - buckets.trailing_zeros(),
             page_shift,
         }
     }
 
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
+    }
+
+    /// The index bucket holding `key`, or the empty one that ends its probe.
+    fn bucket(&self, key: u64) -> usize {
+        let mut b = self.home(key);
+        while self.index[b] != 0 && self.entries[self.index[b] as usize].key != key {
+            b = (b + 1) & (self.index.len() - 1);
+        }
+        b
+    }
+
+    /// Drops entry `e` from the index, shifting later members of its probe
+    /// run back so that no lookup stops short at the hole.
+    fn unindex(&mut self, e: u32) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.bucket(self.entries[e as usize].key);
+        let mut b = (hole + 1) & mask;
+        while self.index[b] != 0 {
+            // It may move only if the hole lies on its probe path.
+            let home = self.home(self.entries[self.index[b] as usize].key);
+            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
+                self.index[hole] = self.index[b];
+                hole = b;
+            }
+            b = (b + 1) & mask;
+        }
+        self.index[hole] = 0;
+    }
+
+    fn make_mru(&mut self, e: u32) {
+        let TlbEntry { newer, older, .. } = self.entries[e as usize];
+        self.entries[newer as usize].older = older;
+        self.entries[older as usize].newer = newer;
+        let mru = self.entries[0].older;
+        self.entries[e as usize].newer = 0;
+        self.entries[e as usize].older = mru;
+        self.entries[mru as usize].newer = e;
+        self.entries[0].older = e;
+    }
+
     /// Returns `true` on a TLB *miss* (and installs the page).
     fn access_misses(&mut self, addr: u64) -> bool {
-        !touch_mru(&mut self.entries, addr >> self.page_shift, true)
+        let key = (addr >> self.page_shift) + 1;
+        if self.entries[self.entries[0].older as usize].key == key {
+            return false;
+        }
+        let mut b = self.bucket(key);
+        if self.index[b] != 0 {
+            self.make_mru(self.index[b]);
+            return false;
+        }
+        let lru = self.entries[0].newer;
+        if self.entries[lru as usize].key != 0 {
+            self.unindex(lru);
+            b = self.bucket(key);
+        }
+        self.entries[lru as usize].key = key;
+        self.index[b] = lru;
+        self.make_mru(lru);
+        true
     }
 }
 
@@ -238,7 +323,7 @@ impl MemorySystem {
         }
         if self.l2.probe(addr) {
             if use_l1 {
-                self.l1.insert(addr);
+                self.l1.fill(addr);
             }
             return AccessOutcome {
                 latency: self.geo.l2.best_latency + extra,
@@ -248,9 +333,9 @@ impl MemorySystem {
             };
         }
         if self.l3.probe(addr) {
-            self.l2.insert(addr);
+            self.l2.fill(addr);
             if use_l1 {
-                self.l1.insert(addr);
+                self.l1.fill(addr);
             }
             return AccessOutcome {
                 latency: self.geo.l3.best_latency + extra,
@@ -261,10 +346,10 @@ impl MemorySystem {
         }
         // Memory fill (bandwidth-limited).
         let latency = self.memory_fill_latency(now) + extra;
-        self.l3.insert(addr);
-        self.l2.insert(addr);
+        self.l3.fill(addr);
+        self.l2.fill(addr);
         if use_l1 {
-            self.l1.insert(addr);
+            self.l1.fill(addr);
         }
         if !is_store {
             self.start_fill(key, now + u64::from(latency));
@@ -305,17 +390,17 @@ impl MemorySystem {
         let latency = if l2_hit {
             self.geo.l2.best_latency
         } else if self.l3.probe(addr) {
-            self.l2.insert(addr);
+            self.l2.fill(addr);
             self.geo.l3.best_latency
         } else {
             let lat = self.memory_fill_latency(now);
-            self.l3.insert(addr);
-            self.l2.insert(addr);
+            self.l3.fill(addr);
+            self.l2.fill(addr);
             self.start_fill(key, now + u64::from(lat + extra));
             lat
         };
-        if target == CacheLevel::L1 {
-            self.l1.insert(addr);
+        if target == CacheLevel::L1 && !in_l1 {
+            self.l1.fill(addr);
         }
         // Redundant means the line was already resident at the target
         // level (or closer): the prefetch changed nothing about where
@@ -410,6 +495,33 @@ mod tests {
         let d = s.demand_access(0xA_0000, DataClass::Int, 50, false);
         assert!(d.merged);
         assert_eq!(u64::from(d.latency), u64::from(out.latency) - 50);
+    }
+
+    #[test]
+    fn tlb_index_survives_evictions_inside_a_probe_run() {
+        // 4 entries over 16 buckets: five pages that share one home bucket
+        // and one page homed well away from it.
+        let mut tlb = Tlb::new(4, 1024);
+        let home = tlb.home(1);
+        let run: Vec<u64> = (0..).filter(|&p| tlb.home(p + 1) == home).take(5).collect();
+        let other = (0..)
+            .find(|&p| tlb.home(p + 1).wrapping_sub(home) & 15 > 6)
+            .unwrap();
+        let miss = |tlb: &mut Tlb, p: u64| tlb.access_misses(p << 10);
+        for &p in &run[..4] {
+            assert!(miss(&mut tlb, p));
+        }
+        // Touch the head of the run so the LRU victim sits in its middle.
+        assert!(!miss(&mut tlb, run[0]));
+        assert!(miss(&mut tlb, other), "evicts run[1]");
+        for p in [run[0], run[2], run[3], other] {
+            assert!(!miss(&mut tlb, p), "page {p} stays findable");
+        }
+        assert!(miss(&mut tlb, run[1]), "evicts run[0]");
+        assert!(miss(&mut tlb, run[4]), "evicts run[2]");
+        for p in [run[1], run[3], run[4], other] {
+            assert!(!miss(&mut tlb, p), "page {p} stays findable");
+        }
     }
 
     #[test]

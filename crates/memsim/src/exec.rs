@@ -183,10 +183,8 @@ pub struct Executor<'a> {
     counters: CycleCounters,
     now: u64,
     cfg: ExecutorConfig,
-    /// Per-memref demand-load statistics: (accesses, total latency).
-    ref_stats: Vec<(u64, u64)>,
-    /// Per-memref observed service levels (the adaptive-hint feedback
-    /// signal); updated in lockstep with `ref_stats`.
+    /// Per-memref demand latencies and service levels (the adaptive-hint
+    /// feedback signal).
     ref_obs: Vec<RefObservation>,
     /// Observational telemetry sink; disabled by default. The simulation
     /// never reads it, so cycle counts are bit-identical either way.
@@ -328,7 +326,6 @@ impl<'a> Executor<'a> {
                 regs,
             });
         }
-        let n_refs = lp.memrefs().len();
         Executor {
             machine,
             versions,
@@ -343,8 +340,7 @@ impl<'a> Executor<'a> {
             counters: CycleCounters::default(),
             now: 0,
             cfg,
-            ref_stats: vec![(0, 0); n_refs],
-            ref_obs: vec![RefObservation::default(); n_refs],
+            ref_obs: vec![RefObservation::default(); lp.memrefs().len()],
             telemetry: ltsp_telemetry::Telemetry::disabled(),
         }
     }
@@ -365,28 +361,17 @@ impl<'a> Executor<'a> {
         self.counters.export(&self.telemetry, prefix);
     }
 
-    /// Per-memref demand statistics `(accesses, total latency cycles)` —
-    /// the "dynamic cache-miss sampling" data of the paper's outlook
-    /// (Sec. 6). Indexed by memref id.
-    pub fn ref_stats(&self) -> &[(u64, u64)] {
-        &self.ref_stats
-    }
-
-    /// Clears the per-memref statistics (e.g. to discard cache-warmup
+    /// Clears the per-memref observations (e.g. to discard cache-warmup
     /// entries before sampling steady-state behaviour).
-    pub fn reset_ref_stats(&mut self) {
-        for s in &mut self.ref_stats {
-            *s = (0, 0);
-        }
-        for o in &mut self.ref_obs {
-            *o = RefObservation::default();
-        }
+    pub fn reset_observations(&mut self) {
+        self.ref_obs.fill(RefObservation::default());
     }
 
     /// Per-memref service-level observations (which cache level each
     /// demand load was actually served from, plus latency sums) — the
-    /// feedback signal of the adaptive-hint loop. Indexed by memref id;
-    /// cleared together with [`Executor::reset_ref_stats`].
+    /// "dynamic cache-miss sampling" data of the paper's outlook (Sec. 6)
+    /// and the feedback signal of the adaptive-hint loop. Indexed by memref
+    /// id; cleared by [`Executor::reset_observations`].
     pub fn observations(&self) -> &[RefObservation] {
         &self.ref_obs
     }
@@ -471,7 +456,7 @@ impl<'a> Executor<'a> {
                 // OzQ-full accounting: if the queue is full now, the whole
                 // window since the last sample ran at capacity (stalls
                 // included).
-                if self.ozq.is_full_at(self.now) {
+                if self.ozq_may_be_full() && self.ozq.is_full_at(self.now) {
                     self.counters.ozq_full_cycles += self.now - last_sample;
                 }
                 last_sample = self.now;
@@ -573,9 +558,20 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Whether the OzQ can be full now. It holds at most
+    /// [`Ozq::occupancy`] live entries, so below capacity it is not, and
+    /// skipping its drain is exact: `now` never decreases, so the next
+    /// drain retires the same entries.
+    fn ozq_may_be_full(&self) -> bool {
+        self.ozq.occupancy() >= self.machine.caches().ozq_capacity as usize
+    }
+
     fn ozq_admit(&mut self) {
         // If the OzQ is full at issue time, the pipeline stalls until an
         // entry retires (BE_L1D_FPU_BUBBLE).
+        if !self.ozq_may_be_full() {
+            return;
+        }
         let issue = self.ozq.wait_for_slot(self.now);
         if issue > self.now {
             self.counters.be_l1d_fpu_bubble += issue - self.now;
@@ -594,9 +590,6 @@ impl<'a> Executor<'a> {
         self.ozq_admit();
         let outcome = self.mem.demand_access(addr, dc, self.now, false);
         self.counters.loads += 1;
-        let stat = &mut self.ref_stats[memref.index()];
-        stat.0 += 1;
-        stat.1 += u64::from(outcome.latency);
         let obs = &mut self.ref_obs[memref.index()];
         obs.accesses += 1;
         obs.latency_sum += u64::from(outcome.latency);

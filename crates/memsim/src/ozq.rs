@@ -53,7 +53,8 @@ impl Ozq {
         }
     }
 
-    /// Current occupancy after draining.
+    /// Entries held: the occupancy as of the last drain, and an upper
+    /// bound on it at any later time.
     pub fn occupancy(&self) -> usize {
         self.outstanding.len()
     }

@@ -368,6 +368,34 @@ proptest! {
         }
     }
 
+    /// The indexed TLB answers as an MRU-ordered vector: 16 entries over
+    /// 64 pages scattered across the address space, so index probes
+    /// collide and evictions delete from the middle of probe runs.
+    #[test]
+    fn tlb_matches_the_naive_lru(
+        ops in proptest::collection::vec((0u8..3, 0u64..64, 0u64..1024), 1..400),
+    ) {
+        let tiny = tiny_geometry();
+        let geo = CacheGeometry { tlb: TlbParams { entries: 16, ..tiny.tlb }, ..tiny };
+        let mut real = MemorySystem::new(geo);
+        let mut naive = NaiveMem::new(geo);
+        for (t, (op, page, offset)) in ops.into_iter().enumerate() {
+            let addr = (page.wrapping_mul(0x9E6C_63D0_676A_9A99) >> 40 << 10) + offset;
+            let now = t as u64 * 50;
+            if op == 2 {
+                prop_assert_eq!(
+                    real.prefetch(addr, CacheLevel::L2, now),
+                    naive.prefetch(addr, CacheLevel::L2, now)
+                );
+            } else {
+                prop_assert_eq!(
+                    real.demand_access(addr, DataClass::Int, now, op == 1),
+                    naive.demand_access(addr, DataClass::Int, now, op == 1)
+                );
+            }
+        }
+    }
+
     /// Counter arithmetic: `a + b` is component-wise, and scaling by 1.0
     /// is the identity.
     #[test]

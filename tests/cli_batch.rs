@@ -155,3 +155,41 @@ fn asm_header_states_the_reported_registers() {
     }
     assert_eq!(field(report, "GR "), 96, "{report}");
 }
+
+/// A zero-byte gather element or chase node, which the simulator's address
+/// streams would divide by, is refused as an invalid loop (exit 5) with a
+/// one-line diagnostic, under `--simulate` as everywhere else.
+#[test]
+fn zero_size_patterns_are_invalid_loops_not_panics() {
+    let dir = std::env::temp_dir().join(format!("ltsp-zero-size-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, from, to, want) in [
+        (
+            "gather_fp",
+            "elem=8",
+            "elem=0",
+            "access pattern of m1 has elem=0",
+        ),
+        (
+            "mcf_refresh",
+            "node=64",
+            "node=0",
+            "access pattern of m0 has node=0",
+        ),
+    ] {
+        let text = std::fs::read_to_string(format!("loops/{name}.loop")).unwrap();
+        assert!(text.contains(from), "{name} has {from}");
+        let file = dir.join(format!("{name}.loop"));
+        std::fs::write(&file, text.replacen(from, to, 1)).unwrap();
+        let out = ltspc()
+            .arg(&file)
+            .args(["--simulate", "20"])
+            .output()
+            .expect("run ltspc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(5), "{name}: stderr={stderr}");
+        assert!(stderr.contains(want), "{name}: stderr={stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: stderr={stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,9 +4,11 @@
 //!
 //! Every case runs one [`Executor`] over several entries whose trip counts
 //! straddle the kernel's stage count, and folds all 20 [`CycleCounters`]
-//! fields, `ref_stats()` and `observations()` after *every* entry into one
-//! FNV-1a digest; `AddressStreams` is pinned separately with a 10 000-address
-//! digest per access-pattern kind. The table in `tests/sim_golden/` was
+//! fields and `observations()` after *every* entry into one FNV-1a digest
+//! (each reference's access count and latency sum lead, once more, where
+//! the former `ref_stats()` table's words stood, so the digests hold);
+//! `AddressStreams` is pinned separately with a 10 000-address digest per
+//! access-pattern kind. The table in `tests/sim_golden/` was
 //! generated from the deque/`HashMap` implementation; after an intentional
 //! change to the *model* re-bless it (and review the diff):
 //!
@@ -65,9 +67,10 @@ fn fold(h: &mut Fnv, ex: &Executor<'_>) {
     ] {
         h.word(v);
     }
-    for &(accesses, latency) in ex.ref_stats() {
-        h.word(accesses);
-        h.word(latency);
+    // Where the former `ref_stats()` table's words stood.
+    for o in ex.observations() {
+        h.word(o.accesses);
+        h.word(o.latency_sum);
     }
     for o in ex.observations() {
         for v in [
