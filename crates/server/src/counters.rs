@@ -34,11 +34,11 @@ pub(crate) enum Counter {
     RequestsDraining,
     /// Requests answered on their connection's own thread from a
     /// result-cache hit; the rest of the handled requests crossed the
-    /// queue and the dispatcher.
+    /// queue and a worker.
     ServedInline,
     /// Requests sitting in the admission queue right now.
     QueueDepth,
-    /// Requests currently being handled by the dispatcher batch.
+    /// Requests currently being handled by the workers.
     Inflight,
     /// Open client connections.
     Connections,

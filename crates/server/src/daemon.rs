@@ -1,5 +1,5 @@
 //! The threaded TCP daemon: connection readers, per-connection writers,
-//! a bounded admission queue, one batching dispatcher, and graceful
+//! a bounded admission queue, `jobs` long-lived workers, and graceful
 //! drain — with every failure contained to the request or connection
 //! that caused it.
 //!
@@ -19,19 +19,19 @@
 //!           │        └─ parse error → immediate "error" response
 //!           └─ queue at high-water → immediate "overloaded" response
 //!                  │
-//!                  ▼ (single dispatcher thread)
-//!   dispatcher: pop up to batch_max jobs → ltsp_par::Pool::map_traced
-//!               → enqueue responses (admission order) on each conn's
-//!                 bounded outbound queue
+//!                  ▼ (`jobs` worker threads)
+//!   worker: pop the first job whose key no worker is running
+//!           → contained handler → hand the answer to its conn at once
 //!                  │
 //!                  ▼ (per-connection writer thread)
-//!   writer: pop outbound line → write under the write deadline
+//!   writer: pop the next line in sequence order → write under the
+//!           write deadline
 //!           └─ stalled past the deadline → shed the conn (close it)
 //! ```
 //!
 //! A request whose answer is already in the result cache needs no
 //! scheduling, so it gets none: when nothing is owed to its connection
-//! (see `Conn` for the counter that decides, and why that makes the
+//! (see `Conn` for the counters that decide, and why that makes the
 //! socket's write side the reader's), the reader answers it through the
 //! same contained handler (`handle_contained`) and the same write
 //! routine (`write_line`) the queued path uses — minus four thread
@@ -50,12 +50,12 @@
 //! - **overloaded** — `len ≥ high_water`: the reader answers
 //!   `{"status":"overloaded"}` *immediately* (never blocks, never
 //!   drops), so a client always learns its request's fate. Admission
-//!   re-opens as soon as the dispatcher drains below the mark.
+//!   re-opens as soon as the workers drain below the mark.
 //! - **draining** — after a `shutdown` request or SIGTERM/SIGINT: no
 //!   new admissions (late requests get `{"status":"draining"}`), queued
 //!   and in-flight work completes, readers close once idle, the
-//!   dispatcher exits when the queue is empty, and
-//!   [`ServerHandle::wait`] returns.
+//!   workers exit when the queue is empty, and [`ServerHandle::wait`]
+//!   returns.
 //!
 //! A hit answered by the reader never enters the queue, so the
 //! high-water mark — which protects the queue — does not apply to it:
@@ -70,21 +70,22 @@
 //! recovery (DESIGN.md §13):
 //!
 //! - **A panicking request** is caught (`catch_unwind` around
-//!   `Engine::handle_routed`, wherever the request is served: the
-//!   dispatcher, a pool item, a reader), answered `status:"error"` with
-//!   the panic payload, recorded as an [`Event::RequestPanic`], and
-//!   forgotten — the daemon keeps serving. Locks are poison-tolerant
+//!   `Engine::handle_routed`, wherever the request is served: a worker
+//!   or a reader), answered `status:"error"` with the panic payload,
+//!   recorded as an [`Event::RequestPanic`], and forgotten — the daemon
+//!   keeps serving. Locks are poison-tolerant
 //!   ([`ltsp_telemetry::lock_unpoisoned`]), so an unwinding thread
 //!   cannot cascade-abort the process.
-//! - **A stalled client** stalls and sheds only *itself*: the
-//!   dispatcher only ever enqueues onto a bounded per-connection
-//!   outbound queue (overflow past [`ServerConfig::outbound_max`] is
-//!   shed), and whichever of the connection's own two threads is writing
-//!   kills the connection once a write stalls past
+//! - **A stalled client** stalls and sheds only *itself*: a worker only
+//!   ever hands a line to a per-connection buffer whose released part is
+//!   bounded (overflow past [`ServerConfig::outbound_max`] is shed), and
+//!   whichever of the connection's own two threads is writing kills the
+//!   connection once a write stalls past
 //!   [`ServerConfig::write_deadline`]. Other connections never wait.
-//! - **A dying dispatcher** (the one per-process thread) is loud: drain
-//!   trips, `Event::ServerLifecycle { phase: "dispatcher-died" }` fires,
-//!   and every request it held or had queued is answered `error`.
+//! - **A dying worker** is loud: drain trips,
+//!   `Event::ServerLifecycle { phase: "dispatcher-died" }` fires, and
+//!   every request still queued is answered `error`; a job the worker
+//!   had popped answers `error` itself when it is dropped.
 //! - **A failed accept**, or a connection whose threads cannot be had,
 //!   refuses that one connection, and accepting goes on
 //!   ([`crate::framing::serve_connections`]).
@@ -95,39 +96,39 @@
 //!
 //! # Drain semantics
 //!
-//! The drain flag only ever flips **under the queue lock**, and the
-//! dispatcher's exit check (`draining && queue empty`) also holds it.
+//! The drain flag only ever flips **under the queue lock**, and a
+//! worker's exit check (`draining && queue empty`) also holds it.
 //! Admission therefore observes a total order against drain: a request
 //! either lands in the queue before the flip — and is guaranteed to be
 //! served — or sees the flag and is answered `draining`. Nothing is
 //! admitted and then abandoned.
 //!
-//! Nothing needs a clock to see the flip: it notifies the dispatcher's
+//! Nothing needs a clock to see the flip: it notifies the workers'
 //! condvar and wakes the blocking accept ([`crate::framing::wake`]); a
 //! writer waits until its connection is closed and owed nothing. Only an
 //! idle reader notices on its read timeout, which delays no request (and
-//! an idle dispatcher wakes on `IDLE_WAKE`). Every job is answered, even
-//! one a dying dispatcher drops, and every reader closes its connection,
+//! an idle worker wakes on `IDLE_WAKE`). Every job is answered, even
+//! one a dying worker drops, and every reader closes its connection,
 //! even one that panics, so no writer, and no drain, waits forever.
 //!
 //! # Determinism
 //!
-//! Batch *composition* depends on arrival timing and is not
-//! deterministic — but every response is a pure function of its request
-//! (see [`crate::engine`]), results inside a batch are merged in
-//! admission order by [`ltsp_par::Pool::map_traced`], each connection's
-//! outbound queue preserves admission order, and a reader answers in
-//! place only when that queue and everything feeding it is empty. The bytes
-//! each client reads are therefore identical at any `--jobs`, which CI
-//! enforces — and because fault decisions are also request-keyed, the
-//! same holds for every *non-faulted* request under an active
-//! [`FaultPlan`] (the chaos tests' core assertion).
+//! Which worker runs a job, and when, depends on arrival timing — but
+//! every response is a pure function of its request (see
+//! [`crate::engine`]); a connection's lines leave in the order its
+//! reader numbered them (`Conn`); and a worker pops only a job whose
+//! first-level key no worker is running, so a duplicate runs after its
+//! leader and gets a serial run's `cache` tag. The bytes each client
+//! reads are therefore identical at any `--jobs`, which CI enforces —
+//! and because fault decisions are also request-keyed, the same holds
+//! for every *non-faulted* request under an active [`FaultPlan`] (the
+//! chaos tests' core assertion).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -143,7 +144,7 @@ use crate::framing::{read_lines, serve_connections, timed_out, wake, Lines, BUFF
 use crate::proto::{parse_request, ReqOp, Request, Response};
 use crate::signal::drain_on_signal;
 
-/// How often the dispatcher wakes while the queue is empty and a
+/// How often an idle worker wakes while the queue is empty and a
 /// connection is open; with none open it waits untimed. Nothing needs the
 /// wake-ups, but without them `serve_warm`'s closed-loop hits lost ~12 %
 /// of their throughput and their p99 rose 60 % on a 2-vCPU VM, which is
@@ -160,10 +161,8 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads per dispatch batch.
+    /// Worker threads, each running one queued job at a time.
     pub jobs: usize,
-    /// Max requests fused into one pool batch.
-    pub batch_max: usize,
     /// Admission-queue high-water mark: at or past it, new requests are
     /// answered `overloaded`.
     pub queue_high_water: usize,
@@ -191,7 +190,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7099".to_string(),
             jobs: 1,
-            batch_max: 32,
             queue_high_water: 256,
             outbound_max: 128,
             write_deadline: Duration::from_secs(5),
@@ -207,6 +205,8 @@ impl Default for ServerConfig {
 /// for the response, so a job dropped unanswered answers `error` itself.
 struct Job {
     req: Request,
+    /// Its line's place in its connection's response order.
+    seq: u64,
     /// The first-level cache key, computed once where the request was
     /// read (`None` for ops that never cache).
     key: Option<Fingerprint>,
@@ -218,7 +218,7 @@ struct Job {
 
 impl Job {
     fn reply(&mut self, resp: &Response) {
-        self.conn.send(resp);
+        self.conn.send(self.seq, resp);
         self.answered = true;
     }
 }
@@ -226,19 +226,24 @@ impl Job {
 impl Drop for Job {
     fn drop(&mut self) {
         if !self.answered {
-            let why = "request abandoned: its dispatch batch was lost";
-            self.conn.send(&Response::error(&self.req.id, "error", why));
+            let why = "request abandoned: its worker was lost";
+            self.conn
+                .send(self.seq, &Response::error(&self.req.id, "error", why));
         }
     }
 }
 
-/// A connection's bounded outbound queue, drained by its writer thread.
+/// A connection's outbound lines, drained by its writer thread.
 #[derive(Default)]
 struct Outbound {
-    /// `(response id, rendered line)` in enqueue (= admission) order.
+    /// Lines finished ahead of an earlier one, by sequence number.
+    held: BTreeMap<u64, (String, String)>,
+    /// The next sequence number to release: every line before it was.
+    release: u64,
+    /// `(response id, rendered line)` released in sequence order.
     queue: VecDeque<(String, String)>,
     /// The reader finished; the writer flushes what is queued (and what
-    /// in-flight jobs still enqueue) and exits once nothing is owed.
+    /// in-flight jobs still answer) and exits once nothing is owed.
     closed: bool,
     /// The connection was declared dead (stalled past the write
     /// deadline, injected drop, or a hard I/O error): discard
@@ -248,32 +253,35 @@ struct Outbound {
     shed: u64,
 }
 
-/// The sending half of a connection, shared by its reader thread
-/// (admission responses, inline hits), the dispatcher (batch responses),
-/// and its writer thread.
-///
-/// [`Conn::send`] only ever enqueues — it never blocks on the network —
-/// so a client that stops reading can only stall its own threads, never
-/// the dispatcher.
+/// The sending half of a connection, a state machine shared by its
+/// reader, the workers and its writer thread. The reader **owes** a line
+/// ([`Conn::owe`]) for each admission or immediate answer, which takes
+/// the next sequence number; whoever answers **sends** it
+/// ([`Conn::send`], which never blocks on the network), and it is held
+/// until every earlier line is released; the writer **settles** it once
+/// written. A shed or discarded line is settled where that happens.
 ///
 /// # Who may write to the socket
 ///
-/// `owed` counts the responses this connection is owed by somebody
-/// other than the reader: +1 when a request is admitted and before
-/// every reader-side [`Conn::send`], −1 when the writer thread has
-/// finished writing a line or the line was shed. Only the reader ever
-/// raises it, so when the reader sees zero ([`Conn::idle`]) nothing of
-/// this connection is queued, in flight, waiting in the outbound queue
-/// or half-way onto the socket — and nothing can be until the reader
-/// itself says so. For that long the socket's write side belongs to the
-/// reader; at every other time it belongs to the writer thread. Bytes
-/// of two responses therefore never interleave, and an inline answer
-/// never overtakes an earlier request of its connection.
+/// `issued − settled` is what the connection is owed. Only the reader
+/// raises `issued`, so when the reader sees the two equal
+/// ([`Conn::idle`]) nothing of this connection is in flight, held,
+/// queued or half-way onto the socket — and nothing can be until the
+/// reader itself says so. For that long the socket's write side belongs
+/// to the reader; at every other time it belongs to the writer thread.
+/// Bytes of two responses therefore never interleave, and no answer
+/// overtakes an earlier request of its connection.
 struct Conn {
     out: Mutex<Outbound>,
+    /// Notified on every change to `out`.
     ready: Condvar,
     max: usize,
-    owed: AtomicUsize,
+    /// Sequence numbers handed out; only the reader raises it.
+    issued: AtomicU64,
+    /// Lines written, shed or discarded. Its `Release` adds pair with
+    /// [`Conn::idle`]'s `Acquire` load: a reader that sees nothing owed
+    /// also sees the last write to the socket finished.
+    settled: AtomicU64,
 }
 
 impl Conn {
@@ -282,77 +290,105 @@ impl Conn {
             out: Mutex::new(Outbound::default()),
             ready: Condvar::new(),
             max: max.max(1),
-            owed: AtomicUsize::new(0),
+            issued: AtomicU64::new(0),
+            settled: AtomicU64::new(0),
         }
     }
 
-    /// Books one response the reader is about to owe (an admission, or
-    /// an immediate answer it is about to [`Conn::send`]).
-    fn owe(&self) {
-        self.owed.fetch_add(1, Ordering::Release);
+    /// Books one line the reader — the only caller — is about to owe
+    /// (an admission, or an immediate answer): its sequence number.
+    fn owe(&self) -> u64 {
+        self.issued.fetch_add(1, Ordering::Release)
     }
 
-    /// Books `n` owed responses as written or shed.
+    /// Books `n` owed lines as written, shed or discarded.
     fn settle(&self, n: usize) {
-        self.owed.fetch_sub(n, Ordering::Release);
+        self.settled.fetch_add(n as u64, Ordering::Release);
     }
 
-    /// True when nothing is owed: the reader — the only caller — may
-    /// write to the socket itself until its next [`Conn::owe`].
+    /// True when nothing is owed: the reader may write to the socket
+    /// itself until its next [`Conn::owe`].
     fn idle(&self) -> bool {
-        self.owed.load(Ordering::Acquire) == 0
+        self.settled.load(Ordering::Acquire) == self.issued.load(Ordering::Acquire)
     }
 
-    /// Enqueues an owed response for the writer thread. Never blocks: a
-    /// full queue sheds the response (the client is not reading;
-    /// shedding its own responses is the contained failure), a dead
-    /// connection discards it. A shed response is settled under the lock
-    /// and announced like a queued one: a closed connection's writer
-    /// waits for exactly that.
-    fn send(&self, resp: &Response) {
+    /// Hands over the answer owed as line `seq`: held until every
+    /// earlier line is released, then released in order. A release past
+    /// `max` queued lines is shed (the client is not reading; shedding
+    /// its own responses is the contained failure), a dead connection
+    /// discards the line; either is settled under the lock and announced
+    /// like a queued line: a closed connection's writer waits for that.
+    fn send(&self, seq: u64, resp: &Response) {
         let mut line = String::new();
         resp.render_into(&mut line);
         line.push('\n');
-        let mut out = lock_unpoisoned(&self.out);
-        if out.dead || out.queue.len() >= self.max {
-            if !out.dead {
-                out.shed += 1;
-            }
+        let mut guard = lock_unpoisoned(&self.out);
+        let out = &mut *guard;
+        let mut next = None;
+        if out.dead {
             self.settle(1);
+        } else if seq == out.release {
+            next = Some((resp.id.clone(), line));
         } else {
-            out.queue.push_back((resp.id.clone(), line));
+            out.held.insert(seq, (resp.id.clone(), line));
         }
-        drop(out);
-        self.ready.notify_one();
+        while let Some(item) = next {
+            out.release += 1;
+            if out.queue.len() >= self.max {
+                out.shed += 1;
+                self.settle(1);
+            } else {
+                out.queue.push_back(item);
+            }
+            next = out.held.remove(&out.release);
+        }
+        drop(guard);
+        self.ready.notify_all();
     }
 
     /// A reader-side immediate answer (parse error, `overloaded`,
     /// `draining`, the `shutdown` acknowledgement): owed from here on,
-    /// written by the writer thread behind whatever is already queued.
+    /// written by the writer thread after every earlier line.
     fn answer(&self, resp: &Response) {
-        self.owe();
-        self.send(resp);
+        let seq = self.owe();
+        self.send(seq, resp);
+    }
+
+    /// Whether the reader may read on: waits while `max` lines are held
+    /// back behind an unfinished one, so a connection's buffer stays
+    /// bounded however slow its head job is. `false` once dead.
+    fn room(&self) -> bool {
+        let mut out = lock_unpoisoned(&self.out);
+        while !out.dead && out.held.len() >= self.max {
+            out = self.ready.wait(out).unwrap_or_else(PoisonError::into_inner);
+        }
+        !out.dead
+    }
+
+    /// The writer's next step from `out`: `Some(Some(line))` to write
+    /// (it stays owed until the writer [`Conn::settle`]s it), `Some(None)`
+    /// to exit, `None` to wait.
+    fn poll_line(&self, out: &mut Outbound) -> Option<Option<(String, String)>> {
+        if out.dead {
+            return Some(None);
+        }
+        match out.queue.pop_front() {
+            Some(item) => Some(Some(item)),
+            // Flush complete once the reader is gone and nothing is owed:
+            // only the reader raises `issued`, so nothing can be owed anymore.
+            None => (out.closed && self.idle()).then_some(None),
+        }
     }
 
     /// The writer thread's next line, or `None` once the connection is
-    /// dead or flushed and closed. The line stays owed until the writer
-    /// [`Conn::settle`]s it.
+    /// dead or flushed and closed. Every change that can end the wait —
+    /// a line released or shed, the connection closed or killed — is
+    /// made under the lock and notifies.
     fn next_line(&self) -> Option<(String, String)> {
         let mut out = lock_unpoisoned(&self.out);
         loop {
-            if out.dead {
-                return None;
-            }
-            if let Some(item) = out.queue.pop_front() {
-                return Some(item);
-            }
-            // Flush complete once the reader is gone and nothing is
-            // owed: only the reader raises `owed`, so nothing can be
-            // enqueued anymore. Every change that can end this wait — a
-            // line queued or shed, the connection closed or killed — is
-            // made under this lock and notifies.
-            if out.closed && self.idle() {
-                return None;
+            if let Some(next) = self.poll_line(&mut out) {
+                return next;
             }
             out = self.ready.wait(out).unwrap_or_else(PoisonError::into_inner);
         }
@@ -364,12 +400,14 @@ impl Conn {
         self.ready.notify_all();
     }
 
-    /// Declares the connection dead and discards everything queued.
+    /// Declares the connection dead and discards everything queued or
+    /// held.
     fn kill(&self) -> u64 {
         let mut out = lock_unpoisoned(&self.out);
         out.dead = true;
-        let dropped = out.queue.len();
+        let dropped = out.queue.len() + out.held.len();
         out.queue.clear();
+        out.held.clear();
         out.shed += dropped as u64;
         let shed = out.shed;
         drop(out);
@@ -379,12 +417,20 @@ impl Conn {
     }
 }
 
+/// The admission queue and the first-level keys of the jobs being run.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// A queued job whose key is here waits until its twin is done.
+    running: HashSet<Fingerprint>,
+}
+
 /// Shared daemon state.
 struct State {
     /// The listener's bound address, which drain connects to.
     addr: SocketAddr,
     engine: Engine,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     ready: Condvar,
     draining: AtomicBool,
     cfg: ServerConfig,
@@ -399,7 +445,7 @@ impl State {
             let mut q = lock_unpoisoned(&self.queue);
             if self.draining.load(Ordering::SeqCst) {
                 ("draining", "server is draining".to_string())
-            } else if q.len() >= self.cfg.queue_high_water {
+            } else if q.jobs.len() >= self.cfg.queue_high_water {
                 (
                     "overloaded",
                     format!(
@@ -408,15 +454,15 @@ impl State {
                     ),
                 )
             } else {
-                conn.owe();
-                q.push_back(Job {
+                q.jobs.push_back(Job {
                     req,
+                    seq: conn.owe(),
                     key,
                     conn: Arc::clone(conn),
                     enqueued_at: Instant::now(),
                     answered: false,
                 });
-                let depth = q.len() as u64;
+                let depth = q.jobs.len() as u64;
                 self.engine.counters().set(Counter::QueueDepth, depth);
                 drop(q);
                 self.ready.notify_one();
@@ -477,8 +523,8 @@ impl ServerHandle {
 
 /// Returns the allocator's free pages to the operating system.
 ///
-/// A server's caches are filled by its dispatcher thread, so they live in
-/// that thread's glibc arena, and freeing them from another thread leaves
+/// A server's caches are filled by its worker threads, so they live in
+/// those threads' glibc arenas, and freeing them from another thread leaves
 /// the arena's pages resident: it is only trimmed from the top, and a few
 /// small chunks parked in the freeing thread's cache pin that. Whether the
 /// next server in the process reuses the arena or dirties a fresh one
@@ -511,7 +557,7 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let state = Arc::new(State {
         addr: listener.local_addr()?,
         engine: Engine::new(cfg.engine.clone()),
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue::default()),
         ready: Condvar::new(),
         draining: AtomicBool::new(false),
         cfg,
@@ -547,47 +593,21 @@ fn run(listener: TcpListener, state: Arc<State>) {
         });
     }
 
-    // The dispatcher is the one per-process serving thread: its death
-    // must be loud and terminal, never a silently wedged queue. A panic
-    // escaping `dispatch_loop` (worker spawn failure, a bug outside the
-    // per-request containment) trips drain, announces itself, and
-    // answers everything still queued with an error.
-    let dispatcher = {
-        let state = Arc::clone(&state);
-        let tel = tel.clone();
-        thread::Builder::new()
-            .name("ltspd-dispatch".to_string())
-            .spawn(move || {
-                let died = catch_unwind(AssertUnwindSafe(|| dispatch_loop(&state, &tel)));
-                if let Err(payload) = died {
-                    let why = panic_message(payload.as_ref());
-                    eprintln!("ltspd: dispatcher died: {why}");
-                    state.engine.counters().add(Counter::DispatcherDeaths, 1);
-                    state.engine.flight.dump("dispatcher-died");
-                    tel.emit(Event::ServerLifecycle {
-                        phase: "dispatcher-died",
-                        detail: why.clone(),
-                    });
-                    // Flip drain first (under the queue lock): after
-                    // this, nothing new is admitted, so one sweep
-                    // answers every job that beat the flip.
-                    state.start_drain("dispatcher died", &tel);
-                    let orphans: Vec<Job> = {
-                        let mut q = lock_unpoisoned(&state.queue);
-                        q.drain(..).collect()
-                    };
-                    for mut job in orphans {
-                        let resp = Response::error(
-                            &job.req.id,
-                            "error",
-                            &format!("dispatcher died ({why}); request abandoned"),
-                        );
-                        job.reply(&state.engine.finish(&job.req, resp, &tel));
+    let workers: Vec<_> = (0..state.cfg.jobs.max(1))
+        .map(|_| {
+            let state = Arc::clone(&state);
+            let tel = tel.clone();
+            thread::Builder::new()
+                .name("ltspd-dispatch".to_string())
+                .spawn(move || {
+                    let died = catch_unwind(AssertUnwindSafe(|| work(&state, &tel)));
+                    if let Err(payload) = died {
+                        worker_died(&state, &tel, &panic_message(payload.as_ref()));
                     }
-                }
-            })
-            .expect("spawn ltspd dispatcher")
-    };
+                })
+                .expect("spawn ltspd worker")
+        })
+        .collect();
 
     serve_connections(
         &listener,
@@ -597,7 +617,9 @@ fn run(listener: TcpListener, state: Arc<State>) {
         |stream| serve_connection(stream, &state, &tel),
     );
     drop(listener);
-    let _ = dispatcher.join();
+    for worker in workers {
+        let _ = worker.join();
+    }
     // Drain the refinement queue too: upgrades already scheduled still
     // land (and persist) before the process exits.
     state.engine.refine_shutdown();
@@ -620,6 +642,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
+/// A panic escaping `work` (a bug outside the per-request containment)
+/// is loud and terminal: it trips drain, and one sweep answers every job
+/// that beat the flip with an error; its notify wakes the other workers.
+fn worker_died(state: &State, tel: &Telemetry, why: &str) {
+    eprintln!("ltspd: dispatcher died: {why}");
+    state.engine.counters().add(Counter::DispatcherDeaths, 1);
+    state.engine.flight.dump("dispatcher-died");
+    tel.emit(Event::ServerLifecycle {
+        phase: "dispatcher-died",
+        detail: why.to_string(),
+    });
+    state.start_drain("dispatcher died", tel);
+    let orphans: Vec<Job> = lock_unpoisoned(&state.queue).jobs.drain(..).collect();
+    state.ready.notify_all();
+    for mut job in orphans {
+        let msg = format!("dispatcher died ({why}); request abandoned");
+        let resp = Response::error(&job.req.id, "error", &msg);
+        job.reply(&state.engine.finish(&job.req, resp, tel));
+    }
+}
+
 /// Accounts one injected fault: the counter and the trace event.
 fn note_fault(state: &State, tel: &Telemetry, site: &'static str, id: &str) {
     state.engine.counters().add(Counter::FaultsInjected, 1);
@@ -636,11 +679,13 @@ fn note_fault(state: &State, tel: &Telemetry, site: &'static str, id: &str) {
 /// `Engine::handle_routed` — injected or real — becomes a
 /// `status:"error"` response plus an [`Event::RequestPanic`], never a
 /// dead daemon. Every request that is not answered at admission comes
-/// through here, on whichever thread serves it: the dispatcher, a pool
-/// worker, or — for a [`Route::Inline`] hit — its connection's reader.
+/// through here, on whichever thread serves it: a worker, or — for a
+/// [`Route::Inline`] hit — its connection's reader. Its telemetry goes
+/// to a fork of `tel`, absorbed whole when it is done, so concurrent
+/// requests never interleave their events.
 ///
 /// Also the head of the server-side lifecycle spans. A queued request
-/// (`waited` = its admission and batch-pop times) has `queue_wait`
+/// (`waited` = its admission and pop times) has `queue_wait`
 /// (admission → pop) and `dispatch` (pop → handler entry); an inline
 /// one has neither. A slow fault's sleep lands in `dispatch` on either
 /// route — the delay is real latency and must not vanish from the
@@ -652,8 +697,10 @@ fn handle_contained(
     req: &Request,
     route: Route,
     waited: Option<(Instant, Instant)>,
-    tel: &Telemetry,
+    parent: &Telemetry,
 ) -> Response {
+    let child = parent.fork();
+    let tel = &child;
     let phases = PhaseTimer::new();
     let entered = match waited {
         Some((enqueued_at, popped_at)) => {
@@ -694,7 +741,7 @@ fn handle_contained(
         }
         state.engine.handle_routed(req, route, tel, &phases)
     }));
-    match result {
+    let resp = match result {
         Ok(resp) => {
             if fault_fired {
                 state.engine.flight.dump("fault-injected");
@@ -724,25 +771,8 @@ fn handle_contained(
             state.engine.flight.dump("request-panic");
             resp
         }
-    }
-}
-
-/// [`handle_contained`] for a request served outside a pool batch (a
-/// lone job or a batch follower on the dispatcher, an inline hit on a
-/// reader): telemetry goes through fork/absorb, same as a pool item.
-fn handle_forked(
-    state: &State,
-    req: &Request,
-    route: Route,
-    waited: Option<(Instant, Instant)>,
-    tel: &Telemetry,
-) -> Response {
-    if !tel.is_enabled() {
-        return handle_contained(state, req, route, waited, tel);
-    }
-    let child = tel.fork();
-    let resp = handle_contained(state, req, route, waited, &child);
-    tel.absorb(child, 0);
+    };
+    parent.absorb(child, 0);
     resp
 }
 
@@ -762,8 +792,8 @@ fn serve_connection(mut stream: TcpStream, state: &State, tel: &Telemetry) {
         else {
             return;
         };
-        // An idle dispatcher waits untimed only while no connection is
-        // open (see [`IDLE_WAKE`]): count this one under its lock.
+        // An idle worker waits untimed only while no connection is open
+        // (see [`IDLE_WAKE`]): count this one under its lock.
         let q = lock_unpoisoned(&state.queue);
         state.engine.counters().add(Counter::Connections, 1);
         drop(q);
@@ -799,7 +829,7 @@ impl Lines for Reader<'_> {
         let (conn, state, tel) = (self.conn, self.state, self.tel);
         // The writer may have declared the connection dead (stalled past
         // the write deadline); serve it nothing more.
-        if lock_unpoisoned(&conn.out).dead {
+        if !conn.room() {
             return false;
         }
         let req = match parse_request(line) {
@@ -824,9 +854,9 @@ impl Lines for Reader<'_> {
         if conn.idle() && !state.draining.load(Ordering::SeqCst) {
             if let Some(hit) = key.and_then(|key| state.engine.probe(key)) {
                 // The same contained handler and the same write routine as
-                // the queued path, minus the queue, the dispatcher and the
+                // the queued path, minus the queue, the worker and the
                 // writer hand-off.
-                let resp = handle_forked(state, &req, Route::Inline(hit), None, tel);
+                let resp = handle_contained(state, &req, Route::Inline(hit), None, tel);
                 self.out.clear();
                 self.out.shrink_to(BUFFER_KEEP_BYTES);
                 resp.render_into(&mut self.out);
@@ -940,98 +970,66 @@ fn shed_connection(conn: &Conn, stream: &TcpStream, state: &State, tel: &Telemet
     }
 }
 
-/// The single dispatcher: pop up to `batch_max` jobs, run them on the
-/// pool (forked telemetry, index-ordered merge), enqueue responses in
-/// admission order. Each job runs under [`handle_contained`]; the
-/// dispatcher itself never blocks on a socket and never unwinds past a
-/// request.
-fn dispatch_loop(state: &Arc<State>, tel: &Telemetry) {
-    let pool = ltsp_par::Pool::new(state.cfg.jobs);
+/// One worker: pops one job at a time — the first queued job whose key
+/// no worker is running — runs it under [`handle_contained`], and hands
+/// its answer to its connection as soon as it is done. A worker never
+/// blocks on a socket and never unwinds past a request.
+fn work(state: &State, tel: &Telemetry) {
     let fault = &state.cfg.fault;
     let counters = state.engine.counters();
     loop {
-        let mut batch: Vec<Job> = {
+        let mut job = {
             let mut q = lock_unpoisoned(&state.queue);
-            // Admission, drain and a connection opening act under this
-            // lock and notify, so the wait misses none of them.
-            while q.is_empty() && !state.draining.load(Ordering::SeqCst) {
+            // Admission, drain, a connection opening and a key coming
+            // free act under this lock and notify, so the wait misses
+            // none of them.
+            let at = loop {
+                let free = |j: &Job| j.key.is_none_or(|k| !q.running.contains(&k));
+                if let Some(at) = q.jobs.iter().position(free) {
+                    break at;
+                }
+                if q.jobs.is_empty() && state.draining.load(Ordering::SeqCst) {
+                    // Draining and empty — and since drain flips under
+                    // this lock, nothing can be admitted after this.
+                    return;
+                }
                 q = if counters.get(Counter::Connections) == 0 {
                     state.ready.wait(q).unwrap_or_else(PoisonError::into_inner)
                 } else {
                     let woke = state.ready.wait_timeout(q, IDLE_WAKE);
                     woke.unwrap_or_else(PoisonError::into_inner).0
                 };
-            }
-            if q.is_empty() {
-                // Draining and empty — and since drain flips under this
-                // lock, nothing can be admitted after this observation.
-                return;
-            }
-            // The dispatcher-death drill: fire *before* popping, so the
+            };
+            // The worker-death drill: fire *before* popping, so the
             // queue is intact for the died-handler's error sweep.
-            if fault.is_active() {
-                if let Some(front) = q.front() {
-                    if fault.fires(FaultSite::Dispatch, &front.req.id) {
-                        let id = front.req.id.clone();
-                        drop(q);
-                        if tel.is_enabled() {
-                            tel.emit(Event::FaultInjected {
-                                site: "dispatch",
-                                trace_id: id.clone(),
-                            });
-                        }
-                        panic!("injected dispatcher panic at request {id}");
-                    }
-                }
+            if fault.is_active() && fault.fires(FaultSite::Dispatch, &q.jobs[at].req.id) {
+                let id = q.jobs[at].req.id.clone();
+                drop(q);
+                tel.emit(Event::FaultInjected {
+                    site: "dispatch",
+                    trace_id: id.clone(),
+                });
+                panic!("injected dispatcher panic at request {id}");
             }
-            let n = q.len().min(state.cfg.batch_max);
-            let batch: Vec<Job> = q.drain(..n).collect();
-            counters.set(Counter::QueueDepth, q.len() as u64);
-            batch
+            let job = q.jobs.remove(at).expect("a found job is queued");
+            q.running.extend(job.key);
+            counters.set(Counter::QueueDepth, q.jobs.len() as u64);
+            job
         };
-        let popped_at = Instant::now();
-        counters.add(Counter::Inflight, batch.len() as u64);
-        // Fast path: a lone request runs on the dispatcher thread — no
-        // worker spawn, so a cold compile costs no thread on top.
-        if let [job] = batch.as_mut_slice() {
-            let waited = Some((job.enqueued_at, popped_at));
-            let resp = handle_forked(state, &job.req, Route::Queued(job.key), waited, tel);
-            job.reply(&resp);
-            counters.sub(Counter::Inflight, 1);
-            continue;
-        }
-        // Identical requests inside one batch must not race on the
-        // result cache: the loser's "cache" tag would depend on worker
-        // timing, a --jobs-dependent byte in the response stream. First
-        // occurrences of each key run on the pool; duplicates replay
-        // afterwards in admission order, where they hit the cache
-        // exactly as a serial run would.
-        let follower: Vec<bool> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, j)| j.key.is_some() && batch[..i].iter().any(|lead| lead.key == j.key))
-            .collect();
-        let leader_idx: Vec<usize> = (0..batch.len()).filter(|&i| !follower[i]).collect();
-        let leader_resps = pool.map_traced(tel, "serve-batch", &leader_idx, |tel, _i, &idx| {
-            let job = &batch[idx];
-            let waited = Some((job.enqueued_at, popped_at));
-            handle_contained(state, &job.req, Route::Queued(job.key), waited, tel)
-        });
-        let mut responses: Vec<Option<Response>> = batch.iter().map(|_| None).collect();
-        for (&idx, resp) in leader_idx.iter().zip(leader_resps) {
-            responses[idx] = Some(resp);
-        }
-        for (i, job) in batch.iter().enumerate() {
-            if follower[i] {
-                let waited = Some((job.enqueued_at, popped_at));
-                let route = Route::Queued(job.key);
-                responses[i] = Some(handle_forked(state, &job.req, route, waited, tel));
+        counters.add(Counter::Inflight, 1);
+        let waited = Some((job.enqueued_at, Instant::now()));
+        let resp = handle_contained(state, &job.req, Route::Queued(job.key), waited, tel);
+        if let Some(key) = job.key {
+            let mut q = lock_unpoisoned(&state.queue);
+            q.running.remove(&key);
+            if q.jobs.iter().any(|j| j.key == Some(key)) {
+                // A queued twin waits for the key.
+                drop(q);
+                state.ready.notify_all();
             }
         }
-        for (job, resp) in batch.iter_mut().zip(&responses) {
-            job.reply(resp.as_ref().expect("every batch job is answered"));
-        }
-        counters.sub(Counter::Inflight, batch.len() as u64);
+        job.reply(&resp);
+        counters.sub(Counter::Inflight, 1);
     }
 }
 
@@ -1074,7 +1072,7 @@ mod tests {
         assert_eq!(out.queue.len(), 2, "capacity respected");
         assert_eq!(out.shed, 3, "overflow accounted");
         assert_eq!(
-            conn.owed.load(Ordering::Acquire),
+            conn.issued.load(Ordering::Acquire) - conn.settled.load(Ordering::Acquire),
             2,
             "only the queued stay owed"
         );
@@ -1086,7 +1084,7 @@ mod tests {
     #[test]
     fn a_closed_writer_exits_once_nothing_is_owed() {
         let conn = Arc::new(Conn::new(4));
-        conn.owe(); // a job in flight
+        let seq = conn.owe(); // a job in flight
         conn.close(); // the reader is gone
         let writer = {
             let conn = Arc::clone(&conn);
@@ -1101,20 +1099,20 @@ mod tests {
         };
         thread::sleep(Duration::from_millis(50));
         assert!(!writer.is_finished(), "a response is still owed");
-        conn.send(&Response::error("late", "error", "x")); // the dispatcher answers
+        conn.send(seq, &Response::error("late", "error", "x")); // a worker answers
         assert_eq!(writer.join().expect("writer"), ["late"]);
     }
 
-    /// A job dropped unanswered — a popped batch lost to a dying
-    /// dispatcher — answers `error` itself, so its closed connection's
+    /// A job dropped unanswered — popped by a dying worker — answers
+    /// `error` itself, so its closed connection's
     /// writer writes that and exits instead of waiting forever.
     #[test]
     fn a_job_dropped_unanswered_still_releases_its_writer() {
         let conn = Arc::new(Conn::new(4));
         let req = parse_request(r#"{"id":"lost","op":"ping"}"#).expect("ping");
-        conn.owe(); // admission
         let job = Job {
             req,
+            seq: conn.owe(), // admission
             key: None,
             conn: Arc::clone(&conn),
             enqueued_at: Instant::now(),
@@ -1156,9 +1154,9 @@ mod tests {
     fn the_reader_is_refused_the_socket_while_a_line_is_owed() {
         let conn = Arc::new(Conn::new(4));
         assert!(conn.idle(), "a fresh connection is the reader's");
-        conn.owe(); // admission
+        let seq = conn.owe(); // admission
         assert!(!conn.idle(), "in flight");
-        conn.send(&Response::error("a", "error", "x")); // the dispatcher answers
+        conn.send(seq, &Response::error("a", "error", "x")); // a worker answers
         assert!(!conn.idle(), "queued");
         let (id, _line) = conn.next_line().expect("the writer pops the line");
         assert_eq!(id, "a");
@@ -1176,5 +1174,109 @@ mod tests {
             conn.next_line().is_none(),
             "a dead connection yields no line"
         );
+    }
+
+    /// `Conn` as a state machine, every interleaving of one small
+    /// scenario: the reader admits jobs `a` and `b`, makes the immediate
+    /// answer `c` and closes; two workers answer `a` and `b` in either
+    /// order; the writer pops and settles. In every interleaving the
+    /// lines leave in sequence order, each exactly once; `idle()` holds
+    /// exactly when nothing is owed; and the writer exits only once the
+    /// connection is closed and owes nothing.
+    #[test]
+    fn every_interleaving_releases_lines_in_sequence_order() {
+        #[derive(Clone, Copy, Debug)]
+        enum Move {
+            Reader,
+            Worker(usize),
+            Writer,
+        }
+        #[derive(Default)]
+        struct World {
+            pc: usize,
+            seqs: [Option<u64>; 2],
+            sent: [bool; 2],
+            owed: u64,
+            holding: Option<String>,
+            written: Vec<String>,
+            exited: bool,
+        }
+        /// Replays `path` on a fresh connection; `None` if its last move
+        /// is the writer finding nothing to do (it would wait).
+        fn replay(path: &[Move]) -> Option<World> {
+            let conn = Conn::new(8);
+            let mut w = World::default();
+            for (step, &m) in path.iter().enumerate() {
+                match m {
+                    Move::Reader => {
+                        match w.pc {
+                            0 | 1 => w.seqs[w.pc] = Some(conn.owe()),
+                            2 => conn.answer(&Response::error("c", "error", "x")),
+                            _ => conn.close(),
+                        }
+                        w.owed += u64::from(w.pc < 3);
+                        w.pc += 1;
+                    }
+                    Move::Worker(i) => {
+                        let id = ["a", "b"][i];
+                        conn.send(w.seqs[i].unwrap(), &Response::error(id, "error", "x"));
+                        w.sent[i] = true;
+                    }
+                    Move::Writer => match w.holding.take() {
+                        Some(id) => {
+                            conn.settle(1);
+                            w.owed -= 1;
+                            w.written.push(id);
+                        }
+                        None => match conn.poll_line(&mut lock_unpoisoned(&conn.out)) {
+                            Some(Some((id, _))) => w.holding = Some(id),
+                            Some(None) => {
+                                assert!(w.pc == 4 && w.owed == 0, "{path:?}: early exit");
+                                w.exited = true;
+                            }
+                            None if step + 1 == path.len() => return None,
+                            None => unreachable!("only a last move may wait"),
+                        },
+                    },
+                }
+                assert_eq!(conn.idle(), w.owed == 0, "{path:?}");
+            }
+            let order = ["a", "b", "c"];
+            let popped = w.written.iter().chain(&w.holding);
+            assert!(popped.zip(order).all(|(x, y)| x == y), "{path:?}");
+            Some(w)
+        }
+        fn explore(path: &mut Vec<Move>, complete: &mut usize) {
+            let w = replay(path).expect("a stored path never ends waiting");
+            let mut moves = Vec::new();
+            if w.pc < 4 {
+                moves.push(Move::Reader);
+            }
+            for i in 0..2 {
+                if w.seqs[i].is_some() && !w.sent[i] {
+                    moves.push(Move::Worker(i));
+                }
+            }
+            if !w.exited {
+                moves.push(Move::Writer);
+            }
+            let mut advanced = false;
+            for m in moves {
+                path.push(m);
+                if replay(path).is_some() {
+                    advanced = true;
+                    explore(path, complete);
+                }
+                path.pop();
+            }
+            if !advanced {
+                assert!(w.exited, "{path:?}: stuck before the writer exited");
+                assert_eq!(w.written, ["a", "b", "c"], "{path:?}");
+                *complete += 1;
+            }
+        }
+        let mut complete = 0;
+        explore(&mut Vec::new(), &mut complete);
+        assert!(complete > 100, "only {complete} interleavings");
     }
 }

@@ -29,9 +29,9 @@
 //! answers `hit` if its compiled artifact was cached, else `miss`.
 //!
 //! The engine is `Sync`: the daemon calls [`Engine::handle`] from many
-//! pool workers at once. Every response is a pure function of the
-//! request, which is what keeps batch composition (and therefore
-//! `--jobs`) out of the bytes on the wire. The request threads and the
+//! workers at once. Every response is a pure function of the request,
+//! which is what keeps worker scheduling (and therefore `--jobs`) out of
+//! the bytes on the wire. The request threads and the
 //! refine worker share the caches, the persist log and the counters
 //! ([`crate::counters`]) behind one `Arc`, and both reach a body through
 //! the same path — so an upgrade's bytes are a sync request's bytes.
@@ -102,12 +102,12 @@ pub(crate) struct CacheHit {
 pub(crate) enum Route {
     /// An in-process call: no queue, and the key is computed here.
     Direct,
-    /// Through the daemon's admission queue and dispatcher, with the
+    /// Through the daemon's admission queue and a worker, with the
     /// key computed at admission (`None` for ops that never cache). Its
     /// `queue_wait` and `dispatch` spans are samples even at 0 µs.
     Queued(Option<Fingerprint>),
     /// Answered on the connection's own thread from a probed entry: no
-    /// queue, no dispatcher, no compile.
+    /// queue, no worker, no compile.
     Inline(CacheHit),
 }
 
@@ -562,8 +562,8 @@ impl Engine {
     /// byte-for-byte plus every knob), so a hit skips even the loop
     /// parse. The daemon computes it once, where the request is read,
     /// and uses it to probe for a hit on the spot (`Engine::probe`),
-    /// to hand the request on (`Route::Queued`), and to dedupe
-    /// identical requests *within* a parallel batch: without that, two
+    /// to hand the request on (`Route::Queued`), and to run same-key
+    /// requests one after another: without that, two
     /// same-key requests race on who populates the cache and the
     /// loser's `"cache"` tag depends on worker timing — a
     /// `--jobs`-dependent byte in an otherwise deterministic response

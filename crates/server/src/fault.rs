@@ -5,7 +5,7 @@
 //! `ltspd` keeps serving, and every **non-faulted** request's response
 //! stays byte-identical to a fault-free run. That is only testable if
 //! the fault decisions themselves are deterministic — independent of
-//! arrival timing, batch composition and worker scheduling — so every
+//! arrival timing and worker scheduling — so every
 //! decision here is a pure function of `(seed, site, request id)`:
 //! a fingerprint hash compared against the site's probability
 //! threshold. Two runs with the same spec fault the same requests, and
@@ -29,8 +29,8 @@
 //! - `short:P` — the response line is written in two separate TCP
 //!   writes (a torn write; the bytes are identical, so this faults
 //!   nothing — it proves client framing survives segmentation).
-//! - `dispatch:P` — the dispatcher itself panics when it pops a batch
-//!   whose first request fires. This is the blast-radius drill for the
+//! - `dispatch:P` — a worker itself panics when it is about to pop a
+//!   request that fires. This is the blast-radius drill for the
 //!   "dispatcher died" recovery path: drain trips and queued requests
 //!   are answered `error`, never silently dropped.
 //! - `shardkill:P` — the whole process exits (code 113) when a handled
@@ -57,7 +57,7 @@ pub enum FaultSite {
     Drop,
     /// Response line written in two TCP segments.
     ShortWrite,
-    /// Dispatcher panic (tests the dispatcher-died drain path).
+    /// Worker panic (tests the dispatcher-died drain path).
     Dispatch,
     /// Whole-process exit mid-request (tests router failover).
     ShardKill,
@@ -185,8 +185,8 @@ impl FaultPlan {
 
     /// Whether `site` fires for the request/response identified by
     /// `key` — a pure function of `(seed, site, key)`, so the same spec
-    /// faults the same requests on every run, at any `--jobs`, in any
-    /// batch composition. Tests compute expected faulted sets with this.
+    /// faults the same requests on every run, at any `--jobs`, whichever
+    /// worker runs them. Tests compute expected faulted sets with this.
     pub fn fires(&self, site: FaultSite, key: &str) -> bool {
         let p = match site {
             FaultSite::Panic => self.panic_p,

@@ -6,7 +6,7 @@
 //! breakdown — to a fixed-capacity ring (`Mutex` + [`lock_unpoisoned`];
 //! the recorder must keep working after a contained handler panic, which
 //! is exactly when it is needed). When a `request_panic`, an injected
-//! fault, a dispatcher death, or a write-deadline shed fires, the daemon
+//! fault, a worker death, or a write-deadline shed fires, the daemon
 //! calls `FlightRecorder::dump`, which writes the ring as JSONL into
 //! `--flight-dir` under a deterministic sequence-numbered name, keeping
 //! only the newest [`MAX_DUMPS`] of its own files. With no

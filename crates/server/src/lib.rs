@@ -5,8 +5,8 @@
 //! allocation → (optionally) oracle certification — over a
 //! line-delimited JSON protocol, fronted by content-addressed schedule
 //! caches with byte-budget LRU eviction, a bounded admission queue with
-//! explicit backpressure, request batching onto the deterministic
-//! [`ltsp_par`] worker pool, per-request oracle deadlines, and graceful
+//! explicit backpressure, `--jobs` long-lived workers that answer each
+//! job when it is done, per-request oracle deadlines, and graceful
 //! drain.
 //!
 //! The serving layer inherits the repository's determinism contract:

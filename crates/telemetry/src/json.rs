@@ -249,15 +249,25 @@ impl JsonValue {
     }
 }
 
+/// The deepest nesting [`parse`] accepts, counting the outermost object
+/// or array as level 1. The parser recurses once per level, so without a
+/// bound one 20 KB request line nested 10 000 deep overflowed a
+/// connection thread's stack and aborted the daemon. The deepest
+/// documents read in this repository have 5 levels: a bench record
+/// (`results/BENCH_compile_phases.json`) and a `--metrics-out` file; the
+/// wire protocol needs 2.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// A human-readable message with the byte offset of the first problem.
+/// A human-readable message with the byte offset of the first problem,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -280,10 +290,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which may open at most `room` more levels.
+fn parse_value(b: &[u8], pos: &mut usize, room: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if room == 0 => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -297,7 +312,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, room - 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -319,7 +334,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, room - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -449,6 +464,25 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].get("b"), Some(&JsonValue::Null));
         assert_eq!(v.get("c").unwrap().as_array().unwrap().len(), 0);
+    }
+
+    /// Nesting is refused one level past [`MAX_DEPTH`], in arrays and
+    /// objects alike, and a line deep enough to overflow a stack ends
+    /// in the same error.
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        for nest in [arrays, objects] {
+            assert!(parse(&nest(MAX_DEPTH)).is_ok());
+            let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(
+                err.starts_with("nesting deeper than 64 levels at byte"),
+                "{err}"
+            );
+        }
+        let deep = format!("{{\"op\":\"ping\",\"x\":{}}}", arrays(100_000));
+        assert!(parse(&deep).unwrap_err().starts_with("nesting deeper"));
     }
 
     #[test]

@@ -47,8 +47,8 @@
 //! `serve` runs the compilation daemon (`ltsp_server`) in-process until a
 //! client sends `shutdown` or SIGTERM/SIGINT arrives, then drains and
 //! exits 0. `--write-deadline-ms` bounds one stalled response write,
-//! `--outbound` each connection's unsent responses; these, `--batch`,
-//! `--queue`, `--flight-len` and `--persist-warn-mb` must be at least 1
+//! `--outbound` each connection's unsent responses; these, `--queue`,
+//! `--flight-len` and `--persist-warn-mb` must be at least 1
 //! (exit 2). `--oracle-deadline-ms 0` lifts the oracle's wall-clock
 //! budget. `--persist FILE` adds the warm-start cache log
 //! (`ltsp_cache::persist`); `--persist-warn-mb N` warns once past N MiB.
@@ -144,7 +144,7 @@ fn usage() -> ! {
          \x20            [--timeout SECS] [--retries N] [--timings] [--shutdown]\n\
          \x20      ltspc remote <addr> --op metrics [--check-phases p1,p2,...]\n\
          \x20      ltspc remote <addr> --op stats\n\
-         \x20      ltspc serve [--addr HOST:PORT] [--jobs N] [--batch N] [--queue N]\n\
+         \x20      ltspc serve [--addr HOST:PORT] [--jobs N] [--queue N]\n\
          \x20            [--outbound N] [--write-deadline-ms MS]\n\
          \x20            [--cache-bytes N] [--result-cache-bytes N]\n\
          \x20            [--oracle-deadline-ms MS]\n\
@@ -564,7 +564,6 @@ fn parse_serve(argv: &[String]) -> Result<Serve, String> {
                 continue;
             }
             "--jobs" => s.cfg.jobs = ltsp::par::parse_jobs(text()?)?,
-            "--batch" => s.cfg.batch_max = serve_num(flag, value, 1)?,
             "--queue" => s.cfg.queue_high_water = serve_num(flag, value, 1)?,
             "--outbound" => s.cfg.outbound_max = serve_num(flag, value, 1)?,
             "--write-deadline-ms" => {
@@ -1226,7 +1225,7 @@ mod tests {
     #[test]
     fn serve_parses_every_daemon_flag() {
         let argv = args(
-            "--addr 127.0.0.1:7000 --jobs 3 --batch 4 --queue 5 --outbound 6 \
+            "--addr 127.0.0.1:7000 --jobs 3 --queue 5 --outbound 6 \
              --write-deadline-ms 700 --cache-bytes 800 --result-cache-bytes 900 \
              --oracle-deadline-ms 1100 --flight-dir fl \
              --flight-len 12 --persist p.log --persist-warn-mb 13 \
@@ -1236,7 +1235,6 @@ mod tests {
         let (c, e) = (&s.cfg, &s.cfg.engine);
         assert_eq!(c.addr, "127.0.0.1:7000");
         assert_eq!(c.jobs, 3);
-        assert_eq!(c.batch_max, 4);
         assert_eq!(c.queue_high_water, 5);
         assert_eq!(c.outbound_max, 6);
         assert_eq!(c.write_deadline, std::time::Duration::from_millis(700));

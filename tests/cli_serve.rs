@@ -50,6 +50,14 @@ fn an_unknown_flag_is_a_usage_error() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("usage: ltspc"), "{args:?}: {stderr}");
     }
+    // The daemon answers one job at a time; there is no batch to size.
+    let out = serve(&["--batch", "4"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("ltspc: serve: unknown flag --batch"),
+        "{stderr}"
+    );
     // `-` is stdin, not a flag.
     let out = Command::new(env!("CARGO_BIN_EXE_ltspc"))
         .arg("-")
@@ -114,7 +122,6 @@ fn a_request_flag_the_subcommand_does_not_read_is_a_usage_error() {
 #[test]
 fn zero_is_a_usage_error_where_the_daemon_needs_one() {
     for flag in [
-        "--batch",
         "--queue",
         "--outbound",
         "--flight-len",

@@ -144,6 +144,19 @@ fn an_endless_line_is_refused_through_the_router_as_directly() {
     }
 }
 
+/// The router parses every line it routes with the daemon's parser: a
+/// line nested past the JSON depth bound is answered `error` through a
+/// one-shard cluster, and the router serves on.
+#[test]
+fn a_deeply_nested_line_is_refused_through_the_router() {
+    let (router, shards) = start_cluster(1);
+    common::assert_deep_nesting_is_refused(router.addr());
+    router.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+}
+
 /// The same loop always routes to the same shard (cache locality): N
 /// distinct loops through the router leave exactly N result-cache
 /// misses across all shards — repeats are all hits, never re-sharded.

@@ -131,6 +131,28 @@ impl Client {
     }
 }
 
+/// Sends a `ping` nested 10 000 arrays deep (20 KB, which once overflowed
+/// a connection thread's stack and aborted the whole process) to `addr`,
+/// requires the JSON depth refusal, then a plain ping answered `ok` on the
+/// same connection.
+pub fn assert_deep_nesting_is_refused(addr: impl std::fmt::Display) {
+    let depth = 10_000;
+    let deep = format!(
+        "{{\"op\":\"ping\",\"id\":\"deep\",\"x\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let mut c = Client::connect(addr);
+    let refused = c.round_trip(&deep);
+    assert!(refused.contains("\"status\":\"error\""), "{refused}");
+    assert!(
+        refused.contains("nesting deeper than 64 levels"),
+        "{refused}"
+    );
+    let ping = c.round_trip(r#"{"op":"ping","id":"after"}"#);
+    assert!(ping.contains("\"status\":\"ok\""), "{ping}");
+}
+
 /// An `ltspc serve` process (or `--cluster` supervisor). Dropped while
 /// running, it is asked to drain (a cluster takes its shards down with
 /// it) and killed if it is still running 10 s later.

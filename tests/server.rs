@@ -10,9 +10,9 @@ use std::net::TcpStream;
 
 use common::Client;
 use ltsp::cache::Fingerprint;
-use ltsp::server::{spawn, ServerConfig, ServerHandle};
+use ltsp::server::{spawn, FaultPlan, FaultSite, ServerConfig, ServerHandle};
 use ltsp::telemetry::json;
-use ltsp::workloads::{random_loop, saxpy};
+use ltsp::workloads::{random_loop, saxpy, scheduling_heavy};
 
 fn start(jobs: usize, queue_high_water: usize) -> ServerHandle {
     spawn(ServerConfig {
@@ -117,6 +117,69 @@ fn pipelined_hits_keep_request_order_and_serial_tags() {
         out
     };
     assert_eq!(run(1), run(4), "response bytes depend on --jobs");
+}
+
+/// A connection's answers leave in request order even when a later job
+/// finishes first: at `--jobs` 2 and 4, a compile the `slow` fault
+/// delays, pipelined before a ping that another worker answers at once,
+/// is still answered first.
+#[test]
+fn a_slow_job_is_not_overtaken_by_a_later_one() {
+    let plan = FaultPlan::parse("slow:300ms@0.5").expect("valid spec");
+    let ids: Vec<String> = (0..64).map(|i| format!("r{i}")).collect();
+    let slow = ids.iter().find(|id| plan.fires(FaultSite::Slow, id));
+    let fast = ids.iter().find(|id| !plan.fires(FaultSite::Slow, id));
+    let (slow, fast) = (slow.expect("a slow id"), fast.expect("a fast id"));
+    for jobs in [2, 4] {
+        let handle = spawn(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            jobs,
+            fault: plan.clone(),
+            ..ServerConfig::default()
+        })
+        .expect("bind ephemeral port");
+        let mut c = Client::connect(handle.addr());
+        c.send(&compile_request(slow, &saxpy("s").to_string()));
+        c.send(&format!("{{\"op\":\"ping\",\"id\":\"{fast}\"}}"));
+        let (first, second) = (c.recv(), c.recv());
+        let order = format!("jobs={jobs}: {first}then {second}");
+        assert!(
+            first.starts_with(&format!("{{\"id\":\"{slow}\"")),
+            "{order}"
+        );
+        assert!(
+            second.starts_with(&format!("{{\"id\":\"{fast}\"")),
+            "{order}"
+        );
+        handle.shutdown();
+    }
+}
+
+/// A key runs on one worker at a time: the same uncached compile, sent
+/// on four connections at once, is a miss once and a hit three times at
+/// `--jobs 4`, exactly as at `--jobs 1`. The kernel is large enough that
+/// its compile outlasts the four requests' arrival skew.
+#[test]
+fn a_key_in_flight_on_four_connections_misses_once() {
+    let line = compile_request("dup", &scheduling_heavy("dup", 4, 40).to_string());
+    let run = |jobs: usize| {
+        let handle = start(jobs, 256);
+        let mut conns: Vec<Client> = (0..4).map(|_| Client::connect(handle.addr())).collect();
+        for c in &mut conns {
+            c.send(&line);
+        }
+        let mut answers: Vec<String> = conns.iter_mut().map(Client::recv).collect();
+        handle.shutdown();
+        answers.sort();
+        answers
+    };
+    let four = run(4);
+    let misses = four
+        .iter()
+        .filter(|a| a.contains("\"cache\":\"miss\""))
+        .count();
+    assert_eq!(misses, 1, "{four:?}");
+    assert_eq!(four, run(1), "answers depend on --jobs");
 }
 
 /// Four connections each pipeline 2 000 mixed requests (hits, misses,
@@ -336,6 +399,15 @@ fn malformed_requests_fail_soft() {
     // The connection survives both and still serves work.
     let ok = c.round_trip(&compile_request("y", &saxpy("s").to_string()));
     assert!(ok.contains("\"status\":\"ok\""), "{ok}");
+    handle.shutdown();
+}
+
+/// A request line nested past the JSON depth bound is answered `error`
+/// like any malformed line, and the daemon serves on.
+#[test]
+fn a_deeply_nested_line_is_refused_and_the_daemon_serves_on() {
+    let handle = start(1, 256);
+    common::assert_deep_nesting_is_refused(handle.addr());
     handle.shutdown();
 }
 
