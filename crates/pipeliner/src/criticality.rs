@@ -79,8 +79,11 @@ pub fn classify_loads(
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     cycle_cap: usize,
 ) -> LoadClassification {
+    let threshold = machine.res_mii(lp).max(ddg_base.rec_mii());
     let obs = Observer::disabled();
-    classify_loads_observed(lp, machine, ddg_base, hint_of, cycle_cap, false, obs)
+    classify_loads_observed(
+        lp, machine, ddg_base, hint_of, cycle_cap, false, threshold, obs,
+    )
 }
 
 /// [`classify_loads`] with the **balanced-recurrence extension** the paper
@@ -96,12 +99,18 @@ pub fn classify_loads(
 /// smallest share. With `balance_cycles = false` this is exactly the
 /// paper's algorithm.
 ///
+/// `threshold` is the II a raised cycle may imply without a load on it
+/// turning critical, `max(Resource II, base Recurrence II)` of `lp` and
+/// `ddg_base`: the driver has it already, so the analysis does not
+/// recompute the Recurrence II's search.
+///
 /// The trace gets the recurrence-cycle enumeration (cycle count, and
 /// whether the cap truncated the search — a truncated enumeration can
 /// under-mark critical loads) and, per load, a
 /// [`ltsp_telemetry::Event::CriticalityVerdict`] with the worst implied II
 /// over raised cycles through the load against the II threshold. The
 /// caller times the analysis (it is part of the `mrt` phase).
+#[allow(clippy::too_many_arguments)]
 pub fn classify_loads_observed(
     lp: &LoopIr,
     machine: &MachineModel,
@@ -109,6 +118,7 @@ pub fn classify_loads_observed(
     hint_of: &dyn Fn(InstId) -> Option<LatencyHint>,
     cycle_cap: usize,
     balance_cycles: bool,
+    threshold: u32,
     obs: Observer,
 ) -> LoadClassification {
     let tel = obs.tel;
@@ -129,10 +139,6 @@ pub fn classify_loads_observed(
             }
         })
         .collect();
-
-    let res_mii = machine.res_mii(lp);
-    let rec_mii_base = ddg_base.rec_mii();
-    let threshold = res_mii.max(rec_mii_base);
 
     let base_lat = |id: InstId| -> u32 {
         match lp.inst(id).op() {
@@ -290,7 +296,17 @@ mod tests {
     /// Every load hinted L3, strict or balanced.
     fn classify_l3(lp: &LoopIr, m: &MachineModel, ddg: &Ddg, balance: bool) -> LoadClassification {
         let l3 = |_| Some(LatencyHint::L3);
-        classify_loads_observed(lp, m, ddg, &l3, 1000, balance, Observer::disabled())
+        let threshold = m.res_mii(lp).max(ddg.rec_mii());
+        classify_loads_observed(
+            lp,
+            m,
+            ddg,
+            &l3,
+            1000,
+            balance,
+            threshold,
+            Observer::disabled(),
+        )
     }
 
     #[test]

@@ -238,6 +238,7 @@ pub fn pipeline_loop_observed(
             hint_of,
             opts.cycle_cap,
             opts.balance_cycle_slack,
+            min_ii,
             obs,
         )
     });

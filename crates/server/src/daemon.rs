@@ -107,7 +107,7 @@
 //! condvar and wakes the blocking accept ([`crate::framing::wake`]); a
 //! writer waits until its connection is closed and owed nothing. Only an
 //! idle reader notices on its read timeout, which delays no request (and
-//! an idle worker wakes on `IDLE_WAKE`). Every job is answered, even
+//! one idle worker wakes on `IDLE_WAKE`). Every job is answered, even
 //! one a dying worker drops, and every reader closes its connection,
 //! even one that panics, so no writer, and no drain, waits forever.
 //!
@@ -144,11 +144,12 @@ use crate::framing::{read_lines, serve_connections, timed_out, wake, Lines, BUFF
 use crate::proto::{parse_request, ReqOp, Request, Response};
 use crate::signal::drain_on_signal;
 
-/// How often an idle worker wakes while the queue is empty and a
-/// connection is open; with none open it waits untimed. Nothing needs the
-/// wake-ups, but without them `serve_warm`'s closed-loop hits lost ~12 %
-/// of their throughput and their p99 rose 60 % on a 2-vCPU VM, which is
-/// how slowly an idle vCPU wakes, not serving code (DESIGN.md §12).
+/// How often one idle worker wakes while the queue is empty and a
+/// connection is open; the others, and all of them with none open, wait
+/// untimed. Nothing needs the wake-ups, but without them `serve_warm`'s
+/// closed-loop hits lost ~12 % of their throughput and their p99 rose
+/// 60 % on a 2-vCPU VM, which is how slowly an idle vCPU wakes, not
+/// serving code (DESIGN.md §12).
 const IDLE_WAKE: Duration = Duration::from_millis(5);
 
 /// Exit code of a process killed by the injected `shardkill` fault, so
@@ -423,6 +424,9 @@ struct Queue {
     jobs: VecDeque<Job>,
     /// A queued job whose key is here waits until its twin is done.
     running: HashSet<Fingerprint>,
+    /// An idle worker is taking the timed [`IDLE_WAKE`] wait; every other
+    /// idle worker waits untimed, so a daemon keeps one heartbeat.
+    heartbeat: bool,
 }
 
 /// Shared daemon state.
@@ -993,11 +997,14 @@ fn work(state: &State, tel: &Telemetry) {
                     // this lock, nothing can be admitted after this.
                     return;
                 }
-                q = if counters.get(Counter::Connections) == 0 {
+                q = if counters.get(Counter::Connections) == 0 || q.heartbeat {
                     state.ready.wait(q).unwrap_or_else(PoisonError::into_inner)
                 } else {
+                    q.heartbeat = true;
                     let woke = state.ready.wait_timeout(q, IDLE_WAKE);
-                    woke.unwrap_or_else(PoisonError::into_inner).0
+                    let mut q = woke.unwrap_or_else(PoisonError::into_inner).0;
+                    q.heartbeat = false;
+                    q
                 };
             };
             // The worker-death drill: fire *before* popping, so the

@@ -167,6 +167,7 @@ fn reference_ladder(
         hint_of,
         opts.cycle_cap,
         opts.balance_cycle_slack,
+        min_ii,
         Observer::disabled(),
     );
     let max_ii = (min_ii + opts.max_ii_slack).min(acyclic_schedule(lp, m, &base).ii().max(min_ii));
