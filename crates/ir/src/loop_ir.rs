@@ -455,10 +455,14 @@ impl PartialEq for DefIndex {
 
 impl fmt::Debug for DefIndex {
     /// The definitions as a map, the form and length a `HashMap` prints:
-    /// the compile cache sizes its entries by a loop's `Debug` text.
+    /// the compile cache sizes its entries by a loop's `Debug` text. The
+    /// entries come in definition order, not slot order, so the text is a
+    /// function of the loop and not of the table's multiplier.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut defs: Vec<_> = self.slots.iter().flatten().collect();
+        defs.sort_unstable_by_key(|&&(_, id)| id);
         f.debug_map()
-            .entries(self.slots.iter().flatten().map(|(r, id)| (r, id)))
+            .entries(defs.into_iter().map(|(r, id)| (r, id)))
             .finish()
     }
 }

@@ -124,20 +124,23 @@ fn build_ddg<'a>(
 /// policy (HLO hints, blanket settings, or none for the baseline).
 ///
 /// Procedure:
-/// 1. Resource II and base-latency Recurrence II give Min II.
-/// 2. Criticality analysis decides which loads may be boosted.
-/// 3. Modulo scheduling runs at increasing II; after each successful
+/// 1. Resource II and base-latency Recurrence II give Min II; the acyclic
+///    schedule length caps the II budget.
+/// 2. The [`register_floor`] of the base graph rejects the loop outright
+///    when it exceeds the rotating supply even at the largest II in the
+///    budget.
+/// 3. Criticality analysis decides which loads may be boosted.
+/// 4. Modulo scheduling runs at increasing II; after each successful
 ///    schedule, rotating register allocation is attempted.
-/// 4. On allocation failure the boosts are dropped at the same II; if that
+/// 5. On allocation failure the boosts are dropped at the same II; if that
 ///    also fails the II is escalated with boosts kept off, matching the
 ///    paper's ladder ("first reduce the non-critical load latencies …,
 ///    then continue to iterate at successively higher IIs").
 ///
-/// The ladder is only walked where some rung can allocate: the
-/// [`register_floor`] of the base graph rejects the loop outright when it
-/// exceeds the rotating supply even at the largest II in the budget, and
-/// the base-latency phase starts at the first II whose floor fits. Both
-/// give the result the full ladder would have reached.
+/// The ladder is only walked where some rung can allocate: step 2 refuses
+/// a loop no rung could allocate, and the base-latency phase starts at the
+/// first II whose floor fits. Both give the result the full ladder would
+/// have reached.
 ///
 /// # Errors
 ///
@@ -213,8 +216,14 @@ fn floor_overflow(
 /// analysis (`ddg`), criticality classification and the acyclic
 /// profitability ceiling (`mrt`), every modulo-scheduling attempt across
 /// II escalations (`sched`), and rotating register allocation and the
-/// register floor (`regalloc`). Results are identical with or without a
-/// timer or an enabled sink.
+/// register floor (`regalloc`).
+///
+/// The register floor is checked before criticality. A loop it refuses is
+/// classified only when the sink is enabled, so that the trail still shows
+/// the loop's cycle enumeration and verdicts before its `reject-floor`
+/// fallback; with a disabled sink (a timer alone included) the refusal
+/// skips the analysis. Results are identical with or without a timer or an
+/// enabled sink.
 pub fn pipeline_loop_observed(
     lp: &LoopIr,
     machine: &MachineModel,
@@ -229,24 +238,6 @@ pub fn pipeline_loop_observed(
         (ddg_base, machine.res_mii(lp), rec_mii)
     });
     let min_ii = res_mii.max(rec_mii);
-
-    let cls = obs.time(Phase::Mrt, name, || {
-        classify_loads_observed(
-            lp,
-            machine,
-            &ddg_base,
-            hint_of,
-            opts.cycle_cap,
-            opts.balance_cycle_slack,
-            min_ii,
-            obs,
-        )
-    });
-    let critical_loads = lp
-        .insts()
-        .iter()
-        .filter(|i| cls.class(i.id()) == Some(LoadClass::Critical))
-        .count();
 
     // Profitability ceiling: beyond the acyclic schedule length, the global
     // code scheduler does at least as well without pipelining overhead.
@@ -266,13 +257,30 @@ pub fn pipeline_loop_observed(
             fallback: acyclic,
         }
     };
+    let classify = || {
+        obs.time(Phase::Mrt, name, || {
+            classify_loads_observed(
+                lp,
+                machine,
+                &ddg_base,
+                hint_of,
+                opts.cycle_cap,
+                opts.balance_cycle_slack,
+                min_ii,
+                obs,
+            )
+        })
+    };
 
     // Register floor: the floor never rises with the II, so a loop over
     // the supply at `max_ii` fails allocation on every rung of both phases.
+    // Its loads' classes cannot change that answer, so they are only
+    // worked out when a sink records the verdicts.
     if let Some(e) = obs.time(Phase::Regalloc, name, || {
         floor_overflow(lp, machine, &ddg_base, max_ii)
     }) {
         if tel.is_enabled() {
+            classify();
             tel.emit(Event::RegallocFallback {
                 loop_name: lp.name().to_string(),
                 ii: max_ii,
@@ -285,6 +293,13 @@ pub fn pipeline_loop_observed(
         }
         return Err(reject(0));
     }
+
+    let cls = classify();
+    let critical_loads = lp
+        .insts()
+        .iter()
+        .filter(|i| cls.class(i.id()) == Some(LoadClass::Critical))
+        .count();
 
     let mut attempts = 0u32;
     let mut stats = PipelineStats {
@@ -760,6 +775,35 @@ mod tests {
             &PipelineOptions::default(),
         );
         assert!(p.is_ok_and(|p| p.regs.rotating_fr == 7));
+    }
+
+    #[test]
+    fn floor_rejection_classifies_only_for_a_listening_sink() {
+        // The `floor_rejection_walks_no_ladder` loop: refused by the floor.
+        use std::cell::Cell;
+        let (lp, starved) = (wide_fp_loop(), machine_with_fr(6));
+        let asked = Cell::new(0u32);
+        let hint_of = |_: InstId| {
+            asked.set(asked.get() + 1);
+            Some(LatencyHint::L3)
+        };
+        let opts = PipelineOptions::default();
+        let compile = |obs: Observer| pipeline_loop_observed(&lp, &starved, &hint_of, &opts, obs);
+
+        let silent = compile(Observer::disabled()).unwrap_err();
+        assert_eq!(asked.get(), 0, "a disabled sink skips the analysis");
+        let timer = ltsp_telemetry::PhaseTimer::new();
+        let timed = compile(Observer::new(&Telemetry::disabled(), Some(&timer))).unwrap_err();
+        assert_eq!(asked.get(), 0, "a timer alone skips the analysis");
+        let tel = Telemetry::enabled();
+        let traced = compile(Observer::new(&tel, None)).unwrap_err();
+        assert!(asked.get() > 0, "an enabled sink records the verdicts");
+        assert_eq!(silent, timed);
+        assert_eq!(silent, traced);
+        let kinds: Vec<&str> = tel.events().iter().map(|e| e.event.kind()).collect();
+        let verdict = kinds.iter().position(|k| *k == "criticality_verdict");
+        let refusal = kinds.iter().position(|k| *k == "regalloc_fallback");
+        assert!(verdict.is_some_and(|v| Some(v) < refusal), "{kinds:?}");
     }
 
     #[test]

@@ -102,16 +102,18 @@ impl Error for RegAllocError {}
 ///
 /// Panics if `ii == 0`.
 pub fn register_floor(lp: &LoopIr, ddg: &Ddg, ii: u32) -> [u32; 3] {
+    // `L_v` of every instruction from one pass over the edge list.
+    let mut longest = vec![0u32; lp.insts().len()];
+    for e in ddg.edges() {
+        if e.kind == DepKind::Flow {
+            let l = &mut longest[e.from.index()];
+            *l = (*l).max(e.latency);
+        }
+    }
     let mut floor = [0, 0, 1];
     for inst in lp.insts() {
         if let Some(d) = inst.dst() {
-            let longest = ddg
-                .succs(inst.id())
-                .filter(|e| e.kind == DepKind::Flow)
-                .map(|e| e.latency)
-                .max()
-                .unwrap_or(0);
-            floor[d.class() as usize] += longest / ii + 1;
+            floor[d.class() as usize] += longest[inst.id().index()] / ii + 1;
         }
     }
     floor
@@ -378,6 +380,48 @@ mod tests {
         // registers at II 4, plus one for the sum.
         let boosted = Ddg::build_with_load_floor(&lp, &m, 21);
         assert_eq!(register_floor(&lp, &boosted, 4), [7, 0, 1]);
+    }
+
+    /// The successor walk `register_floor` replaced, kept as its referee:
+    /// each definition's outgoing edges through the adjacency index.
+    fn register_floor_by_successors(lp: &LoopIr, ddg: &Ddg, ii: u32) -> [u32; 3] {
+        let mut floor = [0, 0, 1];
+        for inst in lp.insts() {
+            if let Some(d) = inst.dst() {
+                let longest = ddg
+                    .succs(inst.id())
+                    .filter(|e| e.kind == DepKind::Flow)
+                    .map(|e| e.latency)
+                    .max()
+                    .unwrap_or(0);
+                floor[d.class() as usize] += longest / ii + 1;
+            }
+        }
+        floor
+    }
+
+    #[test]
+    fn the_edge_pass_agrees_with_the_successor_walk() {
+        use ltsp_workloads::{kernel_library, random_loop, scheduling_heavy};
+        let m = MachineModel::itanium2();
+        let mut loops: Vec<LoopIr> = kernel_library().into_iter().map(|(_, lp)| lp).collect();
+        loops.extend((0..64).map(random_loop));
+        for (streams, depth) in [(3, 15), (3, 16), (4, 11), (4, 12), (5, 9), (3, 10)] {
+            loops.push(scheduling_heavy("heavy", streams, depth));
+        }
+        for lp in &loops {
+            for boost in [0, 21] {
+                let ddg = Ddg::build_with_load_floor(lp, &m, boost);
+                for ii in 1..=32 {
+                    assert_eq!(
+                        register_floor(lp, &ddg, ii),
+                        register_floor_by_successors(lp, &ddg, ii),
+                        "{} at boost {boost}, II {ii}",
+                        lp.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

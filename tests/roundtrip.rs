@@ -48,6 +48,18 @@ fn corpus_files_round_trip_exactly() {
     }
 }
 
+/// A loop's `Debug` text is a function of the loop: the definition index
+/// hashes with a multiplier drawn per table, and must not print in the
+/// order it sets. (The compile cache sizes its entries by this text.)
+#[test]
+fn two_parses_debug_print_the_same() {
+    for (name, text) in corpus_files() {
+        let parse = || parse_loop(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (a, b) = (format!("{:?}", parse()), format!("{:?}", parse()));
+        assert!(a == b, "{name}: two parses print\n{a}\nand\n{b}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
